@@ -153,7 +153,7 @@
 // deletes propagate too — at its original version, to the replicas it
 // skipped. LWW makes the repair harmless (a replica holding something
 // newer keeps it); it narrows divergence after an outage but repairs
-// only what failover reads touch and never pre-versioning cells.
+// only what failover reads touch.
 //
 // # Anti-entropy: digest-tree replica repair
 //
@@ -179,17 +179,15 @@
 //
 // Client.RepairRange / Client.RepairAll run the same pass from any
 // client (cmd/kvstore exposes it as the `repair` subcommand, one-shot
-// or periodic via -repair-every). Divergent cells written before
-// versioning are left alone — their zero versions cannot be ordered —
-// and are counted in the report.
+// or periodic via -repair-every).
 //
-// On disk, tables are SSTable format v3 (sorted data blocks with
+// On disk, tables are block-based SSTables (sorted data blocks with
 // restart-point prefix compression, per-block CRCs, a block index and
 // partition directory fetched on first use — docs/sstable-format.md is
-// the full layout). Tables written by earlier revisions stay readable
-// — v1 cells carry the zero version and lose to any stamped write —
-// and compaction rewrites them to v3 as they participate in merges;
-// the SHARDS manifest records the format generation.
+// the full layout). There is one on-disk generation, recorded in the
+// SHARDS manifest: a directory or table written by an earlier revision
+// is refused at open with an error naming it, and the same document
+// has the migration note.
 //
 // Durability is tunable per node via StorageOptions.Sync: SyncNever
 // (default; fsync only at segment close), SyncOnSeal (fsync when a

@@ -116,6 +116,10 @@ func main() {
 			log.Fatalf("cell %s unreadable at epoch %d: err=%v found=%v", key(i), report.Epoch, err, found)
 		}
 	}
+	parts, err := node.Engine().Partitions()
+	if err != nil {
+		log.Fatalf("list the new node's partitions: %v", err)
+	}
 	fmt.Printf("verified: all %d cells readable at epoch %d; new node serves %d partitions\n",
-		total, report.Epoch, len(node.Engine().Partitions()))
+		total, report.Epoch, len(parts))
 }

@@ -111,11 +111,9 @@ type ClientOptions struct {
 	// harmless — to the partition's other replicas. Deletes repair too:
 	// a failover read that lands on a tombstone forwards the tombstone,
 	// so the skipped replica stops serving the old value. Best-effort:
-	// errors are dropped and cells written before versioning are not
-	// repaired (their zero version cannot be re-stamped safely); it
-	// narrows replica divergence after a node outage but touches only
-	// what failover reads hit — Cluster.Repair is the convergence
-	// guarantee.
+	// errors are dropped; it narrows replica divergence after a node
+	// outage but touches only what failover reads hit — Cluster.Repair
+	// is the convergence guarantee.
 	ReadRepair bool
 	// RepairConcurrency is how many token ranges an anti-entropy pass
 	// (RepairRange, RepairAll, Cluster.Repair) digests and reconciles

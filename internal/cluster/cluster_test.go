@@ -49,7 +49,7 @@ func TestPutGetAcrossNodes(t *testing.T) {
 	// Keys must actually spread across nodes.
 	nodesWithData := 0
 	for _, n := range c.Nodes {
-		if len(n.Engine().Partitions()) > 0 {
+		if len(enginePartitions(t, n)) > 0 {
 			nodesWithData++
 		}
 	}
@@ -454,13 +454,23 @@ func batchTestEntries(nParts, elemsPer int) []row.Entry {
 	return entries
 }
 
+// enginePartitions lists the partitions a node's engine holds.
+func enginePartitions(t *testing.T, n *Node) []string {
+	t.Helper()
+	pks, err := n.Engine().Partitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pks
+}
+
 // engineDump captures every node's on-disk state as node -> pk -> cells.
 func engineDump(t *testing.T, c *Cluster) map[int]map[string][]row.Cell {
 	t.Helper()
 	out := make(map[int]map[string][]row.Cell)
 	for _, n := range c.Nodes {
 		parts := make(map[string][]row.Cell)
-		for _, pk := range n.Engine().Partitions() {
+		for _, pk := range enginePartitions(t, n) {
 			cells, err := n.Engine().ScanPartition(pk, nil, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -570,7 +580,7 @@ func TestBatcherFlushesOnEntryThreshold(t *testing.T) {
 	if pending, inflight := bt.Pending(); pending != 7 || inflight != 0 {
 		t.Fatalf("pending=%d inflight=%d want 7,0", pending, inflight)
 	}
-	if n := len(c.Nodes[0].Engine().Partitions()); n != 0 {
+	if n := len(enginePartitions(t, c.Nodes[0])); n != 0 {
 		t.Fatalf("engine saw data before threshold: %d partitions", n)
 	}
 	// The 8th entry crosses the threshold and ships the batch.

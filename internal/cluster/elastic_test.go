@@ -207,7 +207,7 @@ func TestAddNodeUnderLiveTraffic(t *testing.T) {
 	}
 
 	// The new node actually owns and serves data.
-	if parts := node.Engine().Partitions(); len(parts) == 0 {
+	if len(enginePartitions(t, node)) == 0 {
 		t.Fatal("joining node holds no partitions")
 	}
 
@@ -572,7 +572,7 @@ func TestAddNodeOverTCP(t *testing.T) {
 			t.Fatalf("cell %s unreadable after TCP join: %v %v", key(i), err, found)
 		}
 	}
-	if len(node.Engine().Partitions()) == 0 {
+	if len(enginePartitions(t, node)) == 0 {
 		t.Fatal("TCP joining node holds no data")
 	}
 }

@@ -57,10 +57,6 @@ type RepairReport struct {
 	// directions. Zero on a converged cluster — the pass then cost only
 	// digests.
 	CellsShipped int64
-	// SkippedLegacy counts divergent pre-versioning (zero-version) cells
-	// left alone: their versions cannot be compared, and re-stamping
-	// them would manufacture a fresh write out of stale data.
-	SkippedLegacy int64
 }
 
 // merge folds another report's counters in; each repair worker
@@ -71,7 +67,6 @@ func (r *RepairReport) merge(o *RepairReport) {
 	r.DigestRPCs += o.DigestRPCs
 	r.LeafMismatches += o.LeafMismatches
 	r.CellsShipped += o.CellsShipped
-	r.SkippedLegacy += o.SkippedLegacy
 }
 
 // Repair runs one anti-entropy pass over the cluster at replication
@@ -350,12 +345,6 @@ func (c *Client) reconcileLeaf(a, b hashring.NodeID, lo, hi int64, rep *RepairRe
 		theirs, ok := other[addr]
 		if ok && !theirs.Ver.Less(have.Ver) {
 			return // theirs is newer or the same write; nothing to ship
-		}
-		if have.Ver.IsZero() {
-			// A pre-versioning cell cannot claim to win, and re-stamping
-			// it would fabricate a fresh write from possibly-stale data.
-			rep.SkippedLegacy++
-			return
 		}
 		*out = append(*out, have)
 	}

@@ -22,9 +22,9 @@ import "bytes"
 // address. Seq is a per-engine monotonic counter advanced by every
 // accepted write and pulled forward by any higher incoming version
 // (hybrid-logical-clock style), Node breaks ties between engines. The
-// zero Version is the oldest possible: cells from pre-versioning data
-// (v1 SSTables, legacy WAL segments) carry it and lose to any stamped
-// write.
+// zero Version means "not stamped yet": an entry handed to an engine
+// with it is a fresh write the engine stamps, and no stored cell
+// carries it.
 type Version struct {
 	Seq  uint64
 	Node uint16
@@ -50,7 +50,7 @@ func (v Version) Compare(o Version) int {
 // Less reports whether v orders strictly before o.
 func (v Version) Less(o Version) bool { return v.Compare(o) < 0 }
 
-// IsZero reports whether v is the zero (legacy, oldest) version.
+// IsZero reports whether v is the zero (unstamped) version.
 func (v Version) IsZero() bool { return v.Seq == 0 && v.Node == 0 }
 
 // Cell is one clustering-key/value pair inside a partition, stamped
@@ -152,10 +152,9 @@ func lowerBound(cells []Cell, ck []byte) int {
 
 // Merge combines cells from multiple sorted sources into one sorted run,
 // resolving clustering-key collisions by version: the highest version
-// wins, and on an exact version tie the later source wins (sources are
-// passed oldest to newest — SSTables before memtables — so pre-versioning
-// cells, which all carry the zero version, keep their historical
-// newest-table-wins semantics). Tombstones take part in the merge like
+// wins, and on an exact version tie — the same write held by two
+// sources — the later source wins (sources are passed oldest to newest,
+// SSTables before memtables). Tombstones take part in the merge like
 // any other cell and appear in the output; callers that serve reads
 // filter them (DropTombstones), while compaction and range streaming
 // keep them so a delete keeps masking older copies elsewhere.

@@ -9,7 +9,7 @@ import (
 	"scalekv/internal/row"
 )
 
-// This file is the v3 data-block codec: restart-point prefix-compressed
+// This file is the data-block codec: restart-point prefix-compressed
 // cell entries with a per-block CRC, in the LevelDB/KevoDB tradition,
 // optionally LZ-compressed on disk (see compress.go).
 //
@@ -31,11 +31,8 @@ import (
 // where flag 0x01 means the payload is stored raw and 0x02 means it is
 // LZ-compressed. The CRC covers everything before it — the flag and the
 // stored (possibly compressed) bytes — so a damaged block is caught
-// before any decompression is attempted. Blocks written before the
-// compression revision have no flag byte; their first byte is always
-// 0x00 (the first entry is a restart point, so its shared-length uvarint
-// is zero), which no flagged block can start with, making the two
-// layouts self-distinguishing with no table-level marker.
+// before any decompression is attempted. Any other first byte is
+// ErrCorrupt.
 //
 // Entry layout:
 //
@@ -43,20 +40,19 @@ import (
 //	key suffix | value | seq uvarint | node uvarint | flags byte
 
 const (
-	// DefaultBlockSize is the target size of a v3 data block: small
+	// DefaultBlockSize is the target size of a data block: small
 	// enough that a cold point read transfers little more than it needs,
 	// large enough to amortize the per-block CRC and index entry.
 	DefaultBlockSize = 4 << 10
 
 	blockRestartInterval = 16
 
-	// Stored-block flag byte values. 0x00 is reserved: it identifies a
-	// pre-compression block (see the layout comment above).
+	// Stored-block flag byte values.
 	blockFlagRaw = byte(0x01)
 	blockFlagLZ  = byte(0x02)
 )
 
-// Compression selects the on-disk block codec of a v3 table.
+// Compression selects the on-disk block codec of a table.
 type Compression int
 
 const (
@@ -159,10 +155,8 @@ func sealBlock(payload []byte, compression Compression, table *[1 << lzTableBits
 // decodeStoredBlock verifies a stored block's CRC and returns its entry
 // payload, decompressing when the flag byte says to. The CRC covers the
 // stored bytes — flag included — so corruption is caught before any
-// decode is attempted. Blocks from the pre-compression revision (first
-// byte 0x00, CRC over the same extent) pass through unchanged. The
-// returned payload aliases block for raw and legacy layouts and is
-// freshly allocated for compressed ones.
+// decode is attempted. The returned payload aliases block for the raw
+// layout and is freshly allocated for the compressed one.
 func decodeStoredBlock(block []byte) ([]byte, error) {
 	if len(block) < 5 {
 		return nil, ErrCorrupt
@@ -172,10 +166,6 @@ func decodeStoredBlock(block []byte) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	switch block[0] {
-	case 0x00:
-		// Pre-compression block: no flag byte, the whole pre-CRC extent
-		// is the payload.
-		return block[:crcOff], nil
 	case blockFlagRaw:
 		return block[1:crcOff], nil
 	case blockFlagLZ:

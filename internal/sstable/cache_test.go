@@ -209,18 +209,11 @@ func TestStoredBlockStructuralCorruption(t *testing.T) {
 		t.Fatalf("chopped LZ stream: %v, want ErrCorrupt", err)
 	}
 
-	// A legacy (pre-compression) block — payload + CRC, no flag — must
-	// pass through unchanged: its first byte is always 0x00.
-	legacy := append([]byte(nil), payload...)
-	legacy = binary.LittleEndian.AppendUint32(legacy, crc32.ChecksumIEEE(payload))
-	if legacy[0] != 0x00 {
-		t.Fatalf("legacy block first byte %#x, want 0x00", legacy[0])
-	}
-	got, err := decodeStoredBlock(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("legacy block payload mangled")
+	// A flagless block — payload + CRC, as tables before block
+	// compression stored them; its first byte is always 0x00 — is no
+	// longer a layout: rejected like any unknown flag.
+	flagless := binary.LittleEndian.AppendUint32(append([]byte(nil), payload...), crc32.ChecksumIEEE(payload))
+	if _, err := decodeStoredBlock(flagless); flagless[0] != 0x00 || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("flagless block (first byte %#x): %v, want ErrCorrupt", flagless[0], err)
 	}
 }

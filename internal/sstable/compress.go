@@ -2,7 +2,7 @@ package sstable
 
 import "scalekv/internal/enc"
 
-// This file is the v3 block compression codec: a snappy-style
+// This file is the block compression codec: a snappy-style
 // byte-oriented LZ with greedy hash matching — pure Go, no cgo, no
 // dependencies. It trades ratio for speed the same way Snappy/LZ4 do:
 // literal runs and back-references only, varint lengths, no entropy

@@ -7,187 +7,209 @@ import (
 	"hash/crc32"
 	"os"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"scalekv/internal/bloom"
 	"scalekv/internal/enc"
 	"scalekv/internal/row"
 )
 
-// This file is the v3 side of the Writer and Reader: block-based data
-// with a lazily-loaded block index and partition directory. See the
-// package comment for the layout and block.go for the block codec.
-
-// addPartitionV3 streams one partition's cells into the open data
-// block, cutting blocks at the target size. A partition that would
-// straddle the current block's budget starts a fresh block instead, so
-// small partitions stay whole inside one block (and report no
-// intra-partition index, matching the v1/v2 column-index threshold
-// semantics); large ones span several blocks and can be sliced from the
-// middle.
-func (w *Writer) addPartitionV3(pk string, cells []row.Cell) error {
-	est := 0
-	for i := range cells {
-		est += len(cells[i].CK) + len(cells[i].Value) + 16
-	}
-	if !w.block.empty() && w.block.size()+est > w.blockSize {
-		if err := w.cutBlock(); err != nil {
-			return err
-		}
-	}
-	for i := range cells {
-		c := &cells[i]
-		w.keyBuf = enc.AppendInternalKey(w.keyBuf[:0], pk, c.CK)
-		if w.block.empty() {
-			w.blockFirst = append(w.blockFirst[:0], w.keyBuf...)
-		}
-		w.block.add(w.keyBuf, c.Value, c.Ver, c.Tombstone)
-		if c.Ver.Seq > w.maxSeq {
-			w.maxSeq = c.Ver.Seq
-		}
-		if !w.noSplit && w.block.size() >= w.blockSize {
-			if err := w.cutBlock(); err != nil {
-				return err
-			}
-		}
-	}
-	w.entryCount += uint64(len(cells))
-	w.parts = append(w.parts, partDirEntry{pk: pk, cells: uint64(len(cells))})
-	w.filter.AddString(pk)
-	return nil
+// ReadStats counts the physical work a Reader has done; the Figure 6
+// harness, the block-index tests and the O(1)-point-read pin use it to
+// verify that reads really touch only what they must.
+type ReadStats struct {
+	PartitionsRead atomic.Int64
+	BytesRead      atomic.Int64
+	ReadAtCalls    atomic.Int64 // physical ReadAt issues since Open
+	IndexedReads   atomic.Int64 // reads that seeked via the block index
+	SeeksSaved     atomic.Int64 // bytes skipped thanks to that index
 }
 
-// cutBlock finishes the open block, seals it into its stored form
-// (compressing unless the probe says not to), writes it and records its
-// index entry.
-func (w *Writer) cutBlock() error {
-	if w.block.empty() {
-		return nil
-	}
-	payload := w.block.finishEntries()
-	stored, _ := sealBlock(payload, w.compression, w.lzTable)
-	offset := w.w.count
-	if _, err := w.w.Write(stored); err != nil {
-		w.err = err
-		return err
-	}
-	w.logicalBytes += int64(len(payload))
-	w.storedBytes += int64(len(stored))
-	w.blocks = append(w.blocks, blockIndexEntry{
-		firstKey: append([]byte(nil), w.blockFirst...),
-		offset:   offset,
-		length:   uint64(len(stored)),
-	})
-	w.block.reset()
-	return nil
+// Reader serves point and range reads from one SSTable file. It is safe
+// for concurrent use: all reads go through ReadAt.
+type Reader struct {
+	f      *os.File
+	size   int64
+	filter *bloom.Filter
+	maxSeq uint64
+	Stats  ReadStats
+
+	// cache, when attached, serves decompressed blocks and table meta
+	// under the engine-wide budget; cacheID is this table's identity in
+	// it.
+	cache   *BlockCache
+	cacheID uint64
+
+	// Footer fields; the block index and partition directory load
+	// lazily on first use (loadMeta), as one combined ReadAt.
+	blockIdxOff uint64
+	partDirOff  uint64
+	bloomOff    uint64
+	partCount   uint64
+	metaCRC     uint32
+	metaMu      sync.Mutex
+	meta        atomic.Pointer[tableMeta]
 }
 
-// closeV3 writes the block index, partition directory, bloom filter and
-// footer.
-func (w *Writer) closeV3() error {
-	if err := w.cutBlock(); err != nil {
-		w.f.Close()
-		return err
-	}
-	blockIdxOff := w.w.count
-	var idx []byte
-	idx = enc.AppendUvarint(idx, uint64(len(w.blocks)))
-	for _, b := range w.blocks {
-		idx = enc.AppendBytes(idx, b.firstKey)
-		idx = enc.AppendUvarint(idx, b.offset)
-		idx = enc.AppendUvarint(idx, b.length)
-	}
-	var dir []byte
-	dir = enc.AppendUvarint(dir, uint64(len(w.parts)))
-	for _, p := range w.parts {
-		dir = enc.AppendBytes(dir, []byte(p.pk))
-		dir = enc.AppendUvarint(dir, p.cells)
-	}
-	if _, err := w.w.Write(idx); err != nil {
-		w.f.Close()
-		return err
-	}
-	partDirOff := w.w.count
-	if _, err := w.w.Write(dir); err != nil {
-		w.f.Close()
-		return err
-	}
-	bloomOff := w.w.count
-	bf := w.filter.Marshal()
-	if _, err := w.w.Write(bf); err != nil {
-		w.f.Close()
-		return err
-	}
-	metaCRC := crc32.ChecksumIEEE(idx)
-	metaCRC = crc32.Update(metaCRC, crc32.IEEETable, dir)
-
-	footer := make([]byte, footerSizeV3)
-	binary.LittleEndian.PutUint64(footer[0:], blockIdxOff)
-	binary.LittleEndian.PutUint64(footer[8:], partDirOff)
-	binary.LittleEndian.PutUint64(footer[16:], bloomOff)
-	binary.LittleEndian.PutUint64(footer[24:], w.entryCount)
-	binary.LittleEndian.PutUint64(footer[32:], uint64(len(w.parts)))
-	binary.LittleEndian.PutUint64(footer[40:], w.maxSeq)
-	binary.LittleEndian.PutUint32(footer[48:], metaCRC)
-	binary.LittleEndian.PutUint32(footer[52:], crc32.ChecksumIEEE(bf))
-	binary.LittleEndian.PutUint32(footer[56:], crc32.ChecksumIEEE(footer[:56]))
-	copy(footer[60:], magicV3)
-	if _, err := w.w.Write(footer); err != nil {
-		w.f.Close()
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
+// tableMeta is a table's lazily-loaded index state.
+type tableMeta struct {
+	blocks []blockIndexEntry
+	parts  []partDirEntry
+	byPK   map[string]int
 }
 
-// openV3 validates a v3 footer and bloom filter; the block index and
-// partition directory stay on disk until loadMeta.
-func openV3(f *os.File, size int64) (*Reader, error) {
-	footer := make([]byte, footerSizeV3)
-	if _, err := f.ReadAt(footer, size-footerSizeV3); err != nil {
+// Open prepares a reader for an SSTable file: it validates the footer
+// and loads the bloom filter; the block index and partition directory
+// stay on disk until the first read that needs them (loadMeta). An
+// intact file in one of the flat layouts older engines wrote is
+// recognised by its footer terminator and refused with
+// ErrUnsupportedFormat rather than reported as damage.
+func Open(path string) (*Reader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("sstable: open: %w", err)
+	}
+	r, err := open(f)
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
+	return r, nil
+}
+
+func open(f *os.File) (*Reader, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := st.Size()
+	if size < int64(len(magic)+len(footerMagic)) {
+		return nil, ErrCorrupt
+	}
+	var term [4]byte
+	if _, err := f.ReadAt(term[:], size-4); err != nil {
+		return nil, err
+	}
+	switch string(term[:]) {
+	case string(footerMagic):
+	case "SKVT", "SKV2":
+		return nil, ErrUnsupportedFormat
+	default:
+		return nil, ErrCorrupt
+	}
+	if size < int64(len(magic)+footerSize) {
+		return nil, ErrCorrupt
+	}
+	footer := make([]byte, footerSize)
+	if _, err := f.ReadAt(footer, size-footerSize); err != nil {
+		return nil, err
+	}
 	if crc32.ChecksumIEEE(footer[:56]) != binary.LittleEndian.Uint32(footer[56:]) {
-		f.Close()
 		return nil, fmt.Errorf("%w: footer crc mismatch", ErrCorrupt)
 	}
 	r := &Reader{
 		f:           f,
-		format:      3,
 		size:        size,
 		blockIdxOff: binary.LittleEndian.Uint64(footer[0:]),
 		partDirOff:  binary.LittleEndian.Uint64(footer[8:]),
 		bloomOff:    binary.LittleEndian.Uint64(footer[16:]),
-		entryCount:  binary.LittleEndian.Uint64(footer[24:]),
 		partCount:   binary.LittleEndian.Uint64(footer[32:]),
 		maxSeq:      binary.LittleEndian.Uint64(footer[40:]),
 		metaCRC:     binary.LittleEndian.Uint32(footer[48:]),
 	}
 	dataStart := uint64(len(magic))
 	if r.blockIdxOff < dataStart || r.blockIdxOff > r.partDirOff ||
-		r.partDirOff > r.bloomOff || r.bloomOff > uint64(size)-footerSizeV3 {
-		f.Close()
+		r.partDirOff > r.bloomOff || r.bloomOff > uint64(size)-footerSize {
 		return nil, ErrCorrupt
 	}
-	bloomBuf := make([]byte, uint64(size)-footerSizeV3-r.bloomOff)
+	bloomBuf := make([]byte, uint64(size)-footerSize-r.bloomOff)
 	if _, err := f.ReadAt(bloomBuf, int64(r.bloomOff)); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(bloomBuf) != binary.LittleEndian.Uint32(footer[52:]) {
-		f.Close()
 		return nil, fmt.Errorf("%w: bloom crc mismatch", ErrCorrupt)
 	}
-	var err error
 	if r.filter, err = bloom.Unmarshal(bloomBuf); err != nil {
-		f.Close()
 		return nil, err
 	}
 	return r, nil
 }
+
+// readAt is the single physical-read funnel: every post-Open disk
+// access goes through it so ReadStats counts I/O operations and bytes
+// exactly.
+func (r *Reader) readAt(p []byte, off int64) error {
+	r.Stats.ReadAtCalls.Add(1)
+	r.Stats.BytesRead.Add(int64(len(p)))
+	_, err := r.f.ReadAt(p, off)
+	return err
+}
+
+// AttachCache points the reader at a shared block cache, issuing it a
+// fresh table identity. Call once, right after Open, before any reads;
+// data blocks and the lazily-loaded meta then live in (and are bounded
+// by) the cache instead of per-reader memory. The identity is never
+// reused, so a retired table's entries become unreachable and age out —
+// invalidation by identity, no purge call.
+func (r *Reader) AttachCache(c *BlockCache) {
+	if c == nil {
+		return
+	}
+	r.cache = c
+	r.cacheID = c.NewTableID()
+}
+
+// Close releases the underlying file.
+func (r *Reader) Close() error { return r.f.Close() }
+
+// MaxSeq returns the highest cell version sequence stored in the table.
+// The engine restores its write counter from it and uses it to skip
+// tables that cannot beat an already-found version.
+func (r *Reader) MaxSeq() uint64 { return r.maxSeq }
+
+// Path returns the file backing this table; the storage engine's
+// compactor uses it to retire exactly the inputs it merged.
+func (r *Reader) Path() string { return r.f.Name() }
+
+// Size returns the table's file size in bytes; the leveled compactor
+// uses it to budget levels and split outputs.
+func (r *Reader) Size() int64 { return r.size }
+
+// NumPartitions returns how many partitions the table holds.
+func (r *Reader) NumPartitions() int { return int(r.partCount) }
+
+// Partitions returns all partition keys in ascending order, forcing the
+// lazy index load; a failed load is the caller's to report — an empty
+// list would read as an empty table.
+func (r *Reader) Partitions() ([]string, error) {
+	m, err := r.loadMeta()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, len(m.parts))
+	for i, e := range m.parts {
+		out[i] = e.pk
+	}
+	return out, nil
+}
+
+// Bounds returns the table's first and last partition keys, forcing the
+// lazy index load. An empty table returns ("", "").
+func (r *Reader) Bounds() (first, last string, err error) {
+	m, err := r.loadMeta()
+	if err != nil {
+		return "", "", err
+	}
+	if len(m.parts) == 0 {
+		return "", "", nil
+	}
+	return m.parts[0].pk, m.parts[len(m.parts)-1].pk, nil
+}
+
+// MayContain consults the bloom filter; false means the partition is
+// definitely absent and the read path can skip this table.
+func (r *Reader) MayContain(pk string) bool { return r.filter.MayContainString(pk) }
 
 // loadMeta reads and caches the block index and partition directory —
 // one combined ReadAt covering both sections, so the first read of a
@@ -195,7 +217,7 @@ func openV3(f *os.File, size int64) (*Reader, error) {
 // the decoded meta lives under the cache's budget (keyed by table
 // identity at a sentinel offset) instead of pinned per-reader memory,
 // so open-table index overhead competes with data blocks for RAM and
-// can be evicted; without one it is pinned in r.meta as before.
+// can be evicted; without one it is pinned in r.meta.
 func (r *Reader) loadMeta() (*tableMeta, error) {
 	if r.cache != nil {
 		if m, ok := r.cache.getMeta(r.cacheID); ok {
@@ -333,11 +355,20 @@ func (r *Reader) blockPayload(b blockIndexEntry, fill bool) ([]byte, error) {
 	return payload, nil
 }
 
-// readSliceV3 is the v3 ReadSlice/ReadPartition: binary-search the
-// block index to the first block that can hold the slice start, then
-// decode blocks forward until the end bound. A point read therefore
-// performs one block ReadAt (plus the one-time lazy meta load).
-func (r *Reader) readSliceV3(pk string, from, to []byte) ([]row.Cell, error) {
+// ReadPartition returns every cell of a partition.
+func (r *Reader) ReadPartition(pk string) ([]row.Cell, error) {
+	return r.ReadSlice(pk, nil, nil)
+}
+
+// ReadSlice returns the cells of a partition with from <= CK < to; nil
+// bounds mean unbounded. It binary-searches the block index to the
+// first block that can hold the slice start, then decodes blocks
+// forward until the end bound, so a point read performs one block
+// ReadAt (plus the one-time lazy meta load) and a slice of a
+// multi-block partition skips its leading blocks instead of scanning
+// from the partition start: the read-path advantage whose cost
+// asymmetry Formula 6 models.
+func (r *Reader) ReadSlice(pk string, from, to []byte) ([]row.Cell, error) {
 	m, err := r.loadMeta()
 	if err != nil {
 		return nil, err
@@ -363,7 +394,7 @@ func (r *Reader) readSliceV3(pk string, from, to []byte) ([]row.Cell, error) {
 	sbi := blockFor(m.blocks, startKey)
 	if pbi := blockFor(m.blocks, prefix); sbi > pbi {
 		// The block index let the slice skip the partition's leading
-		// blocks entirely — the v3 form of the column-index seek. Only
+		// blocks entirely — the column-index seek of Formula 6. Only
 		// blocks that certainly hold this partition's cells (their first
 		// key carries its prefix) count as savings: a partition starting
 		// exactly at a block boundary must not claim its predecessor's
@@ -426,12 +457,12 @@ func (r *Reader) readSliceV3(pk string, from, to []byte) ([]row.Cell, error) {
 	return cells, nil
 }
 
-// hasBlockIndexV3 reports whether the partition spans at least two data
+// HasColumnIndex reports whether the partition spans at least two data
 // blocks — i.e. a slice can seek past its start via the block index.
 // Measured as the number of blocks whose first key carries the
 // partition's prefix, so a small partition occupying exactly one block
 // (boundary-aligned or not) reports false.
-func (r *Reader) hasBlockIndexV3(pk string) (bool, error) {
+func (r *Reader) HasColumnIndex(pk string) (bool, error) {
 	m, err := r.loadMeta()
 	if err != nil {
 		return false, err
@@ -451,15 +482,14 @@ func (r *Reader) hasBlockIndexV3(pk string) (bool, error) {
 }
 
 // PartitionIter streams a table's partitions in ascending key order —
-// the compactor's merge source. For v3 tables it decodes each data
-// block exactly once, sequentially; for v1/v2 it walks the partition
-// index. Not safe for concurrent use.
+// the compactor's merge source. It decodes each data block exactly
+// once, sequentially. Not safe for concurrent use.
 type PartitionIter struct {
 	r   *Reader
 	err error
 	idx int // next partition
 
-	// v3 streaming state: cells decoded ahead of the cursor.
+	// Streaming state: cells decoded ahead of the cursor.
 	meta  *tableMeta
 	bi    int // next block to decode
 	queue []queuedCell
@@ -485,19 +515,6 @@ func (it *PartitionIter) Err() error { return it.err }
 func (it *PartitionIter) Next() (string, []row.Cell, bool) {
 	if it.err != nil {
 		return "", nil, false
-	}
-	if it.r.format != 3 {
-		if it.idx >= len(it.r.index) {
-			return "", nil, false
-		}
-		e := it.r.index[it.idx]
-		it.idx++
-		cells, err := it.r.ReadPartition(e.pk)
-		if err != nil {
-			it.err = err
-			return "", nil, false
-		}
-		return e.pk, cells, true
 	}
 	if it.meta == nil {
 		m, err := it.r.loadMeta()

@@ -23,9 +23,6 @@ func TestV3ColdPointReadIsIndexPlusOneBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Format() != 3 {
-		t.Fatalf("default writer produced format %d, want 3", r.Format())
-	}
 	if got := r.Stats.ReadAtCalls.Load(); got != 0 {
 		t.Fatalf("open issued %d post-open ReadAts, want 0 (lazy index)", got)
 	}
@@ -135,59 +132,44 @@ func TestV3IterMatchesReadPartition(t *testing.T) {
 		"c":     makeCells(1, 8),
 		"after": makeCells(100, 16),
 	}
-	for _, format := range []int{1, 2, 3} {
-		r, err := Open(writeTable(t, WriterOptions{FormatVersion: format}, parts))
+	r, err := Open(writeTable(t, WriterOptions{}, parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	it := r.Iter()
+	var seen []string
+	for {
+		pk, cells, ok := it.Next()
+		if !ok {
+			break
+		}
+		seen = append(seen, pk)
+		want, err := r.ReadPartition(pk)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("read %q: %v", pk, err)
 		}
-		it := r.Iter()
-		var seen []string
-		for {
-			pk, cells, ok := it.Next()
-			if !ok {
-				break
-			}
-			seen = append(seen, pk)
-			want, err := r.ReadPartition(pk)
-			if err != nil {
-				t.Fatalf("v%d read %q: %v", format, pk, err)
-			}
-			if len(cells) != len(want) {
-				t.Fatalf("v%d %q: iter %d cells, read %d", format, pk, len(cells), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(cells[i].CK, want[i].CK) || !bytes.Equal(cells[i].Value, want[i].Value) ||
-					cells[i].Ver != want[i].Ver || cells[i].Tombstone != want[i].Tombstone {
-					t.Fatalf("v%d %q cell %d mismatch", format, pk, i)
-				}
-			}
-		}
-		if err := it.Err(); err != nil {
-			t.Fatalf("v%d iter: %v", format, err)
-		}
-		want := []string{"a", "after", "b", "c"}
-		if len(seen) != len(want) {
-			t.Fatalf("v%d iter saw %v", format, seen)
+		if len(cells) != len(want) {
+			t.Fatalf("%q: iter %d cells, read %d", pk, len(cells), len(want))
 		}
 		for i := range want {
-			if seen[i] != want[i] {
-				t.Fatalf("v%d iter order %v, want %v", format, seen, want)
+			if !bytes.Equal(cells[i].CK, want[i].CK) || !bytes.Equal(cells[i].Value, want[i].Value) ||
+				cells[i].Ver != want[i].Ver || cells[i].Tombstone != want[i].Tombstone {
+				t.Fatalf("%q cell %d mismatch", pk, i)
 			}
 		}
-		r.Close()
 	}
-}
-
-func TestV3PrefixCompressionShrinksTable(t *testing.T) {
-	// Clustering keys share long prefixes ("ck000001"...), so the v3
-	// restart-point compression must beat the flat v2 encoding.
-	parts := map[string][]row.Cell{"p": makeCells(5000, 8)}
-	v2 := writeTable(t, WriterOptions{FormatVersion: 2}, parts)
-	v3 := writeTable(t, WriterOptions{FormatVersion: 3}, parts)
-	s2, _ := os.Stat(v2)
-	s3, _ := os.Stat(v3)
-	if s3.Size() >= s2.Size() {
-		t.Fatalf("v3 table (%d bytes) not smaller than v2 (%d bytes)", s3.Size(), s2.Size())
+	if err := it.Err(); err != nil {
+		t.Fatalf("iter: %v", err)
+	}
+	want := []string{"a", "after", "b", "c"}
+	if len(seen) != len(want) {
+		t.Fatalf("iter saw %v", seen)
+	}
+	for i := range want {
+		if seen[i] != want[i] {
+			t.Fatalf("iter order %v, want %v", seen, want)
+		}
 	}
 }
 
@@ -230,7 +212,7 @@ func TestV3CorruptBlockIndexYieldsErrCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blockIdxOff := int64(binary.LittleEndian.Uint64(data[len(data)-footerSizeV3:]))
+	blockIdxOff := int64(binary.LittleEndian.Uint64(data[len(data)-footerSize:]))
 	bad := corruptCopy(t, good, blockIdxOff+1)
 	r, err := Open(bad)
 	if err != nil {
@@ -244,7 +226,7 @@ func TestV3CorruptBlockIndexYieldsErrCorrupt(t *testing.T) {
 
 func TestV3CorruptFooterYieldsErrCorrupt(t *testing.T) {
 	good := writeTable(t, WriterOptions{}, map[string][]row.Cell{"p": makeCells(100, 16)})
-	for _, off := range []int64{-int64(footerSizeV3), -30, -3} {
+	for _, off := range []int64{-int64(footerSize), -30, -3} {
 		if _, err := Open(corruptCopy(t, good, off)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("open with footer byte %d flipped returned %v, want ErrCorrupt", off, err)
 		}
@@ -257,7 +239,7 @@ func TestV3CorruptBloomYieldsErrCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bloomOff := int64(binary.LittleEndian.Uint64(data[len(data)-footerSizeV3+16:]))
+	bloomOff := int64(binary.LittleEndian.Uint64(data[len(data)-footerSize+16:]))
 	if _, err := Open(corruptCopy(t, good, bloomOff+1)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open with corrupt bloom returned %v, want ErrCorrupt", err)
 	}
@@ -273,16 +255,9 @@ func TestV3TruncatedMidFileYieldsError(t *testing.T) {
 	}
 }
 
-func TestWriterRejectsUnknownFormat(t *testing.T) {
-	if _, err := NewWriter(filepath.Join(t.TempDir(), "x.sst"), WriterOptions{FormatVersion: 4}); err == nil {
-		t.Fatal("format 4 accepted")
-	}
-}
-
 func BenchmarkV3ColdPointRead(b *testing.B) {
 	// Cold-cache point read: fresh Reader per iteration, so every read
-	// pays the lazy meta load + one block. The flat-format analogue read
-	// the whole partition record.
+	// pays the lazy meta load + one block.
 	path := filepath.Join(b.TempDir(), "bench.sst")
 	w, _ := NewWriter(path, WriterOptions{})
 	w.AddPartition("p", makeCells(20000, 64))

@@ -126,9 +126,10 @@ func TestBloomFilter(t *testing.T) {
 }
 
 func TestColumnIndexPresenceByThreshold(t *testing.T) {
-	// With a 4KB column index, a partition of 100 cells x 16B (~2KB)
-	// stays unindexed while 1000 cells x 16B (~20KB) gets indexed —
-	// the Cassandra behaviour behind the paper's 1425-item break.
+	// A partition of 100 cells x 16B (~2KB) fits one 4KB block and
+	// stays unindexed while 1000 cells x 16B (~20KB) spans several and
+	// gets indexed — the Cassandra behaviour behind the paper's
+	// 1425-item break.
 	parts := map[string][]row.Cell{
 		"small": makeCells(100, 16),
 		"large": makeCells(1000, 16),
@@ -143,9 +144,6 @@ func TestColumnIndexPresenceByThreshold(t *testing.T) {
 	}
 	if has, _ := r.HasColumnIndex("large"); !has {
 		t.Fatal("large partition missing column index")
-	}
-	if n, ok := r.CellCount("large"); !ok || n != 1000 {
-		t.Fatalf("cell count %d,%v want 1000", n, ok)
 	}
 }
 
@@ -280,13 +278,13 @@ func TestOpenRejectsCorruptFile(t *testing.T) {
 	if _, err := Open(short); err == nil {
 		t.Fatal("opened a too-short file")
 	}
-	// Valid file with a flipped index byte must fail the CRC.
+	// Valid file with a flipped bloom byte must fail the CRC.
 	good := writeTable(t, WriterOptions{}, map[string][]row.Cell{"a": makeCells(10, 8)})
 	data, err := os.ReadFile(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-footerSizeV2-2] ^= 0xFF
+	data[len(data)-footerSize-2] ^= 0xFF
 	bad := filepath.Join(dir, "bad.sst")
 	os.WriteFile(bad, data, 0o644)
 	if _, err := Open(bad); err == nil {
@@ -328,25 +326,6 @@ func TestEmptyPartition(t *testing.T) {
 	}
 }
 
-func TestLargeColumnIndexHeaderRefetch(t *testing.T) {
-	// Enough chunks that the column index overflows the 4KB header read
-	// and the >64-entries refetch path triggers.
-	const n = 60000
-	parts := map[string][]row.Cell{"huge": makeCells(n, 64)}
-	r, err := Open(writeTable(t, WriterOptions{ColumnIndexSize: 16 << 10}, parts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got, err := r.ReadSlice("huge", ck(59990), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("got %d cells want 10", len(got))
-	}
-}
-
 func TestPartitionsListing(t *testing.T) {
 	parts := map[string][]row.Cell{"c": nil, "a": nil, "b": nil}
 	r, err := Open(writeTable(t, WriterOptions{}, parts))
@@ -354,7 +333,10 @@ func TestPartitionsListing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	got := r.Partitions()
+	got, err := r.Partitions()
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []string{"a", "b", "c"}
 	for i := range want {
 		if got[i] != want[i] {

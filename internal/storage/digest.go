@@ -128,7 +128,11 @@ func (e *Engine) RangeDigest(lo, hi int64, depth int) ([]DigestLeaf, error) {
 	for i := range leaves {
 		leaves[i].Hash = fnvOffset64
 	}
-	for _, p := range e.partitionsInRange(lo, hi) {
+	parts, err := e.partitionsInRange(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range parts {
 		cells, err := e.scanPartitionRaw(p.pk, nil, nil)
 		if err != nil {
 			return nil, err

@@ -1,8 +1,8 @@
 // Package storage assembles the local database node the paper's slaves
 // run: a log-structured wide-column engine with a write-ahead log,
-// skip-list memtables, bloom-filtered block-based SSTables (v3 format,
-// see internal/sstable), size-triggered flushes, leveled compaction and
-// an optional row cache.
+// skip-list memtables, bloom-filtered block-based SSTables (see
+// internal/sstable) behind a shared block cache, size-triggered flushes
+// and leveled compaction.
 //
 // The engine is lock-striped into shards keyed by partition-key hash.
 // Each shard owns its own active memtable, frozen-memtable queue, WAL
@@ -100,13 +100,10 @@ type Options struct {
 	// FlushThreshold is the memtable payload size, in bytes, that
 	// triggers a background flush to SSTable. 0 means 4MB.
 	FlushThreshold int64
-	// ColumnIndexSize forwards to the SSTable writer: chunk granularity
-	// of the column index. 0 means the Cassandra-like 64KB; negative
-	// disables column indexes (ablation knob).
+	// ColumnIndexSize forwards to the SSTable writer, which reads only
+	// its sign: negative disables intra-partition seeking (the Figure 6
+	// ablation knob).
 	ColumnIndexSize int
-	// RowCachePartitions enables an LRU row cache holding that many
-	// partitions. 0 disables it.
-	RowCachePartitions int
 	// BlockCacheBytes bounds the engine-wide cache of decompressed
 	// SSTable blocks and lazily-loaded table metadata, shared across
 	// every shard's tables. 0 means 64MB; negative disables the cache
@@ -181,8 +178,6 @@ type Metrics struct {
 	TombstonesGCed     atomic.Int64
 	BloomSkips         atomic.Int64
 	SSTablesTouched    atomic.Int64
-	CacheHits          atomic.Int64
-	CacheMisses        atomic.Int64
 	// BlockBytesLogical/Stored accumulate the uncompressed payload vs
 	// on-disk size of every data block written by flush and compaction —
 	// Stored/Logical is the engine's cumulative compression ratio.
@@ -196,7 +191,6 @@ var errClosed = errors.New("storage: engine closed")
 type Engine struct {
 	opts   Options
 	shards []*shard
-	rcache *rowCache           // nil when disabled
 	bcache *sstable.BlockCache // nil when disabled
 	wg     sync.WaitGroup
 	closed atomic.Bool
@@ -210,12 +204,6 @@ type Engine struct {
 	// after a remote copy arrives always orders after it. Restored on
 	// open from the WAL and SSTable max sequences.
 	seq atomic.Uint64
-
-	// purgeGen counts DeleteRange purges; reads snapshot it before
-	// merging a partition and skip the row-cache fill when it moved, so
-	// an in-flight read cannot re-cache a partition a concurrent purge
-	// just removed.
-	purgeGen atomic.Int64
 
 	// idxMu/partIdx are the engine-wide cached partition index shared by
 	// every token-range operation; per-shard partGen counters invalidate
@@ -266,9 +254,6 @@ func Open(opts Options) (*Engine, error) {
 	opts.Shards = nshards
 
 	e := &Engine{opts: opts}
-	if opts.RowCachePartitions > 0 {
-		e.rcache = newRowCache(opts.RowCachePartitions)
-	}
 	if opts.BlockCacheBytes > 0 {
 		e.bcache = sstable.NewBlockCache(opts.BlockCacheBytes)
 	}
@@ -320,18 +305,16 @@ func rejectLegacyLayout(dir string) error {
 
 // manifestFormat is the on-disk format generation recorded in the
 // SHARDS manifest: "v3" marks a directory with per-shard level
-// manifests and block-based v3 tables. A "v2" manifest (versioned
-// cells, flat table lists) or a format-less one (pre-versioning) is
-// upgraded in place: their v1/v2 tables and legacy WAL segments stay
-// readable, every table written from here on is v3, and openShard
-// writes the level manifests on first contact.
+// manifests, block-based tables and versioned WAL records — the only
+// generation this engine reads or writes.
 const manifestFormat = "v3"
 
 // loadOrInitShardCount reads the SHARDS manifest — "<count> <format>" —
 // writing it with want on first open. The persisted count wins on
-// reopen: partition keys were hashed to files with it. An unknown
-// format field fails loudly: the directory was written by a newer
-// engine whose files this one would misread.
+// reopen: partition keys were hashed to files with it. Any other format
+// field — "v2" or none from an older engine, something newer from a
+// later one — fails loudly: this engine would misread the files (for
+// older data see "Migrating pre-PR 8 data" in docs/sstable-format.md).
 func loadOrInitShardCount(dir string, want int) (int, error) {
 	path := filepath.Join(dir, "SHARDS")
 	b, err := os.ReadFile(path)
@@ -352,16 +335,12 @@ func loadOrInitShardCount(dir string, want int) (int, error) {
 	if err != nil || n < 1 {
 		return 0, fmt.Errorf("storage: corrupt shard manifest %s: %q", path, b)
 	}
-	switch {
-	case len(fields) == 1 || fields[1] == "v2":
-		// Earlier-generation manifest: upgrade, the data files stay
-		// readable.
-		if err := os.WriteFile(path, []byte(fmt.Sprintf("%d %s\n", n, manifestFormat)), 0o644); err != nil {
-			return 0, err
-		}
-	case fields[1] == manifestFormat:
-	default:
-		return 0, fmt.Errorf("storage: %s was written with format %q; this engine supports %q", path, fields[1], manifestFormat)
+	format := ""
+	if len(fields) > 1 {
+		format = fields[1]
+	}
+	if format != manifestFormat {
+		return 0, fmt.Errorf("storage: %s was written with format %q; this engine supports %q", path, format, manifestFormat)
 	}
 	return n, nil
 }
@@ -377,10 +356,6 @@ func (e *Engine) shardIndex(pk string) int {
 	}
 	return int(murmur.StringSum64(pk) % uint64(len(e.shards)))
 }
-
-// cache returns the row cache, which is nil when disabled; every
-// rowCache method tolerates a nil receiver.
-func (e *Engine) cache() *rowCache { return e.rcache }
 
 // BlockCacheStats snapshots the shared block cache's counters; all-zero
 // when the cache is disabled.
@@ -476,7 +451,6 @@ func (e *Engine) write(pk string, ck, value []byte, ver row.Version, tombstone b
 		s.freezeLocked()
 	}
 	s.mu.Unlock()
-	e.cache().invalidate(pk)
 	return nil
 }
 
@@ -532,38 +506,25 @@ func (e *Engine) PutBatch(entries []row.Entry) error {
 	// through PutBatch to read the stamp back for forwarding); skip the
 	// bucketing machinery for them.
 	if len(entries) == 1 {
-		err := e.shardFor(entries[0].PK).putBatch(entries)
-		e.cache().invalidate(entries[0].PK)
-		return err
+		return e.shardFor(entries[0].PK).putBatch(entries)
 	}
-	var err error
 	if len(e.shards) == 1 {
-		err = e.shards[0].putBatch(entries)
-	} else {
-		buckets := make([][]row.Entry, len(e.shards))
-		for _, ent := range entries {
-			i := e.shardIndex(ent.PK)
-			buckets[i] = append(buckets[i], ent)
+		return e.shards[0].putBatch(entries)
+	}
+	buckets := make([][]row.Entry, len(e.shards))
+	for _, ent := range entries {
+		i := e.shardIndex(ent.PK)
+		buckets[i] = append(buckets[i], ent)
+	}
+	for i, b := range buckets {
+		if len(b) == 0 {
+			continue
 		}
-		for i, b := range buckets {
-			if len(b) == 0 {
-				continue
-			}
-			if err = e.shards[i].putBatch(b); err != nil {
-				break
-			}
+		if err := e.shards[i].putBatch(b); err != nil {
+			return err
 		}
 	}
-	// Invalidate each distinct partition once; batches arrive grouped, so
-	// skipping consecutive repeats covers the common case cheaply.
-	lastPK := ""
-	for i, ent := range entries {
-		if i == 0 || ent.PK != lastPK {
-			e.cache().invalidate(ent.PK)
-			lastPK = ent.PK
-		}
-	}
-	return err
+	return nil
 }
 
 // Get returns the live value for (pk, ck): the highest-versioned cell
@@ -644,27 +605,11 @@ func nextKey(ck []byte) []byte {
 // what they shadow. Nil bounds mean unbounded.
 func (e *Engine) ScanPartition(pk string, from, to []byte) ([]row.Cell, error) {
 	e.Metrics.Scans.Add(1)
-	if from == nil && to == nil {
-		if cells, ok := e.cache().get(pk); ok {
-			e.Metrics.CacheHits.Add(1)
-			return cells, nil
-		}
-		e.Metrics.CacheMisses.Add(1)
-	}
-
-	purgeGen := e.purgeGen.Load()
 	merged, err := e.scanPartitionRaw(pk, from, to)
 	if err != nil {
 		return nil, err
 	}
-	live := row.DropTombstones(merged)
-	// Cache only if no DeleteRange ran while this read was merging: the
-	// purge invalidates the cache when it finishes, and a stale fill
-	// after that would serve deleted data indefinitely.
-	if from == nil && to == nil && e.purgeGen.Load() == purgeGen {
-		e.cache().put(pk, live)
-	}
-	return live, nil
+	return row.DropTombstones(merged), nil
 }
 
 // scanPartitionRaw merges a partition across every source by version,
@@ -674,10 +619,9 @@ func (e *Engine) scanPartitionRaw(pk string, from, to []byte) ([]row.Cell, error
 	view := e.shardFor(pk).snapshot()
 	defer view.close()
 
-	// Sources oldest to newest so row.Merge's tie-break (equal versions:
-	// later source wins) preserves the historical newest-table-wins
-	// order for pre-versioning cells: SSTables, then frozen memtables,
-	// then the active memtable.
+	// Sources oldest to newest — SSTables, then frozen memtables, then
+	// the active memtable — so row.Merge's tie-break (equal versions:
+	// later source wins) keeps the newer source's copy, as Get does.
 	sources := make([][]row.Cell, 0, len(view.tables)+len(view.frozen)+1)
 	for _, t := range view.tables {
 		if !t.MayContain(pk) {
@@ -725,31 +669,17 @@ func (e *Engine) AggregatePartition(pk string, fn func(ck, value []byte)) error 
 
 // Partitions returns the distinct partition keys across every shard's
 // memtables and SSTables, sorted ascending.
-func (e *Engine) Partitions() []string {
-	seen := map[string]bool{}
-	for _, s := range e.shards {
-		view := s.snapshot()
-		for _, pk := range view.mem.Partitions() {
-			seen[pk] = true
-		}
-		for _, fm := range view.frozen {
-			for _, pk := range fm.mem.Partitions() {
-				seen[pk] = true
-			}
-		}
-		for _, t := range view.tables {
-			for _, pk := range t.Partitions() {
-				seen[pk] = true
-			}
-		}
-		view.close()
+func (e *Engine) Partitions() ([]string, error) {
+	idx, err := e.partitionIndex()
+	if err != nil {
+		return nil, err
 	}
-	out := make([]string, 0, len(seen))
-	for pk := range seen {
-		out = append(out, pk)
+	out := make([]string, len(idx.parts))
+	for i, p := range idx.parts {
+		out[i] = p.pk
 	}
 	sort.Strings(out)
-	return out
+	return out, nil
 }
 
 // Flush freezes every shard's active memtable and blocks until the
@@ -785,8 +715,7 @@ func (e *Engine) Flush() error {
 // Compact asks every shard's worker to merge its whole level tree into
 // a single sorted run (one table, or several range-partitioned ones
 // past TargetTableBytes) at the deepest level, dropping shadowed cell
-// versions and collectable tombstones, and waits for completion. It
-// also rewrites any remaining v1/v2 table to the v3 format.
+// versions and collectable tombstones, and waits for completion.
 func (e *Engine) Compact() error {
 	for _, s := range e.shards {
 		s.mu.Lock()

@@ -30,10 +30,8 @@ import (
 //	<level> <filename> <quoted firstPK> <quoted lastPK>
 //
 // with Go-quoted bounds so arbitrary partition-key bytes survive the
-// text encoding. A directory without a manifest was written before
-// leveled compaction existed; its tables all load into L0 in filename
-// (= age) order, exactly the order the flat engine merged them in, and
-// the manifest is written on the first table-set change.
+// text encoding. A shard without a manifest has never committed a
+// table: any sst-sNN-*.db beside it is an orphan of case (a).
 
 // manifestEntry is one table line of a shard manifest.
 type manifestEntry struct {
@@ -47,15 +45,15 @@ func (s *shard) manifestPath() string {
 	return filepath.Join(s.eng.opts.Dir, fmt.Sprintf("manifest-s%02d", s.id))
 }
 
-// readShardManifest parses manifest-sNN. ok=false means no manifest
-// exists (a pre-leveling directory or a brand-new shard).
-func readShardManifest(path string) (entries []manifestEntry, ok bool, err error) {
+// readShardManifest parses manifest-sNN. A missing manifest (a shard
+// that has not flushed yet) reads as an empty one.
+func readShardManifest(path string) (entries []manifestEntry, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, false, nil
+		return nil, nil
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
@@ -91,14 +89,14 @@ func readShardManifest(path string) (entries []manifestEntry, ok bool, err error
 			}
 		}
 		if err != nil || e.level < 0 || e.name == "" {
-			return nil, false, fmt.Errorf("storage: corrupt shard manifest %s: line %q", path, line)
+			return nil, fmt.Errorf("storage: corrupt shard manifest %s: line %q", path, line)
 		}
 		entries = append(entries, e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return entries, true, nil
+	return entries, nil
 }
 
 // unquotePrefix consumes one Go-quoted string from the front of s.

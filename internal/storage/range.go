@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"fmt"
 	"math"
+	"path/filepath"
 	"sort"
 
 	"scalekv/internal/murmur"
@@ -74,15 +76,18 @@ func (idx *partIndex) fresh(shards []*shard) bool {
 // generations are loaded BEFORE the shards are enumerated and writers
 // bump theirs AFTER publishing the change, so a partition that slips in
 // mid-build is either included or flips a generation the stored tags
-// no longer match — a stale index never survives its next use.
-func (e *Engine) partitionIndex() *partIndex {
+// no longer match — a stale index never survives its next use. A table
+// whose partition directory cannot be read fails the build, and a
+// failed build is not cached: an index missing that table's partitions
+// would make every range operation silently skip data.
+func (e *Engine) partitionIndex() (*partIndex, error) {
 	if idx := e.partIdx.Load(); idx != nil && idx.fresh(e.shards) {
-		return idx
+		return idx, nil
 	}
 	e.idxMu.Lock()
 	defer e.idxMu.Unlock()
 	if idx := e.partIdx.Load(); idx != nil && idx.fresh(e.shards) {
-		return idx
+		return idx, nil
 	}
 	gens := make([]uint64, len(e.shards))
 	for i, s := range e.shards {
@@ -100,7 +105,12 @@ func (e *Engine) partitionIndex() *partIndex {
 			}
 		}
 		for _, t := range view.tables {
-			for _, pk := range t.Partitions() {
+			pks, err := t.Partitions()
+			if err != nil {
+				view.close()
+				return nil, fmt.Errorf("storage: partition directory of %s: %w", filepath.Base(t.Path()), err)
+			}
+			for _, pk := range pks {
 				seen[pk] = true
 			}
 		}
@@ -118,7 +128,7 @@ func (e *Engine) partitionIndex() *partIndex {
 	})
 	idx := &partIndex{gens: gens, parts: parts}
 	e.partIdx.Store(idx)
-	return idx
+	return idx, nil
 }
 
 // partitionsInRange returns the partitions whose token falls in the
@@ -126,11 +136,15 @@ func (e *Engine) partitionIndex() *partIndex {
 // subslice of the cached index; callers must not mutate it. Wrap-around
 // ranges are the caller's concern: ownership diffs split them at the
 // int64 boundary, so lo <= hi always holds here.
-func (e *Engine) partitionsInRange(lo, hi int64) []rangePK {
-	parts := e.partitionIndex().parts
+func (e *Engine) partitionsInRange(lo, hi int64) ([]rangePK, error) {
+	idx, err := e.partitionIndex()
+	if err != nil {
+		return nil, err
+	}
+	parts := idx.parts
 	i := sort.Search(len(parts), func(k int) bool { return parts[k].token >= lo })
 	j := sort.Search(len(parts), func(k int) bool { return parts[k].token > hi })
-	return parts[i:j]
+	return parts[i:j], nil
 }
 
 // scanPartitions returns the partitions of [lo, hi] strictly after the
@@ -140,16 +154,16 @@ func (e *Engine) partitionsInRange(lo, hi int64) []rangePK {
 // by a later page — harmless for the rebalance streamer (the only paged
 // caller): those are exactly the writes the dual-write window already
 // forwards, and LWW makes shipping a copy twice idempotent.
-func (e *Engine) scanPartitions(lo, hi, afterToken int64, afterPK string) []rangePK {
-	parts := e.partitionsInRange(lo, hi)
-	if afterToken == math.MinInt64 && afterPK == "" {
-		return parts
+func (e *Engine) scanPartitions(lo, hi, afterToken int64, afterPK string) ([]rangePK, error) {
+	parts, err := e.partitionsInRange(lo, hi)
+	if err != nil || (afterToken == math.MinInt64 && afterPK == "") {
+		return parts, err
 	}
 	at := sort.Search(len(parts), func(i int) bool {
 		p := parts[i]
 		return p.token > afterToken || (p.token == afterToken && p.pk > afterPK)
 	})
-	return parts[at:]
+	return parts[at:], nil
 }
 
 // ScanRange returns one page of the cells whose partition token falls
@@ -168,7 +182,10 @@ func (e *Engine) ScanRange(lo, hi, afterToken int64, afterPK string, maxCells in
 		maxCells = DefaultRangePageCells
 	}
 	page := &RangePage{}
-	selected := e.scanPartitions(lo, hi, afterToken, afterPK)
+	selected, err := e.scanPartitions(lo, hi, afterToken, afterPK)
+	if err != nil {
+		return nil, err
+	}
 	for i, p := range selected {
 		cells, err := e.scanPartitionRaw(p.pk, nil, nil)
 		if err != nil {
@@ -192,8 +209,12 @@ func (e *Engine) ScanRange(lo, hi, afterToken int64, afterPK string, maxCells in
 // falls in [lo, hi] — the verification half of a handoff (source and
 // target counts must line up before the source range is retired).
 func (e *Engine) CountRange(lo, hi int64) (int64, error) {
+	parts, err := e.partitionsInRange(lo, hi)
+	if err != nil {
+		return 0, err
+	}
 	var n int64
-	for _, p := range e.partitionsInRange(lo, hi) {
+	for _, p := range parts {
 		c, err := e.CountPartition(p.pk)
 		if err != nil {
 			return 0, err
@@ -214,10 +235,6 @@ func (e *Engine) CountRange(lo, hi int64) (int64, error) {
 // active memtable and survive, so callers must fence writers first
 // (the coordinator flips the topology epoch before retiring).
 func (e *Engine) DeleteRange(lo, hi int64) (int64, error) {
-	// Advancing the generation first fences concurrent reads out of the
-	// row cache: a read that started before the purge skips its cache
-	// fill when it sees the generation moved.
-	e.purgeGen.Add(1)
 	var removed int64
 	for _, s := range e.shards {
 		s.mu.Lock()
@@ -239,12 +256,6 @@ func (e *Engine) DeleteRange(lo, hi int64) (int64, error) {
 		}
 		removed += req.removed
 	}
-	// Advance the generation again now that the purge is complete: a
-	// read that loaded the generation mid-purge (and may have merged
-	// the doomed tables) must also fail its cache-fill check, or it
-	// would resurrect the partition right after the invalidation below.
-	e.purgeGen.Add(1)
-	e.cache().invalidateTokenRange(lo, hi)
 	return removed, nil
 }
 

@@ -1,13 +1,18 @@
 package storage
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
 
 	"scalekv/internal/row"
+	"scalekv/internal/sstable"
 )
 
 // rangeTestLoad ingests nParts partitions of cellsPer cells each and
@@ -200,7 +205,7 @@ func TestDeleteRangeEverythingLeavesEmptyShards(t *testing.T) {
 	if removed != 32 {
 		t.Fatalf("removed %d want 32", removed)
 	}
-	if got := e.Partitions(); len(got) != 0 {
+	if got := partitionsOf(t, e); len(got) != 0 {
 		t.Fatalf("%d partitions survive a full-space delete", len(got))
 	}
 	if n := e.Stats().SSTables; n != 0 {
@@ -238,7 +243,7 @@ func TestConcurrentDeleteRangesBothApply(t *testing.T) {
 	if total := removed[0] + removed[1]; total != int64(40*3) {
 		t.Fatalf("concurrent deletes removed %d cells want %d (%v)", total, 120, removed)
 	}
-	if got := e.Partitions(); len(got) != 0 {
+	if got := partitionsOf(t, e); len(got) != 0 {
 		t.Fatalf("%d partitions survived two covering deletes", len(got))
 	}
 }
@@ -256,6 +261,54 @@ func TestCountRange(t *testing.T) {
 	got, err := e.CountRange(math.MinInt64, mid)
 	if err != nil || got != want {
 		t.Fatalf("CountRange = %d, %v want %d", got, err, want)
+	}
+}
+
+// TestRangeOpsSurfaceUnreadablePartitionDirectory: a table whose block
+// index / partition directory fails its CRC opens fine (the section
+// loads lazily, bounds come from the manifest), so the damage first
+// shows when the partition index enumerates it. Every range operation
+// must then fail with the cause — and keep failing, not cache an index
+// that silently lacks the table's partitions.
+func TestRangeOpsSurfaceUnreadablePartitionDirectory(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Options{Dir: dir, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rangeTestLoad(t, e, 8, 3)
+	if err := e.Close(); err != nil { // Close flushes
+		t.Fatal(err)
+	}
+	names, _ := filepath.Glob(filepath.Join(dir, "sst-*.db"))
+	if len(names) != 1 {
+		t.Fatalf("%d tables, want 1", len(names))
+	}
+	data, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockIdxOff := binary.LittleEndian.Uint64(data[len(data)-64:]) // first footer field
+	data[blockIdxOff+1] ^= 0xFF
+	if err := os.WriteFile(names[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := openTest(t, Options{Dir: dir})
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	for pass := 0; pass < 2; pass++ {
+		if page, err := e2.ScanRange(lo, hi, math.MinInt64, "", 0); !errors.Is(err, sstable.ErrCorrupt) {
+			t.Fatalf("pass %d: ScanRange returned %v, %v; want ErrCorrupt", pass, page, err)
+		}
+		if n, err := e2.CountRange(lo, hi); !errors.Is(err, sstable.ErrCorrupt) {
+			t.Fatalf("pass %d: CountRange returned %d, %v; want ErrCorrupt", pass, n, err)
+		}
+		if _, err := e2.RangeDigest(lo, hi, 2); !errors.Is(err, sstable.ErrCorrupt) {
+			t.Fatalf("pass %d: RangeDigest returned %v; want ErrCorrupt", pass, err)
+		}
+		if pks, err := e2.Partitions(); !errors.Is(err, sstable.ErrCorrupt) {
+			t.Fatalf("pass %d: Partitions returned %v, %v; want ErrCorrupt", pass, pks, err)
+		}
 	}
 }
 

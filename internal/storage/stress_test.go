@@ -105,7 +105,7 @@ func TestReadersRaceStructuralChurn(t *testing.T) {
 	})
 	// DeleteRange on a victim partition nobody else writes: after the
 	// purge returns, a read through any snapshot taken afterwards must
-	// miss — the purgeGen fence has to hold without the old read lock.
+	// miss, with no read lock to order the two.
 	victim := "purge-victim"
 	vtok := PartitionToken(victim)
 	run(func(n int) {

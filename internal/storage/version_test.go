@@ -2,10 +2,14 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"scalekv/internal/row"
@@ -222,7 +226,7 @@ func TestTombstoneGCOnCompaction(t *testing.T) {
 		t.Fatal("compaction kept a collectable tombstone")
 	}
 	// The tombstone-only partition is gone entirely.
-	for _, pk := range e.Partitions() {
+	for _, pk := range partitionsOf(t, e) {
 		if pk == "gone" {
 			t.Fatal("tombstone-only partition survived compaction")
 		}
@@ -269,120 +273,70 @@ func TestTombstoneKeptWhileOlderCopyUnflushed(t *testing.T) {
 	}
 }
 
-// --- v1 back-compat ----------------------------------------------------------
+// --- other on-disk generations ----------------------------------------------
 
-// writeLegacyDir builds a data directory exactly as the pre-versioning
-// engine would have left it: a count-only SHARDS manifest and v1-format
-// SSTables.
-func writeLegacyDir(t *testing.T, parts map[string][]row.Cell) string {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("1\n"), 0o644); err != nil {
-		t.Fatal(err)
+// flatTable is the smallest well-formed table of the flat layouts older
+// engines wrote — v1 (32-byte footer ending "SKVT") or v2 (40 bytes,
+// "SKV2") — byte by byte, since no writer produces them any more:
+// header, an empty partition index, an empty bloom section, footer.
+func flatTable(term string) []byte {
+	b := []byte("SKVT\x00")                    // header | index: 0 partitions
+	b = binary.LittleEndian.AppendUint64(b, 4) // indexOff
+	b = binary.LittleEndian.AppendUint64(b, 5) // bloomOff
+	b = binary.LittleEndian.AppendUint64(b, 0) // partition count
+	if term == "SKV2" {
+		b = binary.LittleEndian.AppendUint64(b, 0) // maxSeq
 	}
-	w, err := sstable.NewWriter(filepath.Join(dir, "sst-s00-000000.db"), sstable.WriterOptions{FormatVersion: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pks := make([]string, 0, len(parts))
-	for pk := range parts {
-		pks = append(pks, pk)
-	}
-	// Writer needs ascending order.
-	for i := 0; i < len(pks); i++ {
-		for j := i + 1; j < len(pks); j++ {
-			if pks[j] < pks[i] {
-				pks[i], pks[j] = pks[j], pks[i]
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE([]byte{0}))
+	return append(b, term...)
+}
+
+// TestOpenRejectsOtherGenerations: a directory (or table) written by an
+// older engine — or stamped by a newer one — is refused by name at
+// Open, never upgraded in place, swept or misread.
+func TestOpenRejectsOtherGenerations(t *testing.T) {
+	const table, manifest = "sst-s00-000000.db", "0 sst-s00-000000.db \"a\" \"b\"\n"
+	for _, tc := range []struct {
+		name    string
+		files   map[string]string
+		wantIs  error
+		wantMsg string
+	}{
+		{"v1 table", map[string]string{"SHARDS": "1 v3\n", "manifest-s00": manifest, table: string(flatTable("SKVT"))},
+			sstable.ErrUnsupportedFormat, table},
+		{"v2 table", map[string]string{"SHARDS": "1 v3\n", "manifest-s00": manifest, table: string(flatTable("SKV2"))},
+			sstable.ErrUnsupportedFormat, table},
+		{"v2 SHARDS", map[string]string{"SHARDS": "1 v2\n", table: string(flatTable("SKV2"))},
+			nil, `written with format "v2"; this engine supports "v3"`},
+		{"format-less SHARDS", map[string]string{"SHARDS": "1\n", table: string(flatTable("SKVT"))},
+			nil, `written with format ""; this engine supports "v3"`},
+		{"future SHARDS", map[string]string{"SHARDS": "4 v9\n"},
+			nil, `written with format "v9"; this engine supports "v3"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, content := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}
-	for _, pk := range pks {
-		if err := w.AddPartition(pk, parts[pk]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
-
-// TestV1TablesReadableAndUpgradable: a directory written before this
-// format change still opens and serves every cell; new writes win over
-// the unversioned cells, deletes mask them, and a compaction folds the
-// v1 table into a v2 one without losing anything.
-func TestV1TablesReadableAndUpgradable(t *testing.T) {
-	dir := writeLegacyDir(t, map[string][]row.Cell{
-		"alpha": {{CK: ck(1), Value: []byte("a1")}, {CK: ck(2), Value: []byte("a2")}},
-		"beta":  {{CK: ck(1), Value: []byte("b1")}},
-	})
-	e, err := Open(Options{Dir: dir, Shards: 8}) // manifest's 1 must win
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if v, ok, _ := e.Get("alpha", ck(1)); !ok || string(v) != "a1" {
-		t.Fatalf("v1 cell unreadable: %q,%v", v, ok)
-	}
-	// New writes (versioned) must shadow the zero-versioned v1 cells.
-	if err := e.Put("alpha", ck(1), []byte("a1-new")); err != nil {
-		t.Fatal(err)
-	}
-	if v, _, _ := e.Get("alpha", ck(1)); string(v) != "a1-new" {
-		t.Fatalf("v1 cell shadowed wrongly: %q", v)
-	}
-	if err := e.Delete("beta", ck(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := e.Get("beta", ck(1)); ok {
-		t.Fatal("delete did not mask a v1 cell")
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Compact(); err != nil { // folds v1 + v2 tables together
-		t.Fatal(err)
-	}
-	if v, _, _ := e.Get("alpha", ck(1)); string(v) != "a1-new" {
-		t.Fatalf("compaction of mixed formats lost the overwrite: %q", v)
-	}
-	if v, ok, _ := e.Get("alpha", ck(2)); !ok || string(v) != "a2" {
-		t.Fatalf("compaction of mixed formats lost a v1 cell: %q,%v", v, ok)
-	}
-	if _, ok, _ := e.Get("beta", ck(1)); ok {
-		t.Fatal("delete of a v1 cell undone by compaction")
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The manifest was upgraded in place and the directory reopens.
-	b, err := os.ReadFile(filepath.Join(dir, "SHARDS"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != "1 v3\n" {
-		t.Fatalf("manifest not upgraded: %q", b)
-	}
-	e2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	if v, ok, _ := e2.Get("alpha", ck(2)); !ok || string(v) != "a2" {
-		t.Fatalf("reopen after upgrade lost data: %q,%v", v, ok)
-	}
-}
-
-// TestUnknownManifestFormatRejected: a directory stamped by a future
-// format must fail loudly, not present garbage.
-func TestUnknownManifestFormatRejected(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("4 v9\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(Options{Dir: dir}); err == nil {
-		t.Fatal("opened a directory with an unknown format stamp")
+			e, err := Open(Options{Dir: dir})
+			if err == nil {
+				e.Close()
+				t.Fatal("opened")
+			}
+			if tc.wantIs != nil && (!errors.Is(err, tc.wantIs) || errors.Is(err, sstable.ErrCorrupt)) {
+				t.Fatalf("error %v, want %v", err, tc.wantIs)
+			}
+			if !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Fatalf("error %q does not name %q", err, tc.wantMsg)
+			}
+			for name, content := range tc.files {
+				if b, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(b) != content {
+					t.Fatalf("%s touched by the failed open: %q, %v", name, b, err)
+				}
+			}
+		})
 	}
 }
 

@@ -12,28 +12,13 @@ import (
 	"scalekv/internal/row"
 )
 
-// walRecord ops. walPut and walDelete are the legacy (pre-versioning)
-// revision: no version, and walDelete meant "remove from the active
-// memtable". walPutV2 is the current revision: every record carries the
-// cell version and a flags byte (tombstones are just flagged puts). The
-// engine only writes v2 records; replay still accepts both revisions so
-// segments written before the format change stay recoverable.
-const (
-	walPut    = byte(1)
-	walDelete = byte(2)
-	walPutV2  = byte(3)
-)
+// walPutV2 is the one record op: every record carries the cell version
+// and a flags byte (tombstones are just flagged puts). Ops 1 and 2 were
+// the unversioned put/delete of earlier engines; replay treats them,
+// like any unknown op, as a torn tail.
+const walPutV2 = byte(3)
 
 const walFlagTombstone = byte(1)
-
-// walRec is one replayed record, already normalized across revisions.
-type walRec struct {
-	op        byte
-	pk        string
-	ck, value []byte
-	ver       row.Version
-	tombstone bool
-}
 
 // wal is one write-ahead-log segment: length-prefixed, CRC-protected
 // records. Each shard appends to an active segment; freezing the
@@ -102,11 +87,11 @@ func (w *wal) sync() error  { return w.f.Sync() }
 func (w *wal) close() error { return w.f.Close() }
 
 // replayWAL streams every intact record to fn, stopping silently at a
-// torn tail. Legacy records come through with op walPut/walDelete and a
-// zero version; the caller assigns replay versions (openShard stamps
-// them in record order, which preserves the original within-segment
-// ordering including delete-covers-put).
-func replayWAL(path string, fn func(rec walRec)) error {
+// torn tail: a short header or payload, a CRC mismatch, a zero or
+// implausible length (a crashed append leaves zero-filled or garbage
+// bytes on many filesystems), an unknown op or a truncated field. No
+// allocation exceeds the bytes left in the file.
+func replayWAL(path string, fn func(rec row.Entry)) error {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -115,24 +100,30 @@ func replayWAL(path string, fn func(rec walRec)) error {
 		return err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	left := st.Size()
 	var hdr [8]byte
 	for {
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
 			return nil // clean EOF or torn header: done
 		}
-		ln := binary.LittleEndian.Uint32(hdr[0:])
+		left -= int64(len(hdr))
+		ln := int64(binary.LittleEndian.Uint32(hdr[0:]))
 		want := binary.LittleEndian.Uint32(hdr[4:])
-		if ln > 1<<30 {
-			return nil // implausible length: torn tail
+		if ln == 0 || ln > left {
+			return nil // zero-filled or torn tail
 		}
 		payload := make([]byte, ln)
 		if _, err := io.ReadFull(f, payload); err != nil {
 			return nil // torn payload
 		}
-		if crc32.ChecksumIEEE(payload) != want {
-			return nil // corrupt tail record
+		left -= ln
+		if crc32.ChecksumIEEE(payload) != want || payload[0] != walPutV2 {
+			return nil // corrupt tail record, or not a record this engine writes
 		}
-		rec := walRec{op: payload[0]}
 		p := payload[1:]
 		pkb, u := enc.Bytes(p)
 		if u == 0 {
@@ -149,24 +140,23 @@ func replayWAL(path string, fn func(rec walRec)) error {
 			return nil
 		}
 		p = p[u3:]
-		rec.pk, rec.ck, rec.value = string(pkb), ck, val
-		if rec.op == walPutV2 {
-			seq, n1 := enc.Uvarint(p)
-			if n1 <= 0 {
-				return nil
-			}
-			p = p[n1:]
-			node, n2 := enc.Uvarint(p)
-			if n2 <= 0 {
-				return nil
-			}
-			p = p[n2:]
-			if len(p) == 0 {
-				return nil
-			}
-			rec.ver = row.Version{Seq: seq, Node: uint16(node)}
-			rec.tombstone = p[0]&walFlagTombstone != 0
+		seq, n1 := enc.Uvarint(p)
+		if n1 <= 0 {
+			return nil
 		}
-		fn(rec)
+		p = p[n1:]
+		node, n2 := enc.Uvarint(p)
+		if n2 <= 0 {
+			return nil
+		}
+		p = p[n2:]
+		if len(p) == 0 {
+			return nil
+		}
+		fn(row.Entry{
+			PK: string(pkb), CK: ck, Value: val,
+			Ver:       row.Version{Seq: seq, Node: uint16(node)},
+			Tombstone: p[0]&walFlagTombstone != 0,
+		})
 	}
 }
