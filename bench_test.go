@@ -331,7 +331,7 @@ func BenchmarkClusterMixedRW(b *testing.B) {
 // AddNode, verification-free teardown); the metrics report the
 // moved-cell count, the epoch-flip pause (the only client-visible
 // interruption) and the operation throughput sustained alongside the
-// join. `make bench-rebalance` runs this.
+// join. Run: go test -run=NONE -bench=Rebalance -benchtime=3x .
 func BenchmarkRebalance(b *testing.B) {
 	var lastReport *cluster.RebalanceReport
 	var lastOps int64
@@ -412,7 +412,7 @@ func BenchmarkRebalance(b *testing.B) {
 // Cluster.Repair, then runs a second pass over the now-converged
 // cluster. The metrics report cells reconciled per second of repair
 // wall time and the cost of the digest-only pass that ships nothing.
-// `make bench-repair` runs this.
+// Run: go test -run=NONE -bench=Repair -benchtime=3x .
 func BenchmarkRepair(b *testing.B) {
 	const (
 		preload  = 4000

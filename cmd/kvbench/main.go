@@ -1,7 +1,7 @@
 // Command kvbench regenerates every figure of the paper's evaluation
-// — the reproduction record, and only that. For benchmarks of the
-// system itself (YCSB-style mixes, saturation sweeps, latency
-// percentiles, the persisted BENCH_*.json trajectory) use cmd/kvload.
+// — the reproduction record, and only that. Benchmarks of the system
+// itself are `bash bench/run.sh` (BENCHMARK.json); cmd/kvload drives
+// load at a deployed ring.
 //
 // Usage:
 //

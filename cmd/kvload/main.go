@@ -1,35 +1,24 @@
-// Command kvload is the standing workload lab: it drives a YCSB-style
-// named mix against a cluster through a client-count saturation sweep,
-// collects per-op latency into fixed-bucket histograms, and persists
-// the run as BENCH_<mix>.json — the repo's perf trajectory. (The paper
-// figures live in cmd/kvbench; this command measures the system.)
+// Command kvload drives load at a deployed ring: it discovers the ring
+// (epoch, members, replication factor) from the -addr seeds, preloads a
+// keyspace through the batched write path, runs a YCSB-style named mix
+// as a closed loop once per entry of -clients, each step for -duration,
+// and prints one line per step. It reports and does not record: the
+// instrument for claims about this system is `bash bench/run.sh`
+// (BENCHMARK.json), the paper figures live in cmd/kvbench.
 //
-// Against an in-process cluster (default) or a self-hosted loopback
-// TCP cluster:
-//
-//	kvload -mix hotspot -quick
-//	kvload -mix read-heavy -nodes 4 -rf 2 -transport tcp
-//
-// Against a running deployment (-addr lists seed members; the ring is
-// discovered from whichever one answers, as for cmd/kvstore):
-//
-//	kvload -mix update-heavy -addr host0:7070 -rf 2
-//
-// Validate persisted results (the CI artifact gate):
-//
-//	kvload -validate BENCH_read-heavy.json BENCH_hotspot.json
+//	kvload -mix update-heavy -addr host0:7070
 //
 // Mixes: read-heavy (95/5), update-heavy (50/50), scan-heavy,
-// hotspot (Zipfian, -theta), delete-churn. Each run preloads the
-// keyspace through the batched write path, then runs the mix once per
-// entry of -clients, each step for -duration.
+// hotspot (Zipfian, -theta), delete-churn. Exit status: 0 when every
+// step ran operations and none failed, 1 on a connect or load failure,
+// a failed operation or an empty step, 2 on a usage error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -41,241 +30,109 @@ import (
 )
 
 func main() {
-	var (
-		mixName   = flag.String("mix", "", "workload mix: "+workload.MixNames())
-		nodes     = flag.Int("nodes", 4, "cluster size for self-hosted modes")
-		rf        = flag.Int("rf", 1, "replication factor")
-		transp    = flag.String("transport", "inproc", "self-hosted cluster transport: inproc | tcp")
-		addrs     = flag.String("addr", "", "comma-separated node addresses of a running cluster (overrides self-hosting)")
-		clients   = flag.String("clients", "1,2,4,8", "comma-separated client-goroutine counts, one sweep step each")
-		duration  = flag.Duration("duration", 5*time.Second, "measured duration per sweep step")
-		keys      = flag.Int64("keys", 50_000, "partition-key count")
-		cells     = flag.Int("cells", 4, "cells (clustering keys) per partition")
-		valueSize = flag.Int("value", 128, "value bytes per cell")
-		theta     = flag.Float64("theta", 0, "Zipfian skew override for skewed mixes (0 = mix default)")
-		rate      = flag.Float64("rate", 0, "open-loop aggregate arrival rate in ops/sec; latency is measured from each op's scheduled arrival (0 = closed loop)")
-		seed      = flag.Int64("seed", 42, "deterministic traffic seed")
-		outDir    = flag.String("out", ".", "directory for BENCH_<mix>.json")
-		gitRev    = flag.String("gitrev", "unknown", "git revision recorded in the result")
-		date      = flag.String("date", "", "ISO date recorded in the result (default: today, UTC)")
-		quick     = flag.Bool("quick", false, "CI-sized run: small keyspace, short steps (1,4 clients)")
-		validate  = flag.Bool("validate", false, "validate BENCH files given as arguments and exit")
-		compare   = flag.Bool("compare", false, "compare two BENCH files (baseline fresh) and exit 3 on regression")
-		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional throughput/p99 regression for -compare")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: kvload -mix <name> [flags]\n")
-		fmt.Fprintf(os.Stderr, "       kvload -validate BENCH_*.json...\n")
-		fmt.Fprintf(os.Stderr, "       kvload -compare baseline.json fresh.json\n")
-		fmt.Fprintf(os.Stderr, "mixes: %s\n", workload.MixNames())
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *validate {
-		validateFiles(flag.Args())
-		return
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("kvload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		mixName   = fs.String("mix", "", "workload mix: "+workload.MixNames())
+		addrs     = fs.String("addr", "", "comma-separated seed addresses of the running ring; any one live member suffices")
+		clients   = fs.String("clients", "1,2,4,8", "comma-separated client-goroutine counts, one sweep step each")
+		duration  = fs.Duration("duration", 5*time.Second, "measured duration per sweep step")
+		keys      = fs.Int64("keys", 50_000, "partition-key count")
+		cells     = fs.Int("cells", 4, "cells (clustering keys) per partition")
+		valueSize = fs.Int("value", 128, "value bytes per cell")
+		theta     = fs.Float64("theta", 0, "Zipfian skew override for skewed mixes (0 = mix default)")
+		seed      = fs.Int64("seed", 42, "deterministic traffic seed")
+	)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: kvload -mix <name> -addr <host:port,...> [flags]\n")
+		fmt.Fprintf(stderr, "mixes: %s\n", workload.MixNames())
+		fs.PrintDefaults()
 	}
-	if *compare {
-		compareFiles(flag.Args(), *tolerance)
-		return
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if *mixName == "" {
-		flag.Usage()
-		os.Exit(2)
+	if *mixName == "" || *addrs == "" {
+		fs.Usage()
+		return 2
 	}
 	mix, err := workload.MixByName(*mixName, *theta)
 	if err != nil {
-		die(err)
-	}
-	if *quick {
-		*keys = 4000
-		*valueSize = 64
-		*duration = 1500 * time.Millisecond
-		*clients = "1,4"
+		fmt.Fprintln(stderr, "kvload:", err)
+		return 2
 	}
 	steps, err := parseClients(*clients)
 	if err != nil {
-		die(err)
+		fmt.Fprintln(stderr, "kvload:", err)
+		return 2
 	}
-	if *date == "" {
-		*date = time.Now().UTC().Format("2006-01-02")
+	if *duration <= 0 {
+		fmt.Fprintln(stderr, "kvload: -duration must be positive")
+		return 2
 	}
 
-	cli, info, cleanup, err := connect(*addrs, *transp, *nodes, *rf)
+	// The address list is only a seed set: Connect discovers the real
+	// ring from whichever member answers, and ReplicationFactor 0 adopts
+	// the ring's own factor.
+	seeds := strings.Split(*addrs, ",")
+	for i := range seeds {
+		seeds[i] = strings.TrimSpace(seeds[i])
+	}
+	cli, err := cluster.Connect(seeds, cluster.ClientOptions{
+		Codec:  wire.FastCodec{},
+		Dialer: tcpDial,
+	})
 	if err != nil {
-		die(err)
+		fmt.Fprintln(stderr, "kvload:", err)
+		return 1
 	}
-	defer cleanup()
+	defer cli.Close()
 
-	result := &workload.Result{
-		Schema:  workload.SchemaVersion,
-		Mix:     mix.Name,
-		GitRev:  *gitRev,
-		Date:    *date,
-		Quick:   *quick,
-		Cluster: info,
-		Work: workload.WorkloadInfo{
-			Keys: *keys, CellsPerKey: *cells, ValueSize: *valueSize,
-			ReadPct: mix.Read, UpdatePct: mix.Update, ScanPct: mix.Scan, DeletePct: mix.Delete,
-			Zipfian: mix.Zipfian, Theta: mix.Theta, Seed: *seed, Rate: *rate,
-		},
-	}
-
-	// Preload every cell through the batched write path, so the
-	// measured steps run against a populated store (reads hit data,
-	// updates are overwrites) and the load rate itself lands in the
-	// trajectory.
+	// Preload every cell, so the measured steps run against a populated
+	// store: reads hit data, updates are overwrites.
 	ks := workload.NewKeyspace(*keys, *cells, *valueSize, *seed)
-	fmt.Printf("kvload: %s on %d nodes (rf=%d, %s): loading %d cells...\n",
-		mix.Name, info.Nodes, info.ReplicationFactor, info.Transport, ks.Cells())
+	fmt.Fprintf(stdout, "kvload: %s on %d nodes (rf=%d): loading %d cells...\n",
+		mix.Name, cli.Ring().Size(), cli.ReplicationFactor(), ks.Cells())
 	loadStart := time.Now()
 	loaded, err := workload.LoadKeyspace(cli, ks, 256)
 	if err != nil {
-		die(fmt.Errorf("load: %w", err))
+		fmt.Fprintln(stderr, "kvload: load:", err)
+		return 1
 	}
 	loadSec := time.Since(loadStart).Seconds()
-	result.Load = &workload.LoadPhase{
-		Cells: loaded, Seconds: loadSec, CellsPerSec: float64(loaded) / loadSec,
-	}
-	fmt.Printf("kvload: loaded %d cells in %.2fs (%.0f cells/sec)\n", loaded, loadSec, result.Load.CellsPerSec)
+	fmt.Fprintf(stdout, "kvload: loaded %d cells in %.2fs (%.0f cells/sec)\n", loaded, loadSec, float64(loaded)/loadSec)
 
+	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+	failed := false
 	for _, n := range steps {
 		before := cli.Failovers.Load()
 		res := workload.RunStep(cli, mix, ks, workload.StepConfig{
-			Clients: n, Duration: *duration, Seed: *seed + int64(n), Rate: *rate,
+			Clients: n, Duration: *duration, Seed: *seed + int64(n),
 		})
-		step := res.ToStep(cli.Failovers.Load() - before)
-		result.Steps = append(result.Steps, step)
-		fmt.Printf("kvload: %3d clients: %8.0f ops/sec  p50 %6.0fµs  p95 %6.0fµs  p99 %6.0fµs  p99.9 %6.0fµs  max %.0fµs  (%d ops, %d errors, %d failovers)\n",
-			n, step.OpsPerSec, step.Latency.P50, step.Latency.P95, step.Latency.P99,
-			step.Latency.P999, step.Latency.Max, step.Ops, step.Errors, step.Failovers)
-	}
-
-	path := filepath.Join(*outDir, workload.BenchFileName(mix.Name))
-	if err := result.WriteFile(path); err != nil {
-		die(err)
-	}
-	fmt.Printf("kvload: wrote %s\n", path)
-}
-
-// connect builds the client for the selected mode: dial a running
-// deployment (-addr), or self-host an in-process or loopback-TCP
-// cluster via the StartLocal/StartTCP machinery.
-func connect(addrList, transp string, nodes, rf int) (*cluster.Client, workload.ClusterInfo, func(), error) {
-	if addrList != "" {
-		// The address list is only a seed set: Connect discovers the real
-		// ring (epoch, membership, rf) from whichever member answers, so
-		// the flag no longer has to enumerate every node in ring order.
-		seeds := strings.Split(addrList, ",")
-		for i := range seeds {
-			seeds[i] = strings.TrimSpace(seeds[i])
+		h := res.Hist
+		fmt.Fprintf(stdout, "kvload: %3d clients: %8.0f ops/sec  p50 %6.0fµs  p95 %6.0fµs  p99 %6.0fµs  p99.9 %6.0fµs  max %.0fµs  (%d ops, %d errors, %d failovers)\n",
+			n, float64(res.Ops)/res.Elapsed.Seconds(), us(h.Percentile(50)), us(h.Percentile(95)), us(h.Percentile(99)),
+			us(h.Percentile(99.9)), us(h.Max()), res.Ops, res.Errors, cli.Failovers.Load()-before)
+		if res.Errors > 0 {
+			fmt.Fprintf(stdout, "kvload:     first error: %v\n", res.FirstErr)
 		}
-		cli, err := cluster.Connect(seeds, cluster.ClientOptions{
-			Codec:             wire.FastCodec{},
-			ReplicationFactor: rf,
-			Dialer: func(addr string) (*transport.Client, error) {
-				conn, err := transport.DialTCP(addr, 0)
-				if err != nil {
-					return nil, err
-				}
-				return transport.NewClient(conn), nil
-			},
-		})
-		if err != nil {
-			return nil, workload.ClusterInfo{}, nil, err
-		}
-		info := workload.ClusterInfo{
-			Nodes:             cli.Ring().Size(),
-			ReplicationFactor: cli.ReplicationFactor(),
-			Transport:         "remote",
-		}
-		return cli, info, func() { cli.Close() }, nil
-	}
-
-	opts := cluster.LocalOptions{Nodes: nodes, ReplicationFactor: rf}
-	var (
-		cl  *cluster.Cluster
-		err error
-	)
-	switch transp {
-	case "inproc":
-		cl, err = cluster.StartLocal(opts)
-	case "tcp":
-		cl, err = cluster.StartTCP(opts)
-	default:
-		return nil, workload.ClusterInfo{}, nil, fmt.Errorf("unknown -transport %q (inproc | tcp)", transp)
-	}
-	if err != nil {
-		return nil, workload.ClusterInfo{}, nil, err
-	}
-	info := workload.ClusterInfo{Nodes: nodes, ReplicationFactor: rf, Transport: transp}
-	return cl.Client(), info, func() { cl.Close() }, nil
-}
-
-// validateFiles is the CI artifact gate: every file must parse and
-// pass the schema invariants, or the process exits non-zero.
-func validateFiles(paths []string) {
-	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "kvload -validate: no files given")
-		os.Exit(2)
-	}
-	failed := false
-	for _, path := range paths {
-		r, err := workload.ReadResultFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kvload: INVALID %s: %v\n", path, err)
-			failed = true
-			continue
-		}
-		fmt.Printf("kvload: ok %s (%s, %d steps, rev %s, %s)\n", path, r.Mix, len(r.Steps), r.GitRev, r.Date)
+		failed = failed || res.Errors > 0 || res.Ops == 0
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// compareFiles diffs a fresh run against a committed baseline. Exit
-// codes: 0 clean, 1 unreadable/incomparable files, 3 regression over
-// tolerance — distinct from 1 so CI can report (not fail) on noise-
-// prone hardware while still failing on broken inputs.
-func compareFiles(paths []string, tolerance float64) {
-	if len(paths) != 2 {
-		fmt.Fprintln(os.Stderr, "kvload -compare: want exactly 2 files (baseline fresh)")
-		os.Exit(2)
-	}
-	base, err := workload.ReadResultFile(paths[0])
+func tcpDial(addr string) (*transport.Client, error) {
+	conn, err := transport.DialTCP(addr, 0)
 	if err != nil {
-		die(err)
+		return nil, err
 	}
-	fresh, err := workload.ReadResultFile(paths[1])
-	if err != nil {
-		die(err)
-	}
-	regs, err := workload.CompareResults(base, fresh, tolerance)
-	if err != nil {
-		die(err)
-	}
-	fmt.Printf("kvload: compare %s (rev %s) -> %s (rev %s), tolerance %.0f%%\n",
-		paths[0], base.GitRev, paths[1], fresh.GitRev, tolerance*100)
-	for _, f := range fresh.Steps {
-		for _, b := range base.Steps {
-			if b.Clients != f.Clients || b.Ops == 0 || f.Ops == 0 {
-				continue
-			}
-			fmt.Printf("kvload: %3d clients: %8.0f -> %8.0f ops/sec (%+.1f%%)  p99 %6.0f -> %6.0f µs (%+.1f%%)\n",
-				f.Clients, b.OpsPerSec, f.OpsPerSec, (f.OpsPerSec-b.OpsPerSec)/b.OpsPerSec*100,
-				b.Latency.P99, f.Latency.P99, (f.Latency.P99-b.Latency.P99)/b.Latency.P99*100)
-		}
-	}
-	if len(regs) == 0 {
-		fmt.Println("kvload: no regressions over tolerance")
-		return
-	}
-	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "kvload: REGRESSION %s\n", r)
-	}
-	os.Exit(3)
+	return transport.NewClient(conn), nil
 }
 
 func parseClients(s string) ([]int, error) {
@@ -288,9 +145,4 @@ func parseClients(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "kvload:", err)
-	os.Exit(1)
 }

@@ -44,12 +44,12 @@
 //     and the denormalized D8-tree index over the store:
 //     internal/alya, internal/d8tree;
 //   - one driver per paper figure: internal/figures, exposed by
-//     cmd/kvbench (paper figures only — system benchmarks live in the
-//     workload lab, cmd/kvload);
-//   - the standing workload lab: YCSB-style mixes, deterministic
-//     Zipfian traffic, fixed-bucket latency histograms and the
-//     BENCH_*.json perf-trajectory schema: internal/workload, exposed
-//     by cmd/kvload.
+//     cmd/kvbench (paper figures only — system benchmarks live in
+//     bench/, run as `bash bench/run.sh`);
+//   - a load driver for a deployed ring: YCSB-style mixes,
+//     deterministic Zipfian traffic, fixed-bucket latency histograms
+//     and a closed-loop runner: internal/workload, exposed by
+//     cmd/kvload.
 //
 // This package is the facade: it re-exports the model, the simulated
 // prototype, the real cluster and the index so applications depend on a
@@ -194,28 +194,28 @@
 // memtable freezes) or SyncAlways (fsync every write call; batches
 // amortize it to one fsync per batch).
 //
-// # The workload lab
+// # Measuring the system
 //
-// Perf claims about this system are made with cmd/kvload, not ad-hoc
-// timings: it drives a named YCSB-style mix — read-heavy (95/5),
-// update-heavy (50/50), scan-heavy, hotspot (Zipfian-skewed keys,
-// configurable theta) or delete-churn — against an in-process,
-// loopback-TCP or deployed cluster, stepping through a client-count
-// saturation sweep. Per-op latency lands in fixed-bucket histograms
-// (no hot-path allocation; each worker owns its histogram and they
-// merge afterwards), and the run is persisted as BENCH_<mix>.json:
-// schema version, git revision, date, load-phase rate, and per-step
-// throughput plus a p50/p95/p99/p99.9/max table in microseconds —
-// latency percentiles, not just means, because saturation tails are
-// where scaling regressions show first. Key choice is deterministic
-// under a fixed seed (the Zipfian generator is Gray et al.'s
-// incremental algorithm, as in YCSB), so two runs of the same rev are
-// comparable draw for draw. CI runs the quick mode every push (`make
-// bench-workload`), validates the schema and uploads the JSON; the
-// committed BENCH_* files form the cross-PR performance trajectory.
-// internal/workload is the library behind the binary; anything
-// satisfying its Store interface — cluster.Client does — can be
-// driven, so tests reuse the same mixes and histograms.
+// Perf claims about this system are made with `bash bench/run.sh`, not
+// ad-hoc timings: five closed-loop workloads on a 4-node ring, each
+// with four end-to-end metrics whose allowed regression BENCHMARK.json
+// fixes, values that verify themselves on every read, and (-trace 1) a
+// per-layer cost ledger stamped with the CPU, core count and revision
+// it ran on. bench/README.md describes the workloads and the ledger.
+//
+// cmd/kvload is the other half: it drives load at a deployment that is
+// already running (`kvload -mix update-heavy -addr host0:7070`). It
+// discovers the ring from any live member, preloads a keyspace and
+// runs a named YCSB-style mix — read-heavy (95/5), update-heavy
+// (50/50), scan-heavy, hotspot (Zipfian-skewed keys, configurable
+// theta) or delete-churn — as a closed loop through a client-count
+// sweep, printing throughput and p50/p95/p99/p99.9/max per step and
+// the first failed operation, if any; it exits non-zero on one. Key
+// choice is deterministic under a fixed seed (the Zipfian generator is
+// Gray et al.'s incremental algorithm, as in YCSB). It reports and
+// does not record. internal/workload is the library behind the binary;
+// anything satisfying its Store interface — cluster.Client does — can
+// be driven.
 //
 // Model-driven design, as in the paper's Section VII:
 //

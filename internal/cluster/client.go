@@ -75,10 +75,9 @@ type Client struct {
 	// failover reads (observability; see ClientOptions.ReadRepair).
 	RepairedReads atomic.Int64
 	// Failovers counts routed reads (Get, Scan, Count) a non-primary
-	// replica served because an earlier replica was unreachable. The
-	// workload lab (cmd/kvload) records the per-step delta into
-	// BENCH_*.json: a non-zero count means the sweep ran against a
-	// degraded cluster and its numbers are not trajectory-comparable.
+	// replica served because an earlier replica was unreachable.
+	// cmd/kvload prints the per-step delta: a non-zero count means the
+	// sweep ran against a degraded cluster.
 	Failovers atomic.Int64
 	// repairsInFlight bounds concurrent repair goroutines (see
 	// repairAsync).

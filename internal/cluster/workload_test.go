@@ -6,8 +6,8 @@ import (
 	"scalekv/internal/workload"
 )
 
-// The workload lab drives a cluster through these interfaces; a
-// signature drift must fail compilation here, not in cmd/kvload.
+// cmd/kvload drives a cluster through these interfaces; a signature
+// drift must fail compilation here, in the package that drifted.
 var (
 	_ workload.Store      = (*Client)(nil)
 	_ workload.BatchStore = (*Client)(nil)
@@ -16,7 +16,8 @@ var (
 // TestWorkloadStepAgainstCluster runs a small hotspot step against a
 // real in-process cluster: preload through the batched write path,
 // then a fixed-op measured step that must complete error-free with a
-// populated histogram — the same path `kvload -mix hotspot` takes.
+// populated histogram — the same path `kvload -mix hotspot` takes
+// against a deployed ring.
 func TestWorkloadStepAgainstCluster(t *testing.T) {
 	cl, err := StartLocal(LocalOptions{Nodes: 2, ReplicationFactor: 2})
 	if err != nil {
@@ -51,10 +52,5 @@ func TestWorkloadStepAgainstCluster(t *testing.T) {
 	}
 	if got := cl.Client().Failovers.Load(); got != 0 {
 		t.Fatalf("%d failover reads against a healthy cluster", got)
-	}
-
-	step := res.ToStep(cl.Client().Failovers.Load())
-	if step.OpsPerSec <= 0 || step.Latency.P50 <= 0 {
-		t.Fatalf("step conversion lost the measurements: %+v", step)
 	}
 }

@@ -221,10 +221,12 @@ type Engine struct {
 	fenceSeq uint64
 	fenceGen atomic.Uint64
 
-	// Test hooks, nil in production. Set them before any engine
-	// activity: the first mutex handoff to the workers publishes them.
-	testFlushGate chan struct{}           // flusher blocks here before touching disk
-	testFlushErr  func(shardID int) error // injected SSTable-write failure
+	// Test hooks, nil in production. Set the gate before any engine
+	// activity: the first mutex handoff to the workers publishes it.
+	// Tests set and clear the error hook while the flusher runs, so it
+	// is an atomic pointer (one load per flush, off the request path).
+	testFlushGate chan struct{}                           // flusher blocks here before touching disk
+	testFlushErr  atomic.Pointer[func(shardID int) error] // injected SSTable-write failure
 }
 
 // Open creates or reopens an engine in opts.Dir, replaying any per-shard

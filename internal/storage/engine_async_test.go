@@ -25,7 +25,7 @@ func TestFlushFailureKeepsStateConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.testFlushErr = func(int) error { return fmt.Errorf("injected: disk full") }
+	failFlushes(e, "injected: disk full")
 
 	for i := 0; i < 50; i++ {
 		if err := e.Put("p", ck(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -55,7 +55,7 @@ func TestFlushFailureKeepsStateConsistent(t *testing.T) {
 	}
 
 	// Clearing the fault and retrying must drain cleanly.
-	e.testFlushErr = nil
+	clearFlushFault(e)
 	if err := e.Flush(); err != nil {
 		t.Fatalf("retry after clearing fault: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestFailingFlusherPushesBackOnWriters(t *testing.T) {
 	e := openTest(t, Options{
 		Dir: t.TempDir(), Shards: 1, DisableWAL: true, FlushThreshold: 1 << 10,
 	})
-	e.testFlushErr = func(int) error { return fmt.Errorf("injected: disk full") }
+	failFlushes(e, "injected: disk full")
 	var firstErr error
 	for i := 0; i < 20000 && firstErr == nil; i++ {
 		firstErr = e.Put("p", ck(i), make([]byte, 64))
@@ -99,7 +99,7 @@ func TestFailingFlusherPushesBackOnWriters(t *testing.T) {
 		t.Fatalf("frozen queue kept growing under backpressure: %d -> %d", atErr, got)
 	}
 	// Recovery: clear the fault, and writes resume once the queue drains.
-	e.testFlushErr = nil
+	clearFlushFault(e)
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCloseSurfacesFlushFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.testFlushErr = func(int) error { return fmt.Errorf("injected: device gone") }
+	failFlushes(e, "injected: device gone")
 	e.Put("p", ck(0), []byte("v"))
 	if err := e.Close(); err == nil {
 		t.Fatal("Close swallowed the background flush failure")

@@ -86,7 +86,8 @@ func BenchmarkEngineMixedParallel(b *testing.B) {
 
 // BenchmarkEngineMixedDelete adds deletes to the mix — 2 Get : 1 Put :
 // 1 Delete — measuring the tombstone write path and the versioned merge
-// under read/write/delete interleaving (`make bench-delete`). Deletes
+// under read/write/delete interleaving (go test -run=NONE
+// -bench=EngineMixedDelete -benchtime=0.5s ./internal/storage/). Deletes
 // hit recently written clustering keys, so tombstones actually mask
 // live cells instead of landing on empty addresses.
 func BenchmarkEngineMixedDelete(b *testing.B) {

@@ -983,8 +983,8 @@ func (s *shard) writeTable(mem *memtable.Memtable, seq int) (*sstable.Reader, er
 	if gate := s.eng.testFlushGate; gate != nil {
 		<-gate
 	}
-	if hook := s.eng.testFlushErr; hook != nil {
-		if err := hook(s.id); err != nil {
+	if hook := s.eng.testFlushErr.Load(); hook != nil {
+		if err := (*hook)(s.id); err != nil {
 			return nil, err
 		}
 	}

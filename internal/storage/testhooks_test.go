@@ -1,5 +1,7 @@
 package storage
 
+import "errors"
+
 // crashForTest simulates a kill -9: background workers are abandoned
 // before they can touch disk again, WAL files are closed without a
 // flush, and the engine is left unusable. The data directory afterwards
@@ -31,4 +33,25 @@ func frozenCount(e *Engine) int {
 		s.mu.RUnlock()
 	}
 	return n
+}
+
+// failFlushes makes every SSTable write fail with msg until
+// clearFlushFault.
+func failFlushes(e *Engine, msg string) {
+	hook := func(int) error { return errors.New(msg) }
+	e.testFlushErr.Store(&hook)
+}
+
+// clearFlushFault removes the failFlushes hook and waits out any flush
+// attempt that loaded it beforehand, so the caller's next Flush reports
+// a retry that ran without the fault.
+func clearFlushFault(e *Engine) {
+	e.testFlushErr.Store(nil)
+	for _, s := range e.shards {
+		s.mu.Lock()
+		for s.busy {
+			s.cond.Wait()
+		}
+		s.mu.Unlock()
+	}
 }

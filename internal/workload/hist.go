@@ -9,7 +9,7 @@ import (
 // are recorded exactly (one bucket per nanosecond); above that, each
 // power-of-two octave is split into 2^histSubBits linear sub-buckets,
 // so the relative bucket width is at most 1/2^histSubBits ≈ 1.6% —
-// tighter than any percentile claim the lab makes. The layout covers
+// tighter than any percentile kvload prints. The layout covers
 // the full int64 nanosecond range (≈292 years) in a fixed array, so
 // Record is two shifts, a mask and an increment: no allocation, no
 // branch on magnitude classes, nothing for the hot path to contend on

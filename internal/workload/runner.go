@@ -87,15 +87,6 @@ type StepConfig struct {
 	// Seed derives every worker's chooser and op stream; a fixed seed
 	// replays the same key/op sequences per worker.
 	Seed int64
-	// Rate, when positive, switches the step to an open-loop arrival
-	// schedule: operations are issued at this aggregate rate (ops/sec
-	// across all workers) and each op's latency is measured from its
-	// SCHEDULED arrival time, not from when the worker got around to
-	// issuing it. A store that stalls therefore accrues the queueing
-	// delay of every op scheduled behind the stall — the coordinated-
-	// omission correction a closed loop silently lacks. 0 keeps the
-	// closed loop: each worker issues as fast as the store answers.
-	Rate float64
 }
 
 // StepResult is one measured step: merged latency histogram plus op
@@ -106,54 +97,19 @@ type StepResult struct {
 	Elapsed time.Duration
 	Ops     uint64
 	Errors  uint64
-	// Cells counts cells touched: 1 per read/update/delete, the scan's
-	// result size per scan — the unit the paper-era benches report, so
-	// cells/sec stays comparable with them.
-	Cells uint64
-	Hist  *Histogram
-	// ByKind splits the latency samples per operation kind (indexed by
-	// OpKind), so a mix's scan tail cannot hide in — or inflate — its
-	// point-read percentiles. Entries for kinds the mix never drew are
-	// nil.
-	ByKind [NumOpKinds]*Histogram
-}
-
-// ToStep converts a measured step into its persisted form.
-func (r StepResult) ToStep(failovers int64) Step {
-	sec := r.Elapsed.Seconds()
-	s := Step{
-		Clients:   r.Clients,
-		Seconds:   sec,
-		Ops:       r.Ops,
-		Errors:    r.Errors,
-		Latency:   LatencyFromHistogram(r.Hist),
-		Failovers: failovers,
-	}
-	if sec > 0 {
-		s.OpsPerSec = float64(r.Ops) / sec
-		s.CellsPerSec = float64(r.Cells) / sec
-	}
-	for k, h := range r.ByKind {
-		if h == nil || h.Count() == 0 {
-			continue
-		}
-		if s.LatencyByKind == nil {
-			s.LatencyByKind = make(map[string]Latency, NumOpKinds)
-		}
-		s.LatencyByKind[OpKind(k).String()] = LatencyFromHistogram(h)
-	}
-	return s
+	// FirstErr is the first failure a worker saw (nil when Errors is
+	// 0), kept so the caller can say what failed, not only how often.
+	FirstErr error
+	Hist     *Histogram
 }
 
 // RunStep drives the mix against the store with cfg.Clients worker
-// goroutines until the duration or op budget runs out. Each worker
-// owns its chooser, op stream and histograms (merged at the end), so
-// the measurement loop itself is allocation- and contention-free; the
+// goroutines until the duration or op budget runs out: a closed loop,
+// each worker issuing as fast as the store answers. Each worker owns
+// its chooser, op stream and histogram (merged at the end), so the
+// measurement loop itself is allocation- and contention-free; the
 // per-op cost it adds over the store call is two PRNG draws, a clock
-// read and two histogram increments. With cfg.Rate set the loop is
-// open: the aggregate schedule is divided evenly across workers,
-// staggered so arrivals interleave, and latency runs from each op's
-// scheduled arrival (see StepConfig.Rate).
+// read and a histogram increment.
 func RunStep(s Store, mix Mix, ks *Keyspace, cfg StepConfig) StepResult {
 	if cfg.Clients < 1 {
 		cfg.Clients = 1
@@ -165,13 +121,6 @@ func RunStep(s Store, mix Mix, ks *Keyspace, cfg StepConfig) StepResult {
 	var deadline time.Time
 	if cfg.Duration > 0 {
 		deadline = time.Now().Add(cfg.Duration)
-	}
-	var interval time.Duration // per-worker arrival spacing (open loop)
-	if cfg.Rate > 0 {
-		interval = time.Duration(float64(cfg.Clients) * float64(time.Second) / cfg.Rate)
-		if interval <= 0 {
-			interval = 1
-		}
 	}
 
 	workers := make([]StepResult, cfg.Clients)
@@ -186,60 +135,35 @@ func RunStep(s Store, mix Mix, ks *Keyspace, cfg StepConfig) StepResult {
 			chooser := NewChooser(mix, int64(len(ks.PKs)), cfg.Seed+int64(w)*7919)
 			ops := rand.New(rand.NewSource(cfg.Seed ^ (int64(w)+1)*104729))
 			res := StepResult{Hist: NewHistogram()}
-			for k := range res.ByKind {
-				res.ByKind[k] = NewHistogram()
-			}
-			// Open loop: worker w serves arrivals w, w+C, w+2C, ... of the
-			// aggregate schedule, so its own schedule is start + w/rate +
-			// k*interval.
-			next := start.Add(time.Duration(w) * interval / time.Duration(cfg.Clients))
 			for {
 				if cfg.MaxOps > 0 && opBudget.Add(-1) < 0 {
 					break
 				}
-				var begin time.Time
-				if interval > 0 {
-					if cfg.Duration > 0 && next.After(deadline) {
-						break // the next arrival is past the step's end
-					}
-					if now := time.Now(); now.Before(next) {
-						time.Sleep(next.Sub(now))
-					}
-					// The scheduled arrival, not "now": an op issued late
-					// because the store stalled the worker is charged its
-					// wait in line.
-					begin = next
-					next = next.Add(interval)
-				} else if cfg.Duration > 0 && time.Now().After(deadline) {
+				if cfg.Duration > 0 && time.Now().After(deadline) {
 					break
 				}
 				pk := ks.PKs[chooser.Next()]
 				ck := ks.CKs[ops.Intn(len(ks.CKs))]
 				kind := opKind(ops.Intn(100), readT, updateT, scanT)
-				if interval == 0 {
-					begin = time.Now()
-				}
+				begin := time.Now()
 				var err error
-				cells := uint64(1)
 				switch kind {
 				case OpRead:
 					_, _, err = s.Get(pk, ck)
 				case OpUpdate:
 					err = s.Put(pk, ck, ks.Value)
 				case OpScan:
-					var got []row.Cell
-					got, err = s.Scan(pk, nil, nil)
-					cells = uint64(len(got))
+					_, err = s.Scan(pk, nil, nil)
 				case OpDelete:
 					err = s.Delete(pk, ck)
 				}
-				lat := time.Since(begin)
-				res.Hist.Record(lat)
-				res.ByKind[kind].Record(lat)
+				res.Hist.Record(time.Since(begin))
 				res.Ops++
-				res.Cells += cells
 				if err != nil {
 					res.Errors++
+					if res.FirstErr == nil {
+						res.FirstErr = err
+					}
 				}
 			}
 			workers[w] = res
@@ -248,19 +172,13 @@ func RunStep(s Store, mix Mix, ks *Keyspace, cfg StepConfig) StepResult {
 	wg.Wait()
 
 	total := StepResult{Clients: cfg.Clients, Elapsed: time.Since(start), Hist: NewHistogram()}
-	for k := range total.ByKind {
-		total.ByKind[k] = NewHistogram()
-	}
 	for _, res := range workers {
 		total.Ops += res.Ops
 		total.Errors += res.Errors
-		total.Cells += res.Cells
-		total.Hist.Merge(res.Hist)
-		for k, h := range res.ByKind {
-			if h != nil {
-				total.ByKind[k].Merge(h)
-			}
+		if total.FirstErr == nil {
+			total.FirstErr = res.FirstErr
 		}
+		total.Hist.Merge(res.Hist)
 	}
 	return total
 }

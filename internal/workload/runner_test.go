@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"scalekv/internal/row"
@@ -139,5 +142,32 @@ func TestRunStepDeterministicKeys(t *testing.T) {
 		if len(cells) != len(b[pk]) {
 			t.Fatalf("partition %q diverged: %d vs %d cells", pk, len(cells), len(b[pk]))
 		}
+	}
+}
+
+// failingReads is a Store whose reads fail, each with a distinct error.
+type failingReads struct {
+	*fakeStore
+	n atomic.Int64
+}
+
+func (f *failingReads) Get(pk string, ck []byte) ([]byte, bool, error) {
+	return nil, false, fmt.Errorf("injected read failure %d", f.n.Add(1))
+}
+
+// TestRunStepKeepsFirstError: failed operations are counted and the
+// first one's cause survives into the merged result.
+func TestRunStepKeepsFirstError(t *testing.T) {
+	mix, err := MixByName("read-heavy", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &failingReads{fakeStore: newFakeStore()}
+	res := RunStep(store, mix, NewKeyspace(100, 2, 16, 1), StepConfig{Clients: 3, MaxOps: 600, Seed: 5})
+	if res.Errors != uint64(store.n.Load()) || res.Errors == 0 {
+		t.Fatalf("%d errors counted, store failed %d reads", res.Errors, store.n.Load())
+	}
+	if res.FirstErr == nil || !strings.HasPrefix(res.FirstErr.Error(), "injected read failure") {
+		t.Fatalf("first error %v, want an injected read failure", res.FirstErr)
 	}
 }

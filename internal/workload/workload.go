@@ -1,14 +1,10 @@
-// Package workload is the standing workload lab: YCSB-style operation
-// mixes, deterministic key choosers (uniform and Zipfian), a
-// fixed-bucket latency histogram with no hot-path allocation, and the
-// BENCH_*.json result schema every benchmark run is persisted in.
-//
-// The package is driver-agnostic: anything satisfying Store — notably
-// cluster.Client — can be driven. cmd/kvload is the binary front end;
-// it runs a named mix through a client-count saturation sweep and
-// emits one BENCH_<mix>.json per run, so every PR's perf claim lands
-// in one comparable trajectory (latency percentiles, not just
-// throughput — a saturated p99 catches regressions a mean hides).
+// Package workload is the traffic generator behind cmd/kvload:
+// YCSB-style operation mixes, deterministic key choosers (uniform and
+// Zipfian), a fixed-bucket latency histogram with no hot-path
+// allocation, and a closed-loop runner that drives a mix through any
+// Store — notably cluster.Client — and reports op counts, the first
+// failure and latency percentiles. It records nothing: numbers the repo
+// tracks come from bench/ (`bash bench/run.sh`, BENCHMARK.json).
 package workload
 
 import (
@@ -40,24 +36,7 @@ const (
 	OpUpdate
 	OpScan
 	OpDelete
-	// NumOpKinds sizes per-kind accumulators.
-	NumOpKinds = int(OpDelete) + 1
 )
-
-// String names the kind as persisted in latency_by_kind_us.
-func (k OpKind) String() string {
-	switch k {
-	case OpRead:
-		return "read"
-	case OpUpdate:
-		return "update"
-	case OpScan:
-		return "scan"
-	case OpDelete:
-		return "delete"
-	}
-	return fmt.Sprintf("op%d", int(k))
-}
 
 // Mix is a named YCSB-style operation mix: per-100 weights for each
 // operation kind plus the key distribution the ops draw from. Weights
@@ -78,9 +57,9 @@ func (m Mix) thresholds() (read, update, scan int) {
 	return m.Read, m.Read + m.Update, m.Read + m.Update + m.Scan
 }
 
-// NamedMixes are the standing mixes of the lab, in the order kvload
-// lists them. read-heavy and update-heavy mirror YCSB B and A,
-// scan-heavy mirrors YCSB E, hotspot is the read-heavy point on a
+// NamedMixes are the standing mixes, in the order kvload lists them.
+// read-heavy and update-heavy mirror YCSB B and A, scan-heavy mirrors
+// YCSB E, hotspot is the read-heavy point on a
 // Zipfian keyspace (the distribution most production KV traffic
 // shows), and delete-churn exercises the tombstone path under mixed
 // traffic.

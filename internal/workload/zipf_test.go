@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestZipfDeterministic pins the property BENCH comparability rests
-// on: a fixed seed replays the exact same draw sequence, and distinct
-// seeds do not.
+// TestZipfDeterministic pins the property replayable runs rest on: a
+// fixed seed replays the exact same draw sequence, and distinct seeds
+// do not.
 func TestZipfDeterministic(t *testing.T) {
 	const n, theta = 10_000, 0.99
 	a := NewZipf(n, theta, 42)

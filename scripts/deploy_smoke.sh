@@ -69,7 +69,7 @@ wait_members 3
 echo "deploy-smoke: starting kvload against the 3-node ring..."
 "$WORK/kvload" -mix update-heavy -addr "$ADDR0" \
     -keys 2000 -cells 2 -value 64 -clients 2 -duration 8s \
-    -out "$WORK" >"$WORK/kvload.out" 2>&1 &
+    >"$WORK/kvload.out" 2>&1 &
 LOAD_PID=$!
 PIDS+=("$LOAD_PID")
 
@@ -82,23 +82,14 @@ echo "deploy-smoke: joining node 3 under live load..."
 PIDS+=($!)
 wait_members 4
 
+# Zero failed operations across the join: kvload exits non-zero when a
+# step had a failed operation (its log names the first one) or ran none.
 if ! wait "$LOAD_PID"; then
     echo "deploy-smoke: kvload failed" >&2
     cat "$WORK/kvload.out" >&2
     exit 1
 fi
 cat "$WORK/kvload.out"
-
-# Zero failed operations across the join: every measured step must
-# report "0 errors".
-if ! grep -q 'ops/sec' "$WORK/kvload.out"; then
-    echo "deploy-smoke: kvload produced no measured steps" >&2
-    exit 1
-fi
-if grep 'ops/sec' "$WORK/kvload.out" | grep -vq ' 0 errors'; then
-    echo "deploy-smoke: kvload saw failed operations during the join" >&2
-    exit 1
-fi
 
 echo "deploy-smoke: final cluster state:"
 "$WORK/kvstore" status -nodes "$ADDR0"
