@@ -11,8 +11,14 @@ build:
 	go build ./...
 	cd bench && go build ./... && go vet ./...
 
+# One full pass under the race detector, then the two packages whose
+# bugs depend on how many cores interleave them (the framed-RPC path and
+# the join state machine), repeated at one, two and eight Ps.
 test:
 	go test -race -shuffle=on ./...
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p go test -race -shuffle=on -count=5 ./internal/transport ./internal/cluster || exit 1; \
+	done
 	cd bench && go test ./...
 
 # One iteration of every Go benchmark so none bit-rots, then the
@@ -34,15 +40,19 @@ bench:
 deploy-smoke:
 	./scripts/deploy_smoke.sh
 
-# Short fuzz pass over the two parsers of on-disk bytes: the block
-# codec (decode must never panic on arbitrary bytes, encode→decode must
-# round-trip) and the WAL record reader (arbitrary bytes after a
-# segment's intact records are a torn tail: no panic, no error, no
-# allocation beyond the file). CI runs this as a smoke; local soak:
-# raise -fuzztime.
+# Short fuzz pass over the parsers of bytes the process did not write
+# itself. On disk: the block codec (decode must never panic on arbitrary
+# bytes, encode→decode must round-trip) and the WAL record reader
+# (arbitrary bytes after a segment's intact records are a torn tail: no
+# panic, no error, no allocation beyond the file). On the socket: the
+# TCP frame reader (arbitrary bytes in arbitrary segments yield exactly
+# the whole frames in them, memory follows the bytes received, and valid
+# frame sequences round-trip however the stream is cut). CI runs this as
+# a smoke; local soak: raise -fuzztime.
 fuzz-smoke:
 	go test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/sstable/
 	go test -run=NONE -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/storage/
+	go test -run=NONE -fuzz=FuzzFrameStream -fuzztime=10s ./internal/transport/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

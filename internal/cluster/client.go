@@ -246,8 +246,10 @@ func (c *Client) call(node hashring.NodeID, msg wire.Message) (wire.Message, err
 // adopts the highest epoch seen. Polling all members matters during an
 // epoch flip, which installs the new topology node by node: the member
 // that just rejected a request already has the new state, while another
-// may still answer with the old one — taking the maximum makes one
-// refresh suffice.
+// may still answer with the old one. Taking the maximum moves the client
+// to the new epoch in one refresh; members the flip has not reached yet
+// accept it, because their migration window is still open
+// (Node.epochCheck).
 func (c *Client) refreshRing() error {
 	payload, err := c.codec.Marshal(&wire.RingStateRequest{})
 	if err != nil {

@@ -27,6 +27,52 @@ func startTest(t *testing.T, opts LocalOptions) *Cluster {
 	return c
 }
 
+// TestOnlyNonBlockingOpsRunInline pins which requests Node.handle
+// answers on the connection's reader goroutine. Adding a message to the
+// inline set is a claim that it can never wait on another RPC or on
+// engine backpressure.
+func TestOnlyNonBlockingOpsRunInline(t *testing.T) {
+	c := startTest(t, LocalOptions{Nodes: 1})
+	n := c.Nodes[0]
+	codec := wire.FastCodec{}
+	for _, tc := range []struct {
+		req    wire.Message
+		inline bool
+	}{
+		{&wire.GetRequest{PK: "p", CK: []byte("c")}, true},
+		{&wire.CountRequest{PK: "p"}, true},
+		{&wire.PingRequest{}, true},
+		{&wire.RingStateRequest{}, true},
+		{&wire.PutRequest{PK: "p", CK: []byte("c"), Value: []byte("v")}, false},
+		{&wire.DeleteRequest{PK: "p", CK: []byte("c")}, false},
+		{&wire.BatchPutRequest{}, false},
+		{&wire.MultiGetRequest{}, false},
+		{&wire.ScanRequest{PK: "p"}, false},
+		{&wire.StreamRangeRequest{}, false},
+		{&wire.DigestRequest{}, false},
+		{&wire.NodeStatsRequest{}, false},
+	} {
+		payload, err := codec.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, rest := n.handle(payload)
+		if (rest == nil) != tc.inline || (resp != nil) != tc.inline {
+			t.Errorf("%T: inline=%v, want %v", tc.req, rest == nil, tc.inline)
+			continue
+		}
+		if rest != nil {
+			resp = rest()
+		}
+		if _, err := codec.Unmarshal(resp); err != nil {
+			t.Errorf("%T: response does not decode: %v", tc.req, err)
+		}
+	}
+	if resp, rest := n.handle([]byte{0xff, 0xfe}); rest != nil || resp == nil {
+		t.Error("a frame that does not decode must be answered inline")
+	}
+}
+
 func TestPutGetAcrossNodes(t *testing.T) {
 	c := startTest(t, LocalOptions{Nodes: 4})
 	cli := c.Client()

@@ -175,6 +175,14 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 		participants[m.From] = true
 		participants[m.To] = true
 	}
+	// Prepare: every node the flip will reach opens a window too (with an
+	// empty move list when it neither sources nor receives a range), so
+	// that from the first SetRingState on, a node not flipped yet still
+	// accepts requests routed at the next epoch (see Node.epochCheck).
+	for id := range p.addrsNext {
+		participants[id] = true
+	}
+	participants[p.subject] = true
 	beginReq := &wire.BeginMigrationRequest{Moves: wireMoves(moves)}
 	for id, addr := range p.addrsNext {
 		beginReq.Nodes = append(beginReq.Nodes, wire.NodeAddr{ID: uint32(id), Addr: addr})

@@ -91,8 +91,8 @@ func TestStreamedCopyLosesToForwardedWrite(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				resp := target.handle(payload)
-				ack, err := codec.Unmarshal(resp)
+				_, rest := target.handle(payload) // writes always take the pool
+				ack, err := codec.Unmarshal(rest())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -544,6 +544,34 @@ func TestWrongEpochRejectedAtWireLevel(t *testing.T) {
 	}
 }
 
+// TestNextEpochAcceptedOnlyInsideMigrationWindow pins the prepare half
+// of the flip: a node accepts requests routed at cur+1 exactly while
+// BeginMigration has a window open on it, and nothing further ahead.
+func TestNextEpochAcceptedOnlyInsideMigrationWindow(t *testing.T) {
+	c := startTest(t, LocalOptions{Nodes: 1})
+	n := c.Nodes[0]
+	cur := c.Topology().Epoch()
+	if msg := n.epochCheck(cur + 1); !wire.IsWrongEpoch(msg) {
+		t.Fatalf("outside a window cur+1 answered %q", msg)
+	}
+	n.BeginMigration(nil, nil)
+	if msg := n.epochCheck(cur + 1); msg != "" {
+		t.Fatalf("inside a window cur+1 rejected: %q", msg)
+	}
+	if msg := n.epochCheck(cur + 2); !wire.IsWrongEpoch(msg) {
+		t.Fatalf("inside a window cur+2 answered %q", msg)
+	}
+	if cur > 1 {
+		if msg := n.epochCheck(cur - 1); !wire.IsWrongEpoch(msg) {
+			t.Fatalf("inside a window cur-1 answered %q", msg)
+		}
+	}
+	n.EndMigration()
+	if msg := n.epochCheck(cur + 1); !wire.IsWrongEpoch(msg) {
+		t.Fatalf("after the window closed cur+1 answered %q", msg)
+	}
+}
+
 // TestAddNodeOverTCP runs a join on real sockets.
 func TestAddNodeOverTCP(t *testing.T) {
 	c, err := StartTCP(LocalOptions{Nodes: 2, Storage: storage.Options{DisableWAL: true}})

@@ -224,7 +224,7 @@ func StartNode(l transport.Listener, opts NodeOptions) (*Node, error) {
 		n.selfAddr = rs.addrs[n.id]
 	}
 
-	n.server = transport.Serve(l, n.handle)
+	n.server = transport.ServeInline(l, n.handle)
 	if n.dialer != nil && n.probeInterval > 0 {
 		n.loopWg.Add(1)
 		go n.probeLoop()
@@ -368,6 +368,19 @@ func (n *Node) epochCheck(reqEpoch uint64) (errMsg string) {
 		return ""
 	}
 	if have := rs.topo.Epoch(); have != reqEpoch {
+		// Inside a migration window the flip is in progress somewhere:
+		// a client may already have adopted the next epoch from a node
+		// that committed before this one. Joins are one at a time, so
+		// cur+1 is unambiguous, and this node has been receiving the
+		// window's forwarded writes since BeginMigration.
+		if reqEpoch == have+1 {
+			n.migMu.RLock()
+			in := n.mig != nil
+			n.migMu.RUnlock()
+			if in {
+				return ""
+			}
+		}
 		return wire.WrongEpochMsg(have, reqEpoch)
 	}
 	return ""
@@ -425,60 +438,74 @@ func (n *Node) forwardEntries(entries []row.Entry) error {
 	return nil
 }
 
-// handle dispatches one decoded request. Each message type gets its own
-// method: the per-request goroutine's live stack while deep in the
-// engine then holds only the taken branch's locals, not the union of
-// every case — this path runs once per RPC, so its stack footprint is
-// hot.
-func (n *Node) handle(payload []byte) []byte {
+// handle decodes one request on the connection's reader goroutine and
+// answers it there when it is one of the four ops that can never wait
+// on another RPC or on engine backpressure: Get, Count, Ping and
+// RingState read the engine or the ring and return. Everything else
+// goes back to the transport as a continuation for its worker pool:
+// writes forward inside a migration window and can park on freeze
+// backpressure, scans and multi-gets hold the connection for as long as
+// their result is, and streams, digests and admin calls do both.
+func (n *Node) handle(payload []byte) (resp []byte, rest func() []byte) {
 	recv := time.Now()
 	msg, err := n.codec.Unmarshal(payload)
 	if err != nil {
-		return n.encode(&wire.CountResponse{ErrMsg: "bad frame: " + err.Error()})
+		return n.encode(&wire.CountResponse{ErrMsg: "bad frame: " + err.Error()}), nil
 	}
 	switch req := msg.(type) {
-	case *wire.PutRequest:
-		return n.encode(n.handlePut(req))
-	case *wire.DeleteRequest:
-		return n.encode(n.handleDelete(req))
-	case *wire.BatchPutRequest:
-		return n.encode(n.handleBatchPut(req))
-	case *wire.MultiGetRequest:
-		return n.encode(n.handleMultiGet(req))
 	case *wire.GetRequest:
-		return n.encode(n.handleGet(req))
-	case *wire.ScanRequest:
-		return n.encode(n.handleScan(req))
+		return n.encode(n.handleGet(req)), nil
 	case *wire.CountRequest:
 		if msg := n.epochCheck(req.Epoch); msg != "" {
-			return n.encode(&wire.CountResponse{QueryID: req.QueryID, Seq: req.Seq, ErrMsg: msg})
+			return n.encode(&wire.CountResponse{QueryID: req.QueryID, Seq: req.Seq, ErrMsg: msg}), nil
 		}
-		return n.encode(n.count(req, recv))
+		return n.encode(n.count(req, recv)), nil
+	case *wire.PingRequest:
+		return n.encode(n.handlePing(req)), nil
 	case *wire.RingStateRequest:
-		return n.encode(n.ringStateResponse())
+		return n.encode(n.ringStateResponse()), nil
+	}
+	return nil, func() []byte { return n.encode(n.handlePooled(msg)) }
+}
+
+// handlePooled dispatches a request that handle left to the worker
+// pool. Each message type gets its own method: the worker's live stack
+// while deep in the engine then holds only the taken branch's locals,
+// not the union of every case — this path runs once per RPC, so its
+// stack footprint is hot.
+func (n *Node) handlePooled(msg wire.Message) wire.Message {
+	switch req := msg.(type) {
+	case *wire.PutRequest:
+		return n.handlePut(req)
+	case *wire.DeleteRequest:
+		return n.handleDelete(req)
+	case *wire.BatchPutRequest:
+		return n.handleBatchPut(req)
+	case *wire.MultiGetRequest:
+		return n.handleMultiGet(req)
+	case *wire.ScanRequest:
+		return n.handleScan(req)
 	case *wire.StreamRangeRequest:
-		return n.encode(n.streamRange(req))
+		return n.streamRange(req)
 	case *wire.DigestRequest:
-		return n.encode(n.handleDigest(req))
+		return n.handleDigest(req)
 	case *wire.DeleteRangeRequest:
-		return n.encode(n.handleDeleteRange(req))
+		return n.handleDeleteRange(req)
 	case *wire.NodeStatsRequest:
-		return n.encode(n.statsResponse())
+		return n.statsResponse()
 	case *wire.JoinRequest:
-		return n.encode(n.handleJoin(req))
+		return n.handleJoin(req)
 	case *wire.BeginMigrationRequest:
-		return n.encode(n.handleBeginMigration(req))
+		return n.handleBeginMigration(req)
 	case *wire.EndMigrationRequest:
 		n.EndMigration()
-		return n.encode(&wire.EndMigrationResponse{})
+		return &wire.EndMigrationResponse{}
 	case *wire.SetRingStateRequest:
-		return n.encode(n.handleSetRingState(req))
-	case *wire.PingRequest:
-		return n.encode(n.handlePing(req))
+		return n.handleSetRingState(req)
 	case *wire.LeaveRequest:
-		return n.encode(n.handleLeave(req))
+		return n.handleLeave(req)
 	default:
-		return n.encode(&wire.CountResponse{ErrMsg: fmt.Sprintf("unexpected message %T", msg)})
+		return &wire.CountResponse{ErrMsg: fmt.Sprintf("unexpected message %T", msg)}
 	}
 }
 

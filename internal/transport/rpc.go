@@ -10,21 +10,41 @@ import (
 // payload. Handlers run concurrently.
 type Handler func(payload []byte) []byte
 
+// InlineHandler is a Handler split in two. It runs on the connection's
+// reader goroutine, so a request it answers itself costs no goroutine
+// hand-off; it must do so only for work that can never wait on another
+// RPC or on backpressure, because nothing else is read from the
+// connection while it runs. For everything else it returns a nil
+// response and the rest of the request as a function, which the
+// connection's worker pool runs like a Handler. Decoding once and
+// capturing the message in rest keeps the decision codec-agnostic.
+type InlineHandler func(payload []byte) (resp []byte, rest func() []byte)
+
 // Server accepts connections from a Listener and dispatches every
 // inbound frame to the handler, writing the response back under the same
 // correlation id.
 type Server struct {
 	l       Listener
-	handler Handler
+	handler InlineHandler
 	wg      sync.WaitGroup
 	mu      sync.Mutex
-	conns   []Conn
+	conns   map[Conn]struct{}
 	closed  atomic.Bool
 }
 
 // Serve starts accepting in the background and returns immediately.
+// Every request runs on the worker pool: an arbitrary handler cannot be
+// assumed non-blocking.
 func Serve(l Listener, handler Handler) *Server {
-	s := &Server{l: l, handler: handler}
+	return ServeInline(l, func(payload []byte) ([]byte, func() []byte) {
+		return nil, func() []byte { return handler(payload) }
+	})
+}
+
+// ServeInline is Serve for a handler that can tell which requests are
+// safe to run to completion on the reader goroutine.
+func ServeInline(l Listener, handler InlineHandler) *Server {
+	s := &Server{l: l, handler: handler, conns: make(map[Conn]struct{})}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -42,7 +62,7 @@ func Serve(l Listener, handler Handler) *Server {
 				conn.Close()
 				continue
 			}
-			s.conns = append(s.conns, conn)
+			s.conns[conn] = struct{}{}
 			s.mu.Unlock()
 			s.wg.Add(1)
 			go s.serveConn(conn)
@@ -52,25 +72,39 @@ func Serve(l Listener, handler Handler) *Server {
 }
 
 // serveWorkers bounds the persistent per-connection handler pool;
-// serveQueue is its inbound frame buffer. Requests beyond both spill
-// to one-shot goroutines, so no pattern of blocking handlers can
-// deadlock a connection — the pool is a fast path, never a limit.
+// serveQueue is its inbound request buffer. Requests beyond both spill
+// to one-shot goroutines, so blocked handlers never stop the reader
+// from reading — the pool is a fast path, never a limit. (The pool
+// grows only when the queue is full: until then a request can wait in
+// it behind a busy worker.)
 const (
 	serveWorkers = 32
 	serveQueue   = 128
 )
 
+// request is what the inline handler left of a frame for a pool worker.
+type request struct {
+	corr uint64
+	rest func() []byte
+}
+
 func (s *Server) serveConn(conn Conn) {
 	defer s.wg.Done()
-	var writeMu sync.Mutex
+	// The peer hung up or Close swept us: either way this end is done.
+	// Without the Close a disconnected client would cost the server one
+	// descriptor (and one conns entry) until the whole server closes.
+	defer func() {
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
 	var inflight sync.WaitGroup
-	handle := func(f Frame) {
-		resp := s.handler(f.Payload)
-		writeMu.Lock()
-		defer writeMu.Unlock()
+	defer inflight.Wait()
+	handle := func(r request) {
 		// Send error only matters for liveness; the reader loop
 		// will observe the broken connection.
-		_ = conn.Send(Frame{Corr: f.Corr, Payload: resp})
+		_ = conn.Send(Frame{Corr: r.corr, Payload: r.rest()})
 	}
 	// Handlers run on a pool of persistent workers grown one at a time
 	// as concurrency demands: a goroutine per request pays goroutine
@@ -79,16 +113,32 @@ func (s *Server) serveConn(conn Conn) {
 	// scheduling machinery); a warm worker pays neither. Sequential
 	// traffic stays on one worker; pipelined bursts grow the pool up
 	// to serveWorkers.
-	frames := make(chan Frame, serveQueue)
+	requests := make(chan request, serveQueue)
+	defer close(requests)
 	workers := 0
+	queued := false // inline responses written and not flushed yet
 	for {
+		// Inline responses pile up in the write buffer while whole
+		// requests are still buffered on the read side, and leave in
+		// one write before any read that can block.
+		if queued && !conn.Ready() {
+			_ = conn.Flush()
+			queued = false
+		}
 		f, err := conn.Recv()
 		if err != nil {
-			break
+			return
 		}
+		resp, rest := s.handler(f.Payload)
+		if rest == nil {
+			_ = conn.Queue(Frame{Corr: f.Corr, Payload: resp})
+			queued = true
+			continue
+		}
+		r := request{corr: f.Corr, rest: rest}
 		if workers > 0 {
 			select {
-			case frames <- f:
+			case requests <- r:
 				continue
 			default: // every worker busy and the queue is full
 			}
@@ -98,24 +148,22 @@ func (s *Server) serveConn(conn Conn) {
 			inflight.Add(1)
 			go func() {
 				defer inflight.Done()
-				for f := range frames {
-					handle(f)
+				for r := range requests {
+					handle(r)
 				}
 			}()
-			frames <- f
+			requests <- r
 			continue
 		}
 		// Saturated pool: fall back to the one-goroutine-per-request
 		// model for the overflow so a handler that blocks on another
 		// in-flight request can never wedge the connection.
 		inflight.Add(1)
-		go func(f Frame) {
+		go func() {
 			defer inflight.Done()
-			handle(f)
-		}(f)
+			handle(r)
+		}()
 	}
-	close(frames)
-	inflight.Wait()
 }
 
 // Close stops accepting and closes every open connection.
@@ -125,7 +173,7 @@ func (s *Server) Close() {
 	}
 	s.l.Close()
 	s.mu.Lock()
-	for _, c := range s.conns {
+	for c := range s.conns {
 		c.Close()
 	}
 	s.mu.Unlock()

@@ -10,12 +10,14 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,11 +27,23 @@ type Frame struct {
 	Payload []byte
 }
 
-// Conn is a bidirectional frame stream. Send and Recv are individually
-// safe for one concurrent caller each (one writer, one reader).
+// Conn is a bidirectional frame stream. Send, Queue and Flush are safe
+// for concurrent use; Recv and Ready belong to the connection's one
+// reader.
 type Conn interface {
+	// Send writes a frame and makes sure it reaches the peer: concurrent
+	// Sends share one flush (the last one out performs it), a lone Send
+	// pays exactly one write.
 	Send(Frame) error
+	// Queue writes a frame without flushing. It leaves with the next
+	// Send or Flush, or when the write buffer fills.
+	Queue(Frame) error
+	// Flush pushes queued frames to the peer.
+	Flush() error
 	Recv() (Frame, error)
+	// Ready reports whether a whole frame is buffered, so that the next
+	// Recv cannot block.
+	Ready() bool
 	Close() error
 }
 
@@ -45,11 +59,40 @@ var ErrClosed = errors.New("transport: closed")
 
 // --- TCP ------------------------------------------------------------------
 
+const (
+	frameHeader = 12
+	maxFrame    = 64 << 20
+	// connBuf sizes a TCP connection's read buffer and its write buffer,
+	// and is the step a payload larger than it is read in: one read
+	// drains a pipelined burst of small frames, one write carries a
+	// batch of them, and a frame header alone never commits more than
+	// this much memory.
+	connBuf = 64 << 10
+)
+
 type tcpConn struct {
 	c       net.Conn
-	readMu  sync.Mutex
-	writeMu sync.Mutex
 	latency time.Duration
+
+	readMu sync.Mutex
+	r      *bufio.Reader
+
+	// senders counts Sends between announcing themselves and leaving
+	// writeMu. One that leaves while another is announced skips its
+	// flush: the later one carries both frames in one write.
+	senders atomic.Int32
+	writeMu sync.Mutex
+	wbuf    []byte // frames written and not flushed yet
+	werr    error  // first write error; the stream is broken after it
+}
+
+func newTCPConn(c net.Conn, latency time.Duration) *tcpConn {
+	return &tcpConn{
+		c:       c,
+		latency: latency,
+		r:       bufio.NewReaderSize(c, connBuf),
+		wbuf:    make([]byte, 0, connBuf),
+	}
 }
 
 // DialTCP connects to a TCP endpoint. A non-zero latency is added to
@@ -59,41 +102,110 @@ func DialTCP(addr string, latency time.Duration) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return &tcpConn{c: c, latency: latency}, nil
+	return newTCPConn(c, latency), nil
 }
 
 func (t *tcpConn) Send(f Frame) error {
 	if t.latency > 0 {
 		time.Sleep(t.latency)
 	}
+	t.senders.Add(1)
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(f.Payload)))
-	binary.BigEndian.PutUint64(hdr[4:], f.Corr)
-	if _, err := t.c.Write(hdr[:]); err != nil {
-		return err
+	err := t.write(f)
+	if t.senders.Add(-1) == 0 && err == nil {
+		err = t.flush()
 	}
-	_, err := t.c.Write(f.Payload)
 	return err
+}
+
+func (t *tcpConn) Queue(f Frame) error {
+	if t.latency > 0 {
+		time.Sleep(t.latency)
+	}
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
+	return t.write(f)
+}
+
+func (t *tcpConn) Flush() error {
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
+	return t.flush()
+}
+
+// write appends a frame to the write buffer, with writeMu held. A frame
+// that does not fit beside what is buffered goes out with it in one
+// vectored write, so a large payload is never copied.
+func (t *tcpConn) write(f Frame) error {
+	if t.werr != nil {
+		return t.werr
+	}
+	if frameHeader+len(f.Payload) <= cap(t.wbuf)-len(t.wbuf) {
+		t.wbuf = append(appendHeader(t.wbuf, f), f.Payload...)
+		return nil
+	}
+	bufs := net.Buffers{t.wbuf, appendHeader(nil, f), f.Payload}
+	_, t.werr = bufs.WriteTo(t.c)
+	t.wbuf = t.wbuf[:0]
+	return t.werr
+}
+
+func appendHeader(dst []byte, f Frame) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Payload)))
+	return binary.BigEndian.AppendUint64(dst, f.Corr)
+}
+
+// flush writes the buffered frames out, with writeMu held.
+func (t *tcpConn) flush() error {
+	if len(t.wbuf) > 0 && t.werr == nil {
+		_, t.werr = t.c.Write(t.wbuf)
+		t.wbuf = t.wbuf[:0]
+	}
+	return t.werr
 }
 
 func (t *tcpConn) Recv() (Frame, error) {
 	t.readMu.Lock()
 	defer t.readMu.Unlock()
-	var hdr [12]byte
-	if _, err := io.ReadFull(t.c, hdr[:]); err != nil {
+	hdr, err := t.r.Peek(frameHeader)
+	if err != nil {
 		return Frame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[0:])
-	if n > 64<<20 {
+	corr := binary.BigEndian.Uint64(hdr[4:])
+	if n > maxFrame {
 		return Frame{}, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(t.c, payload); err != nil {
-		return Frame{}, err
+	t.r.Discard(frameHeader)
+	// Every frame gets a payload buffer of its own: codecs decode views
+	// into it and handlers may return it as their response.
+	payload := make([]byte, min(int(n), connBuf))
+	for got := 0; ; {
+		m, err := io.ReadFull(t.r, payload[got:])
+		if err != nil {
+			return Frame{}, err
+		}
+		if got += m; got == int(n) {
+			return Frame{Corr: corr, Payload: payload}, nil
+		}
+		// The header promised more than one buffer: grow by doubling,
+		// so memory follows the bytes received, not the advertised
+		// length.
+		grown := make([]byte, min(int(n), 2*got))
+		copy(grown, payload)
+		payload = grown
 	}
-	return Frame{Corr: binary.BigEndian.Uint64(hdr[4:]), Payload: payload}, nil
+}
+
+func (t *tcpConn) Ready() bool {
+	t.readMu.Lock()
+	defer t.readMu.Unlock()
+	if t.r.Buffered() < frameHeader {
+		return false
+	}
+	hdr, _ := t.r.Peek(frameHeader)
+	return uint64(t.r.Buffered()-frameHeader) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
 func (t *tcpConn) Close() error { return t.c.Close() }
@@ -117,7 +229,7 @@ func (t *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpConn{c: c, latency: t.latency}, nil
+	return newTCPConn(c, t.latency), nil
 }
 
 func (t *tcpListener) Close() error { return t.l.Close() }
@@ -262,6 +374,12 @@ func (p *pipeConn) Send(f Frame) error {
 		return ErrClosed
 	}
 }
+
+// Queue and Flush: a pipe hands frames over one by one, there is nothing
+// to batch.
+func (p *pipeConn) Queue(f Frame) error { return p.Send(f) }
+func (p *pipeConn) Flush() error        { return nil }
+func (p *pipeConn) Ready() bool         { return len(p.in) > 0 }
 
 func (p *pipeConn) Recv() (Frame, error) {
 	// Fast path: under load a frame is already queued, and the plain
