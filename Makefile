@@ -13,9 +13,12 @@ build:
 
 # One full pass under the race detector, then the two packages whose
 # bugs depend on how many cores interleave them (the framed-RPC path and
-# the join state machine), repeated at one, two and eight Ps.
+# the join state machine), repeated at one, two and eight Ps. The
+# read path's allocation pins skip themselves under -race (it changes
+# what allocates), so they get a plain run of their own.
 test:
 	go test -race -shuffle=on ./...
+	go test -run 'ZeroAlloc|Allocs' ./internal/storage ./internal/sstable
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -race -shuffle=on -count=5 ./internal/transport ./internal/cluster || exit 1; \
 	done
@@ -42,15 +45,19 @@ deploy-smoke:
 
 # Short fuzz pass over the parsers of bytes the process did not write
 # itself. On disk: the block codec (decode must never panic on arbitrary
-# bytes, encode→decode must round-trip) and the WAL record reader
-# (arbitrary bytes after a segment's intact records are a torn tail: no
-# panic, no error, no allocation beyond the file). On the socket: the
+# bytes, encode→decode must round-trip), the block cursor's restart-point
+# seek (arbitrary payload and target never panic or read out of bounds,
+# and on writer-built blocks seek agrees with a linear decode) and the
+# WAL record reader (arbitrary bytes after a segment's intact records
+# are a torn tail: no panic, no error, no allocation beyond the file).
+# On the socket: the
 # TCP frame reader (arbitrary bytes in arbitrary segments yield exactly
 # the whole frames in them, memory follows the bytes received, and valid
 # frame sequences round-trip however the stream is cut). CI runs this as
 # a smoke; local soak: raise -fuzztime.
 fuzz-smoke:
 	go test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/sstable/
+	go test -run=NONE -fuzz=FuzzBlockSeek -fuzztime=10s ./internal/sstable/
 	go test -run=NONE -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/storage/
 	go test -run=NONE -fuzz=FuzzFrameStream -fuzztime=10s ./internal/transport/
 

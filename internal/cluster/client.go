@@ -861,7 +861,9 @@ type MasterResult struct {
 	// processed.
 	Duration time.Duration
 	// SendDuration is the master-side time to issue every request —
-	// Formula 3's term, observed.
+	// Formula 3's term, observed. Requests are queued per connection and
+	// flushed once after the last one, and the flush is inside this
+	// span.
 	SendDuration time.Duration
 	// OpsPerNode counts requests served by each node.
 	OpsPerNode map[int]int
@@ -898,6 +900,7 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 	type pendingResp struct {
 		seq     uint32
 		node    hashring.NodeID
+		conn    *transport.Client
 		sentAbs time.Time
 		ch      <-chan []byte
 	}
@@ -905,8 +908,11 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 	pending := make([]pendingResp, 0, len(pks))
 
 	// Send phase: strictly sequential, like the paper's master loop.
+	// Requests are queued, not sent: the burst leaves in one write per
+	// connection, after the loop, instead of one per request.
+	touched := make(map[hashring.NodeID]*transport.Client)
 	issued := make(map[hashring.NodeID]int)
-	for i, pk := range pks {
+	queue := func(i int, pk string) error {
 		node := topo.Primary(pk)
 		if opts.SelectReplica {
 			// Least-issued replica: the master-side balancing the
@@ -928,7 +934,7 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 		req.TraceSendNanos = sendAbs.UnixNano()
 		payload, err := c.codec.Marshal(req)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if opts.Verbose {
 			// The unoptimized master's per-message extras: a formatted
@@ -936,21 +942,45 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 			fmt.Fprintf(logSink, "query=%d seq=%d pk=%s node=%d bytes=%d crc=%08x\n",
 				qid, i, pk, node, len(payload), crc32.ChecksumIEEE(payload))
 			if rt, err := c.codec.Unmarshal(payload); err != nil {
-				return nil, fmt.Errorf("cluster: integrity check: %w", err)
+				return fmt.Errorf("cluster: integrity check: %w", err)
 			} else if rt.(*wire.CountRequest).PK != pk {
-				return nil, errors.New("cluster: integrity check mismatch")
+				return errors.New("cluster: integrity check mismatch")
 			}
 		}
 		conn, err := c.conn(node)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ch, err := conn.Go(payload)
+		ch, err := conn.Queue(payload)
 		if err != nil {
-			return nil, err
+			// The node may have bounced: forget the dead connection so
+			// the next query re-dials instead of failing the same way.
+			delete(touched, node)
+			c.dropConn(node, conn)
+			return err
 		}
+		touched[node] = conn
 		res.BytesSent += int64(len(payload))
-		pending = append(pending, pendingResp{seq: uint32(i), node: node, sentAbs: sendAbs, ch: ch})
+		pending = append(pending, pendingResp{seq: uint32(i), node: node, conn: conn, sentAbs: sendAbs, ch: ch})
+		return nil
+	}
+	var sendErr error
+	for i, pk := range pks {
+		if sendErr = queue(i, pk); sendErr != nil {
+			break
+		}
+	}
+	// Flush also when the loop stopped early, so no queued request — and
+	// no pending entry waiting for its response — is left stranded. A
+	// connection that fails to flush is dropped, which closes the
+	// response channels of everything queued on it.
+	for node, conn := range touched {
+		if conn.Flush() != nil {
+			c.dropConn(node, conn)
+		}
+	}
+	if sendErr != nil {
+		return nil, sendErr
 	}
 	res.SendDuration = time.Since(start)
 
@@ -958,6 +988,9 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 	for _, p := range pending {
 		raw, ok := <-p.ch
 		if !ok {
+			// The connection broke under the request; dropConn is
+			// idempotent, so every request that shared it may say so.
+			c.dropConn(p.node, p.conn)
 			res.Errors++
 			continue
 		}

@@ -12,12 +12,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"scalekv/internal/hashring"
 	"scalekv/internal/transport"
+	"scalekv/internal/wire"
 )
 
 func tcpDial(addr string) (*transport.Client, error) {
@@ -32,6 +34,14 @@ func tcpDial(addr string) (*transport.Client, error) {
 // the moral equivalent of n `kvstore serve` processes whose operator
 // wrote the same member list into each config.
 func bootTCPRing(t *testing.T, baseDir string, n, rf, vnodes int) ([]*Node, map[hashring.NodeID]string) {
+	t.Helper()
+	return bootTCPRingDialing(t, baseDir, n, rf, vnodes, tcpDial)
+}
+
+// bootTCPRingDialing is bootTCPRing with the dialer every member uses
+// for its outbound connections — peers, forwards and, on whichever
+// member coordinates a join, the join's control RPCs.
+func bootTCPRingDialing(t *testing.T, baseDir string, n, rf, vnodes int, dial Dialer) ([]*Node, map[hashring.NodeID]string) {
 	t.Helper()
 	listeners := make([]transport.Listener, n)
 	addrs := make(map[hashring.NodeID]string, n)
@@ -53,7 +63,7 @@ func bootTCPRing(t *testing.T, baseDir string, n, rf, vnodes int) ([]*Node, map[
 			Topology:          ring,
 			Addrs:             addrs,
 			ReplicationFactor: rf,
-			Dialer:            tcpDial,
+			Dialer:            dial,
 			AdvertiseAddr:     addrs[id],
 		})
 		if err != nil {
@@ -183,6 +193,241 @@ func TestWireJoinUnderLiveTraffic(t *testing.T) {
 		if got := n.Topology().Epoch(); got != 2 {
 			t.Fatalf("node %d at epoch %d, want 2", n.ID(), got)
 		}
+	}
+}
+
+// flipHolder is a dialer that lets a join's flip reach one old member
+// and then holds the SetRingState addressed to the next old member until
+// released: the state every multi-node flip passes through, frozen so a
+// test can work inside it.
+type flipHolder struct {
+	old map[string]bool // addresses of the members before the join
+
+	mu       sync.Mutex
+	oldFlips int
+	heldAddr string
+	held     chan struct{} // closed once a flip is being held
+	release  chan struct{}
+}
+
+func (h *flipHolder) dial(addr string) (*transport.Client, error) {
+	conn, err := transport.DialTCP(addr, 0)
+	if err != nil {
+		return nil, err
+	}
+	return transport.NewClient(&flipHoldingConn{Conn: conn, addr: addr, h: h}), nil
+}
+
+type flipHoldingConn struct {
+	transport.Conn
+	addr string
+	h    *flipHolder
+}
+
+func (c *flipHoldingConn) Send(f transport.Frame) error {
+	if msg, err := (wire.FastCodec{}).Unmarshal(f.Payload); err == nil {
+		if _, flip := msg.(*wire.SetRingStateRequest); flip && c.h.old[c.addr] {
+			c.h.mu.Lock()
+			c.h.oldFlips++
+			hold := c.h.oldFlips == 2
+			if hold {
+				c.h.heldAddr = c.addr
+				close(c.h.held)
+			}
+			c.h.mu.Unlock()
+			if hold {
+				<-c.h.release
+			}
+		}
+	}
+	return c.Conn.Send(f)
+}
+
+// TestClientAtNextEpochWorksThroughUnflippedNode is the wire-level test
+// of the flip's prepare/commit gate: a join's SetRingState is held back
+// from one old member while another has already committed, a client that
+// adopted the next epoch from the committed one reads and writes through
+// the held one — every operation must succeed, because the held node's
+// migration window accepts cur+1 — and after the release the ring
+// converges on the next epoch with every write readable.
+func TestClientAtNextEpochWorksThroughUnflippedNode(t *testing.T) {
+	baseDir := t.TempDir()
+	h := &flipHolder{old: make(map[string]bool), held: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(h.release) }) }
+	defer release()
+	nodes, addrs := bootTCPRingDialing(t, baseDir, 3, 1, 16, h.dial)
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}()
+	for _, a := range addrs {
+		h.old[a] = true
+	}
+
+	cli, err := Connect([]string{addrs[0]}, ClientOptions{Dialer: tcpDial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	const K = 600
+	key := func(i int) string { return fmt.Sprintf("pk-%05d", i) }
+	for i := 0; i < K; i++ { // also opens a connection to every member
+		if err := cli.Put(key(i), []byte("ck"), []byte(fmt.Sprintf("v0-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l, err := transport.ListenTCP("127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type joinResult struct {
+		node *Node
+		err  error
+	}
+	joinDone := make(chan joinResult, 1)
+	go func() {
+		node, _, err := JoinRing(l, NodeOptions{
+			ID:            -1,
+			Dir:           filepath.Join(baseDir, "node-3"),
+			Dialer:        tcpDial,
+			AdvertiseAddr: l.Addr(),
+		}, addrs[0])
+		joinDone <- joinResult{node, err}
+	}()
+	select {
+	case <-h.held:
+	case r := <-joinDone:
+		t.Fatalf("join finished without a flip being held: %v", r.err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("no SetRingState was held within 30s")
+	}
+
+	// One old member has committed; the client learns the next epoch
+	// from it while the held member is still at the current one.
+	if err := cli.refreshRing(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cli.Ring().Epoch(); got != 2 {
+		t.Fatalf("client at epoch %d after refresh, want 2", got)
+	}
+	var heldNode *Node
+	for _, n := range nodes {
+		if addrs[n.ID()] == h.heldAddr {
+			heldNode = n
+		}
+	}
+	if heldNode == nil {
+		t.Fatalf("held address %s is no member's", h.heldAddr)
+	}
+	if got := heldNode.Topology().Epoch(); got != 1 {
+		t.Fatalf("held node %d at epoch %d, want 1", heldNode.ID(), got)
+	}
+
+	// Read and write the whole key space at the next epoch — through the
+	// held node for the keys it owns, and through whichever members the
+	// flip has not reached behind it.
+	throughHeld := 0
+	for i := 0; i < K; i++ {
+		if cli.Ring().Primary(key(i)) == heldNode.ID() {
+			throughHeld++
+		}
+		want := fmt.Sprintf("v1-%d", i)
+		if err := cli.Put(key(i), []byte("ck"), []byte(want)); err != nil {
+			t.Fatalf("put %s at the next epoch: %v", key(i), err)
+		}
+		if v, found, err := cli.Get(key(i), []byte("ck")); err != nil || !found || string(v) != want {
+			t.Fatalf("get %s at the next epoch: %q found=%v err=%v", key(i), v, found, err)
+		}
+	}
+	if throughHeld == 0 {
+		t.Fatal("no key routed through the held node")
+	}
+	if got := cli.Ring().Epoch(); got != 2 {
+		t.Fatalf("client fell back to epoch %d", got)
+	}
+	if got := heldNode.Topology().Epoch(); got != 1 {
+		t.Fatalf("held node flipped to epoch %d while held", got)
+	}
+
+	release()
+	r := <-joinDone
+	if r.err != nil {
+		t.Fatalf("join after release: %v", r.err)
+	}
+	nodes = append(nodes, r.node)
+	for _, n := range nodes {
+		if got := n.Topology().Epoch(); got != 2 {
+			t.Fatalf("node %d at epoch %d after the join, want 2", n.ID(), got)
+		}
+	}
+	for i := 0; i < K; i++ {
+		want := fmt.Sprintf("v1-%d", i)
+		if v, found, err := cli.Get(key(i), []byte("ck")); err != nil || !found || string(v) != want {
+			t.Fatalf("key %s after convergence: %q found=%v err=%v", key(i), v, found, err)
+		}
+	}
+}
+
+// TestCountAllDropsBrokenConnection: a master whose only traffic is the
+// paper's query must survive a node bounce. The query after the bounce
+// may report errors — its requests rode the dead connection — but it
+// must also forget that connection, so the one after it re-dials and
+// counts every partition.
+func TestCountAllDropsBrokenConnection(t *testing.T) {
+	baseDir := t.TempDir()
+	nodes, addrs := bootTCPRing(t, baseDir, 3, 1, 16)
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}()
+	cli, err := Connect([]string{addrs[0]}, ClientOptions{Dialer: tcpDial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	const K = 300
+	pks := make([]string, K)
+	for i := range pks {
+		pks[i] = fmt.Sprintf("pk-%05d", i)
+		if err := cli.Put(pks[i], []byte("ck"), []byte{byte(i % 4)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	countAll := func() (*MasterResult, error) { return cli.CountAll(pks, MasterOptions{}) }
+	if res, err := countAll(); err != nil || res.Errors != 0 || res.Elements != K {
+		t.Fatalf("query before the bounce: %+v, %v", res, err)
+	}
+
+	const bounced = 1
+	dir := filepath.Join(baseDir, fmt.Sprintf("node-%d", bounced))
+	if err := nodes[bounced].Close(); err != nil {
+		t.Fatal(err)
+	}
+	nodes[bounced] = restartTCPNode(t, dir, addrs[bounced], bounced, NodeOptions{})
+
+	// The first query finds out; whatever it reports, it must not be the
+	// end of the master.
+	if res, err := countAll(); err == nil && res.Errors == 0 && res.Elements != K {
+		t.Fatalf("query across the bounce lost cells silently: %d elements, want %d", res.Elements, K)
+	}
+	res, err := countAll()
+	if err != nil {
+		t.Fatalf("query after the bounce: %v", err)
+	}
+	if res.Errors != 0 || res.Elements != K {
+		t.Fatalf("query after the bounce: %d errors, %d elements; want 0 and %d", res.Errors, res.Elements, K)
+	}
+	var byType uint64
+	for _, n := range res.Counts {
+		byType += n
+	}
+	if byType != K || len(res.Counts) != 4 {
+		t.Fatalf("query after the bounce counted %v", res.Counts)
 	}
 }
 

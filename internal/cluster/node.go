@@ -738,7 +738,9 @@ func (n *Node) count(req *wire.CountRequest, recv time.Time) *wire.CountResponse
 	dbStart := time.Now()
 	resp.QueueNanos = dbStart.Sub(recv).Nanoseconds()
 
-	counts := make(map[uint8]uint64)
+	// Tally on the stack straight from the engine's views — nothing of
+	// a cell outlives the callback — and build the response map once.
+	var byType [256]uint64
 	var elements uint64
 	err := n.engine.AggregatePartition(req.PK, func(_, value []byte) {
 		elements++
@@ -746,7 +748,7 @@ func (n *Node) count(req *wire.CountRequest, recv time.Time) *wire.CountResponse
 		if len(value) > 0 {
 			ty = value[0]
 		}
-		counts[ty]++
+		byType[ty]++
 	})
 	resp.DBNanos = time.Since(dbStart).Nanoseconds()
 	<-n.dbSlots
@@ -756,7 +758,12 @@ func (n *Node) count(req *wire.CountRequest, recv time.Time) *wire.CountResponse
 		resp.ErrMsg = err.Error()
 		return resp
 	}
-	resp.Counts = counts
+	resp.Counts = make(map[uint8]uint64)
+	for ty, c := range byType {
+		if c > 0 {
+			resp.Counts[uint8(ty)] = c
+		}
+	}
 	resp.Elements = elements
 	return resp
 }

@@ -54,10 +54,49 @@ func PartitionPrefix(pk string) []byte {
 // PartitionEnd returns the smallest key strictly greater than every
 // internal key of the partition.
 func PartitionEnd(pk string) []byte {
-	out := PartitionPrefix(pk)
-	out[len(out)-1] = sepAfter
-	return out
+	return AppendPartitionEnd(make([]byte, 0, len(pk)+2), pk)
 }
+
+// AppendPartitionEnd appends the PartitionEnd bytes to dst — the bound
+// of a whole-partition read built without a heap allocation, as
+// AppendInternalKey(dst, pk, nil) builds its start.
+func AppendPartitionEnd(dst []byte, pk string) []byte {
+	dst = appendEscaped(dst, pk)
+	return append(dst, sepByte, sepAfter)
+}
+
+// Bounds holds the two internal keys that bracket a partition slice,
+// from <= CK < to, built in one buffer it reuses: a cursor that embeds a
+// Bounds and is itself reused builds its search keys without
+// allocating. The zero value is ready for Set.
+type Bounds struct {
+	buf    []byte // start key, then end key
+	split  int    // len(start key)
+	prefix int    // len(partition prefix), shared by both keys
+}
+
+// Set builds the bounds of the slice from <= CK < to of partition pk;
+// a nil bound means that side of the partition is unbounded.
+func (b *Bounds) Set(pk string, from, to []byte) {
+	buf := AppendInternalKey(b.buf[:0], pk, from)
+	b.split, b.prefix = len(buf), len(buf)-len(from)
+	if to != nil {
+		buf = AppendInternalKey(buf, pk, to)
+	} else {
+		buf = AppendPartitionEnd(buf, pk)
+	}
+	b.buf = buf
+}
+
+// Start returns the smallest internal key inside the slice.
+func (b *Bounds) Start() []byte { return b.buf[:b.split] }
+
+// End returns the smallest internal key past the slice.
+func (b *Bounds) End() []byte { return b.buf[b.split:] }
+
+// Prefix returns the partition prefix every key of the slice starts
+// with; what follows it in such a key is the clustering key.
+func (b *Bounds) Prefix() []byte { return b.buf[:b.prefix] }
 
 // ErrMalformedKey reports an internal key that does not contain the
 // partition separator.

@@ -210,3 +210,27 @@ func TestBytesCorrupt(t *testing.T) {
 		t.Fatal("empty input must return n=0")
 	}
 }
+
+func TestBoundsBracketTheSlice(t *testing.T) {
+	var b Bounds
+	for _, pk := range []string{"", "a", "a\x00b", "part"} {
+		for _, c := range []struct{ from, to []byte }{
+			{nil, nil}, {[]byte("c"), nil}, {nil, []byte("x")}, {[]byte("c"), []byte("x")}, {[]byte{}, []byte{0}},
+		} {
+			b.Set(pk, c.from, c.to) // reused across cases: Set must not keep stale bytes
+			if !bytes.Equal(b.Prefix(), PartitionPrefix(pk)) {
+				t.Fatalf("pk %q: prefix %x", pk, b.Prefix())
+			}
+			if want := EncodeInternalKey(pk, c.from); !bytes.Equal(b.Start(), want) {
+				t.Fatalf("pk %q from %q: start %x, want %x", pk, c.from, b.Start(), want)
+			}
+			want := PartitionEnd(pk)
+			if c.to != nil {
+				want = EncodeInternalKey(pk, c.to)
+			}
+			if !bytes.Equal(b.End(), want) {
+				t.Fatalf("pk %q to %q: end %x, want %x", pk, c.to, b.End(), want)
+			}
+		}
+	}
+}

@@ -6,10 +6,10 @@
 //
 // Concurrency follows the skip list's single-writer discipline: Put and
 // Freeze must be externally serialized (the storage engine holds the
-// shard write lock around them), but Get, ScanPartition, Each and
-// Partitions are lock-free — they ride the skip list's atomically
-// published links, so the engine's point-read fast path acquires no
-// locks at all. MinVersion must be called under the same serialization
+// shard write lock around them), but Get, Slice (and the Cursor it
+// positions), ScanPartition, Each and Partitions are lock-free — they
+// ride the skip list's atomically published links, so the engine's
+// point-read fast path acquires no locks at all. MinVersion must be called under the same serialization
 // as Put; MaxVersion is safe once the memtable is frozen and published
 // (the engine reads it only on frozen memtables reached through an
 // atomically published snapshot).
@@ -182,30 +182,57 @@ func (m *Memtable) MinVersion() (row.Version, bool) {
 	return m.minVer, m.hasVer
 }
 
+// Cursor streams one partition slice of a memtable in clustering order,
+// tombstones included. The cells it yields are views into the skip
+// list: keys are immutable after insert and an overwrite swaps the value
+// pointer instead of writing through it, so a view stays intact for as
+// long as the caller holds it. The zero value is ready for Slice, and a
+// reused Cursor builds its bounds without allocating.
+type Cursor struct {
+	it      skiplist.Iterator
+	bounds  enc.Bounds
+	started bool
+}
+
+// Slice points c before the first cell of pk with from <= CK < to; nil
+// bounds mean unbounded. Lock-free, like every memtable read: a cursor
+// racing the writer sees each concurrently inserted cell either fully
+// or not at all.
+func (m *Memtable) Slice(c *Cursor, pk string, from, to []byte) {
+	c.bounds.Set(pk, from, to)
+	c.it = m.list.Seek(c.bounds.Start())
+	c.started = false
+}
+
+// Next steps to the following cell of the slice and reports whether
+// there is one.
+func (c *Cursor) Next() bool {
+	if c.started {
+		c.it.Next()
+	}
+	c.started = true
+	return c.it.Valid() && bytes.Compare(c.it.Key(), c.bounds.End()) < 0
+}
+
+// Cell returns the current cell; call it only after Next reported true.
+func (c *Cursor) Cell() (ck, value []byte, ver row.Version, tombstone bool) {
+	ver, tombstone, value = decodeValue(c.it.Value())
+	return c.it.Key()[len(c.bounds.Prefix()):], value, ver, tombstone
+}
+
+// Release drops the cursor's hold on the memtable, keeping only its
+// bounds buffer for the next Slice.
+func (c *Cursor) Release() { c.it = skiplist.Iterator{} }
+
 // ScanPartition returns every cell of the partition with from <= CK < to,
 // in clustering order — tombstones included (the engine's merge masks
-// them against older sources before serving). Lock-free; a scan racing
-// the writer sees each concurrently inserted cell either fully or not
-// at all.
+// them against older sources before serving). The cells alias the skip
+// list, see Cursor.
 func (m *Memtable) ScanPartition(pk string, from, to []byte) []row.Cell {
-	start := enc.PartitionPrefix(pk)
-	if from != nil {
-		start = enc.EncodeInternalKey(pk, from)
-	}
-	end := enc.PartitionEnd(pk)
-	if to != nil {
-		end = enc.EncodeInternalKey(pk, to)
-	}
+	var c Cursor
 	var cells []row.Cell
-	for it := m.list.Seek(start); it.Valid(); it.Next() {
-		if bytes.Compare(it.Key(), end) >= 0 {
-			break
-		}
-		_, ck, err := enc.DecodeInternalKey(it.Key())
-		if err != nil {
-			continue // unreachable for keys written by Put
-		}
-		ver, tomb, value := decodeValue(it.Value())
+	for m.Slice(&c, pk, from, to); c.Next(); {
+		ck, value, ver, tomb := c.Cell()
 		cells = append(cells, row.Cell{CK: ck, Value: value, Ver: ver, Tombstone: tomb})
 	}
 	return cells

@@ -225,3 +225,57 @@ func DropTombstones(cells []Cell) []Cell {
 	}
 	return out
 }
+
+// Collector turns a stream of cell views — clustering keys and values
+// that are only valid during the call that hands them over, as the
+// storage cursors yield them — into a slice of cells the caller owns.
+// The key and value bytes are carved from shared arena chunks sized from
+// the expected cell count, so collecting a partition costs a handful of
+// allocations instead of two per cell. The zero value is ready to use.
+type Collector struct {
+	Cells []Cell
+	arena []byte
+	hint  int
+}
+
+// Grow announces that about n more cells are coming; the cell slice and
+// the arena are sized from it at the next Append.
+func (c *Collector) Grow(n int) { c.hint = len(c.Cells) + n }
+
+// Append adds a copy of one cell. Empty keys and values are stored as
+// nil, as a fresh copy of nothing would be.
+func (c *Collector) Append(ck, value []byte, ver Version, tombstone bool) {
+	left := c.hint - len(c.Cells)
+	if c.Cells == nil && left > 0 {
+		c.Cells = make([]Cell, 0, left)
+	}
+	need := len(ck) + len(value)
+	if need > cap(c.arena)-len(c.arena) {
+		// Assume the cells still expected look like this one; past the
+		// hint, assume as many again as already seen. A wrong guess costs
+		// one more chunk, never a copy of what is already carved.
+		if left < 1 {
+			left = len(c.Cells) + 1
+		}
+		c.arena = make([]byte, 0, max(need, min(need*left, maxArenaChunk)))
+	}
+	cell := Cell{Ver: ver, Tombstone: tombstone}
+	cell.CK, c.arena = carve(c.arena, ck)
+	cell.Value, c.arena = carve(c.arena, value)
+	c.Cells = append(c.Cells, cell)
+}
+
+// maxArenaChunk bounds what one arena chunk commits on the strength of a
+// guess: a partition larger than this is collected in several chunks.
+const maxArenaChunk = 1 << 20
+
+// carve copies b to the end of arena and returns the copy, capped so
+// appending to it cannot reach the next carving.
+func carve(arena, b []byte) (owned, rest []byte) {
+	if len(b) == 0 {
+		return nil, arena
+	}
+	n := len(arena)
+	arena = append(arena, b...)
+	return arena[n:len(arena):len(arena)], arena
+}

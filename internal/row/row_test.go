@@ -176,3 +176,46 @@ func TestMergeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCollectorOwnsItsCells: what a Collector returns survives the
+// views it was fed from being overwritten, keeps nil for empty bytes,
+// and an append to one cell's bytes cannot reach its neighbour's.
+func TestCollectorOwnsItsCells(t *testing.T) {
+	for _, hint := range []int{0, 3, 100} {
+		var c Collector
+		c.Grow(hint)
+		scratch := make([]byte, 0, 64)
+		var want []Cell
+		for i := 0; i < 50; i++ {
+			ck := append(scratch[:0], fmt.Sprintf("ck%03d", i)...)
+			value := bytes.Repeat([]byte{byte(i)}, i%7*i) // sizes that outgrow any first guess
+			tomb := i%9 == 0
+			if tomb {
+				value = nil
+			}
+			c.Append(ck, value, Version{Seq: uint64(i)}, tomb)
+			want = append(want, Cell{CK: append([]byte(nil), ck...), Value: append([]byte(nil), value...), Ver: Version{Seq: uint64(i)}, Tombstone: tomb})
+			for j := range ck {
+				ck[j] = 'X' // the view is gone
+			}
+		}
+		if len(c.Cells) != len(want) {
+			t.Fatalf("hint %d: %d cells, want %d", hint, len(c.Cells), len(want))
+		}
+		for i, w := range want {
+			g := c.Cells[i]
+			if !bytes.Equal(g.CK, w.CK) || !bytes.Equal(g.Value, w.Value) || g.Ver != w.Ver || g.Tombstone != w.Tombstone {
+				t.Fatalf("hint %d: cell %d is %+v, want %+v", hint, i, g, w)
+			}
+			if len(w.Value) == 0 && g.Value != nil {
+				t.Fatalf("hint %d: cell %d has an empty non-nil value", hint, i)
+			}
+			_ = append(g.CK, "overflow"...)
+		}
+		for i, w := range want {
+			if !bytes.Equal(c.Cells[i].Value, w.Value) || !bytes.Equal(c.Cells[i].CK, w.CK) {
+				t.Fatalf("hint %d: cell %d was overwritten by an append to a neighbour", hint, i)
+			}
+		}
+	}
+}

@@ -182,14 +182,16 @@ type Iterator struct {
 	n *node
 }
 
-// Seek positions an iterator at the first entry with key >= target.
-func (l *List) Seek(key []byte) *Iterator {
-	return &Iterator{n: l.findGE(key, nil)}
+// Seek positions an iterator at the first entry with key >= target. An
+// Iterator is one pointer and is returned by value, so a read that
+// keeps it inside a reused cursor allocates nothing.
+func (l *List) Seek(key []byte) Iterator {
+	return Iterator{n: l.findGE(key, nil)}
 }
 
 // First positions an iterator at the smallest entry.
-func (l *List) First() *Iterator {
-	return &Iterator{n: l.head.next[0].Load()}
+func (l *List) First() Iterator {
+	return Iterator{n: l.head.next[0].Load()}
 }
 
 // Valid reports whether the iterator points at an entry.

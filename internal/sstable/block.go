@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
@@ -201,6 +202,41 @@ func decodeBlock(block []byte, fn func(ik, value []byte, ver row.Version, tomb b
 // violation — truncated varint, impossible lengths — yields ErrCorrupt;
 // arbitrary input bytes never panic (the fuzz target pins this).
 func decodeEntries(payload []byte, fn func(ik, value []byte, ver row.Version, tomb bool) bool) error {
+	var c blockCursor
+	if err := c.reset(payload); err != nil {
+		return err
+	}
+	for c.next() {
+		if !fn(c.key, c.value, c.ver, c.tomb) {
+			return nil
+		}
+	}
+	return c.err
+}
+
+// blockCursor walks the entries of one decoded entry payload: the one
+// entry parser behind every read of a block. The current entry is
+// exposed as views — key is the cursor's own scratch buffer, rebuilt
+// from the prefix-compressed suffixes and overwritten by the next step;
+// value is a sub-slice of the payload, which the block cache shares
+// between readers and nobody may write. A cursor is reusable: reset
+// keeps the key buffer, so a pooled cursor decodes without allocating.
+type blockCursor struct {
+	data     []byte // the entries, restart array cut off
+	restarts []byte // restart offsets, u32 LE each
+	pos      int    // offset of the entry after the current one
+	err      error  // ErrCorrupt once the walk met a structural violation
+
+	key   []byte
+	value []byte
+	ver   row.Version
+	tomb  bool
+}
+
+// reset points the cursor before the first entry of payload.
+func (c *blockCursor) reset(payload []byte) error {
+	c.data, c.restarts, c.value = nil, nil, nil
+	c.pos, c.err, c.key = 0, nil, c.key[:0]
 	if len(payload) < 4 {
 		return ErrCorrupt
 	}
@@ -209,53 +245,123 @@ func decodeEntries(payload []byte, fn func(ik, value []byte, ver row.Version, to
 	if uint64(numRestarts)*4 > uint64(restartsOff) {
 		return ErrCorrupt
 	}
-	data := payload[:restartsOff-int(numRestarts)*4]
-	var key []byte
-	pos := 0
-	for pos < len(data) {
-		shared, n1 := binary.Uvarint(data[pos:])
-		if n1 <= 0 {
-			return ErrCorrupt
+	c.data = payload[:restartsOff-int(numRestarts)*4]
+	c.restarts = payload[len(c.data):restartsOff]
+	return nil
+}
+
+// entryHeader parses the three length varints of the entry at pos and
+// checks them against the data: on ok the key suffix is
+// data[body:body+unshared] and the value the vlen bytes after it.
+func (c *blockCursor) entryHeader(pos int) (shared, unshared, vlen uint64, body int, ok bool) {
+	data := c.data
+	shared, n1 := binary.Uvarint(data[pos:])
+	if n1 <= 0 {
+		return 0, 0, 0, 0, false
+	}
+	pos += n1
+	unshared, n2 := binary.Uvarint(data[pos:])
+	if n2 <= 0 {
+		return 0, 0, 0, 0, false
+	}
+	pos += n2
+	vlen, n3 := binary.Uvarint(data[pos:])
+	if n3 <= 0 {
+		return 0, 0, 0, 0, false
+	}
+	pos += n3
+	if unshared > uint64(len(data)-pos) || vlen > uint64(len(data)-pos)-unshared {
+		return 0, 0, 0, 0, false
+	}
+	return shared, unshared, vlen, pos, true
+}
+
+// next steps to the following entry and reports whether there is one;
+// false with err set means the payload is damaged.
+func (c *blockCursor) next() bool {
+	data, pos := c.data, c.pos
+	if pos >= len(data) || c.err != nil {
+		return false
+	}
+	shared, unshared, vlen, pos, ok := c.entryHeader(pos)
+	if !ok || shared > uint64(len(c.key)) {
+		return c.corrupt()
+	}
+	c.key = append(c.key[:shared], data[pos:pos+int(unshared)]...)
+	pos += int(unshared)
+	c.value = data[pos : pos+int(vlen)]
+	pos += int(vlen)
+	seq, n4 := binary.Uvarint(data[pos:])
+	if n4 <= 0 {
+		return c.corrupt()
+	}
+	pos += n4
+	node, n5 := binary.Uvarint(data[pos:])
+	if n5 <= 0 || node > math.MaxUint16 {
+		return c.corrupt()
+	}
+	pos += n5
+	if pos >= len(data) {
+		return c.corrupt()
+	}
+	c.ver = row.Version{Seq: seq, Node: uint16(node)}
+	c.tomb = data[pos]&flagTombstone != 0
+	c.pos = pos + 1
+	return true
+}
+
+func (c *blockCursor) corrupt() bool {
+	c.err = ErrCorrupt
+	return false
+}
+
+// restartKey returns the offset and the full key of the i-th restart
+// entry (a restart shares nothing with its predecessor, so its suffix
+// is its key).
+func (c *blockCursor) restartKey(i int) (off int, key []byte, ok bool) {
+	off = int(binary.LittleEndian.Uint32(c.restarts[4*i:]))
+	if off >= len(c.data) {
+		return 0, nil, false
+	}
+	shared, unshared, _, body, ok := c.entryHeader(off)
+	if !ok || shared != 0 {
+		return 0, nil, false
+	}
+	return off, c.data[body : body+int(unshared)], true
+}
+
+// seek steps to the first entry whose key is >= target and reports
+// whether there is one. It binary-searches the restart offsets for the
+// last restart at or before target and decodes forward from there, at
+// most blockRestartInterval-1 entries on a block the writer built.
+// Restart offsets are input like any other byte: one that points past
+// the data or at an entry that shares a prefix is ErrCorrupt, one that
+// points mid-entry decodes whatever it finds there under next's checks.
+func (c *blockCursor) seek(target []byte) bool {
+	if c.err != nil {
+		return false
+	}
+	lo, hi := 0, len(c.restarts)/4
+	for lo < hi { // first restart whose key is > target
+		mid := int(uint(lo+hi) >> 1)
+		_, key, ok := c.restartKey(mid)
+		if !ok {
+			return c.corrupt()
 		}
-		pos += n1
-		unshared, n2 := binary.Uvarint(data[pos:])
-		if n2 <= 0 {
-			return ErrCorrupt
-		}
-		pos += n2
-		vlen, n3 := binary.Uvarint(data[pos:])
-		if n3 <= 0 {
-			return ErrCorrupt
-		}
-		pos += n3
-		if shared > uint64(len(key)) ||
-			unshared > uint64(len(data)-pos) ||
-			vlen > uint64(len(data)-pos)-unshared {
-			return ErrCorrupt
-		}
-		key = append(key[:shared], data[pos:pos+int(unshared)]...)
-		pos += int(unshared)
-		value := data[pos : pos+int(vlen)]
-		pos += int(vlen)
-		seq, n4 := binary.Uvarint(data[pos:])
-		if n4 <= 0 {
-			return ErrCorrupt
-		}
-		pos += n4
-		node, n5 := binary.Uvarint(data[pos:])
-		if n5 <= 0 || node > math.MaxUint16 {
-			return ErrCorrupt
-		}
-		pos += n5
-		if pos >= len(data) {
-			return ErrCorrupt
-		}
-		flags := data[pos]
-		pos++
-		ver := row.Version{Seq: seq, Node: uint16(node)}
-		if !fn(key, value, ver, flags&flagTombstone != 0) {
-			return nil
+		if bytes.Compare(key, target) > 0 {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return nil
+	c.pos, c.key = 0, c.key[:0]
+	if lo > 0 {
+		c.pos, _, _ = c.restartKey(lo - 1)
+	}
+	for c.next() {
+		if bytes.Compare(c.key, target) >= 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -355,44 +355,51 @@ func (r *Reader) blockPayload(b blockIndexEntry, fill bool) ([]byte, error) {
 	return payload, nil
 }
 
-// ReadPartition returns every cell of a partition.
-func (r *Reader) ReadPartition(pk string) ([]row.Cell, error) {
-	return r.ReadSlice(pk, nil, nil)
+// SliceCursor streams the cells of one partition slice of one table in
+// clustering order, chaining block cursors across the data blocks the
+// slice spans. What it yields are views: the clustering key lives in the
+// cursor's scratch buffer and is overwritten by the next step, the value
+// aliases a block payload the cache shares between readers — read it,
+// never write it, and copy what must outlive the next call to Next. The
+// zero value is ready for Reader.Slice; a reused cursor keeps its
+// buffers, so a warm read allocates nothing.
+type SliceCursor struct {
+	r      *Reader
+	blocks []blockIndexEntry
+	bi     int // next block to load
+	seeked bool
+	done   bool
+	err    error
+	cells  uint64
+	blk    blockCursor
+	bounds enc.Bounds
 }
 
-// ReadSlice returns the cells of a partition with from <= CK < to; nil
+// Slice points c before the first cell of pk with from <= CK < to; nil
 // bounds mean unbounded. It binary-searches the block index to the
-// first block that can hold the slice start, then decodes blocks
-// forward until the end bound, so a point read performs one block
-// ReadAt (plus the one-time lazy meta load) and a slice of a
-// multi-block partition skips its leading blocks instead of scanning
-// from the partition start: the read-path advantage whose cost
-// asymmetry Formula 6 models.
-func (r *Reader) ReadSlice(pk string, from, to []byte) ([]row.Cell, error) {
+// first block that can hold the slice start and the cursor seeks inside
+// it by restart point, so a point read performs one block ReadAt (plus
+// the one-time lazy meta load) and a slice of a multi-block partition
+// skips its leading blocks instead of scanning from the partition
+// start: the read-path advantage whose cost asymmetry Formula 6 models.
+// A partition the table does not hold is ErrNotFound.
+func (r *Reader) Slice(c *SliceCursor, pk string, from, to []byte) error {
+	c.Release()
 	m, err := r.loadMeta()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pi, ok := m.byPK[pk]
 	if !ok {
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
 	r.Stats.PartitionsRead.Add(1)
-	want := m.parts[pi].cells
-	if want == 0 {
-		return nil, nil
-	}
-	prefix := enc.PartitionPrefix(pk)
-	startKey := prefix
-	if from != nil {
-		startKey = enc.EncodeInternalKey(pk, from)
-	}
-	endKey := enc.PartitionEnd(pk)
-	if to != nil {
-		endKey = enc.EncodeInternalKey(pk, to)
-	}
-	sbi := blockFor(m.blocks, startKey)
-	if pbi := blockFor(m.blocks, prefix); sbi > pbi {
+	c.r, c.blocks, c.cells = r, m.blocks, m.parts[pi].cells
+	c.seeked, c.done, c.err = false, c.cells == 0, nil
+	c.bounds.Set(pk, from, to)
+	prefix := c.bounds.Prefix()
+	c.bi = blockFor(m.blocks, c.bounds.Start())
+	if pbi := blockFor(m.blocks, prefix); c.bi > pbi {
 		// The block index let the slice skip the partition's leading
 		// blocks entirely — the column-index seek of Formula 6. Only
 		// blocks that certainly hold this partition's cells (their first
@@ -400,7 +407,7 @@ func (r *Reader) ReadSlice(pk string, from, to []byte) ([]row.Cell, error) {
 		// exactly at a block boundary must not claim its predecessor's
 		// block.
 		var skipped int64
-		for i := pbi; i < sbi; i++ {
+		for i := pbi; i < c.bi; i++ {
 			if bytes.HasPrefix(m.blocks[i].firstKey, prefix) {
 				skipped += int64(m.blocks[i].length)
 			}
@@ -410,51 +417,142 @@ func (r *Reader) ReadSlice(pk string, from, to []byte) ([]row.Cell, error) {
 			r.Stats.IndexedReads.Add(1)
 		}
 	}
-	var cells []row.Cell
-	corrupt := false
-	for bi := sbi; bi < len(m.blocks); bi++ {
-		if bytes.Compare(m.blocks[bi].firstKey, endKey) >= 0 {
-			break
+	return nil
+}
+
+// Cells returns how many cells the table holds for the whole partition:
+// an upper bound on what the slice yields, for sizing a result.
+func (c *SliceCursor) Cells() int { return int(c.cells) }
+
+// Next steps to the following cell of the slice and reports whether
+// there is one; after false, Err tells the end of the slice from a
+// failed read.
+func (c *SliceCursor) Next() bool {
+	if c.done {
+		return false
+	}
+	ok := c.blk.next()
+	for !ok {
+		// The block is exhausted, or none is loaded yet: chain to the next
+		// one the slice reaches into.
+		if c.err = c.blk.err; c.err != nil || !c.loadBlock() {
+			c.done = true
+			return false
 		}
-		payload, err := r.blockPayload(m.blocks[bi], true)
-		if err != nil {
-			return nil, err
-		}
-		done := false
-		err = decodeEntries(payload, func(ik, value []byte, ver row.Version, tomb bool) bool {
-			if bytes.Compare(ik, startKey) < 0 {
-				return true
-			}
-			if bytes.Compare(ik, endKey) >= 0 {
-				done = true
-				return false
-			}
-			// Every key in [prefix, partition end) starts with the
-			// partition prefix by construction; a violation means the
-			// block's contents disagree with the block index.
-			if !bytes.HasPrefix(ik, prefix) {
-				corrupt, done = true, true
-				return false
-			}
-			cells = append(cells, row.Cell{
-				CK:        append([]byte(nil), ik[len(prefix):]...),
-				Value:     append([]byte(nil), value...),
-				Ver:       ver,
-				Tombstone: tomb,
-			})
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		if corrupt {
-			return nil, ErrCorrupt
-		}
-		if done {
-			break
+		if c.seeked {
+			ok = c.blk.next()
+		} else {
+			// Only the slice's first block can hold keys before its start.
+			c.seeked = true
+			ok = c.blk.seek(c.bounds.Start())
 		}
 	}
-	return cells, nil
+	if bytes.Compare(c.blk.key, c.bounds.End()) >= 0 {
+		c.done = true
+		return false
+	}
+	// Every key in [start, end) starts with the partition prefix by
+	// construction; a violation means the block's contents disagree with
+	// the block index.
+	if !bytes.HasPrefix(c.blk.key, c.bounds.Prefix()) {
+		c.err, c.done = ErrCorrupt, true
+		return false
+	}
+	return true
+}
+
+// loadBlock points the block cursor at the next data block, unless the
+// block index says the slice ends before it.
+func (c *SliceCursor) loadBlock() bool {
+	if c.bi >= len(c.blocks) || bytes.Compare(c.blocks[c.bi].firstKey, c.bounds.End()) >= 0 {
+		return false
+	}
+	payload, err := c.r.blockPayload(c.blocks[c.bi], true)
+	if err == nil {
+		err = c.blk.reset(payload)
+	}
+	c.err = err
+	c.bi++
+	return err == nil
+}
+
+// Cell returns the current cell; call it only after Next reported true.
+func (c *SliceCursor) Cell() (ck, value []byte, ver row.Version, tombstone bool) {
+	return c.blk.key[len(c.bounds.Prefix()):], c.blk.value, c.blk.ver, c.blk.tomb
+}
+
+// Err returns the error that ended the walk, nil at the slice's end.
+func (c *SliceCursor) Err() error { return c.err }
+
+// Release drops the cursor's references to the table and its blocks,
+// keeping only the scratch buffers: a parked cursor pins no payload.
+func (c *SliceCursor) Release() {
+	c.r, c.blocks, c.done = nil, nil, true
+	c.blk.data, c.blk.restarts, c.blk.value, c.blk.err = nil, nil, nil, nil
+}
+
+// cursors parks SliceCursors between the reads that borrow one, so
+// their scratch buffers are allocated once and not per read.
+var cursors = sync.Pool{New: func() any { return new(SliceCursor) }}
+
+// ReadPartition returns every cell of a partition.
+func (r *Reader) ReadPartition(pk string) ([]row.Cell, error) {
+	return r.ReadSlice(pk, nil, nil)
+}
+
+// ReadSlice returns owned copies of the cells of a partition with
+// from <= CK < to; nil bounds mean unbounded. It collects a SliceCursor:
+// the key and value bytes are carved from one arena and, for a whole
+// partition, the cell slice is sized from the partition directory, so
+// the call allocates the same few times whatever the cell count.
+func (r *Reader) ReadSlice(pk string, from, to []byte) ([]row.Cell, error) {
+	c := cursors.Get().(*SliceCursor)
+	defer c.park()
+	if err := r.Slice(c, pk, from, to); err != nil {
+		return nil, err
+	}
+	var out row.Collector
+	if from == nil && to == nil {
+		out.Grow(c.Cells())
+	}
+	for c.Next() {
+		out.Append(c.Cell())
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	return out.Cells, nil
+}
+
+func (c *SliceCursor) park() {
+	c.Release()
+	cursors.Put(c)
+}
+
+// Get returns the cell stored under (pk, ck) — tombstones included, the
+// caller's merge decides what they mask. It reads the one block that
+// can hold the key and seeks inside it. The returned cell carries the
+// caller's ck and an owned copy of the value. A partition the table
+// does not hold is ErrNotFound; a clustering key it does not hold is
+// found=false.
+func (r *Reader) Get(pk string, ck []byte) (cell row.Cell, found bool, err error) {
+	c := cursors.Get().(*SliceCursor)
+	defer c.park()
+	// The slice [ck, ck+"\x00") holds ck and nothing else, so the walk
+	// ends inside the one block that can hold it.
+	var buf [64]byte
+	if err := r.Slice(c, pk, ck, append(append(buf[:0], ck...), 0)); err != nil {
+		return row.Cell{}, false, err
+	}
+	if !c.Next() {
+		return row.Cell{}, false, c.err
+	}
+	_, value, ver, tomb := c.Cell()
+	cell = row.Cell{CK: ck, Ver: ver, Tombstone: tomb}
+	if len(value) > 0 {
+		cell.Value = append([]byte(nil), value...)
+	}
+	return cell, true, nil
 }
 
 // HasColumnIndex reports whether the partition spans at least two data

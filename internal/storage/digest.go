@@ -1,5 +1,7 @@
 package storage
 
+import "scalekv/internal/row"
+
 // This file is the engine half of the anti-entropy subsystem: a
 // Merkle-style digest over a token range. Two replicas that hold the
 // same logical cells — same (pk, ck, version, flags) tuples, wherever
@@ -133,27 +135,27 @@ func (e *Engine) RangeDigest(lo, hi int64, depth int) ([]DigestLeaf, error) {
 		return nil, err
 	}
 	for _, p := range parts {
-		cells, err := e.scanPartitionRaw(p.pk, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		if len(cells) == 0 {
-			continue
-		}
 		leaf := &leaves[digestBucket(lo, size, count, p.token)]
-		h := fnvBytes(leaf.Hash, []byte(p.pk))
-		for _, c := range cells {
-			h = fnvBytes(h, c.CK)
-			h = fnvUvarint(h, c.Ver.Seq)
-			h = fnvUvarint(h, uint64(c.Ver.Node))
+		h, cells := fnvBytes(leaf.Hash, []byte(p.pk)), uint64(0)
+		err := e.visitRaw(p.pk, func(ck, _ []byte, ver row.Version, tombstone bool) bool {
+			h = fnvBytes(h, ck)
+			h = fnvUvarint(h, ver.Seq)
+			h = fnvUvarint(h, uint64(ver.Node))
 			flags := byte(0)
-			if c.Tombstone {
+			if tombstone {
 				flags = 1
 			}
 			h = fnvByte(h, flags)
+			cells++
+			return true
+		})
+		if err != nil {
+			return nil, err
 		}
-		leaf.Hash = h
-		leaf.Cells += uint64(len(cells))
+		if cells > 0 {
+			leaf.Hash = h
+			leaf.Cells += cells
+		}
 	}
 	return leaves, nil
 }

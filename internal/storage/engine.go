@@ -28,7 +28,10 @@
 // memtables + SSTables, and releases it. The memtables themselves are
 // single-writer lock-free skip lists, so the common case — the newest
 // version of a hot key sits in the active memtable — costs zero lock
-// acquisitions and zero heap allocations. Token-range operations
+// acquisitions and zero heap allocations. Partition reads stream: a
+// k-way merge over one cursor per source (visit.go) hands each winning
+// cell to its consumer as a view, so a count copies nothing and a scan
+// copies each cell once. Token-range operations
 // (ScanRange, RangeDigest, CountRange, DeleteRange) share one cached
 // token-sorted partition index, invalidated by per-shard generation
 // counters instead of rebuilt per request.
@@ -39,7 +42,6 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -580,93 +582,59 @@ func (e *Engine) GetVersioned(pk string, ck []byte) (row.Cell, bool, error) {
 			continue
 		}
 		e.Metrics.SSTablesTouched.Add(1)
-		cells, err := t.ReadSlice(pk, ck, nextKey(ck))
+		cell, ok, err := t.Get(pk, ck)
 		if err == sstable.ErrNotFound {
 			continue
 		}
 		if err != nil {
 			return row.Cell{}, false, err
 		}
-		if len(cells) > 0 && bytes.Equal(cells[0].CK, ck) && (!found || best.Ver.Less(cells[0].Ver)) {
-			best = cells[0]
+		if ok && (!found || best.Ver.Less(cell.Ver)) {
+			best = cell
 			found = true
 		}
 	}
 	return best, found, nil
 }
 
-// nextKey returns the immediate successor of ck in byte order.
-func nextKey(ck []byte) []byte {
-	out := make([]byte, len(ck)+1)
-	copy(out, ck)
-	return out
-}
-
 // ScanPartition returns the live merged cells of a partition with
 // from <= CK < to, the highest version winning and tombstones masking
-// what they shadow. Nil bounds mean unbounded.
+// what they shadow. Nil bounds mean unbounded. The cells are the
+// caller's to keep.
 func (e *Engine) ScanPartition(pk string, from, to []byte) ([]row.Cell, error) {
 	e.Metrics.Scans.Add(1)
-	merged, err := e.scanPartitionRaw(pk, from, to)
-	if err != nil {
-		return nil, err
-	}
-	return row.DropTombstones(merged), nil
+	return e.collectPartition(pk, from, to, false)
 }
 
-// scanPartitionRaw merges a partition across every source by version,
-// keeping tombstones in the output — the range streamer reads through
-// it so deletes propagate to new owners during a rebalance.
-func (e *Engine) scanPartitionRaw(pk string, from, to []byte) ([]row.Cell, error) {
+// visitRaw streams the merged cells of a whole partition through fn,
+// tombstones included: visitPartition under a snapshot of the
+// partition's shard.
+func (e *Engine) visitRaw(pk string, fn func(ck, value []byte, ver row.Version, tombstone bool) bool) error {
 	view := e.shardFor(pk).snapshot()
 	defer view.close()
-
-	// Sources oldest to newest — SSTables, then frozen memtables, then
-	// the active memtable — so row.Merge's tie-break (equal versions:
-	// later source wins) keeps the newer source's copy, as Get does.
-	sources := make([][]row.Cell, 0, len(view.tables)+len(view.frozen)+1)
-	for _, t := range view.tables {
-		if !t.MayContain(pk) {
-			e.Metrics.BloomSkips.Add(1)
-			continue
-		}
-		e.Metrics.SSTablesTouched.Add(1)
-		cells, err := t.ReadSlice(pk, from, to)
-		if err == sstable.ErrNotFound {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		sources = append(sources, cells)
-	}
-	for _, fm := range view.frozen {
-		sources = append(sources, fm.mem.ScanPartition(pk, from, to))
-	}
-	sources = append(sources, view.mem.ScanPartition(pk, from, to))
-	return row.Merge(sources...), nil
+	return e.visitPartition(view, pk, nil, nil, fn)
 }
 
 // CountPartition returns the number of live cells in a partition.
 func (e *Engine) CountPartition(pk string) (int, error) {
-	cells, err := e.ScanPartition(pk, nil, nil)
-	if err != nil {
-		return 0, err
-	}
-	return len(cells), nil
+	n := 0
+	err := e.AggregatePartition(pk, func(_, _ []byte) { n++ })
+	return n, err
 }
 
-// AggregatePartition streams every cell of a partition through fn — the
-// "count by type" aggregation of the paper's prototype is built on this.
+// AggregatePartition streams every live cell of a partition through fn
+// in clustering order — the "count by type" aggregation of the paper's
+// prototype is built on this. Nothing is copied on the way: ck and value
+// are valid only during the call, and point into memory other readers
+// share, so fn reads them and copies what it keeps.
 func (e *Engine) AggregatePartition(pk string, fn func(ck, value []byte)) error {
-	cells, err := e.ScanPartition(pk, nil, nil)
-	if err != nil {
-		return err
-	}
-	for _, c := range cells {
-		fn(c.CK, c.Value)
-	}
-	return nil
+	e.Metrics.Scans.Add(1)
+	return e.visitRaw(pk, func(ck, value []byte, _ row.Version, tombstone bool) bool {
+		if !tombstone {
+			fn(ck, value)
+		}
+		return true
+	})
 }
 
 // Partitions returns the distinct partition keys across every shard's

@@ -569,16 +569,42 @@ func BenchmarkPutNoWAL(b *testing.B) {
 	}
 }
 
-func BenchmarkScanPartition(b *testing.B) {
-	e, _ := Open(Options{Dir: b.TempDir(), DisableWAL: true})
+// benchFlushedPartition opens an engine holding one flushed,
+// cache-resident 1000-cell partition.
+func benchFlushedPartition(b *testing.B) *Engine {
+	e, err := Open(Options{Dir: b.TempDir(), DisableWAL: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { e.Close() })
 	for i := 0; i < 1000; i++ {
 		e.Put("bench", ck(i), make([]byte, 64))
 	}
-	e.Flush()
+	if err := e.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	return e
+}
+
+func BenchmarkScanPartition(b *testing.B) {
+	e := benchFlushedPartition(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.ScanPartition("bench", nil, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAggregatePartition(b *testing.B) {
+	e := benchFlushedPartition(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		if err := e.AggregatePartition("bench", func(_, _ []byte) { n++ }); err != nil || n != 1000 {
+			b.Fatalf("aggregate saw %d cells, err %v", n, err)
 		}
 	}
 }

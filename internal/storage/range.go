@@ -187,7 +187,7 @@ func (e *Engine) ScanRange(lo, hi, afterToken int64, afterPK string, maxCells in
 		return nil, err
 	}
 	for i, p := range selected {
-		cells, err := e.scanPartitionRaw(p.pk, nil, nil)
+		cells, err := e.collectPartition(p.pk, nil, nil, true)
 		if err != nil {
 			return nil, err
 		}

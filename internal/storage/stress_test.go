@@ -11,8 +11,8 @@ import (
 )
 
 // TestReadersRaceStructuralChurn is the race-detector stress for the
-// lock-free read path: point reads, partition scans and range
-// digests run against every structural mutation the shards can
+// lock-free read path: point reads, partition scans, streamed
+// aggregations and range digests run against every structural mutation the shards can
 // undergo — memtable freeze/flush, compaction table-list swaps, and
 // DeleteRange purges — all at once. It exists to be run under -race:
 // any snapshot-protocol mistake (a view resurrected after its tables
@@ -74,6 +74,26 @@ func TestReadersRaceStructuralChurn(t *testing.T) {
 	run(func(n int) {
 		if _, err := e.ScanPartition(pk(n), nil, nil); err != nil {
 			fail <- fmt.Sprintf("scan: %v", err)
+			stop.Store(true)
+		}
+	})
+	// Aggregators reading every byte of the views the visitor hands out
+	// — slices of skip-list nodes and of cached block payloads — while
+	// the structures behind them are swapped and retired.
+	run(func(n int) {
+		var last []byte
+		bad := ""
+		err := e.AggregatePartition(pk(n), func(ck, value []byte) {
+			if last != nil && bytes.Compare(ck, last) <= 0 {
+				bad = fmt.Sprintf("ck %q after %q", ck, last)
+			}
+			last = append(last[:0], ck...)
+			if !bytes.Equal(value, []byte("value")) && !bytes.Equal(value, []byte("seed")) {
+				bad = fmt.Sprintf("torn value %q", value)
+			}
+		})
+		if err != nil || bad != "" {
+			fail <- fmt.Sprintf("aggregate: %s (err=%v)", bad, err)
 			stop.Store(true)
 		}
 	})
@@ -207,6 +227,20 @@ func TestBlockCacheStressTinyCache(t *testing.T) {
 	run(func(n int) {
 		if _, err := e.ScanPartition(cpk(n), nil, nil); err != nil {
 			fail <- fmt.Sprintf("scan: %v", err)
+			stop.Store(true)
+		}
+	})
+	// Aggregators holding views into cached payloads while the cache
+	// evicts the entries behind them: the bytes must stay what was
+	// written.
+	run(func(n int) {
+		cells, intact := 0, true
+		err := e.AggregatePartition(spk(n), func(_, value []byte) {
+			cells++
+			intact = intact && bytes.Equal(value, sval(n))
+		})
+		if err != nil || cells != 1 || !intact {
+			fail <- fmt.Sprintf("stable aggregate %d: %d cells, intact=%v err=%v", n%stable, cells, intact, err)
 			stop.Store(true)
 		}
 	})

@@ -135,6 +135,40 @@ func TestQueuedFramesShareOneWrite(t *testing.T) {
 	}
 }
 
+// TestClientQueueThenFlushIsOneWrite: a burst of requests queued on a
+// Client costs the client one write, at the flush, and every request is
+// answered — the budget CountAll's send loop relies on.
+func TestClientQueueThenFlushIsOneWrite(t *testing.T) {
+	craw, sraw := tcpPair(t)
+	srv := ServeInline(listenOne(newTCPConn(sraw, 0)), inlineEcho)
+	defer srv.Close()
+	cli := NewClient(newTCPConn(craw, 0))
+	defer cli.Close()
+	const burst = 256
+	var pending [burst]<-chan []byte
+	for i := range pending {
+		ch, err := cli.Queue([]byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending[i] = ch
+	}
+	if got := craw.writes.Load(); got != 0 {
+		t.Fatalf("%d writes before the flush", got)
+	}
+	if err := cli.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range pending {
+		if resp, ok := <-ch; !ok || len(resp) != 1 || resp[0] != byte(i) {
+			t.Fatalf("request %d answered %v (open=%v)", i, resp, ok)
+		}
+	}
+	if got := craw.writes.Load(); got != 1 {
+		t.Fatalf("%d writes for one flushed burst of %d requests", got, burst)
+	}
+}
+
 // TestTCPRecvMemoryFollowsBytesReceived: a header advertising a large
 // payload commits one buffer, not the advertised length; the rest is
 // allocated as the bytes arrive.

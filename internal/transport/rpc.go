@@ -228,6 +228,22 @@ func (c *Client) readLoop() {
 // Go issues a request asynchronously; the returned channel yields the
 // response payload, or is closed on connection failure.
 func (c *Client) Go(payload []byte) (<-chan []byte, error) {
+	return c.issue(payload, true)
+}
+
+// Queue is Go without the flush: the request leaves with the next Go or
+// Flush on this client, or when the connection's write buffer fills. A
+// caller with a burst to send queues all of it and flushes once, paying
+// one write instead of one per request; until it flushes, nothing
+// promises the peer has seen any of it.
+func (c *Client) Queue(payload []byte) (<-chan []byte, error) {
+	return c.issue(payload, false)
+}
+
+// Flush pushes queued requests to the peer.
+func (c *Client) Flush() error { return c.conn.Flush() }
+
+func (c *Client) issue(payload []byte, flush bool) (<-chan []byte, error) {
 	ch := make(chan []byte, 1)
 	c.mu.Lock()
 	if c.closed {
@@ -244,7 +260,11 @@ func (c *Client) Go(payload []byte) (<-chan []byte, error) {
 	c.pending[corr] = ch
 	c.mu.Unlock()
 
-	if err := c.conn.Send(Frame{Corr: corr, Payload: payload}); err != nil {
+	send := c.conn.Queue
+	if flush {
+		send = c.conn.Send
+	}
+	if err := send(Frame{Corr: corr, Payload: payload}); err != nil {
 		c.mu.Lock()
 		delete(c.pending, corr)
 		c.mu.Unlock()
