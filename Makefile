@@ -14,11 +14,12 @@ build:
 # One full pass under the race detector, then the two packages whose
 # bugs depend on how many cores interleave them (the framed-RPC path and
 # the join state machine), repeated at one, two and eight Ps. The
-# read path's allocation pins skip themselves under -race (it changes
-# what allocates), so they get a plain run of their own.
+# allocation pins of the read path and the codec skip themselves under
+# -race (it changes what allocates), so they get a plain run of their
+# own.
 test:
 	go test -race -shuffle=on ./...
-	go test -run 'ZeroAlloc|Allocs' ./internal/storage ./internal/sstable
+	go test -run 'ZeroAlloc|Allocs' ./internal/storage ./internal/sstable ./internal/wire
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -race -shuffle=on -count=5 ./internal/transport ./internal/cluster || exit 1; \
 	done
@@ -50,16 +51,19 @@ deploy-smoke:
 # and on writer-built blocks seek agrees with a linear decode) and the
 # WAL record reader (arbitrary bytes after a segment's intact records
 # are a torn tail: no panic, no error, no allocation beyond the file).
-# On the socket: the
-# TCP frame reader (arbitrary bytes in arbitrary segments yield exactly
-# the whole frames in them, memory follows the bytes received, and valid
-# frame sequences round-trip however the stream is cut). CI runs this as
-# a smoke; local soak: raise -fuzztime.
+# On the socket: the TCP frame reader (arbitrary bytes in arbitrary
+# segments yield exactly the whole frames in them, memory follows the
+# bytes received, and valid frame sequences round-trip however the
+# stream is cut) and the fast codec every frame is decoded by (no panic,
+# allocation bounded by the frame whatever counts it claims, decode of
+# re-encode is identity, byte fields are capped views into the frame).
+# CI runs this as a smoke; local soak: raise -fuzztime.
 fuzz-smoke:
 	go test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/sstable/
 	go test -run=NONE -fuzz=FuzzBlockSeek -fuzztime=10s ./internal/sstable/
 	go test -run=NONE -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/storage/
 	go test -run=NONE -fuzz=FuzzFrameStream -fuzztime=10s ./internal/transport/
+	go test -run=NONE -fuzz=FuzzFastCodec -fuzztime=10s ./internal/wire/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

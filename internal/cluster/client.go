@@ -604,7 +604,9 @@ func routedRead[R wire.Message](c *Client, pk string, build func(epoch uint64) w
 // failing over across replicas; wrong-epoch rejections refresh the
 // ring and re-route (see routedRead). With ClientOptions.ReadRepair, a
 // read that failed over re-propagates the cell it found to the other
-// replicas in the background.
+// replicas in the background. The value is a view into the response
+// frame, which nothing else refers to: it is the caller's, to keep or
+// to modify.
 func (c *Client) Get(pk string, ck []byte) ([]byte, bool, error) {
 	resp, served, err := routedRead(c, pk,
 		func(epoch uint64) wire.Message { return &wire.GetRequest{PK: pk, CK: ck, Epoch: epoch} },
@@ -674,7 +676,8 @@ func (c *Client) repairAsync(served readServed, ent row.Entry) {
 // in flight at once. Results are positional: out[i] answers keys[i].
 // Keys on an unreachable node are retried against their next replica;
 // a wrong-epoch rejection refreshes the ring and re-routes the
-// remaining keys.
+// remaining keys. Values are views into one response frame per node,
+// and like Get's they are the caller's.
 func (c *Client) MultiGet(keys []wire.GetKey) ([]wire.MultiGetValue, error) {
 	out := make([]wire.MultiGetValue, len(keys))
 	if len(keys) == 0 {
@@ -793,7 +796,9 @@ func (c *Client) MultiGet(keys []wire.GetKey) ([]wire.MultiGetValue, error) {
 }
 
 // Scan reads a clustering range of a partition, failing over across
-// replicas like Get.
+// replicas like Get. The cells' keys and values alias one response
+// frame and are the caller's; each is capped, so appending to one never
+// writes into the next.
 func (c *Client) Scan(pk string, from, to []byte) ([]row.Cell, error) {
 	resp, _, err := routedRead(c, pk,
 		func(epoch uint64) wire.Message { return &wire.ScanRequest{PK: pk, From: from, To: to, Epoch: epoch} },

@@ -40,6 +40,11 @@ type Conn interface {
 	Queue(Frame) error
 	// Flush pushes queued frames to the peer.
 	Flush() error
+	// Recv returns the next frame. Its payload belongs to the receiver
+	// and to whatever is decoded from it (wire.Codec): TCP reads each
+	// frame into a buffer of its own, and the in-process pipe hands over
+	// the sender's buffer itself — which is why nobody writes into a
+	// payload after passing it to Send or Queue.
 	Recv() (Frame, error)
 	// Ready reports whether a whole frame is buffered, so that the next
 	// Recv cannot block.
@@ -178,8 +183,8 @@ func (t *tcpConn) Recv() (Frame, error) {
 		return Frame{}, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
 	t.r.Discard(frameHeader)
-	// Every frame gets a payload buffer of its own: codecs decode views
-	// into it and handlers may return it as their response.
+	// Every frame gets a payload buffer of its own, never reused: codecs
+	// decode views into it and handlers may return it as their response.
 	payload := make([]byte, min(int(n), connBuf))
 	for got := 0; ; {
 		m, err := io.ReadFull(t.r, payload[got:])

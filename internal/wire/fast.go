@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"scalekv/internal/enc"
 	"scalekv/internal/row"
@@ -11,22 +12,54 @@ import (
 // FastCodec is the Kryo analogue: registered numeric type IDs and
 // hand-written binary encodings. Frame layout: uvarint typeID, then the
 // type's compact field encoding in declaration order, no names, no tags.
+//
+// Neither end copies more than it must. Marshal builds the frame in a
+// pooled scratch buffer and returns one allocation of exactly its
+// length. Unmarshal copies no []byte field: each is a view into the
+// frame, capped at its own last byte so that an append reallocates
+// instead of overwriting the next field, and a zero-length field
+// decodes as nil. The frame therefore belongs to the decoded message
+// (see Codec).
 type FastCodec struct{}
 
 // Name implements Codec.
 func (FastCodec) Name() string { return "fast" }
 
-// ErrTruncated reports a frame shorter than its encoding requires.
+// ErrTruncated reports a frame shorter than its encoding requires,
+// including one whose element count promises more elements than its
+// remaining bytes can hold.
 var ErrTruncated = errors.New("wire: truncated frame")
+
+// scratchPool holds Marshal's build buffers. A buffer that grew past
+// maxPooledScratch (a large stream page) is left to the collector rather
+// than pinned for every later small message.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledScratch = 1 << 20
 
 // Marshal implements Codec.
 func (FastCodec) Marshal(m Message) ([]byte, error) {
-	out := enc.AppendUvarint(nil, uint64(m.TypeID()))
+	sp := scratchPool.Get().(*[]byte)
+	out, err := appendMessage(enc.AppendUvarint((*sp)[:0], uint64(m.TypeID())), m)
+	var frame []byte
+	if err == nil {
+		frame = make([]byte, len(out))
+		copy(frame, out)
+	}
+	if cap(out) <= maxPooledScratch {
+		*sp = out[:0]
+		scratchPool.Put(sp)
+	}
+	return frame, err
+}
+
+// appendMessage appends m's fields to out, which holds its type ID.
+func appendMessage(out []byte, m Message) ([]byte, error) {
 	switch v := m.(type) {
 	case *CountRequest:
 		out = enc.AppendUvarint(out, v.QueryID)
 		out = enc.AppendUvarint(out, uint64(v.Seq))
-		out = enc.AppendBytes(out, []byte(v.PK))
+		out = appendString(out, v.PK)
 		out = enc.AppendUvarint(out, uint64(v.TraceSendNanos))
 		out = enc.AppendUvarint(out, v.Epoch)
 	case *CountResponse:
@@ -39,40 +72,36 @@ func (FastCodec) Marshal(m Message) ([]byte, error) {
 			out = append(out, ty)
 			out = enc.AppendUvarint(out, n)
 		}
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 		out = enc.AppendUvarint(out, uint64(v.RecvNanos))
 		out = enc.AppendUvarint(out, uint64(v.QueueNanos))
 		out = enc.AppendUvarint(out, uint64(v.DBNanos))
 	case *PutRequest:
-		out = enc.AppendBytes(out, []byte(v.PK))
+		out = appendString(out, v.PK)
 		out = enc.AppendBytes(out, v.CK)
 		out = enc.AppendBytes(out, v.Value)
 		out = enc.AppendUvarint(out, v.Epoch)
 	case *PutResponse:
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *GetRequest:
-		out = enc.AppendBytes(out, []byte(v.PK))
+		out = appendString(out, v.PK)
 		out = enc.AppendBytes(out, v.CK)
 		out = enc.AppendUvarint(out, v.Epoch)
 	case *GetResponse:
 		out = enc.AppendBytes(out, v.Value)
-		if v.Found {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
-		}
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendBool(out, v.Found)
+		out = appendString(out, v.ErrMsg)
 		out = enc.AppendUvarint(out, v.VerSeq)
 		out = enc.AppendUvarint(out, uint64(v.VerNode))
 		out = appendBool(out, v.Tombstone)
 	case *DeleteRequest:
-		out = enc.AppendBytes(out, []byte(v.PK))
+		out = appendString(out, v.PK)
 		out = enc.AppendBytes(out, v.CK)
 		out = enc.AppendUvarint(out, v.Epoch)
 	case *DeleteResponse:
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *ScanRequest:
-		out = enc.AppendBytes(out, []byte(v.PK))
+		out = appendString(out, v.PK)
 		out = appendOptBytes(out, v.From)
 		out = appendOptBytes(out, v.To)
 		out = enc.AppendUvarint(out, v.Epoch)
@@ -83,7 +112,7 @@ func (FastCodec) Marshal(m Message) ([]byte, error) {
 			out = enc.AppendBytes(out, c.Value)
 			out = appendVersion(out, c.Ver, c.Tombstone)
 		}
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *BatchPutRequest:
 		out = enc.AppendUvarint(out, uint64(len(v.Entries)))
 		for _, e := range v.Entries {
@@ -92,11 +121,11 @@ func (FastCodec) Marshal(m Message) ([]byte, error) {
 		out = enc.AppendUvarint(out, v.Epoch)
 	case *BatchPutResponse:
 		out = enc.AppendUvarint(out, v.Applied)
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *MultiGetRequest:
 		out = enc.AppendUvarint(out, uint64(len(v.Keys)))
 		for _, k := range v.Keys {
-			out = enc.AppendBytes(out, []byte(k.PK))
+			out = appendString(out, k.PK)
 			out = enc.AppendBytes(out, k.CK)
 		}
 		out = enc.AppendUvarint(out, v.Epoch)
@@ -104,13 +133,9 @@ func (FastCodec) Marshal(m Message) ([]byte, error) {
 		out = enc.AppendUvarint(out, uint64(len(v.Values)))
 		for _, val := range v.Values {
 			out = enc.AppendBytes(out, val.Value)
-			if val.Found {
-				out = append(out, 1)
-			} else {
-				out = append(out, 0)
-			}
+			out = appendBool(out, val.Found)
 		}
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *RingStateRequest:
 		// No fields.
 	case *RingStateResponse:
@@ -118,12 +143,12 @@ func (FastCodec) Marshal(m Message) ([]byte, error) {
 		out = enc.AppendUvarint(out, uint64(v.Vnodes))
 		out = enc.AppendUvarint(out, uint64(v.RF))
 		out = appendNodeAddrs(out, v.Nodes)
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *StreamRangeRequest:
 		out = enc.AppendUvarint(out, uint64(v.Lo))
 		out = enc.AppendUvarint(out, uint64(v.Hi))
 		out = enc.AppendUvarint(out, uint64(v.AfterToken))
-		out = enc.AppendBytes(out, []byte(v.AfterPK))
+		out = appendString(out, v.AfterPK)
 		out = enc.AppendUvarint(out, uint64(v.MaxCells))
 	case *StreamRangeResponse:
 		out = enc.AppendUvarint(out, uint64(len(v.Entries)))
@@ -131,15 +156,15 @@ func (FastCodec) Marshal(m Message) ([]byte, error) {
 			out = appendEntry(out, e)
 		}
 		out = enc.AppendUvarint(out, uint64(v.NextToken))
-		out = enc.AppendBytes(out, []byte(v.NextPK))
+		out = appendString(out, v.NextPK)
 		out = appendBool(out, v.More)
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *DeleteRangeRequest:
 		out = enc.AppendUvarint(out, uint64(v.Lo))
 		out = enc.AppendUvarint(out, uint64(v.Hi))
 	case *DeleteRangeResponse:
 		out = enc.AppendUvarint(out, v.Removed)
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *DigestRequest:
 		out = enc.AppendUvarint(out, uint64(v.Lo))
 		out = enc.AppendUvarint(out, uint64(v.Hi))
@@ -150,7 +175,7 @@ func (FastCodec) Marshal(m Message) ([]byte, error) {
 			out = enc.AppendUvarint(out, l.Hash)
 			out = enc.AppendUvarint(out, l.Cells)
 		}
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *NodeStatsRequest:
 		// No fields.
 	case *NodeStatsResponse:
@@ -189,10 +214,10 @@ func (FastCodec) Marshal(m Message) ([]byte, error) {
 		}
 		out = enc.AppendUvarint(out, v.DialCount)
 		out = enc.AppendUvarint(out, v.RedialCount)
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *JoinRequest:
 		out = enc.AppendUvarint(out, uint64(v.ID))
-		out = enc.AppendBytes(out, []byte(v.Addr))
+		out = appendString(out, v.Addr)
 	case *JoinResponse:
 		out = enc.AppendUvarint(out, v.Epoch)
 		out = enc.AppendUvarint(out, uint64(v.Moves))
@@ -201,8 +226,8 @@ func (FastCodec) Marshal(m Message) ([]byte, error) {
 		out = enc.AppendUvarint(out, uint64(v.Pages))
 		out = enc.AppendUvarint(out, v.StreamNanos)
 		out = enc.AppendUvarint(out, v.FlipNanos)
-		out = enc.AppendBytes(out, []byte(v.RetireErr))
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.RetireErr)
+		out = appendString(out, v.ErrMsg)
 	case *BeginMigrationRequest:
 		out = enc.AppendUvarint(out, uint64(len(v.Moves)))
 		for _, mv := range v.Moves {
@@ -213,33 +238,38 @@ func (FastCodec) Marshal(m Message) ([]byte, error) {
 		}
 		out = appendNodeAddrs(out, v.Nodes)
 	case *BeginMigrationResponse:
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *EndMigrationRequest:
 		// No fields.
 	case *EndMigrationResponse:
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *SetRingStateRequest:
 		out = enc.AppendUvarint(out, v.Epoch)
 		out = enc.AppendUvarint(out, uint64(v.Vnodes))
 		out = enc.AppendUvarint(out, uint64(v.RF))
 		out = appendNodeAddrs(out, v.Nodes)
 	case *SetRingStateResponse:
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *PingRequest:
 		out = enc.AppendUvarint(out, uint64(v.FromID))
 		out = enc.AppendUvarint(out, v.Epoch)
 	case *PingResponse:
 		out = enc.AppendUvarint(out, uint64(v.ID))
 		out = enc.AppendUvarint(out, v.Epoch)
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	case *LeaveRequest:
 		out = enc.AppendUvarint(out, uint64(v.ID))
 	case *LeaveResponse:
-		out = enc.AppendBytes(out, []byte(v.ErrMsg))
+		out = appendString(out, v.ErrMsg)
 	default:
-		return nil, fmt.Errorf("wire: fast codec cannot marshal %T", m)
+		return out, fmt.Errorf("wire: fast codec cannot marshal %T", m)
 	}
 	return out, nil
+}
+
+// appendString is enc.AppendBytes for a string, without converting it.
+func appendString(out []byte, s string) []byte {
+	return append(enc.AppendUvarint(out, uint64(len(s))), s...)
 }
 
 // appendBool encodes a bool as one byte.
@@ -266,7 +296,7 @@ func appendVersion(out []byte, ver row.Version, tombstone bool) []byte {
 
 // appendEntry encodes one row.Entry: pk, ck, value, version, flags.
 func appendEntry(out []byte, e row.Entry) []byte {
-	out = enc.AppendBytes(out, []byte(e.PK))
+	out = appendString(out, e.PK)
 	out = enc.AppendBytes(out, e.CK)
 	out = enc.AppendBytes(out, e.Value)
 	return appendVersion(out, e.Ver, e.Tombstone)
@@ -277,12 +307,15 @@ func appendNodeAddrs(out []byte, nodes []NodeAddr) []byte {
 	out = enc.AppendUvarint(out, uint64(len(nodes)))
 	for _, n := range nodes {
 		out = enc.AppendUvarint(out, uint64(n.ID))
-		out = enc.AppendBytes(out, []byte(n.Addr))
+		out = appendString(out, n.Addr)
 	}
 	return out
 }
 
-// Unmarshal implements Codec.
+// Unmarshal implements Codec. Every count is bounded by the bytes left
+// before anything is sized from it (decoder.count), so an element count
+// off the wire can neither panic nor commit memory the frame does not
+// back.
 func (FastCodec) Unmarshal(data []byte) (Message, error) {
 	id, n := enc.Uvarint(data)
 	if n <= 0 {
@@ -292,7 +325,7 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{buf: data[n:]}
+	d := decoder{buf: data[n:]}
 	switch v := m.(type) {
 	case *CountRequest:
 		v.QueryID = d.uvarint()
@@ -305,10 +338,9 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.Seq = uint32(d.uvarint())
 		v.NodeID = uint32(d.uvarint())
 		v.Elements = d.uvarint()
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Counts = make(map[uint8]uint64, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
+		if cnt := d.count(2); cnt > 0 { // type, count
+			v.Counts = make(map[uint8]uint64, min(cnt, 256))
+			for range cnt {
 				ty := d.byte()
 				v.Counts[ty] = d.uvarint()
 			}
@@ -319,17 +351,17 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.DBNanos = int64(d.uvarint())
 	case *PutRequest:
 		v.PK = string(d.bytes())
-		v.CK = d.copyBytes()
-		v.Value = d.copyBytes()
+		v.CK = d.bytes()
+		v.Value = d.bytes()
 		v.Epoch = d.uvarint()
 	case *PutResponse:
 		v.ErrMsg = string(d.bytes())
 	case *GetRequest:
 		v.PK = string(d.bytes())
-		v.CK = d.copyBytes()
+		v.CK = d.bytes()
 		v.Epoch = d.uvarint()
 	case *GetResponse:
-		v.Value = d.copyBytes()
+		v.Value = d.bytes()
 		v.Found = d.byte() == 1
 		v.ErrMsg = string(d.bytes())
 		v.VerSeq = d.uvarint()
@@ -337,7 +369,7 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.Tombstone = d.byte() == 1
 	case *DeleteRequest:
 		v.PK = string(d.bytes())
-		v.CK = d.copyBytes()
+		v.CK = d.bytes()
 		v.Epoch = d.uvarint()
 	case *DeleteResponse:
 		v.ErrMsg = string(d.bytes())
@@ -347,43 +379,34 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.To = d.optBytes()
 		v.Epoch = d.uvarint()
 	case *ScanResponse:
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Cells = make([]row.Cell, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				c := row.Cell{CK: d.copyBytes(), Value: d.copyBytes()}
+		if cnt := d.count(5); cnt > 0 { // ck, value, seq, node, flags
+			v.Cells = make([]row.Cell, cnt)
+			for i := range v.Cells {
+				c := &v.Cells[i]
+				c.CK, c.Value = d.bytes(), d.bytes()
 				c.Ver, c.Tombstone = d.version()
-				v.Cells = append(v.Cells, c)
 			}
 		}
 		v.ErrMsg = string(d.bytes())
 	case *BatchPutRequest:
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Entries = make([]row.Entry, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Entries = append(v.Entries, d.entry())
-			}
-		}
+		v.Entries = d.entries()
 		v.Epoch = d.uvarint()
 	case *BatchPutResponse:
 		v.Applied = d.uvarint()
 		v.ErrMsg = string(d.bytes())
 	case *MultiGetRequest:
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Keys = make([]GetKey, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Keys = append(v.Keys, GetKey{PK: string(d.bytes()), CK: d.copyBytes()})
+		if cnt := d.count(2); cnt > 0 { // pk, ck
+			v.Keys = make([]GetKey, cnt)
+			for i := range v.Keys {
+				v.Keys[i] = GetKey{PK: string(d.bytes()), CK: d.bytes()}
 			}
 		}
 		v.Epoch = d.uvarint()
 	case *MultiGetResponse:
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Values = make([]MultiGetValue, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Values = append(v.Values, MultiGetValue{Value: d.copyBytes(), Found: d.byte() == 1})
+		if cnt := d.count(2); cnt > 0 { // value, found
+			v.Values = make([]MultiGetValue, cnt)
+			for i := range v.Values {
+				v.Values[i] = MultiGetValue{Value: d.bytes(), Found: d.byte() == 1}
 			}
 		}
 		v.ErrMsg = string(d.bytes())
@@ -402,13 +425,7 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.AfterPK = string(d.bytes())
 		v.MaxCells = uint32(d.uvarint())
 	case *StreamRangeResponse:
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Entries = make([]row.Entry, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Entries = append(v.Entries, d.entry())
-			}
-		}
+		v.Entries = d.entries()
 		v.NextToken = int64(d.uvarint())
 		v.NextPK = string(d.bytes())
 		v.More = d.byte() == 1
@@ -424,11 +441,10 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.Hi = int64(d.uvarint())
 		v.Depth = uint32(d.uvarint())
 	case *DigestResponse:
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Leaves = make([]DigestLeaf, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Leaves = append(v.Leaves, DigestLeaf{Hash: d.uvarint(), Cells: d.uvarint()})
+		if cnt := d.count(2); cnt > 0 { // hash, cells
+			v.Leaves = make([]DigestLeaf, cnt)
+			for i := range v.Leaves {
+				v.Leaves[i] = DigestLeaf{Hash: d.uvarint(), Cells: d.uvarint()}
 			}
 		}
 		v.ErrMsg = string(d.bytes())
@@ -436,15 +452,14 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		// No fields.
 	case *NodeStatsResponse:
 		v.Epoch = d.uvarint()
-		cnt := d.uvarint()
-		if cnt > 0 {
-			v.Shards = make([]ShardStat, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Shards = append(v.Shards, ShardStat{
+		if cnt := d.count(3); cnt > 0 { // memtable bytes, frozen, tables
+			v.Shards = make([]ShardStat, cnt)
+			for i := range v.Shards {
+				v.Shards[i] = ShardStat{
 					MemtableBytes:   d.uvarint(),
 					FrozenMemtables: uint32(d.uvarint()),
 					SSTables:        uint32(d.uvarint()),
-				})
+				}
 			}
 		}
 		v.FlushedBytes = d.uvarint()
@@ -452,16 +467,16 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.CompactionCount = d.uvarint()
 		v.CompactionBytesIn = d.uvarint()
 		v.CompactionBytesOut = d.uvarint()
-		if cnt := d.uvarint(); cnt > 0 {
-			v.LevelTables = make([]uint32, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.LevelTables = append(v.LevelTables, uint32(d.uvarint()))
+		if cnt := d.count(1); cnt > 0 {
+			v.LevelTables = make([]uint32, cnt)
+			for i := range v.LevelTables {
+				v.LevelTables[i] = uint32(d.uvarint())
 			}
 		}
-		if cnt := d.uvarint(); cnt > 0 {
-			v.LevelBytes = make([]uint64, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.LevelBytes = append(v.LevelBytes, d.uvarint())
+		if cnt := d.count(1); cnt > 0 {
+			v.LevelBytes = make([]uint64, cnt)
+			for i := range v.LevelBytes {
+				v.LevelBytes[i] = d.uvarint()
 			}
 		}
 		v.CacheHits = d.uvarint()
@@ -470,15 +485,15 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.CacheBytes = d.uvarint()
 		v.BlockBytesLogical = d.uvarint()
 		v.BlockBytesStored = d.uvarint()
-		if cnt := d.uvarint(); cnt > 0 {
-			v.Peers = make([]PeerStat, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Peers = append(v.Peers, PeerStat{
+		if cnt := d.count(4); cnt > 0 { // id, up, suspicion, since
+			v.Peers = make([]PeerStat, cnt)
+			for i := range v.Peers {
+				v.Peers[i] = PeerStat{
 					ID:          uint32(d.uvarint()),
 					Up:          d.byte() == 1,
 					Suspicion:   uint32(d.uvarint()),
 					SinceMillis: d.uvarint(),
-				})
+				}
 			}
 		}
 		v.DialCount = d.uvarint()
@@ -498,15 +513,15 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 		v.RetireErr = string(d.bytes())
 		v.ErrMsg = string(d.bytes())
 	case *BeginMigrationRequest:
-		if cnt := d.uvarint(); cnt > 0 {
-			v.Moves = make([]Move, 0, cnt)
-			for i := uint64(0); i < cnt && d.err == nil; i++ {
-				v.Moves = append(v.Moves, Move{
+		if cnt := d.count(4); cnt > 0 { // lo, hi, from, to
+			v.Moves = make([]Move, cnt)
+			for i := range v.Moves {
+				v.Moves[i] = Move{
 					Lo:   int64(d.uvarint()),
 					Hi:   int64(d.uvarint()),
 					From: uint32(d.uvarint()),
 					To:   uint32(d.uvarint()),
-				})
+				}
 			}
 		}
 		v.Nodes = d.nodeAddrs()
@@ -556,7 +571,8 @@ func appendOptBytes(out, b []byte) []byte {
 	return enc.AppendBytes(out, b)
 }
 
-// decoder is a cursor over a frame with sticky error handling.
+// decoder is a cursor over a frame with sticky error handling. It lives
+// on Unmarshal's stack: nothing it decodes is copied into it.
 type decoder struct {
 	buf []byte
 	err error
@@ -588,7 +604,9 @@ func (d *decoder) byte() uint8 {
 	return b
 }
 
-// bytes returns a view into the frame; valid until the frame is reused.
+// bytes returns a length-prefixed field as a view into the frame, with
+// its capacity ending at its own last byte (row.carve's rule), or nil
+// when the field is empty.
 func (d *decoder) bytes() []byte {
 	if d.err != nil {
 		return nil
@@ -599,23 +617,29 @@ func (d *decoder) bytes() []byte {
 		return nil
 	}
 	d.buf = d.buf[n:]
-	return b
-}
-
-// copyBytes returns an owned copy, for fields that outlive the frame.
-func (d *decoder) copyBytes() []byte {
-	b := d.bytes()
-	if b == nil {
+	if len(b) == 0 {
 		return nil
 	}
-	return append([]byte(nil), b...)
+	return b[:len(b):len(b)]
 }
 
 func (d *decoder) optBytes() []byte {
 	if d.byte() == 0 {
 		return nil
 	}
-	return d.copyBytes()
+	return d.bytes()
+}
+
+// count reads an element count whose elements take at least minSize
+// bytes each on the wire. A count the rest of the frame cannot hold is
+// a truncated frame — caught here, before a slice is sized from it.
+func (d *decoder) count(minSize int) int {
+	cnt := d.uvarint()
+	if cnt > uint64(len(d.buf)/minSize) {
+		d.err = ErrTruncated
+		return 0
+	}
+	return int(cnt)
 }
 
 // version decodes a cell version plus flags written by appendVersion.
@@ -625,22 +649,31 @@ func (d *decoder) version() (row.Version, bool) {
 	return row.Version{Seq: seq, Node: node}, d.byte()&entryFlagTombstone != 0
 }
 
-// entry decodes one row.Entry written by appendEntry.
-func (d *decoder) entry() row.Entry {
-	e := row.Entry{PK: string(d.bytes()), CK: d.copyBytes(), Value: d.copyBytes()}
-	e.Ver, e.Tombstone = d.version()
-	return e
+// entries decodes a count-prefixed run of row.Entry written by
+// appendEntry.
+func (d *decoder) entries() []row.Entry {
+	cnt := d.count(6) // pk, ck, value, seq, node, flags
+	if cnt == 0 {
+		return nil
+	}
+	out := make([]row.Entry, cnt)
+	for i := range out {
+		e := &out[i]
+		e.PK, e.CK, e.Value = string(d.bytes()), d.bytes(), d.bytes()
+		e.Ver, e.Tombstone = d.version()
+	}
+	return out
 }
 
 // nodeAddrs decodes an address book written by appendNodeAddrs.
 func (d *decoder) nodeAddrs() []NodeAddr {
-	cnt := d.uvarint()
+	cnt := d.count(2) // id, addr
 	if cnt == 0 {
 		return nil
 	}
-	nodes := make([]NodeAddr, 0, cnt)
-	for i := uint64(0); i < cnt && d.err == nil; i++ {
-		nodes = append(nodes, NodeAddr{ID: uint32(d.uvarint()), Addr: string(d.bytes())})
+	nodes := make([]NodeAddr, cnt)
+	for i := range nodes {
+		nodes[i] = NodeAddr{ID: uint32(d.uvarint()), Addr: string(d.bytes())}
 	}
 	return nodes
 }

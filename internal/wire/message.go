@@ -627,6 +627,25 @@ func (*NodeStatsResponse) TypeID() uint16 { return TypeNodeStatsResponse }
 
 // Codec turns messages into bytes and back. Implementations must be safe
 // for concurrent use.
+//
+// Ownership: a frame belongs to the message decoded from it, and nobody
+// writes into a frame after sending it. Unmarshal may return []byte
+// fields that are views into data (FastCodec does; SlowCodec copies), so
+// data must stay unmodified for as long as the message is used — and on
+// the in-process transport the receiver decodes the sender's own
+// buffer, one buffer per replicated write. Marshal returns a buffer the
+// caller owns. Where each decoded field's ownership ends:
+//
+//   - Requests at a node (Put/Delete/BatchPut entries, Get and MultiGet
+//     keys, Scan bounds): inside the handler. Engine lookups only read
+//     them; a write is copied by the memtable (EncodeInternalKey,
+//     encodeValue) and the WAL append; a dual-write forward re-marshals.
+//   - Stream pages at a coordinator: re-marshalled into the target's
+//     BatchPut before the next page is fetched.
+//   - Results at a client (Get values, Scan cells, MultiGet values,
+//     repair's streamed entries): they keep their response frame alive
+//     for as long as they are held, and are the caller's to modify —
+//     nothing else refers to that frame.
 type Codec interface {
 	Name() string
 	Marshal(Message) ([]byte, error)
