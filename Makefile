@@ -19,7 +19,7 @@ build:
 # own.
 test:
 	go test -race -shuffle=on ./...
-	go test -run 'ZeroAlloc|Allocs' ./internal/storage ./internal/sstable ./internal/wire
+	go test -run 'ZeroAlloc|Allocs' ./internal/memtable ./internal/storage ./internal/sstable ./internal/wire
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -race -shuffle=on -count=5 ./internal/transport ./internal/cluster || exit 1; \
 	done
@@ -48,9 +48,14 @@ deploy-smoke:
 # itself. On disk: the block codec (decode must never panic on arbitrary
 # bytes, encode→decode must round-trip), the block cursor's restart-point
 # seek (arbitrary payload and target never panic or read out of bounds,
-# and on writer-built blocks seek agrees with a linear decode) and the
-# WAL record reader (arbitrary bytes after a segment's intact records
-# are a torn tail: no panic, no error, no allocation beyond the file).
+# and on writer-built blocks seek agrees with a linear decode), the
+# table meta (a fuzzed block index, partition directory, bloom section
+# and partition count behind re-sealed CRCs never panic, allocate beyond
+# a small multiple of the file or fail with anything but ErrCorrupt or
+# ErrNotFound, and each partition's derived first block is the one a
+# whole-index search finds) and the WAL record reader (arbitrary bytes
+# after a segment's intact records are a torn tail: no panic, no error,
+# no allocation beyond the file).
 # On the socket: the TCP frame reader (arbitrary bytes in arbitrary
 # segments yield exactly the whole frames in them, memory follows the
 # bytes received, and valid frame sequences round-trip however the
@@ -61,6 +66,7 @@ deploy-smoke:
 fuzz-smoke:
 	go test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/sstable/
 	go test -run=NONE -fuzz=FuzzBlockSeek -fuzztime=10s ./internal/sstable/
+	go test -run=NONE -fuzz=FuzzTableMeta -fuzztime=10s ./internal/sstable/
 	go test -run=NONE -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/storage/
 	go test -run=NONE -fuzz=FuzzFrameStream -fuzztime=10s ./internal/transport/
 	go test -run=NONE -fuzz=FuzzFastCodec -fuzztime=10s ./internal/wire/

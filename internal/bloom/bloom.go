@@ -26,15 +26,18 @@ type Filter struct {
 	n    uint64 // keys added
 }
 
+// maxProbes caps k. Past it a filter gains nothing (the optimum for a
+// one-in-a-billion false-positive rate is 30), and a serialized filter
+// read off disk cannot make every lookup loop billions of times.
+const maxProbes = 32
+
 // New creates a filter with m bits (rounded up to a multiple of 64) and k
-// probes. m and k are clamped to at least 64 and 1.
+// probes. m is clamped to at least 64, k to [1, 32].
 func New(m uint64, k uint32) *Filter {
 	if m < 64 {
 		m = 64
 	}
-	if k < 1 {
-		k = 1
-	}
+	k = min(max(k, 1), maxProbes)
 	words := (m + 63) / 64
 	return &Filter{bits: make([]uint64, words), m: words * 64, k: k}
 }
@@ -117,7 +120,10 @@ func (f *Filter) Marshal() []byte {
 // ErrCorrupt reports a malformed serialized filter.
 var ErrCorrupt = errors.New("bloom: corrupt serialized filter")
 
-// Unmarshal reconstructs a filter serialized by Marshal.
+// Unmarshal reconstructs a filter serialized by Marshal. It refuses
+// what New cannot build — no bits, no probes, more than 32 probes — so a
+// damaged filter is an error here rather than a division by zero or a
+// four-billion-probe loop in MayContain.
 func Unmarshal(data []byte) (*Filter, error) {
 	if len(data) < 20 {
 		return nil, ErrCorrupt
@@ -126,7 +132,7 @@ func Unmarshal(data []byte) (*Filter, error) {
 	k := binary.LittleEndian.Uint32(data[8:])
 	n := binary.LittleEndian.Uint64(data[12:])
 	words := int(m / 64)
-	if m%64 != 0 || k == 0 || len(data) != 20+words*8 {
+	if m == 0 || m%64 != 0 || k == 0 || k > maxProbes || len(data) != 20+words*8 {
 		return nil, ErrCorrupt
 	}
 	f := &Filter{bits: make([]uint64, words), m: m, k: k, n: n}

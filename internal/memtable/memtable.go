@@ -21,17 +21,77 @@
 // newer one. Tombstones are stored like any other cell — a delete is a
 // versioned write that masks older copies in frozen memtables and
 // SSTables until compaction collects it.
+//
+// Every memtable carries a key filter over the internal keys and the
+// partition keys it holds (RocksDB's memtable bloom filter), so a read
+// of a key the memtable lacks — the common case once data has been
+// flushed — costs one hash and one atomic load instead of a walk down
+// the skip list.
 package memtable
 
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/maphash"
 	"sync"
+	"sync/atomic"
 
 	"scalekv/internal/enc"
 	"scalekv/internal/row"
 	"scalekv/internal/skiplist"
 )
+
+// keyFilter is a blocked bloom filter: a key sets four bits in one
+// 64-bit word, so a probe is one hash and one atomic load. The single
+// writer sets a key's bits before it links the key's cell, and cells are
+// never removed, so a reader that can see a cell can see its bits — no
+// false negatives, frozen or not.
+type keyFilter struct {
+	words []atomic.Uint64
+	mask  uint64 // len(words)-1, a power of two minus one
+}
+
+// filterSeed keys the filter hash. The filter never leaves the process,
+// so a per-process seed costs nothing and keeps its probes unpredictable.
+var filterSeed = maphash.MakeSeed()
+
+const (
+	// filterBytesPerBit sizes a filter from the flush threshold: one bit
+	// per 8 payload bytes, 64KB of filter for the default 4MB memtable.
+	filterBytesPerBit = 8
+	minFilterWords    = 64      // 512 bytes
+	maxFilterWords    = 1 << 17 // 1MB: a larger memtable saturates gracefully
+)
+
+func newKeyFilter(flushBytes int64) keyFilter {
+	words := minFilterWords
+	for words < maxFilterWords && int64(words)*64*filterBytesPerBit < flushBytes {
+		words *= 2
+	}
+	return keyFilter{words: make([]atomic.Uint64, words), mask: uint64(words - 1)}
+}
+
+// probe returns a hash's word and the four bits it sets there: the low
+// bits pick the word, four 6-bit fields of the high half pick the bits.
+func (f *keyFilter) probe(h uint64) (*atomic.Uint64, uint64) {
+	bits := uint64(1)<<(h>>32&63) | uint64(1)<<(h>>38&63) | uint64(1)<<(h>>44&63) | uint64(1)<<(h>>50&63)
+	return &f.words[h&f.mask], bits
+}
+
+// add sets a hash's bits. Writers are serialized (Put holds the
+// memtable's mutex), so a load and a store cannot lose another writer's
+// bits, and they cost less than an atomic read-modify-write.
+func (f *keyFilter) add(h uint64) {
+	w, bits := f.probe(h)
+	if old := w.Load(); old&bits != bits {
+		w.Store(old | bits)
+	}
+}
+
+func (f *keyFilter) mayContain(h uint64) bool {
+	w, bits := f.probe(h)
+	return w.Load()&bits == bits
+}
 
 // Stored value layout: fixed-width header (8-byte seq | 2-byte node |
 // flags), then the payload. The layout is private to this package and
@@ -71,7 +131,8 @@ func decodeValue(stored []byte) (ver row.Version, tombstone bool, value []byte) 
 // Memtable is a sorted map from (partition key, clustering key) to a
 // versioned cell: single writer, lock-free readers.
 type Memtable struct {
-	list *skiplist.List
+	list   *skiplist.List
+	filter keyFilter
 
 	// mu guards the writer-side bookkeeping below. Writers are already
 	// externally serialized; the mutex exists for direct users of the
@@ -86,12 +147,17 @@ type Memtable struct {
 	// merge) and minVer as the tombstone GC watermark input.
 	minVer, maxVer row.Version
 	hasVer         bool
+	// lastPK is the partition key of the previous Put, already in the
+	// filter: a batch of cells of one partition hashes it once.
+	lastPK    string
+	hasLastPK bool
 }
 
-// New creates an empty memtable; the seed drives skip-list tower heights
-// so tests are reproducible.
-func New(seed int64) *Memtable {
-	return &Memtable{list: skiplist.New(seed)}
+// New creates an empty memtable that will be frozen at about flushBytes
+// of payload, which sizes its key filter; the seed drives skip-list
+// tower heights so tests are reproducible.
+func New(seed, flushBytes int64) *Memtable {
+	return &Memtable{list: skiplist.New(seed), filter: newKeyFilter(flushBytes)}
 }
 
 // Put stores a cell under (pk, ck) if its version is not older than the
@@ -110,6 +176,12 @@ func (m *Memtable) Put(pk string, ck, value []byte, ver row.Version, tombstone b
 	if m.frozen {
 		m.mu.Unlock()
 		panic("memtable: Put on frozen memtable")
+	}
+	// The filter learns the keys before the skip list links the cell.
+	m.filter.add(maphash.Bytes(filterSeed, ik))
+	if !m.hasLastPK || pk != m.lastPK {
+		m.filter.add(maphash.String(filterSeed, pk))
+		m.lastPK, m.hasLastPK = pk, true
 	}
 	if !m.hasVer {
 		m.minVer, m.maxVer, m.hasVer = ver, ver, true
@@ -139,10 +211,14 @@ func (m *Memtable) Put(pk string, ck, value []byte, ver row.Version, tombstone b
 // version to decide whether the tombstone wins. Lock-free and
 // allocation-free: the composite key is built once in a stack buffer
 // (keys longer than it fall back to the heap) so every skiplist probe
-// is one vectorized byte comparison.
+// is one vectorized byte comparison — and a key the filter rules out
+// never reaches the skip list at all.
 func (m *Memtable) Get(pk string, ck []byte) (value []byte, ver row.Version, tombstone, ok bool) {
 	var buf [128]byte
 	ik := enc.AppendInternalKey(buf[:0], pk, ck)
+	if !m.filter.mayContain(maphash.Bytes(filterSeed, ik)) {
+		return nil, row.Version{}, false, false
+	}
 	stored, ok := m.list.Get(ik)
 	if !ok {
 		return nil, row.Version{}, false, false
@@ -197,11 +273,17 @@ type Cursor struct {
 // Slice points c before the first cell of pk with from <= CK < to; nil
 // bounds mean unbounded. Lock-free, like every memtable read: a cursor
 // racing the writer sees each concurrently inserted cell either fully
-// or not at all.
-func (m *Memtable) Slice(c *Cursor, pk string, from, to []byte) {
+// or not at all. It reports false when the filter rules the partition
+// out; the cursor is then empty and the skip list was not touched.
+func (m *Memtable) Slice(c *Cursor, pk string, from, to []byte) bool {
+	c.started = false
+	if !m.filter.mayContain(maphash.String(filterSeed, pk)) {
+		c.it = skiplist.Iterator{}
+		return false
+	}
 	c.bounds.Set(pk, from, to)
 	c.it = m.list.Seek(c.bounds.Start())
-	c.started = false
+	return true
 }
 
 // Next steps to the following cell of the slice and reports whether

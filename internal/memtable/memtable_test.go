@@ -19,7 +19,7 @@ func put(m *Memtable, pk string, ck, value []byte) {
 }
 
 func TestPutGet(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	put(m, "p1", []byte("c1"), []byte("v1"))
 	put(m, "p1", []byte("c2"), []byte("v2"))
 	put(m, "p2", []byte("c1"), []byte("v3"))
@@ -36,7 +36,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestLastWriteWinsByVersion(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	m.Put("p", []byte("c"), []byte("new"), row.Version{Seq: 10, Node: 2}, false)
 	// A stale copy arriving later must not clobber the newer cell.
 	m.Put("p", []byte("c"), []byte("old"), row.Version{Seq: 5, Node: 7}, false)
@@ -60,7 +60,7 @@ func TestLastWriteWinsByVersion(t *testing.T) {
 }
 
 func TestTombstoneStoredAndVersioned(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	m.Put("p", []byte("c"), []byte("v"), row.Version{Seq: 1}, false)
 	m.Put("p", []byte("c"), nil, row.Version{Seq: 2}, true)
 	_, ver, tomb, ok := m.Get("p", []byte("c"))
@@ -80,7 +80,7 @@ func TestTombstoneStoredAndVersioned(t *testing.T) {
 }
 
 func TestMinMaxVersionTracked(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	if _, ok := m.MinVersion(); ok {
 		t.Fatal("empty memtable reports a min version")
 	}
@@ -96,7 +96,7 @@ func TestMinMaxVersionTracked(t *testing.T) {
 }
 
 func TestValueIsCopied(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	buf := []byte("original")
 	put(m, "p", []byte("c"), buf)
 	copy(buf, "CLOBBER!")
@@ -107,7 +107,7 @@ func TestValueIsCopied(t *testing.T) {
 }
 
 func TestScanPartitionIsolation(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	// Partition keys chosen so one is a prefix of another.
 	for i := 0; i < 5; i++ {
 		put(m, "a", []byte{byte(i)}, []byte("va"))
@@ -125,7 +125,7 @@ func TestScanPartitionIsolation(t *testing.T) {
 }
 
 func TestScanPartitionRange(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	for i := 0; i < 10; i++ {
 		put(m, "p", []byte{byte(i)}, []byte{byte(i)})
 	}
@@ -139,7 +139,7 @@ func TestScanPartitionRange(t *testing.T) {
 }
 
 func TestScanOrdering(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	for i := 9; i >= 0; i-- { // insert in reverse
 		put(m, "p", []byte{byte(i)}, nil)
 	}
@@ -152,7 +152,7 @@ func TestScanOrdering(t *testing.T) {
 }
 
 func TestFreezeMakesImmutable(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	put(m, "p", []byte("c"), []byte("v"))
 	if m.Frozen() {
 		t.Fatal("fresh memtable reports frozen")
@@ -184,7 +184,7 @@ func mustPanic(t *testing.T, fn func()) {
 }
 
 func TestEachVisitsAllSorted(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	const n = 100
 	for i := 0; i < n; i++ {
 		put(m, fmt.Sprintf("p%02d", i%10), []byte{byte(i / 10)}, []byte{1})
@@ -215,7 +215,7 @@ func TestEachVisitsAllSorted(t *testing.T) {
 }
 
 func TestEachStopsOnError(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	for i := 0; i < 10; i++ {
 		put(m, "p", []byte{byte(i)}, nil)
 	}
@@ -234,7 +234,7 @@ func TestEachStopsOnError(t *testing.T) {
 }
 
 func TestPartitions(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	for _, pk := range []string{"z", "a", "m", "a", "z"} {
 		put(m, pk, []byte("c"), nil)
 	}
@@ -251,7 +251,7 @@ func TestPartitions(t *testing.T) {
 }
 
 func TestBytesTracksPayload(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	put(m, "p", []byte("ck"), []byte("value"))
 	if m.Bytes() <= 0 {
 		t.Fatal("bytes not tracked")
@@ -259,7 +259,7 @@ func TestBytesTracksPayload(t *testing.T) {
 }
 
 func TestConcurrentReadersOneWriter(t *testing.T) {
-	m := New(1)
+	m := New(1, 0)
 	for i := 0; i < 1000; i++ {
 		put(m, "warm", []byte(fmt.Sprintf("%04d", i)), []byte("v"))
 	}
@@ -291,7 +291,7 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 }
 
 func BenchmarkPut(b *testing.B) {
-	m := New(1)
+	m := New(1, 0)
 	cks := make([][]byte, b.N)
 	for i := range cks {
 		cks[i] = []byte(fmt.Sprintf("%09d", i))
@@ -303,7 +303,7 @@ func BenchmarkPut(b *testing.B) {
 }
 
 func BenchmarkScanPartition1000(b *testing.B) {
-	m := New(1)
+	m := New(1, 0)
 	for i := 0; i < 1000; i++ {
 		put(m, "bench", []byte(fmt.Sprintf("%09d", i)), make([]byte, 64))
 	}

@@ -12,18 +12,22 @@ import (
 // blocks on flash behind decompressed blocks in memory, the FlashMap
 // arrangement.
 //
-// Entries are keyed by (table ID, block offset). Table IDs are unique
-// per Reader attachment — never reused, even for a reopened file — so
-// invalidation is by table identity: when compaction retires a table,
-// its entries simply stop being requested and age out through normal
-// eviction. No epoch bookkeeping, no explicit purge.
+// A cached entry is found through a slot its Reader owns — one per data
+// block, allocated with the table's meta, plus one for the meta itself —
+// so a hit is one atomic load of that slot: no key, no map, no lock.
+// The cache holds the entries, charges their bytes and evicts them;
+// evicting an entry clears its slot. Table IDs are unique per Reader
+// attachment and only spread a table's entries across shards. When
+// compaction retires a table, its entries simply stop being requested
+// and age out through normal eviction: no epoch bookkeeping, no explicit
+// purge.
 //
-// The cache is sharded by key hash so a Get is one shard mutex, one map
-// probe and zero allocations — cheap enough to sit on the read path
-// without becoming the contention point "When More Cores Hurts" warns
-// about. Eviction is CLOCK (second chance): each shard sweeps a hand
-// over its entry ring, clearing reference bits until it finds a cold
-// entry, approximating LRU without any per-hit list manipulation.
+// Inserts and evictions take one shard mutex, so a burst of misses does
+// not serialize on one lock — the contention point "When More Cores
+// Hurts" warns about. Eviction is CLOCK (second chance): each shard
+// sweeps a hand over its entry ring, clearing reference bits until it
+// finds a cold entry, approximating LRU without any per-hit list
+// manipulation.
 type BlockCache struct {
 	shards   [cacheShardCount]blockCacheShard
 	perShard int64
@@ -36,35 +40,34 @@ type BlockCache struct {
 }
 
 // cacheShardCount spreads lock traffic; a power of two so the hash mix
-// below distributes keys with a shift-xor and a mask.
+// below distributes entries with a shift and a mask.
 const cacheShardCount = 32
 
-// metaOffset is the sentinel block offset under which a table's decoded
-// metadata is cached; real blocks can never sit at the file's last byte.
+// metaOffset is the sentinel block offset that places a table's meta
+// entry in a shard; real blocks can never sit at the file's last byte.
 const metaOffset = ^uint64(0)
 
 // cacheEntryOverhead approximates the bookkeeping bytes an entry costs
-// beyond its payload (map bucket, ring slot, entry struct), so tiny
-// blocks cannot blow the budget through sheer count.
+// beyond its payload (slot, ring slot, entry struct), so tiny blocks
+// cannot blow the budget through sheer count.
 const cacheEntryOverhead = 96
 
-type blockCacheKey struct {
-	table  uint64
-	offset uint64
-}
+// cacheSlot is where a Reader finds one cached entry; nil when the entry
+// is not cached. Only the cache stores into a slot, under the shard
+// mutex of the entry it holds.
+type cacheSlot = atomic.Pointer[cacheEntry]
 
-type blockCacheEntry struct {
-	key  blockCacheKey
+type cacheEntry struct {
+	slot *cacheSlot // the slot that points here while the entry is cached
 	data []byte     // decompressed block payload, nil for meta entries
 	meta *tableMeta // decoded table meta, nil for block entries
 	size int64      // charged bytes, overhead included
-	ref  bool       // CLOCK reference bit, touched under the shard mutex
+	ref  atomic.Bool
 }
 
 type blockCacheShard struct {
 	mu    sync.Mutex
-	items map[blockCacheKey]*blockCacheEntry
-	ring  []*blockCacheEntry // CLOCK ring, order irrelevant
+	ring  []*cacheEntry // CLOCK ring, order irrelevant
 	hand  int
 	bytes int64
 }
@@ -86,15 +89,11 @@ func NewBlockCache(capacity int64) *BlockCache {
 	if c.perShard < 1 {
 		c.perShard = 1
 	}
-	for i := range c.shards {
-		c.shards[i].items = make(map[blockCacheKey]*blockCacheEntry)
-	}
 	return c
 }
 
 // NewTableID issues a fresh, never-reused table identity. Readers take
-// one when a cache is attached; uniqueness is what makes retired tables'
-// entries unreachable garbage instead of aliasing hazards.
+// one when a cache is attached.
 func (c *BlockCache) NewTableID() uint64 { return c.ids.Add(1) }
 
 // Stats snapshots the cache counters.
@@ -107,51 +106,33 @@ func (c *BlockCache) Stats() CacheStats {
 	}
 }
 
-func (c *BlockCache) shard(k blockCacheKey) *blockCacheShard {
+func (c *BlockCache) shard(table, offset uint64) *blockCacheShard {
 	// Mix table and offset so consecutive blocks of one table spread
 	// across shards (fibonacci hashing on the xor).
-	h := (k.table ^ k.offset*0x9E3779B97F4A7C15) * 0x9E3779B97F4A7C15
+	h := (table ^ offset*0x9E3779B97F4A7C15) * 0x9E3779B97F4A7C15
 	return &c.shards[h>>58&(cacheShardCount-1)]
 }
 
-// getBlock returns a cached decompressed block payload.
-func (c *BlockCache) getBlock(table, offset uint64) ([]byte, bool) {
-	e, ok := c.get(blockCacheKey{table: table, offset: offset})
-	if !ok {
-		return nil, false
+// get returns the entry cached in slot, or nil, and counts the hit or
+// the miss. The reference bit is written only when it is clear, so a hot
+// entry's hits share its cache line without writing to it.
+func (c *BlockCache) get(slot *cacheSlot) *cacheEntry {
+	e := slot.Load()
+	if e == nil {
+		c.misses.Add(1)
+		return nil
 	}
-	return e.data, true
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
+	c.hits.Add(1)
+	return e
 }
 
-// getMeta returns a cached table meta.
-func (c *BlockCache) getMeta(table uint64) (*tableMeta, bool) {
-	e, ok := c.get(blockCacheKey{table: table, offset: metaOffset})
-	if !ok {
-		return nil, false
-	}
-	return e.meta, true
-}
-
-func (c *BlockCache) get(k blockCacheKey) (*blockCacheEntry, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	e, ok := s.items[k]
-	if ok {
-		e.ref = true
-	}
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		return e, true
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// putBlock caches a decompressed block payload.
-func (c *BlockCache) putBlock(table, offset uint64, payload []byte) {
-	c.put(&blockCacheEntry{
-		key:  blockCacheKey{table: table, offset: offset},
+// putBlock caches a decompressed block payload in slot; table and
+// offset pick the shard.
+func (c *BlockCache) putBlock(slot *cacheSlot, table, offset uint64, payload []byte) {
+	c.put(slot, table, offset, &cacheEntry{
 		data: payload,
 		size: int64(len(payload)) + cacheEntryOverhead,
 	})
@@ -159,23 +140,23 @@ func (c *BlockCache) putBlock(table, offset uint64, payload []byte) {
 
 // putMeta caches a table's decoded metadata under its charged size, so
 // open-table index memory lives inside the same budget as data blocks.
-func (c *BlockCache) putMeta(table uint64, m *tableMeta) {
-	c.put(&blockCacheEntry{
-		key:  blockCacheKey{table: table, offset: metaOffset},
+func (c *BlockCache) putMeta(slot *cacheSlot, table uint64, m *tableMeta) {
+	c.put(slot, table, metaOffset, &cacheEntry{
 		meta: m,
 		size: m.memSize() + cacheEntryOverhead,
 	})
 }
 
-func (c *BlockCache) put(e *blockCacheEntry) {
+func (c *BlockCache) put(slot *cacheSlot, table, offset uint64, e *cacheEntry) {
 	if e.size > c.perShard {
 		// Larger than a whole shard's budget: caching it would evict
 		// everything for one entry's benefit. Serve it uncached.
 		return
 	}
-	s := c.shard(e.key)
+	e.slot = slot
+	s := c.shard(table, offset)
 	s.mu.Lock()
-	if _, exists := s.items[e.key]; exists {
+	if slot.Load() != nil {
 		// A concurrent miss on the same block raced us here; keep the
 		// incumbent, the payloads are identical.
 		s.mu.Unlock()
@@ -186,7 +167,7 @@ func (c *BlockCache) put(e *blockCacheEntry) {
 		evicted++
 		freed += s.evictOneLocked()
 	}
-	s.items[e.key] = e
+	slot.Store(e)
 	s.ring = append(s.ring, e)
 	s.bytes += e.size
 	s.mu.Unlock()
@@ -197,16 +178,17 @@ func (c *BlockCache) put(e *blockCacheEntry) {
 }
 
 // evictOneLocked advances the CLOCK hand until it claims one entry,
-// clearing reference bits as it passes warm ones, and returns the freed
-// bytes. Caller holds the shard mutex and reconciles c.bytes.
+// clearing reference bits as it passes warm ones, clears the claimed
+// entry's slot and returns the freed bytes. Caller holds the shard mutex
+// and reconciles c.bytes.
 func (s *blockCacheShard) evictOneLocked() int64 {
 	for {
 		if s.hand >= len(s.ring) {
 			s.hand = 0
 		}
 		e := s.ring[s.hand]
-		if e.ref {
-			e.ref = false
+		if e.ref.Load() {
+			e.ref.Store(false)
 			s.hand++
 			continue
 		}
@@ -216,23 +198,23 @@ func (s *blockCacheShard) evictOneLocked() int64 {
 		s.ring[s.hand] = s.ring[last]
 		s.ring[last] = nil
 		s.ring = s.ring[:last]
-		delete(s.items, e.key)
+		e.slot.CompareAndSwap(e, nil)
 		s.bytes -= e.size
 		return e.size
 	}
 }
 
 // memSize approximates the resident bytes of a decoded table meta: block
-// index keys and entries, partition directory strings and the by-key
-// map.
+// index keys, entries and slots, partition directory strings and the
+// by-key map.
 func (m *tableMeta) memSize() int64 {
 	var n int64
 	for i := range m.blocks {
-		n += int64(len(m.blocks[i].firstKey)) + 24
+		n += int64(len(m.blocks[i].firstKey)) + 32
 	}
 	for i := range m.parts {
 		// Directory entry plus its map slot.
-		n += 2*int64(len(m.parts[i].pk)) + 48
+		n += 2*int64(len(m.parts[i].pk)) + 56
 	}
 	return n
 }

@@ -68,8 +68,8 @@ func benchPointReads(b *testing.B, cacheBytes int64) {
 }
 
 // BenchmarkCacheHitPointRead: the cache covers the working set, so
-// after the first sweep every point read is a shard-mutex map probe —
-// no ReadAt, no CRC, no decompression.
+// after the first sweep every point read is a slot load — no ReadAt, no
+// CRC, no decompression.
 func BenchmarkCacheHitPointRead(b *testing.B) {
 	benchPointReads(b, 64<<20)
 }

@@ -65,8 +65,9 @@ func TestWarmPointReadIsZeroReadAt(t *testing.T) {
 func TestBlockCacheBoundsBytesAndEvicts(t *testing.T) {
 	c := NewBlockCache(64 << 10)
 	payload := bytes.Repeat([]byte("x"), 1024)
-	for i := uint64(0); i < 1000; i++ {
-		c.putBlock(1, i*4096, payload)
+	slots := make([]cacheSlot, 1000)
+	for i := range slots {
+		c.putBlock(&slots[i], 1, uint64(i)*4096, payload)
 	}
 	st := c.Stats()
 	if st.Bytes > 64<<10 {
@@ -78,8 +79,9 @@ func TestBlockCacheBoundsBytesAndEvicts(t *testing.T) {
 	// A value bigger than a whole shard's budget must be refused, not
 	// evict everything.
 	before := c.Stats().Bytes
-	c.putBlock(2, 0, bytes.Repeat([]byte("y"), 1<<20))
-	if _, ok := c.getBlock(2, 0); ok {
+	var big cacheSlot
+	c.putBlock(&big, 2, 0, bytes.Repeat([]byte("y"), 1<<20))
+	if c.get(&big) != nil {
 		t.Fatal("oversized entry was cached")
 	}
 	if c.Stats().Bytes > before {
@@ -215,5 +217,146 @@ func TestStoredBlockStructuralCorruption(t *testing.T) {
 	flagless := binary.LittleEndian.AppendUint32(append([]byte(nil), payload...), crc32.ChecksumIEEE(payload))
 	if _, err := decodeStoredBlock(flagless); flagless[0] != 0x00 || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flagless block (first byte %#x): %v, want ErrCorrupt", flagless[0], err)
+	}
+}
+
+// cachedTable opens a table of one 35-block partition with a cache of
+// the given capacity attached.
+func cachedTable(t *testing.T, capacity int64) (*Reader, *BlockCache) {
+	t.Helper()
+	r, err := Open(writeTable(t, WriterOptions{}, map[string][]row.Cell{"p": makeCells(2000, 64)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	c := NewBlockCache(capacity)
+	r.AttachCache(c)
+	return r, c
+}
+
+// cachedBlocks counts the reader's blocks whose slot holds an entry. It
+// reads the slots without loading the meta, which would cache it again.
+func cachedBlocks(t *testing.T, r *Reader) int {
+	t.Helper()
+	n := 0
+	for i := range r.slots {
+		if e := r.slots[i].Load(); e != nil {
+			if e.slot != &r.slots[i] {
+				t.Fatalf("block %d: cached entry points at another slot", i)
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// TestBlockCacheHitAllocs: a cache hit, block or meta, is a slot load and
+// allocates nothing.
+func TestBlockCacheHitAllocs(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	r, _ := cachedTable(t, 64<<20)
+	if _, err := r.ReadPartition("p"); err != nil {
+		t.Fatal(err)
+	}
+	m, err := r.loadMeta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi := len(m.blocks) / 2
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := r.loadMeta(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.blockPayload(m, bi, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cache hit allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestBlockCacheEvictionClearsSlot: evicting an entry empties the slot
+// that pointed at it, and the next read of the block fills it again.
+func TestBlockCacheEvictionClearsSlot(t *testing.T) {
+	r, c := cachedTable(t, 1<<20)
+	if _, err := r.ReadPartition("p"); err != nil {
+		t.Fatal(err)
+	}
+	blocks := cachedBlocks(t, r)
+	if blocks < 10 {
+		t.Fatalf("%d blocks cached after a full read", blocks)
+	}
+	// Flood the cache under other table identities until CLOCK has
+	// claimed every one of the reader's entries, meta included. Each
+	// filler is hit once, so the hand passes it and moves on.
+	filler := bytes.Repeat([]byte("f"), 8<<10)
+	for i := 0; r.metaSlot.Load() != nil || cachedBlocks(t, r) > 0; i++ {
+		if i == 10000 {
+			t.Fatal("flood did not evict the reader's entries")
+		}
+		slot := new(cacheSlot)
+		c.putBlock(slot, c.NewTableID(), 0, filler)
+		c.get(slot)
+	}
+	// A point read now goes to disk for the meta and its block, and
+	// fills both slots again: the next one is served from RAM.
+	for _, want := range []int64{2, 0} {
+		before := r.Stats.ReadAtCalls.Load()
+		if _, ok, err := r.Get("p", ck(1000)); !ok || err != nil {
+			t.Fatalf("get: %v %v", ok, err)
+		}
+		if reads := r.Stats.ReadAtCalls.Load() - before; reads != want {
+			t.Fatalf("point read cost %d ReadAts, want %d", reads, want)
+		}
+	}
+	if r.metaSlot.Load() == nil || cachedBlocks(t, r) != 1 {
+		t.Fatalf("after one point read: meta cached %v, %d blocks cached, want the meta and 1", r.metaSlot.Load() != nil, cachedBlocks(t, r))
+	}
+}
+
+// TestBlockCacheOversizedLeavesSlotEmpty: an entry larger than a shard's
+// budget is served uncached and its slot stays empty.
+func TestBlockCacheOversizedLeavesSlotEmpty(t *testing.T) {
+	r, c := cachedTable(t, cacheShardCount*512) // 512 bytes a shard: no block fits
+	for range 2 {
+		got, err := r.ReadPartition("p")
+		if err != nil || len(got) != 2000 {
+			t.Fatalf("read %d cells, %v", len(got), err)
+		}
+	}
+	if n := cachedBlocks(t, r); n != 0 || r.metaSlot.Load() != nil {
+		t.Fatalf("%d blocks (meta %v) cached past the shard budget", n, r.metaSlot.Load() != nil)
+	}
+	if st := c.Stats(); st.Bytes != 0 || st.Hits != 0 {
+		t.Fatalf("oversized entries reached the cache: %+v", st)
+	}
+}
+
+// TestPartitionIterProbesWithoutFilling: the compactor's iterator reads
+// cached blocks but never caches what it reads, so a compaction pass
+// cannot flush the working set.
+func TestPartitionIterProbesWithoutFilling(t *testing.T) {
+	r, c := cachedTable(t, 64<<20)
+	scan := func() {
+		it := r.Iter()
+		for _, _, ok := it.Next(); ok; _, _, ok = it.Next() {
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan()
+	if n := cachedBlocks(t, r); n != 0 {
+		t.Fatalf("iterator filled %d block slots", n)
+	}
+	if _, err := r.ReadPartition("p"); err != nil {
+		t.Fatal(err)
+	}
+	blocks := cachedBlocks(t, r)
+	hits := c.Stats().Hits
+	scan()
+	if got := c.Stats().Hits - hits; got < int64(blocks) {
+		t.Fatalf("iterator over %d cached blocks hit %d times", blocks, got)
 	}
 }

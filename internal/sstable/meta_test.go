@@ -1,0 +1,346 @@
+package sstable
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"scalekv/internal/enc"
+	"scalekv/internal/row"
+)
+
+// tableSections is a table file cut at its section boundaries, for tests
+// that replace a section and re-seal every checksum, so that the bytes
+// reach the decoders behind the CRCs instead of stopping at them.
+type tableSections struct {
+	data   []byte // file header and data blocks
+	meta   []byte // block index and partition directory
+	bloom  []byte
+	footer []byte
+}
+
+func cutTable(file []byte) tableSections {
+	footer := file[len(file)-footerSize:]
+	idx := binary.LittleEndian.Uint64(footer[0:])
+	bloomOff := binary.LittleEndian.Uint64(footer[16:])
+	return tableSections{
+		data:   file[:idx],
+		meta:   file[idx:bloomOff],
+		bloom:  file[bloomOff : len(file)-footerSize],
+		footer: footer,
+	}
+}
+
+// seal lays the sections out again under a footer claiming partCount
+// partitions, with every offset and checksum recomputed. The directory
+// offset is put at the end of the meta: the reader reads the meta as one
+// section and only checks that offset's order.
+func (s tableSections) seal(partCount uint64) []byte {
+	out := append([]byte(nil), s.data...)
+	idxOff := uint64(len(out))
+	out = append(out, s.meta...)
+	bloomOff := uint64(len(out))
+	out = append(out, s.bloom...)
+	footer := append([]byte(nil), s.footer...)
+	binary.LittleEndian.PutUint64(footer[0:], idxOff)
+	binary.LittleEndian.PutUint64(footer[8:], bloomOff)
+	binary.LittleEndian.PutUint64(footer[16:], bloomOff)
+	binary.LittleEndian.PutUint64(footer[32:], partCount)
+	binary.LittleEndian.PutUint32(footer[48:], crc32.ChecksumIEEE(s.meta))
+	binary.LittleEndian.PutUint32(footer[52:], crc32.ChecksumIEEE(s.bloom))
+	binary.LittleEndian.PutUint32(footer[56:], crc32.ChecksumIEEE(footer[:56]))
+	return append(out, footer...)
+}
+
+// metaTable writes the small multi-block table the meta tests and
+// FuzzTableMeta start from and returns its bytes.
+func metaTable(t testing.TB) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "meta.sst")
+	// A small filter keeps the fuzzer's inputs, and so its minimization
+	// runs, short.
+	w, err := NewWriter(path, WriterOptions{BlockSize: 128, ExpectedPartitions: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyFirst := append([]row.Cell{{CK: []byte{}, Value: []byte("root")}}, makeCells(6, 8)[1:]...)
+	for _, p := range []struct {
+		pk    string
+		cells []row.Cell
+	}{
+		{"a", makeCells(3, 8)},
+		{"b", makeCells(30, 16)}, // several blocks
+		{"c", nil},
+		{"d", emptyFirst},
+		{"e", makeCells(10, 8)},
+	} {
+		if err := w.AddPartition(p.pk, p.cells); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func openBytes(t testing.TB, data []byte) (*Reader, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "t.sst")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return Open(path)
+}
+
+// metaWithCount replaces the count varint at the head of a meta section
+// (the block count, at off 0) or of its directory (the partition count,
+// at off dirOff) with n.
+func metaWithCount(meta []byte, off int, n uint64) []byte {
+	_, u := enc.Uvarint(meta[off:])
+	out := append([]byte(nil), meta[:off]...)
+	out = enc.AppendUvarint(out, n)
+	return append(out, meta[off+u:]...)
+}
+
+// dirOffset returns where the partition directory starts inside a meta
+// section the writer produced.
+func dirOffset(file []byte) int {
+	footer := file[len(file)-footerSize:]
+	return int(binary.LittleEndian.Uint64(footer[8:]) - binary.LittleEndian.Uint64(footer[0:]))
+}
+
+// TestLoadMetaBoundsCountsByBytesLeft: a checksummed meta claiming 2^40
+// blocks or partitions is damage, reported as ErrCorrupt. Before the
+// bound, each count sized an allocation and the process died with a
+// fatal out-of-memory error, which no recover catches.
+func TestLoadMetaBoundsCountsByBytesLeft(t *testing.T) {
+	file := metaTable(t)
+	s := cutTable(file)
+	const huge = 1 << 40
+	for _, c := range []struct {
+		name      string
+		meta      []byte
+		partCount uint64
+	}{
+		{"blocks", metaWithCount(s.meta, 0, huge), 5},
+		{"partitions", metaWithCount(s.meta, dirOffset(file), huge), huge},
+	} {
+		s := s
+		s.meta = c.meta
+		r, err := openBytes(t, s.seal(c.partCount))
+		if err != nil {
+			t.Fatalf("%s: open: %v", c.name, err)
+		}
+		if _, err := r.Partitions(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Partitions = %v, want ErrCorrupt", c.name, err)
+		}
+		r.Close()
+	}
+}
+
+// bloomSection serializes a filter header claiming m bits and k probes
+// with the bit words m implies.
+func bloomSection(m uint64, k uint32) []byte {
+	out := binary.LittleEndian.AppendUint64(nil, m)
+	out = binary.LittleEndian.AppendUint32(out, k)
+	out = binary.LittleEndian.AppendUint64(out, 0)
+	return append(out, make([]byte, m/8)...)
+}
+
+// TestOpenRejectsDegenerateBloom: a checksummed filter with no bits used
+// to pass Unmarshal and panic the first lookup with a division by zero
+// (on a node's reader goroutine, which has no recover), and one with 2^32
+// probes made every lookup loop that often. Both are ErrCorrupt at Open.
+func TestOpenRejectsDegenerateBloom(t *testing.T) {
+	file := metaTable(t)
+	for _, c := range []struct {
+		name  string
+		bloom []byte
+	}{
+		{"zero bits", bloomSection(0, 7)},
+		{"2^32-1 probes", bloomSection(64, ^uint32(0))},
+	} {
+		s := cutTable(file)
+		s.bloom = c.bloom
+		r, err := openBytes(t, s.seal(5))
+		if !errors.Is(err, ErrCorrupt) {
+			if err == nil {
+				r.MayContain("a")
+				r.Close()
+			}
+			t.Fatalf("%s: Open = %v, want ErrCorrupt", c.name, err)
+		}
+	}
+}
+
+// FuzzTableMeta fuzzes the decoders behind a table's checksums: the
+// block index and partition directory (loadMeta), the bloom section and
+// the footer's partition count. It writes a small multi-block table
+// once, lets the fuzzer replace those sections, re-seals every CRC so
+// the decoders are reached, then opens the table, lists its partitions,
+// and for every partition (up to 64) runs a point read and a whole-
+// partition slice. Properties:
+//
+//  1. nothing panics;
+//  2. the run allocates no more than a small multiple of the file size,
+//     whatever counts the sections claim;
+//  3. every error is ErrCorrupt or ErrNotFound;
+//  4. on any meta that loads, every partition's directory block is the
+//     block a search of the whole index for its prefix finds.
+//
+// The seeds are the unmodified sections and the two crash inputs the
+// bounds were written for: a meta claiming 2^40 blocks and a filter with
+// no bits.
+func FuzzTableMeta(f *testing.F) {
+	file := metaTable(f)
+	orig := cutTable(file)
+	f.Add(orig.meta, orig.bloom, uint64(5))
+	f.Add(metaWithCount(orig.meta, 0, 1<<40), orig.bloom, uint64(5))
+	f.Add(orig.meta, bloomSection(0, 7), uint64(5))
+	path := filepath.Join(f.TempDir(), "t.sst")
+
+	f.Fuzz(func(t *testing.T, meta, bloomSec []byte, partCount uint64) {
+		s := orig
+		s.meta, s.bloom = meta, bloomSec
+		data := s.seal(partCount)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, err error) {
+			if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("%s: %v, want ErrCorrupt or ErrNotFound", what, err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := Open(path)
+		check("Open", err)
+		if err != nil {
+			return
+		}
+		defer r.Close()
+		r.AttachCache(NewBlockCache(1 << 20))
+		pks, err := r.Partitions()
+		check("Partitions", err)
+		if len(pks) > 64 {
+			pks = pks[:64]
+		}
+		var c SliceCursor
+		for _, pk := range pks {
+			_, _, err := r.Get(pk, ck(1))
+			check("Get", err)
+			if err := r.Slice(&c, pk, nil, nil); err != nil {
+				check("Slice", err)
+				continue
+			}
+			for n := 0; c.Next() && n < 1<<12; n++ {
+			}
+			check("slice walk", c.Err())
+		}
+		runtime.ReadMemStats(&after)
+		ops := uint64(2 + 2*len(pks))
+		if got, limit := after.TotalAlloc-before.TotalAlloc, ops*64*uint64(len(data))+1<<20; got > limit {
+			t.Fatalf("%d ops on a %d-byte table allocated %d bytes, limit %d", ops, len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		m, err := r.loadMeta()
+		if err != nil {
+			t.Fatalf("meta loaded for Partitions, then failed: %v", err)
+		}
+		for _, p := range m.parts {
+			if want := blockFor(m.blocks, enc.AppendInternalKey(nil, p.pk, nil)); p.first != want {
+				t.Fatalf("partition %q: directory block %d, index search %d", p.pk, p.first, want)
+			}
+		}
+	})
+}
+
+// TestSliceSearchesOnlyThePartitionsBlocks: the directory's first block
+// is what a whole-index search for the partition prefix finds, and a
+// bounded slice that searches only the partition's own blocks lands where
+// a whole-index search for its start would — for every key and every gap,
+// on a multi-block table with partitions starting exactly on a block
+// boundary (with and without an empty first clustering key) and on a
+// one-block table.
+func TestSliceSearchesOnlyThePartitionsBlocks(t *testing.T) {
+	emptyFirst := append([]row.Cell{{CK: []byte{}, Value: []byte("root")}}, makeCells(20, 32)[1:]...)
+	for _, tc := range []struct {
+		name   string
+		parts  map[string][]row.Cell
+		blocks func(n int) bool
+	}{
+		{"multi-block", map[string][]row.Cell{
+			"p1": makeCells(20, 32), "p2": makeCells(20, 32), "p3": emptyFirst,
+			"p4": makeCells(2, 8), "p5": makeCells(3, 8), "p6": nil, "p7": makeCells(40, 32),
+		}, func(n int) bool { return n > 8 }},
+		{"one-block", map[string][]row.Cell{"a": makeCells(2, 8), "b": makeCells(3, 8)}, func(n int) bool { return n == 1 }},
+	} {
+		r, err := Open(writeTable(t, WriterOptions{BlockSize: 256}, tc.parts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		m, err := r.loadMeta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tc.blocks(len(m.blocks)) {
+			t.Fatalf("%s: table has %d blocks", tc.name, len(m.blocks))
+		}
+		onBoundary := map[bool]int{} // by whether the first CK is empty
+		for i, p := range m.parts {
+			prefix := enc.AppendInternalKey(nil, p.pk, nil)
+			if want := blockFor(m.blocks, prefix); p.first != want {
+				t.Fatalf("%s/%s: directory block %d, index search %d", tc.name, p.pk, p.first, want)
+			}
+			cells := tc.parts[p.pk]
+			for _, b := range m.blocks[1:] {
+				if len(cells) > 0 && bytes.Equal(b.firstKey, enc.AppendInternalKey(nil, p.pk, cells[0].CK)) {
+					onBoundary[len(cells[0].CK) == 0]++
+				}
+			}
+			var targets [][]byte
+			targets = append(targets, []byte{})
+			for _, c := range cells {
+				targets = append(targets, c.CK, append(append([]byte(nil), c.CK...), '!'))
+			}
+			var c SliceCursor
+			for _, from := range targets {
+				if err := r.Slice(&c, p.pk, from, nil); err != nil {
+					t.Fatal(err)
+				}
+				if want := blockFor(m.blocks, c.bounds.Start()); c.bi != want {
+					t.Fatalf("%s/%s from %q: slice starts at block %d, index search %d (partition %d)", tc.name, p.pk, from, c.bi, want, i)
+				}
+				got, err := r.ReadSlice(p.pk, from, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				for _, cell := range cells {
+					if bytes.Compare(cell.CK, from) >= 0 {
+						n++
+					}
+				}
+				if len(got) != n {
+					t.Fatalf("%s/%s from %q: %d cells, want %d", tc.name, p.pk, from, len(got), n)
+				}
+			}
+		}
+		if tc.name == "multi-block" && (onBoundary[true] == 0 || onBoundary[false] == 0) {
+			t.Fatalf("no partition starts on a block boundary (empty first CK: %d, other: %d)", onBoundary[true], onBoundary[false])
+		}
+	}
+}

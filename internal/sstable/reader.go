@@ -37,9 +37,14 @@ type Reader struct {
 
 	// cache, when attached, serves decompressed blocks and table meta
 	// under the engine-wide budget; cacheID is this table's identity in
-	// it.
-	cache   *BlockCache
-	cacheID uint64
+	// it, metaSlot where the cached meta is found. slots are the block
+	// slots, allocated at the first meta load and handed to every later
+	// one, so blocks cached under an evicted meta stay reachable; metaMu
+	// guards them.
+	cache    *BlockCache
+	cacheID  uint64
+	metaSlot cacheSlot
+	slots    []cacheSlot
 
 	// Footer fields; the block index and partition directory load
 	// lazily on first use (loadMeta), as one combined ReadAt.
@@ -52,11 +57,14 @@ type Reader struct {
 	meta        atomic.Pointer[tableMeta]
 }
 
-// tableMeta is a table's lazily-loaded index state.
+// tableMeta is a table's lazily-loaded index state: the block index,
+// the partition directory with each partition's first block, and — with
+// a cache attached — one cache slot per block.
 type tableMeta struct {
 	blocks []blockIndexEntry
 	parts  []partDirEntry
 	byPK   map[string]int
+	slots  []cacheSlot
 }
 
 // Open prepares a reader for an SSTable file: it validates the footer
@@ -131,7 +139,7 @@ func open(f *os.File) (*Reader, error) {
 		return nil, fmt.Errorf("%w: bloom crc mismatch", ErrCorrupt)
 	}
 	if r.filter, err = bloom.Unmarshal(bloomBuf); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return r, nil
 }
@@ -214,27 +222,59 @@ func (r *Reader) MayContain(pk string) bool { return r.filter.MayContainString(p
 // loadMeta reads and caches the block index and partition directory —
 // one combined ReadAt covering both sections, so the first read of a
 // cold table costs exactly one extra I/O. With a block cache attached
-// the decoded meta lives under the cache's budget (keyed by table
-// identity at a sentinel offset) instead of pinned per-reader memory,
-// so open-table index overhead competes with data blocks for RAM and
-// can be evicted; without one it is pinned in r.meta.
+// the decoded meta lives under the cache's budget (found through
+// r.metaSlot) instead of pinned per-reader memory, so open-table index
+// overhead competes with data blocks for RAM and can be evicted; without
+// one it is pinned in r.meta.
 func (r *Reader) loadMeta() (*tableMeta, error) {
-	if r.cache != nil {
-		if m, ok := r.cache.getMeta(r.cacheID); ok {
-			return m, nil
-		}
-	} else if m := r.meta.Load(); m != nil {
+	if m := r.residentMeta(); m != nil {
 		return m, nil
 	}
 	r.metaMu.Lock()
 	defer r.metaMu.Unlock()
-	if r.cache != nil {
-		if m, ok := r.cache.getMeta(r.cacheID); ok {
-			return m, nil
-		}
-	} else if m := r.meta.Load(); m != nil {
+	if m := r.residentMeta(); m != nil {
 		return m, nil
 	}
+	m, err := r.readMeta()
+	if err != nil {
+		return nil, err
+	}
+	if r.cache != nil {
+		if r.slots == nil {
+			r.slots = make([]cacheSlot, len(m.blocks))
+		}
+		m.slots = r.slots
+		r.cache.putMeta(&r.metaSlot, r.cacheID, m)
+	} else {
+		r.meta.Store(m)
+	}
+	return m, nil
+}
+
+// residentMeta returns the decoded meta if it is in memory: in the cache
+// when one is attached, pinned in r.meta otherwise.
+func (r *Reader) residentMeta() *tableMeta {
+	if r.cache == nil {
+		return r.meta.Load()
+	}
+	if e := r.cache.get(&r.metaSlot); e != nil {
+		return e.meta
+	}
+	return nil
+}
+
+// Minimum encoded sizes of a block index entry (empty first key, one-
+// byte offset and length) and a partition directory entry (empty key,
+// one-byte cell count): a count read off disk is checked against them
+// before it sizes an allocation.
+const (
+	minBlockIndexEntry = 3
+	minPartDirEntry    = 2
+)
+
+// readMeta reads, checks and decodes the block index and partition
+// directory, then derives each partition's first block.
+func (r *Reader) readMeta() (*tableMeta, error) {
 	buf := make([]byte, r.bloomOff-r.blockIdxOff)
 	if err := r.readAt(buf, int64(r.blockIdxOff)); err != nil {
 		return nil, err
@@ -245,7 +285,7 @@ func (r *Reader) loadMeta() (*tableMeta, error) {
 	m := &tableMeta{}
 	p := buf
 	nBlocks, u := enc.Uvarint(p)
-	if u <= 0 {
+	if u <= 0 || nBlocks > uint64(len(p)-u)/minBlockIndexEntry {
 		return nil, ErrCorrupt
 	}
 	p = p[u:]
@@ -267,15 +307,18 @@ func (r *Reader) loadMeta() (*tableMeta, error) {
 			return nil, ErrCorrupt
 		}
 		p = p[u3:]
-		// Blocks are contiguous and ascending; anything else is damage.
-		if off != prevEnd || ln == 0 || off+ln > r.blockIdxOff {
+		// Blocks are contiguous and ascending, in file offset and in first
+		// key; anything else is damage. off <= blockIdxOff holds by
+		// induction, so the subtraction cannot wrap.
+		if off != prevEnd || ln == 0 || ln > r.blockIdxOff-off ||
+			(i > 0 && bytes.Compare(fk, m.blocks[i-1].firstKey) <= 0) {
 			return nil, ErrCorrupt
 		}
 		prevEnd = off + ln
 		m.blocks = append(m.blocks, blockIndexEntry{firstKey: fk, offset: off, length: ln})
 	}
 	nParts, u := enc.Uvarint(p)
-	if u <= 0 || nParts != r.partCount {
+	if u <= 0 || nParts != r.partCount || nParts > uint64(len(p)-u)/minPartDirEntry {
 		return nil, ErrCorrupt
 	}
 	p = p[u:]
@@ -299,10 +342,17 @@ func (r *Reader) loadMeta() (*tableMeta, error) {
 		m.byPK[pk] = int(i)
 		m.parts = append(m.parts, partDirEntry{pk: pk, cells: cells})
 	}
-	if r.cache != nil {
-		r.cache.putMeta(r.cacheID, m)
-	} else {
-		r.meta.Store(m)
+	// Each partition's first block is blockFor(its prefix), found in one
+	// merge pass: partitions and block first keys are both ascending, so
+	// the block cursor only moves forward.
+	var prefix []byte
+	j := 0
+	for i := range m.parts {
+		prefix = enc.AppendInternalKey(prefix[:0], m.parts[i].pk, nil)
+		for j+1 < len(m.blocks) && bytes.Compare(m.blocks[j+1].firstKey, prefix) <= 0 {
+			j++
+		}
+		m.parts[i].first = j
 	}
 	return m, nil
 }
@@ -335,12 +385,13 @@ func (r *Reader) readBlock(b blockIndexEntry) ([]byte, error) {
 // slice reads fill, the compactor's scan-once iterator only probes, so
 // a compaction pass cannot flush the working set out of the cache. The
 // returned payload is shared and read-only.
-func (r *Reader) blockPayload(b blockIndexEntry, fill bool) ([]byte, error) {
+func (r *Reader) blockPayload(m *tableMeta, bi int, fill bool) ([]byte, error) {
 	if r.cache != nil {
-		if p, ok := r.cache.getBlock(r.cacheID, b.offset); ok {
-			return p, nil
+		if e := r.cache.get(&m.slots[bi]); e != nil {
+			return e.data, nil
 		}
 	}
+	b := m.blocks[bi]
 	stored, err := r.readBlock(b)
 	if err != nil {
 		return nil, err
@@ -350,7 +401,7 @@ func (r *Reader) blockPayload(b blockIndexEntry, fill bool) ([]byte, error) {
 		return nil, err
 	}
 	if r.cache != nil && fill {
-		r.cache.putBlock(r.cacheID, b.offset, payload)
+		r.cache.putBlock(&m.slots[bi], r.cacheID, b.offset, payload)
 	}
 	return payload, nil
 }
@@ -365,7 +416,7 @@ func (r *Reader) blockPayload(b blockIndexEntry, fill bool) ([]byte, error) {
 // buffers, so a warm read allocates nothing.
 type SliceCursor struct {
 	r      *Reader
-	blocks []blockIndexEntry
+	m      *tableMeta
 	bi     int // next block to load
 	seeked bool
 	done   bool
@@ -376,13 +427,15 @@ type SliceCursor struct {
 }
 
 // Slice points c before the first cell of pk with from <= CK < to; nil
-// bounds mean unbounded. It binary-searches the block index to the
-// first block that can hold the slice start and the cursor seeks inside
-// it by restart point, so a point read performs one block ReadAt (plus
-// the one-time lazy meta load) and a slice of a multi-block partition
-// skips its leading blocks instead of scanning from the partition
-// start: the read-path advantage whose cost asymmetry Formula 6 models.
-// A partition the table does not hold is ErrNotFound.
+// bounds mean unbounded. A whole-partition slice starts at the
+// partition's first block, which the directory knows; a slice with a
+// lower bound binary-searches only the partition's own blocks, from its
+// first to the next partition's first. Either way the cursor then seeks
+// inside the block by restart point, so a point read performs one block
+// ReadAt (plus the one-time lazy meta load) and a slice of a multi-block
+// partition skips its leading blocks instead of scanning from the
+// partition start: the read-path advantage whose cost asymmetry Formula
+// 6 models. A partition the table does not hold is ErrNotFound.
 func (r *Reader) Slice(c *SliceCursor, pk string, from, to []byte) error {
 	c.Release()
 	m, err := r.loadMeta()
@@ -394,20 +447,29 @@ func (r *Reader) Slice(c *SliceCursor, pk string, from, to []byte) error {
 		return ErrNotFound
 	}
 	r.Stats.PartitionsRead.Add(1)
-	c.r, c.blocks, c.cells = r, m.blocks, m.parts[pi].cells
+	c.r, c.m, c.cells = r, m, m.parts[pi].cells
 	c.seeked, c.done, c.err = false, c.cells == 0, nil
 	c.bounds.Set(pk, from, to)
-	prefix := c.bounds.Prefix()
-	c.bi = blockFor(m.blocks, c.bounds.Start())
-	if pbi := blockFor(m.blocks, prefix); c.bi > pbi {
+	first := m.parts[pi].first
+	c.bi = first
+	if from == nil {
+		return nil
+	}
+	end := len(m.blocks)
+	if pi+1 < len(m.parts) {
+		end = min(end, m.parts[pi+1].first+1)
+	}
+	c.bi += blockFor(m.blocks[first:end], c.bounds.Start())
+	if c.bi > first {
 		// The block index let the slice skip the partition's leading
 		// blocks entirely — the column-index seek of Formula 6. Only
 		// blocks that certainly hold this partition's cells (their first
 		// key carries its prefix) count as savings: a partition starting
 		// exactly at a block boundary must not claim its predecessor's
 		// block.
+		prefix := c.bounds.Prefix()
 		var skipped int64
-		for i := pbi; i < c.bi; i++ {
+		for i := first; i < c.bi; i++ {
 			if bytes.HasPrefix(m.blocks[i].firstKey, prefix) {
 				skipped += int64(m.blocks[i].length)
 			}
@@ -464,10 +526,10 @@ func (c *SliceCursor) Next() bool {
 // loadBlock points the block cursor at the next data block, unless the
 // block index says the slice ends before it.
 func (c *SliceCursor) loadBlock() bool {
-	if c.bi >= len(c.blocks) || bytes.Compare(c.blocks[c.bi].firstKey, c.bounds.End()) >= 0 {
+	if c.bi >= len(c.m.blocks) || bytes.Compare(c.m.blocks[c.bi].firstKey, c.bounds.End()) >= 0 {
 		return false
 	}
-	payload, err := c.r.blockPayload(c.blocks[c.bi], true)
+	payload, err := c.r.blockPayload(c.m, c.bi, true)
 	if err == nil {
 		err = c.blk.reset(payload)
 	}
@@ -487,7 +549,7 @@ func (c *SliceCursor) Err() error { return c.err }
 // Release drops the cursor's references to the table and its blocks,
 // keeping only the scratch buffers: a parked cursor pins no payload.
 func (c *SliceCursor) Release() {
-	c.r, c.blocks, c.done = nil, nil, true
+	c.r, c.m, c.done = nil, nil, true
 	c.blk.data, c.blk.restarts, c.blk.value, c.blk.err = nil, nil, nil, nil
 }
 
@@ -655,7 +717,7 @@ func (it *PartitionIter) fillQueue() bool {
 	if it.bi >= len(it.meta.blocks) {
 		return false
 	}
-	payload, err := it.r.blockPayload(it.meta.blocks[it.bi], false)
+	payload, err := it.r.blockPayload(it.meta, it.bi, false)
 	if err != nil {
 		it.err = err
 		return false

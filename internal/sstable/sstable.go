@@ -77,10 +77,12 @@ type blockIndexEntry struct {
 	length   uint64
 }
 
-// partDirEntry is one partition-directory record.
+// partDirEntry is one partition-directory record. first is not stored:
+// the reader derives it when it loads the directory.
 type partDirEntry struct {
 	pk    string
 	cells uint64
+	first int // the block a slice of the partition starts its search at
 }
 
 // Writer builds an SSTable. Partitions must be added in ascending

@@ -52,7 +52,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"scalekv/internal/memtable"
 	"scalekv/internal/murmur"
 	"scalekv/internal/row"
 	"scalekv/internal/sstable"
@@ -769,7 +768,7 @@ func (e *Engine) Close() error {
 		}
 		// Publish an empty view first so late readers pin nothing: a read
 		// racing Close sees a clean miss instead of a released table.
-		s.mem = memtable.New(shardSeed(e.opts.Seed, s.id, s.memGen+1))
+		s.mem = e.newMemtable(s.id, s.memGen+1)
 		s.frozen = nil
 		saved := s.allTablesLocked()
 		s.levels = nil

@@ -197,7 +197,7 @@ func (s *shard) totalTablesLocked() int {
 // data still covered by WAL segments or by the compaction inputs that
 // survived.
 func (e *Engine) openShard(id int) (*shard, error) {
-	s := &shard{id: id, eng: e, mem: memtable.New(shardSeed(e.opts.Seed, id, 0))}
+	s := &shard{id: id, eng: e, mem: e.newMemtable(id, 0)}
 	s.cond = sync.NewCond(&s.mu)
 
 	releaseAll := func() {
@@ -262,7 +262,7 @@ func (e *Engine) openShard(id int) (*shard, error) {
 		sort.Strings(segs)
 		for _, seg := range segs {
 			s.memGen++
-			rec := memtable.New(shardSeed(e.opts.Seed, id, s.memGen))
+			rec := e.newMemtable(id, s.memGen)
 			if err := replayWAL(seg, func(r row.Entry) {
 				e.advanceSeq(r.Ver.Seq)
 				rec.Put(r.PK, r.CK, r.Value, r.Ver, r.Tombstone)
@@ -286,7 +286,7 @@ func (e *Engine) openShard(id int) (*shard, error) {
 			s.frozen = append(s.frozen, &frozenMem{mem: rec, walPaths: []string{seg}})
 		}
 		s.memGen++
-		s.mem = memtable.New(shardSeed(e.opts.Seed, id, s.memGen))
+		s.mem = e.newMemtable(id, s.memGen)
 	}
 	// No concurrency yet — the worker starts after Open returns — but the
 	// view must exist before the first read.
@@ -294,10 +294,11 @@ func (e *Engine) openShard(id int) (*shard, error) {
 	return s, nil
 }
 
-// shardSeed derives a distinct deterministic skip-list seed per shard
-// and memtable generation.
-func shardSeed(base int64, id int, gen int64) int64 {
-	return base + int64(id)*1_000_003 + gen
+// newMemtable builds one shard's memtable of one generation: a distinct
+// deterministic skip-list seed per shard and generation, and a key
+// filter sized for the flush threshold it will be frozen at.
+func (e *Engine) newMemtable(id int, gen int64) *memtable.Memtable {
+	return memtable.New(e.opts.Seed+int64(id)*1_000_003+gen, e.opts.FlushThreshold)
 }
 
 // publishLocked installs a fresh immutable view of the shard's read
@@ -419,7 +420,7 @@ func (s *shard) freezeLocked() {
 	}
 	s.mem.Freeze()
 	s.memGen++
-	s.mem = memtable.New(shardSeed(s.eng.opts.Seed, s.id, s.memGen))
+	s.mem = s.eng.newMemtable(s.id, s.memGen)
 	s.frozen = append(s.frozen, fm)
 	s.publishLocked()
 	s.cond.Broadcast()

@@ -82,10 +82,11 @@ func (e *Engine) openMerge(view *shardView, pk string, from, to []byte) (*mergeC
 			return nil, err
 		}
 	}
+	// A memtable whose key filter rules the partition out is no source.
 	for _, fm := range view.frozen {
-		fm.mem.Slice(&mc.add(false).mem, pk, from, to)
+		mc.addMem(fm.mem, pk, from, to)
 	}
-	view.mem.Slice(&mc.add(false).mem, pk, from, to)
+	mc.addMem(view.mem, pk, from, to)
 	for i := range mc.srcs {
 		if err := mc.srcs[i].advance(); err != nil {
 			mc.close()
@@ -106,6 +107,14 @@ func (mc *mergeCursor) add(isTable bool) *readSource {
 	s := &mc.srcs[len(mc.srcs)-1]
 	s.isTable, s.live, s.mark = isTable, false, 0
 	return s
+}
+
+// addMem adds a memtable source unless its filter says it holds nothing
+// of pk.
+func (mc *mergeCursor) addMem(m *memtable.Memtable, pk string, from, to []byte) {
+	if !m.Slice(&mc.add(false).mem, pk, from, to) {
+		mc.srcs = mc.srcs[:len(mc.srcs)-1]
+	}
 }
 
 // tableCells is an upper bound on the cells the table sources hold for
