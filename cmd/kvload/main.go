@@ -25,7 +25,6 @@ import (
 
 	"scalekv/internal/cluster"
 	"scalekv/internal/transport"
-	"scalekv/internal/wire"
 	"scalekv/internal/workload"
 )
 
@@ -82,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seeds[i] = strings.TrimSpace(seeds[i])
 	}
 	cli, err := cluster.Connect(seeds, cluster.ClientOptions{
-		Codec:  wire.FastCodec{},
 		Dialer: tcpDial,
 	})
 	if err != nil {

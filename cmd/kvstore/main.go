@@ -269,7 +269,6 @@ func client(args []string) {
 	// seed answers — the member list no longer has to be complete or
 	// ordered, any one live address will do.
 	cli, err := cluster.Connect(seeds, cluster.ClientOptions{
-		Codec:             wire.FastCodec{},
 		ReplicationFactor: *rf,
 		Dialer:            tcpDial,
 	})

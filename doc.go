@@ -31,8 +31,10 @@
 //     refcounted view of its memtables and tables through one atomic
 //     pointer, and point reads search it via a stack-built key (see the
 //     internal/storage package doc for the full concurrency model);
-//   - the two serialization codecs of the Section V-B experiment
-//     (reflective self-describing vs registered binary): internal/wire;
+//   - the wire protocol: one registered binary codec on the serving
+//     path, each message's layout written once, and the reflective
+//     self-describing codec the Section V-B experiment compares it
+//     with, which only the figures run: internal/wire;
 //   - a deterministic discrete-event simulator and the paper's
 //     master-slave prototype on top of it, reproducing the Figure 1-5
 //     scaling experiments on any machine: internal/sim,

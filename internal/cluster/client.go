@@ -59,7 +59,6 @@ type Dialer func(addr string) (*transport.Client, error)
 // instead of failing every read — provided data was written with a
 // replication factor above one.
 type Client struct {
-	codec      wire.Codec
 	rf         int
 	dialer     Dialer
 	readRepair bool
@@ -93,8 +92,6 @@ const maxRepairsInFlight = 8
 
 // ClientOptions configures a cluster client.
 type ClientOptions struct {
-	// Codec must match the nodes'. Defaults to FastCodec.
-	Codec wire.Codec
 	// ReplicationFactor is how many replicas each write lands on — and
 	// how many replicas a read may fail over across. 0 means 1.
 	ReplicationFactor int
@@ -130,9 +127,6 @@ const defaultRepairConcurrency = 4
 // seeds the connection set; with a Dialer and address book the client
 // dials further members lazily.
 func NewClient(ring *hashring.Topology, conns map[hashring.NodeID]*transport.Client, opts ClientOptions) *Client {
-	if opts.Codec == nil {
-		opts.Codec = wire.FastCodec{}
-	}
 	if opts.ReplicationFactor <= 0 {
 		opts.ReplicationFactor = 1
 	}
@@ -140,7 +134,6 @@ func NewClient(ring *hashring.Topology, conns map[hashring.NodeID]*transport.Cli
 		opts.RepairConcurrency = defaultRepairConcurrency
 	}
 	c := &Client{
-		codec:      opts.Codec,
 		rf:         opts.ReplicationFactor,
 		dialer:     opts.Dialer,
 		readRepair: opts.ReadRepair,
@@ -228,16 +221,10 @@ func (c *Client) callRaw(node hashring.NodeID, payload []byte) ([]byte, error) {
 	return raw, nil
 }
 
-func (c *Client) call(node hashring.NodeID, msg wire.Message) (wire.Message, error) {
-	payload, err := c.codec.Marshal(msg)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := c.callRaw(node, payload)
-	if err != nil {
-		return nil, err
-	}
-	return c.codec.Unmarshal(raw)
+// caller is the Caller for one node, for call: the connection is picked
+// (or dialed) per call and dropped when it fails.
+func (c *Client) caller(node hashring.NodeID) transport.Caller {
+	return callerFunc(func(payload []byte) ([]byte, error) { return c.callRaw(node, payload) })
 }
 
 // --- Ring refresh -----------------------------------------------------------
@@ -251,37 +238,18 @@ func (c *Client) call(node hashring.NodeID, msg wire.Message) (wire.Message, err
 // accept it, because their migration window is still open
 // (Node.epochCheck).
 func (c *Client) refreshRing() error {
-	payload, err := c.codec.Marshal(&wire.RingStateRequest{})
-	if err != nil {
-		return err
-	}
 	c.mu.Lock()
-	conns := make(map[hashring.NodeID]*transport.Client, len(c.conns))
-	for id, conn := range c.conns {
-		conns[id] = conn
+	ids := make([]hashring.NodeID, 0, len(c.conns))
+	for id := range c.conns {
+		ids = append(ids, id)
 	}
 	c.mu.Unlock()
 	lastErr := errors.New("cluster: no members reachable for ring refresh")
 	var best *wire.RingStateResponse
-	for id, conn := range conns {
-		raw, err := conn.Call(payload)
-		if err != nil {
-			c.dropConn(id, conn)
-			lastErr = err
-			continue
-		}
-		resp, err := c.codec.Unmarshal(raw)
+	for _, id := range ids {
+		rs, err := ringStateRPC(c.caller(id))
 		if err != nil {
 			lastErr = err
-			continue
-		}
-		rs, ok := resp.(*wire.RingStateResponse)
-		if !ok {
-			lastErr = fmt.Errorf("cluster: unexpected ring-state response %T", resp)
-			continue
-		}
-		if rs.ErrMsg != "" {
-			lastErr = errors.New(rs.ErrMsg)
 			continue
 		}
 		if best == nil || rs.Epoch > best.Epoch {
@@ -347,7 +315,7 @@ func (c *Client) Put(pk string, ck, value []byte) error {
 	var lastErr error
 	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
 		t := c.topo()
-		payload, err := c.codec.Marshal(&wire.PutRequest{PK: pk, CK: ck, Value: value, Epoch: t.Epoch()})
+		payload, err := codec.Marshal(&wire.PutRequest{PK: pk, CK: ck, Value: value, Epoch: t.Epoch()})
 		if err != nil {
 			return err
 		}
@@ -406,7 +374,7 @@ func (c *Client) reapPut(ch <-chan []byte) error {
 	if !ok {
 		return retryable(fmt.Errorf("cluster: write failed: %w", transport.ErrClosed))
 	}
-	resp, err := c.codec.Unmarshal(raw)
+	resp, err := codec.Unmarshal(raw)
 	if err != nil {
 		return err
 	}
@@ -419,7 +387,7 @@ func (c *Client) reapPut(ch <-chan []byte) error {
 	case *wire.DeleteResponse:
 		errMsg = pr.ErrMsg
 	default:
-		return fmt.Errorf("cluster: unexpected response %T", resp)
+		return replyErr(resp)
 	}
 	if errMsg == "" {
 		return nil
@@ -440,7 +408,7 @@ func (c *Client) Delete(pk string, ck []byte) error {
 	var lastErr error
 	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
 		t := c.topo()
-		payload, err := c.codec.Marshal(&wire.DeleteRequest{PK: pk, CK: ck, Epoch: t.Epoch()})
+		payload, err := codec.Marshal(&wire.DeleteRequest{PK: pk, CK: ck, Epoch: t.Epoch()})
 		if err != nil {
 			return err
 		}
@@ -522,7 +490,7 @@ func (c *Client) goBatch(node hashring.NodeID, batch []row.Entry, epoch uint64) 
 	if err != nil {
 		return nil, retryable(err)
 	}
-	payload, err := c.codec.Marshal(&wire.BatchPutRequest{Entries: batch, Epoch: epoch})
+	payload, err := codec.Marshal(&wire.BatchPutRequest{Entries: batch, Epoch: epoch})
 	if err != nil {
 		return nil, err
 	}
@@ -559,7 +527,7 @@ func routedRead[R wire.Message](c *Client, pk string, build func(epoch uint64) w
 	var lastErr error
 	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
 		t := c.topo()
-		payload, err := c.codec.Marshal(build(t.Epoch()))
+		payload, err := codec.Marshal(build(t.Epoch()))
 		if err != nil {
 			return zero, readServed{}, err
 		}
@@ -570,13 +538,9 @@ func routedRead[R wire.Message](c *Client, pk string, build func(epoch uint64) w
 				lastErr = retryable(err)
 				continue // unreachable replica: try the next one
 			}
-			resp, err := c.codec.Unmarshal(raw)
+			tr, err := decode[R](raw)
 			if err != nil {
 				return zero, readServed{}, err
-			}
-			tr, ok := resp.(R)
-			if !ok {
-				return zero, readServed{}, fmt.Errorf("cluster: unexpected response %T", resp)
 			}
 			if msg := errMsgOf(tr); msg != "" {
 				if wire.IsWrongEpoch(msg) {
@@ -652,7 +616,7 @@ func (c *Client) repairAsync(served readServed, ent row.Entry) {
 	// Epoch 0: the repair is admin-class traffic, valid at any epoch —
 	// a topology flip mid-repair must not turn a best-effort write into
 	// a retry loop.
-	payload, err := c.codec.Marshal(&wire.BatchPutRequest{Entries: []row.Entry{ent}})
+	payload, err := codec.Marshal(&wire.BatchPutRequest{Entries: []row.Entry{ent}})
 	if err != nil {
 		c.repairsInFlight.Add(-1)
 		return
@@ -720,7 +684,7 @@ func (c *Client) MultiGet(keys []wire.GetKey) ([]wire.MultiGetValue, error) {
 			if err != nil {
 				p.err = err
 			} else {
-				payload, merr := c.codec.Marshal(&wire.MultiGetRequest{Keys: sub, Epoch: t.Epoch()})
+				payload, merr := codec.Marshal(&wire.MultiGetRequest{Keys: sub, Epoch: t.Epoch()})
 				if merr != nil {
 					return nil, merr
 				}
@@ -750,13 +714,9 @@ func (c *Client) MultiGet(keys []wire.GetKey) ([]wire.MultiGetValue, error) {
 				failNode(fmt.Errorf("cluster: multi-get failed: %w", transport.ErrClosed))
 				continue
 			}
-			resp, err := c.codec.Unmarshal(raw)
+			mr, err := decode[*wire.MultiGetResponse](raw)
 			if err != nil {
 				return nil, err
-			}
-			mr, ok := resp.(*wire.MultiGetResponse)
-			if !ok {
-				return nil, fmt.Errorf("cluster: unexpected response %T", resp)
 			}
 			if mr.ErrMsg != "" {
 				if wire.IsWrongEpoch(mr.ErrMsg) {
@@ -826,13 +786,9 @@ func (c *Client) Count(pk string) (map[uint8]uint64, uint64, error) {
 
 // NodeStats fetches one member's engine-load summary.
 func (c *Client) NodeStats(node hashring.NodeID) (*wire.NodeStatsResponse, error) {
-	resp, err := c.call(node, &wire.NodeStatsRequest{})
+	ns, err := call[*wire.NodeStatsResponse](c.caller(node), &wire.NodeStatsRequest{})
 	if err != nil {
 		return nil, err
-	}
-	ns, ok := resp.(*wire.NodeStatsResponse)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unexpected response %T", resp)
 	}
 	if ns.ErrMsg != "" {
 		return nil, errors.New(ns.ErrMsg)
@@ -937,7 +893,7 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 		}
 		sendAbs := time.Now()
 		req.TraceSendNanos = sendAbs.UnixNano()
-		payload, err := c.codec.Marshal(req)
+		payload, err := codec.Marshal(req)
 		if err != nil {
 			return err
 		}
@@ -946,7 +902,7 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 			// log line and an integrity checksum of the frame.
 			fmt.Fprintf(logSink, "query=%d seq=%d pk=%s node=%d bytes=%d crc=%08x\n",
 				qid, i, pk, node, len(payload), crc32.ChecksumIEEE(payload))
-			if rt, err := c.codec.Unmarshal(payload); err != nil {
+			if rt, err := codec.Unmarshal(payload); err != nil {
 				return fmt.Errorf("cluster: integrity check: %w", err)
 			} else if rt.(*wire.CountRequest).PK != pk {
 				return errors.New("cluster: integrity check mismatch")
@@ -1000,7 +956,7 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 			continue
 		}
 		recvAbs := time.Now()
-		msg, err := c.codec.Unmarshal(raw)
+		msg, err := codec.Unmarshal(raw)
 		if err != nil {
 			res.Errors++
 			continue

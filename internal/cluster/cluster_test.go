@@ -73,6 +73,55 @@ func TestOnlyNonBlockingOpsRunInline(t *testing.T) {
 	}
 }
 
+// TestUnservedFramesGetAnErrorResponse: a frame the node cannot decode
+// (an unknown type ID) and a message it does not serve (a response sent
+// as a request) are answered with an ErrorResponse carrying the node's
+// text, and the client's typed paths report that text as a non-retryable
+// error instead of an unexpected reply type.
+func TestUnservedFramesGetAnErrorResponse(t *testing.T) {
+	c := startTest(t, LocalOptions{Nodes: 1})
+	conn, err := c.dial(c.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	putResp, err := codec.Marshal(&wire.PutResponse{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"unknown type ID", []byte{0x7f}, "bad frame: wire: unknown message type 127"},
+		{"response as request", putResp, "unexpected message *wire.PutResponse"},
+	} {
+		raw, err := conn.Call(tc.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := codec.Unmarshal(raw)
+		if er, ok := msg.(*wire.ErrorResponse); err != nil || !ok || er.ErrMsg != tc.want {
+			t.Errorf("%s: reply %#v, %v; want ErrorResponse %q", tc.name, msg, err, tc.want)
+		}
+		ch := make(chan []byte, 1)
+		ch <- raw
+		for path, err := range map[string]error{
+			"decode":  func() error { _, err := decode[*wire.GetResponse](raw); return err }(),
+			"reapPut": c.Client().reapPut(ch),
+		} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) || isRetryable(err) {
+				t.Errorf("%s via %s: %v, want a non-retryable error naming %q", tc.name, path, err, tc.want)
+			}
+		}
+	}
+	if _, err := call[*wire.GetResponse](conn, &wire.PutResponse{}); err == nil ||
+		!strings.Contains(err.Error(), "unexpected message *wire.PutResponse") {
+		t.Errorf("call: %v, want the node's text", err)
+	}
+}
+
 func TestPutGetAcrossNodes(t *testing.T) {
 	c := startTest(t, LocalOptions{Nodes: 4})
 	cli := c.Client()
@@ -256,7 +305,7 @@ func TestCountAllOpsMatchNodeCounters(t *testing.T) {
 }
 
 func TestVerboseMasterSlower(t *testing.T) {
-	c := startTest(t, LocalOptions{Nodes: 2, Codec: wire.SlowCodec{}})
+	c := startTest(t, LocalOptions{Nodes: 2})
 	pks := loadPartitions(t, c, 200, 2)
 	var log bytes.Buffer
 	verbose, err := c.Client().CountAll(pks, MasterOptions{Verbose: true, LogSink: &log})
@@ -287,24 +336,6 @@ func TestVerboseMasterSlower(t *testing.T) {
 		if plain, err = c.Client().CountAll(pks, MasterOptions{}); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestSlowCodecSendsMoreBytes(t *testing.T) {
-	fast := startTest(t, LocalOptions{Nodes: 2})
-	pksF := loadPartitions(t, fast, 50, 2)
-	resFast, err := fast.Client().CountAll(pksF, MasterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := startTest(t, LocalOptions{Nodes: 2, Codec: wire.SlowCodec{}})
-	pksS := loadPartitions(t, slow, 50, 2)
-	resSlow, err := slow.Client().CountAll(pksS, MasterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resSlow.BytesSent < 3*resFast.BytesSent {
-		t.Fatalf("slow codec sent %dB vs fast %dB, want >= 3x", resSlow.BytesSent, resFast.BytesSent)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"scalekv/internal/hashring"
+	"scalekv/internal/row"
 	"scalekv/internal/transport"
 	"scalekv/internal/wire"
 )
@@ -86,13 +87,12 @@ type RebalanceReport struct {
 // It holds no reference to a Cluster or a Node — everything it needs
 // is an address.
 type coordinator struct {
-	codec wire.Codec
 	dial  Dialer
 	conns map[string]*transport.Client // by address
 }
 
-func newCoordinator(codec wire.Codec, dial Dialer) *coordinator {
-	return &coordinator{codec: codec, dial: dial, conns: make(map[string]*transport.Client)}
+func newCoordinator(dial Dialer) *coordinator {
+	return &coordinator{dial: dial, conns: make(map[string]*transport.Client)}
 }
 
 func (co *coordinator) close() {
@@ -114,21 +114,16 @@ func (co *coordinator) conn(addr string) (*transport.Client, error) {
 	return conn, nil
 }
 
-// call runs one synchronous RPC over a scratch connection.
-func (co *coordinator) call(addr string, msg wire.Message) (wire.Message, error) {
-	conn, err := co.conn(addr)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := co.codec.Marshal(msg)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := conn.Call(payload)
-	if err != nil {
-		return nil, err
-	}
-	return co.codec.Unmarshal(raw)
+// caller is the Caller for one address, for call: the scratch
+// connection is dialed on first use.
+func (co *coordinator) caller(addr string) transport.Caller {
+	return callerFunc(func(payload []byte) ([]byte, error) {
+		conn, err := co.conn(addr)
+		if err != nil {
+			return nil, err
+		}
+		return conn.Call(payload)
+	})
 }
 
 // rebalanceParams is one topology change, fully resolved: the diff is
@@ -201,17 +196,13 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 		// forwarding until its conns break, which is harmless
 		// (forwards are LWW-idempotent).
 		for _, addr := range migrating {
-			co.call(addr, &wire.EndMigrationRequest{})
+			call[*wire.EndMigrationResponse](co.caller(addr), &wire.EndMigrationRequest{})
 		}
 	}()
 	for id := range participants {
-		resp, err := co.call(addrOf(id), beginReq)
+		bm, err := call[*wire.BeginMigrationResponse](co.caller(addrOf(id)), beginReq)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: begin migration at node %d: %w", id, err)
-		}
-		bm, ok := resp.(*wire.BeginMigrationResponse)
-		if !ok {
-			return nil, fmt.Errorf("cluster: unexpected begin-migration response %T", resp)
 		}
 		if bm.ErrMsg != "" {
 			return nil, fmt.Errorf("cluster: begin migration at node %d: %s", id, bm.ErrMsg)
@@ -259,13 +250,9 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 		}
 	}
 	for id, addr := range flipTargets {
-		resp, err := co.call(addr, flipReq)
+		sr, err := call[*wire.SetRingStateResponse](co.caller(addr), flipReq)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: flip node %d: %w", id, err)
-		}
-		sr, ok := resp.(*wire.SetRingStateResponse)
-		if !ok {
-			return nil, fmt.Errorf("cluster: unexpected flip response %T", resp)
 		}
 		if sr.ErrMsg != "" {
 			return nil, fmt.Errorf("cluster: flip node %d: %s", id, sr.ErrMsg)
@@ -279,11 +266,11 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 	// unreclaimed disk space (reported, not fatal) — failing here would
 	// tear down a node the whole cluster now routes to.
 	for _, addr := range migrating {
-		if resp, err := co.call(addr, &wire.EndMigrationRequest{}); err == nil {
-			if em, ok := resp.(*wire.EndMigrationResponse); ok && em.ErrMsg != "" {
-				recordRetireErr(report, errors.New(em.ErrMsg))
-			}
-		} else {
+		em, err := call[*wire.EndMigrationResponse](co.caller(addr), &wire.EndMigrationRequest{})
+		if err == nil && em.ErrMsg != "" {
+			err = errors.New(em.ErrMsg)
+		}
+		if err != nil {
 			recordRetireErr(report, err)
 		}
 	}
@@ -292,14 +279,9 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 		if !p.next.Contains(r.Node) {
 			continue
 		}
-		resp, err := co.call(p.addrsNext[r.Node], &wire.DeleteRangeRequest{Lo: r.Lo, Hi: r.Hi})
+		dr, err := call[*wire.DeleteRangeResponse](co.caller(p.addrsNext[r.Node]), &wire.DeleteRangeRequest{Lo: r.Lo, Hi: r.Hi})
 		if err != nil {
 			recordRetireErr(report, fmt.Errorf("retire [%d,%d] at node %d: %w", r.Lo, r.Hi, r.Node, err))
-			continue
-		}
-		dr, ok := resp.(*wire.DeleteRangeResponse)
-		if !ok {
-			recordRetireErr(report, fmt.Errorf("unexpected retire response %T", resp))
 			continue
 		}
 		if dr.ErrMsg != "" {
@@ -370,7 +352,6 @@ func (c *Cluster) AddNode() (*Node, *RebalanceReport, error) {
 		Dir:               filepath.Join(c.baseDir, fmt.Sprintf("node-%d", id)),
 		DBParallelism:     c.opts.DBParallelism,
 		Storage:           c.opts.Storage,
-		Codec:             c.opts.Codec,
 		Topology:          old,
 		Addrs:             c.addrs,
 		ReplicationFactor: c.opts.ReplicationFactor,
@@ -463,7 +444,7 @@ func (c *Cluster) RemoveNode(id hashring.NodeID) (*RebalanceReport, error) {
 // result into the in-process bookkeeping. addrsNext must already
 // reflect the new membership.
 func (c *Cluster) rebalance(old, next *hashring.Topology, moves []hashring.RangeMove, addrsNext map[hashring.NodeID]string, subject hashring.NodeID) (*RebalanceReport, error) {
-	co := newCoordinator(c.opts.Codec, c.dial)
+	co := newCoordinator(c.dial)
 	defer co.close()
 	report, err := runRebalance(co, rebalanceParams{
 		rf:         c.opts.ReplicationFactor,
@@ -496,12 +477,10 @@ func (co *coordinator) pickSources(old *hashring.Topology, moves []hashring.Rang
 			return v
 		}
 		var total int64 = math.MaxInt64
-		if resp, err := co.call(addrs[id], &wire.NodeStatsRequest{}); err == nil {
-			if ns, ok := resp.(*wire.NodeStatsResponse); ok && ns.ErrMsg == "" {
-				total = 0
-				for _, sh := range ns.Shards {
-					total += int64(sh.MemtableBytes)
-				}
+		if ns, err := call[*wire.NodeStatsResponse](co.caller(addrs[id]), &wire.NodeStatsRequest{}); err == nil && ns.ErrMsg == "" {
+			total = 0
+			for _, sh := range ns.Shards {
+				total += int64(sh.MemtableBytes)
 			}
 		}
 		backlog[id] = total
@@ -524,43 +503,22 @@ func (co *coordinator) pickSources(old *hashring.Topology, moves []hashring.Rang
 	return out
 }
 
-// streamRange pages one token range from source to target at epoch 0.
+// streamRange pages one token range from source to target at epoch 0:
+// each page is written to the target before the next is fetched.
 func (co *coordinator) streamRange(m hashring.RangeMove, srcAddr, dstAddr string) (cells int64, pages int, err error) {
-	afterTok, afterPK := int64(math.MinInt64), ""
-	for {
-		resp, err := co.call(srcAddr, &wire.StreamRangeRequest{
-			Lo: m.Lo, Hi: m.Hi,
-			AfterToken: afterTok, AfterPK: afterPK,
-			MaxCells: streamPageCells,
-		})
+	pages, err = pageRange(co.caller(srcAddr), m.Lo, m.Hi, streamPageCells, func(entries []row.Entry) error {
+		if len(entries) == 0 {
+			return nil
+		}
+		bp, err := call[*wire.BatchPutResponse](co.caller(dstAddr), &wire.BatchPutRequest{Entries: entries}) // epoch 0
 		if err != nil {
-			return cells, pages, err
+			return err
 		}
-		page, ok := resp.(*wire.StreamRangeResponse)
-		if !ok {
-			return cells, pages, fmt.Errorf("cluster: unexpected stream response %T", resp)
+		if bp.ErrMsg != "" {
+			return errors.New(bp.ErrMsg)
 		}
-		if page.ErrMsg != "" {
-			return cells, pages, errors.New(page.ErrMsg)
-		}
-		pages++
-		if len(page.Entries) > 0 {
-			wresp, err := co.call(dstAddr, &wire.BatchPutRequest{Entries: page.Entries}) // epoch 0
-			if err != nil {
-				return cells, pages, err
-			}
-			bp, ok := wresp.(*wire.BatchPutResponse)
-			if !ok {
-				return cells, pages, fmt.Errorf("cluster: unexpected stream-write response %T", wresp)
-			}
-			if bp.ErrMsg != "" {
-				return cells, pages, errors.New(bp.ErrMsg)
-			}
-			cells += int64(len(page.Entries))
-		}
-		if !page.More {
-			return cells, pages, nil
-		}
-		afterTok, afterPK = page.NextToken, page.NextPK
-	}
+		cells += int64(len(entries))
+		return nil
+	})
+	return cells, pages, err
 }

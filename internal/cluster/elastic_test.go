@@ -378,7 +378,6 @@ func TestStaleClientRecoversViaWrongEpoch(t *testing.T) {
 
 	// A second, independent client pinned at the pre-join topology.
 	stale := NewClient(c.Topology(), nil, ClientOptions{
-		Codec:             c.opts.Codec,
 		ReplicationFactor: c.opts.ReplicationFactor,
 		Dialer:            c.dial,
 		Addrs:             c.addrs,
@@ -404,7 +403,6 @@ func TestStaleClientRecoversViaWrongEpoch(t *testing.T) {
 	// operation is a Count must see the real cell count, not a silent
 	// zero from a node that retired the partition.
 	stale2 := NewClient(hashring.New(2, c.opts.Vnodes), nil, ClientOptions{
-		Codec:             c.opts.Codec,
 		ReplicationFactor: c.opts.ReplicationFactor,
 		Dialer:            c.dial,
 		Addrs:             c.addrs,

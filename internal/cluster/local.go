@@ -10,7 +10,6 @@ import (
 	"scalekv/internal/hashring"
 	"scalekv/internal/storage"
 	"scalekv/internal/transport"
-	"scalekv/internal/wire"
 )
 
 // LocalOptions configures an in-process cluster.
@@ -26,8 +25,6 @@ type LocalOptions struct {
 	DBParallelism int
 	// ReplicationFactor for writes.
 	ReplicationFactor int
-	// Codec for the whole cluster; defaults to FastCodec.
-	Codec wire.Codec
 	// Storage tunes every node's engine.
 	Storage storage.Options
 	// ReadRepair enables the client's failover read-repair (see
@@ -128,9 +125,6 @@ func start(opts LocalOptions, listen func(hashring.NodeID) (transport.Listener, 
 	if opts.Vnodes <= 0 {
 		opts.Vnodes = 64
 	}
-	if opts.Codec == nil {
-		opts.Codec = wire.FastCodec{}
-	}
 	ownsDir := false
 	if opts.BaseDir == "" {
 		dir, err := os.MkdirTemp("", "scalekv-cluster-")
@@ -173,7 +167,6 @@ func start(opts LocalOptions, listen func(hashring.NodeID) (transport.Listener, 
 			Dir:               filepath.Join(opts.BaseDir, fmt.Sprintf("node-%d", i)),
 			DBParallelism:     opts.DBParallelism,
 			Storage:           opts.Storage,
-			Codec:             opts.Codec,
 			Topology:          c.Ring,
 			Addrs:             addrs,
 			ReplicationFactor: opts.ReplicationFactor,
@@ -198,7 +191,6 @@ func start(opts LocalOptions, listen func(hashring.NodeID) (transport.Listener, 
 	}
 	c.addrs = addrs
 	c.client = NewClient(c.Ring, conns, ClientOptions{
-		Codec:             opts.Codec,
 		ReplicationFactor: opts.ReplicationFactor,
 		Dialer:            dial,
 		Addrs:             addrs,

@@ -228,10 +228,7 @@ func (n *Node) probeOnce() {
 	if timeout > 2*time.Second {
 		timeout = 2 * time.Second
 	}
-	payload, err := n.codec.Marshal(&wire.PingRequest{FromID: uint32(n.id), Epoch: rs.topo.Epoch()})
-	if err != nil {
-		return
-	}
+	ping := &wire.PingRequest{FromID: uint32(n.id), Epoch: rs.topo.Epoch()}
 	for _, id := range rs.topo.Nodes() {
 		if id == n.id {
 			continue
@@ -244,15 +241,9 @@ func (n *Node) probeOnce() {
 		if err != nil {
 			return // pool closed: the node is shutting down
 		}
-		ok := false
-		if raw, err := rd.CallTimeout(payload, timeout); err == nil {
-			if resp, derr := n.codec.Unmarshal(raw); derr == nil {
-				if pr, isPing := resp.(*wire.PingResponse); isPing && pr.ErrMsg == "" {
-					ok = true
-				}
-			}
-		}
-		n.notePeer(id, ok)
+		probe := callerFunc(func(payload []byte) ([]byte, error) { return rd.CallTimeout(payload, timeout) })
+		pr, err := call[*wire.PingResponse](probe, ping)
+		n.notePeer(id, err == nil && pr.ErrMsg == "")
 	}
 	n.pruneHealth(rs.topo)
 }
@@ -280,7 +271,7 @@ func (n *Node) announceLeave() {
 	if rs == nil || n.dialer == nil {
 		return
 	}
-	payload, err := n.codec.Marshal(&wire.LeaveRequest{ID: uint32(n.id)})
+	payload, err := codec.Marshal(&wire.LeaveRequest{ID: uint32(n.id)})
 	if err != nil {
 		return
 	}
@@ -341,7 +332,6 @@ func (n *Node) RepairNow() (*RepairReport, error) {
 		return nil, nil
 	}
 	cli := NewClient(rs.topo, nil, ClientOptions{
-		Codec:             n.codec,
 		ReplicationFactor: rs.rf,
 		Dialer:            n.dialer,
 		Addrs:             rs.addrs,
@@ -459,7 +449,7 @@ func (n *Node) handleJoin(req *wire.JoinRequest) *wire.JoinResponse {
 	addrsNext := copyAddrs(rs.addrs)
 	addrsNext[id] = req.Addr
 
-	co := newCoordinator(n.codec, n.dialer)
+	co := newCoordinator(n.dialer)
 	defer co.close()
 	report, err := runRebalance(co, rebalanceParams{
 		rf:        rs.rf,
@@ -488,22 +478,10 @@ func (n *Node) handleJoin(req *wire.JoinRequest) *wire.JoinResponse {
 // --- Process bootstrap ------------------------------------------------------
 
 // ringStateRPC asks one connection for its ring state.
-func ringStateRPC(conn transport.Caller, codec wire.Codec) (*wire.RingStateResponse, error) {
-	payload, err := codec.Marshal(&wire.RingStateRequest{})
+func ringStateRPC(conn transport.Caller) (*wire.RingStateResponse, error) {
+	rs, err := call[*wire.RingStateResponse](conn, &wire.RingStateRequest{})
 	if err != nil {
 		return nil, err
-	}
-	raw, err := conn.Call(payload)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := codec.Unmarshal(raw)
-	if err != nil {
-		return nil, err
-	}
-	rs, ok := resp.(*wire.RingStateResponse)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unexpected ring-state response %T", resp)
 	}
 	if rs.ErrMsg != "" {
 		return nil, errors.New(rs.ErrMsg)
@@ -529,15 +507,11 @@ func JoinRing(l transport.Listener, opts NodeOptions, seedAddr string) (*Node, *
 	if opts.AdvertiseAddr == "" {
 		return nil, nil, errors.New("cluster: JoinRing needs an AdvertiseAddr")
 	}
-	if opts.Codec == nil {
-		opts.Codec = wire.FastCodec{}
-	}
-
 	seedConn, err := opts.Dialer(seedAddr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: dial seed %s: %w", seedAddr, err)
 	}
-	rs, err := ringStateRPC(seedConn, opts.Codec)
+	rs, err := ringStateRPC(seedConn)
 	seedConn.Close()
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: seed %s: %w", seedAddr, err)
@@ -576,25 +550,10 @@ func JoinRing(l transport.Listener, opts NodeOptions, seedAddr string) (*Node, *
 		return nil, nil, fmt.Errorf("cluster: dial seed %s: %w", seedAddr, err)
 	}
 	defer joinConn.Close()
-	payload, err := opts.Codec.Marshal(&wire.JoinRequest{ID: uint32(node.id), Addr: opts.AdvertiseAddr})
-	if err != nil {
-		node.Close()
-		return nil, nil, err
-	}
-	raw, err := joinConn.Call(payload)
+	jr, err := call[*wire.JoinResponse](joinConn, &wire.JoinRequest{ID: uint32(node.id), Addr: opts.AdvertiseAddr})
 	if err != nil {
 		node.Close()
 		return nil, nil, fmt.Errorf("cluster: join via %s: %w", seedAddr, err)
-	}
-	resp, err := opts.Codec.Unmarshal(raw)
-	if err != nil {
-		node.Close()
-		return nil, nil, err
-	}
-	jr, ok := resp.(*wire.JoinResponse)
-	if !ok {
-		node.Close()
-		return nil, nil, fmt.Errorf("cluster: unexpected join response %T", resp)
 	}
 	if jr.ErrMsg != "" {
 		node.Close()
@@ -611,9 +570,6 @@ func Connect(seeds []string, opts ClientOptions) (*Client, error) {
 	if opts.Dialer == nil {
 		return nil, errors.New("cluster: Connect needs a Dialer")
 	}
-	if opts.Codec == nil {
-		opts.Codec = wire.FastCodec{}
-	}
 	var best *wire.RingStateResponse
 	lastErr := errors.New("cluster: no seed addresses")
 	for _, addr := range seeds {
@@ -622,7 +578,7 @@ func Connect(seeds []string, opts ClientOptions) (*Client, error) {
 			lastErr = err
 			continue
 		}
-		rs, err := ringStateRPC(conn, opts.Codec)
+		rs, err := ringStateRPC(conn)
 		conn.Close()
 		if err != nil {
 			lastErr = err

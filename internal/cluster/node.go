@@ -42,9 +42,6 @@ type NodeOptions struct {
 	DBParallelism int
 	// Storage tunes the underlying engine (Dir is overridden).
 	Storage storage.Options
-	// Codec decodes requests and encodes responses. Defaults to
-	// FastCodec.
-	Codec wire.Codec
 	// Topology is the node's initial routing epoch state. Nil runs the
 	// node unversioned: every request is accepted regardless of epoch
 	// (standalone nodes, raw-wire tests) — unless the data directory
@@ -119,7 +116,6 @@ type Node struct {
 	id       hashring.NodeID
 	engine   *storage.Engine
 	server   *transport.Server
-	codec    wire.Codec
 	dbSlots  chan struct{}
 	dir      string
 	dialer   Dialer
@@ -169,9 +165,6 @@ type Node struct {
 // epoch flips (a restarting member resumes at the epoch it last
 // flipped to), or — when neither exists — the node runs unversioned.
 func StartNode(l transport.Listener, opts NodeOptions) (*Node, error) {
-	if opts.Codec == nil {
-		opts.Codec = wire.FastCodec{}
-	}
 	if opts.DBParallelism <= 0 {
 		opts.DBParallelism = 16
 	}
@@ -191,7 +184,6 @@ func StartNode(l transport.Listener, opts NodeOptions) (*Node, error) {
 	n := &Node{
 		id:                 opts.ID,
 		engine:             engine,
-		codec:              opts.Codec,
 		dbSlots:            make(chan struct{}, opts.DBParallelism),
 		dir:                opts.Dir,
 		dialer:             opts.Dialer,
@@ -414,21 +406,9 @@ func (n *Node) forwardEntries(entries []row.Entry) error {
 		if !ok {
 			return fmt.Errorf("cluster: node %d: no forward conn to %d", n.id, target)
 		}
-		payload, err := n.codec.Marshal(&wire.BatchPutRequest{Entries: batch}) // epoch 0: wildcard
-		if err != nil {
-			return err
-		}
-		raw, err := conn.Call(payload)
+		bp, err := call[*wire.BatchPutResponse](conn, &wire.BatchPutRequest{Entries: batch}) // epoch 0: wildcard
 		if err != nil {
 			return fmt.Errorf("cluster: node %d: forward to %d: %w", n.id, target, err)
-		}
-		resp, err := n.codec.Unmarshal(raw)
-		if err != nil {
-			return err
-		}
-		bp, ok := resp.(*wire.BatchPutResponse)
-		if !ok {
-			return fmt.Errorf("cluster: node %d: unexpected forward response %T", n.id, resp)
 		}
 		if bp.ErrMsg != "" {
 			return fmt.Errorf("cluster: node %d: forward to %d: %s", n.id, target, bp.ErrMsg)
@@ -445,12 +425,13 @@ func (n *Node) forwardEntries(entries []row.Entry) error {
 // goes back to the transport as a continuation for its worker pool:
 // writes forward inside a migration window and can park on freeze
 // backpressure, scans and multi-gets hold the connection for as long as
-// their result is, and streams, digests and admin calls do both.
+// their result is, and streams, digests and admin calls do both. A frame
+// that does not decode is answered inline with an ErrorResponse.
 func (n *Node) handle(payload []byte) (resp []byte, rest func() []byte) {
 	recv := time.Now()
-	msg, err := n.codec.Unmarshal(payload)
+	msg, err := codec.Unmarshal(payload)
 	if err != nil {
-		return n.encode(&wire.CountResponse{ErrMsg: "bad frame: " + err.Error()}), nil
+		return n.encode(&wire.ErrorResponse{ErrMsg: "bad frame: " + err.Error()}), nil
 	}
 	switch req := msg.(type) {
 	case *wire.GetRequest:
@@ -505,7 +486,7 @@ func (n *Node) handlePooled(msg wire.Message) wire.Message {
 	case *wire.LeaveRequest:
 		return n.handleLeave(req)
 	default:
-		return &wire.CountResponse{ErrMsg: fmt.Sprintf("unexpected message %T", msg)}
+		return &wire.ErrorResponse{ErrMsg: fmt.Sprintf("unexpected message %T", msg)}
 	}
 }
 
@@ -769,7 +750,7 @@ func (n *Node) count(req *wire.CountRequest, recv time.Time) *wire.CountResponse
 }
 
 func (n *Node) encode(m wire.Message) []byte {
-	data, err := n.codec.Marshal(m)
+	data, err := codec.Marshal(m)
 	if err != nil {
 		// Marshal of our own response types cannot fail with a healthy
 		// codec; make the failure loud instead of silent.

@@ -19,7 +19,6 @@ package cluster
 // replica backwards.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -299,13 +298,9 @@ func (c *Client) syncPair(a, b hashring.NodeID, lo, hi int64, budget int, rep *R
 // digest fetches one node's digest leaves for [lo, hi].
 func (c *Client) digest(node hashring.NodeID, lo, hi int64, rep *RepairReport) ([]wire.DigestLeaf, error) {
 	rep.DigestRPCs++
-	resp, err := c.call(node, &wire.DigestRequest{Lo: lo, Hi: hi, Depth: repairDigestDepth})
+	dr, err := call[*wire.DigestResponse](c.caller(node), &wire.DigestRequest{Lo: lo, Hi: hi, Depth: repairDigestDepth})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: digest node %d: %w", node, err)
-	}
-	dr, ok := resp.(*wire.DigestResponse)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unexpected digest response %T", resp)
 	}
 	if dr.ErrMsg != "" {
 		return nil, fmt.Errorf("cluster: digest node %d: %s", node, dr.ErrMsg)
@@ -368,27 +363,14 @@ func (c *Client) reconcileLeaf(a, b hashring.NodeID, lo, hi int64, rep *RepairRe
 // inclusive token range via the paged epoch-0 stream.
 func (c *Client) streamAll(node hashring.NodeID, lo, hi int64) ([]row.Entry, error) {
 	var out []row.Entry
-	afterTok, afterPK := int64(math.MinInt64), ""
-	for {
-		resp, err := c.call(node, &wire.StreamRangeRequest{
-			Lo: lo, Hi: hi, AfterToken: afterTok, AfterPK: afterPK,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: repair stream node %d: %w", node, err)
-		}
-		page, ok := resp.(*wire.StreamRangeResponse)
-		if !ok {
-			return nil, fmt.Errorf("cluster: unexpected repair stream response %T", resp)
-		}
-		if page.ErrMsg != "" {
-			return nil, errors.New(page.ErrMsg)
-		}
-		out = append(out, page.Entries...)
-		if !page.More {
-			return out, nil
-		}
-		afterTok, afterPK = page.NextToken, page.NextPK
+	_, err := pageRange(c.caller(node), lo, hi, 0, func(entries []row.Entry) error {
+		out = append(out, entries...)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: repair stream node %d: %w", node, err)
 	}
+	return out, nil
 }
 
 // shipRepair writes repair entries to a node at epoch 0, chunked.
@@ -399,13 +381,9 @@ func (c *Client) shipRepair(node hashring.NodeID, entries []row.Entry) error {
 		if n > chunk {
 			n = chunk
 		}
-		resp, err := c.call(node, &wire.BatchPutRequest{Entries: entries[:n]}) // epoch 0
+		bp, err := call[*wire.BatchPutResponse](c.caller(node), &wire.BatchPutRequest{Entries: entries[:n]}) // epoch 0
 		if err != nil {
 			return fmt.Errorf("cluster: repair ship to node %d: %w", node, err)
-		}
-		bp, ok := resp.(*wire.BatchPutResponse)
-		if !ok {
-			return fmt.Errorf("cluster: unexpected repair ship response %T", resp)
 		}
 		if bp.ErrMsg != "" {
 			return fmt.Errorf("cluster: repair ship to node %d: %s", node, bp.ErrMsg)

@@ -112,6 +112,25 @@ func metaWithCount(meta []byte, off int, n uint64) []byte {
 	return append(out, meta[off+u:]...)
 }
 
+// metaWithCellCounts replaces the cell counts of the named partitions in
+// the directory of a meta section (which starts at dirOff).
+func metaWithCellCounts(meta []byte, dirOff int, counts map[string]uint64) []byte {
+	out := append([]byte(nil), meta[:dirOff]...)
+	n, u := enc.Uvarint(meta[dirOff:])
+	out = enc.AppendUvarint(out, n)
+	p := meta[dirOff+u:]
+	for range n {
+		pk, u1 := enc.Bytes(p)
+		cells, u2 := enc.Uvarint(p[u1:])
+		if c, ok := counts[string(pk)]; ok {
+			cells = c
+		}
+		out = enc.AppendUvarint(enc.AppendBytes(out, pk), cells)
+		p = p[u1+u2:]
+	}
+	return append(out, p...)
+}
+
 // dirOffset returns where the partition directory starts inside a meta
 // section the writer produced.
 func dirOffset(file []byte) int {
@@ -143,6 +162,41 @@ func TestLoadMetaBoundsCountsByBytesLeft(t *testing.T) {
 		}
 		if _, err := r.Partitions(); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Partitions = %v, want ErrCorrupt", c.name, err)
+		}
+		r.Close()
+	}
+}
+
+// TestLoadMetaBoundsCellCounts: a partition's cell count sizes the cell
+// slice of a whole-partition collect (ReadPartition, PartitionIter.Next),
+// so a checksummed directory claiming more cells than the data section
+// can hold — in one partition or summed over all — is ErrCorrupt. Before
+// the bound, 2^50 cells panicked makeslice on the compaction worker.
+func TestLoadMetaBoundsCellCounts(t *testing.T) {
+	file := metaTable(t)
+	s := cutTable(file)
+	half := (uint64(len(s.data))-uint64(len(magic)))*lzMaxCopy/(2*minBlockEntry)/2 + 1
+	for name, counts := range map[string]map[string]uint64{
+		"one partition": {"b": 1 << 50},
+		"summed":        {"a": half, "b": half},
+	} {
+		s := s
+		s.meta = metaWithCellCounts(s.meta, dirOffset(file), counts)
+		r, err := openBytes(t, s.seal(5))
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		if _, err := r.Partitions(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Partitions = %v, want ErrCorrupt", name, err)
+		}
+		if _, err := r.ReadPartition("b"); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: ReadPartition = %v, want ErrCorrupt", name, err)
+		}
+		it := r.Iter()
+		for _, _, ok := it.Next(); ok; _, _, ok = it.Next() {
+		}
+		if !errors.Is(it.Err(), ErrCorrupt) {
+			t.Errorf("%s: Iter = %v, want ErrCorrupt", name, it.Err())
 		}
 		r.Close()
 	}
@@ -188,8 +242,9 @@ func TestOpenRejectsDegenerateBloom(t *testing.T) {
 // the footer's partition count. It writes a small multi-block table
 // once, lets the fuzzer replace those sections, re-seals every CRC so
 // the decoders are reached, then opens the table, lists its partitions,
-// and for every partition (up to 64) runs a point read and a whole-
-// partition slice. Properties:
+// for every partition (up to 64) runs a point read, a whole-partition
+// slice and a whole-partition collect, and walks the table's partitions
+// with the compactor's iterator. Properties:
 //
 //  1. nothing panics;
 //  2. the run allocates no more than a small multiple of the file size,
@@ -198,15 +253,16 @@ func TestOpenRejectsDegenerateBloom(t *testing.T) {
 //  4. on any meta that loads, every partition's directory block is the
 //     block a search of the whole index for its prefix finds.
 //
-// The seeds are the unmodified sections and the two crash inputs the
-// bounds were written for: a meta claiming 2^40 blocks and a filter with
-// no bits.
+// The seeds are the unmodified sections and the three crash inputs the
+// bounds were written for: a meta claiming 2^40 blocks, a filter with no
+// bits and a partition claiming 2^50 cells.
 func FuzzTableMeta(f *testing.F) {
 	file := metaTable(f)
 	orig := cutTable(file)
 	f.Add(orig.meta, orig.bloom, uint64(5))
 	f.Add(metaWithCount(orig.meta, 0, 1<<40), orig.bloom, uint64(5))
 	f.Add(orig.meta, bloomSection(0, 7), uint64(5))
+	f.Add(metaWithCellCounts(orig.meta, dirOffset(file), map[string]uint64{"b": 1 << 50}), orig.bloom, uint64(5))
 	path := filepath.Join(f.TempDir(), "t.sst")
 
 	f.Fuzz(func(t *testing.T, meta, bloomSec []byte, partCount uint64) {
@@ -246,9 +302,18 @@ func FuzzTableMeta(f *testing.F) {
 			for n := 0; c.Next() && n < 1<<12; n++ {
 			}
 			check("slice walk", c.Err())
+			_, err = r.ReadPartition(pk)
+			check("ReadPartition", err)
 		}
+		it := r.Iter()
+		for n := 0; n < 64; n++ {
+			if _, _, ok := it.Next(); !ok {
+				break
+			}
+		}
+		check("Iter", it.Err())
 		runtime.ReadMemStats(&after)
-		ops := uint64(2 + 2*len(pks))
+		ops := uint64(3 + 3*len(pks))
 		if got, limit := after.TotalAlloc-before.TotalAlloc, ops*64*uint64(len(data))+1<<20; got > limit {
 			t.Fatalf("%d ops on a %d-byte table allocated %d bytes, limit %d", ops, len(data), got, limit)
 		}

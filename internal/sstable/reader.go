@@ -264,12 +264,14 @@ func (r *Reader) residentMeta() *tableMeta {
 }
 
 // Minimum encoded sizes of a block index entry (empty first key, one-
-// byte offset and length) and a partition directory entry (empty key,
-// one-byte cell count): a count read off disk is checked against them
-// before it sizes an allocation.
+// byte offset and length), a partition directory entry (empty key,
+// one-byte cell count) and a data-block entry (three length varints,
+// seq, node and flags of one byte each): a count read off disk is
+// checked against them before it sizes an allocation.
 const (
 	minBlockIndexEntry = 3
 	minPartDirEntry    = 2
+	minBlockEntry      = 6
 )
 
 // readMeta reads, checks and decodes the block index and partition
@@ -324,6 +326,11 @@ func (r *Reader) readMeta() (*tableMeta, error) {
 	p = p[u:]
 	m.parts = make([]partDirEntry, 0, nParts)
 	m.byPK = make(map[string]int, nParts)
+	// A partition's cell count sizes its collect (ReadSlice,
+	// PartitionIter), so the counts are bounded by the cells the data
+	// section can hold: a stored byte decodes to at most lzMaxCopy/2
+	// bytes (a two-byte copy op), an entry takes minBlockEntry of them.
+	cellsLeft := (r.blockIdxOff - uint64(len(magic))) * lzMaxCopy / (2 * minBlockEntry)
 	for i := uint64(0); i < nParts; i++ {
 		pkb, u1 := enc.Bytes(p)
 		if u1 == 0 {
@@ -331,9 +338,10 @@ func (r *Reader) readMeta() (*tableMeta, error) {
 		}
 		p = p[u1:]
 		cells, u2 := enc.Uvarint(p)
-		if u2 <= 0 {
+		if u2 <= 0 || cells > cellsLeft {
 			return nil, ErrCorrupt
 		}
+		cellsLeft -= cells
 		p = p[u2:]
 		pk := string(pkb)
 		if i > 0 && pk <= m.parts[i-1].pk {

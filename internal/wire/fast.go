@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,7 +12,8 @@ import (
 
 // FastCodec is the Kryo analogue: registered numeric type IDs and
 // hand-written binary encodings. Frame layout: uvarint typeID, then the
-// type's compact field encoding in declaration order, no names, no tags.
+// type's compact field encoding in the order walk lists the fields, no
+// names, no tags.
 //
 // Neither end copies more than it must. Marshal builds the frame in a
 // pooled scratch buffer and returns one allocation of exactly its
@@ -40,280 +42,24 @@ const maxPooledScratch = 1 << 20
 // Marshal implements Codec.
 func (FastCodec) Marshal(m Message) ([]byte, error) {
 	sp := scratchPool.Get().(*[]byte)
-	out, err := appendMessage(enc.AppendUvarint((*sp)[:0], uint64(m.TypeID())), m)
+	var c coder
+	c.buf = (*sp)[:cap(*sp)]
+	c.putUvarint(uint64(m.TypeID()))
+	walk(&c, m)
 	var frame []byte
-	if err == nil {
+	if out := c.buf[:c.n]; c.err == nil {
 		frame = make([]byte, len(out))
-		copy(frame, out)
+		copy(frame, out) // one makeslicecopy: the frame is never zeroed first
 	}
-	if cap(out) <= maxPooledScratch {
-		*sp = out[:0]
+	if cap(c.buf) <= maxPooledScratch {
+		*sp = c.buf[:0]
 		scratchPool.Put(sp)
 	}
-	return frame, err
-}
-
-// appendMessage appends m's fields to out, which holds its type ID.
-func appendMessage(out []byte, m Message) ([]byte, error) {
-	switch v := m.(type) {
-	case *CountRequest:
-		out = enc.AppendUvarint(out, v.QueryID)
-		out = enc.AppendUvarint(out, uint64(v.Seq))
-		out = appendString(out, v.PK)
-		out = enc.AppendUvarint(out, uint64(v.TraceSendNanos))
-		out = enc.AppendUvarint(out, v.Epoch)
-	case *CountResponse:
-		out = enc.AppendUvarint(out, v.QueryID)
-		out = enc.AppendUvarint(out, uint64(v.Seq))
-		out = enc.AppendUvarint(out, uint64(v.NodeID))
-		out = enc.AppendUvarint(out, v.Elements)
-		out = enc.AppendUvarint(out, uint64(len(v.Counts)))
-		for ty, n := range v.Counts {
-			out = append(out, ty)
-			out = enc.AppendUvarint(out, n)
-		}
-		out = appendString(out, v.ErrMsg)
-		out = enc.AppendUvarint(out, uint64(v.RecvNanos))
-		out = enc.AppendUvarint(out, uint64(v.QueueNanos))
-		out = enc.AppendUvarint(out, uint64(v.DBNanos))
-	case *PutRequest:
-		out = appendString(out, v.PK)
-		out = enc.AppendBytes(out, v.CK)
-		out = enc.AppendBytes(out, v.Value)
-		out = enc.AppendUvarint(out, v.Epoch)
-	case *PutResponse:
-		out = appendString(out, v.ErrMsg)
-	case *GetRequest:
-		out = appendString(out, v.PK)
-		out = enc.AppendBytes(out, v.CK)
-		out = enc.AppendUvarint(out, v.Epoch)
-	case *GetResponse:
-		out = enc.AppendBytes(out, v.Value)
-		out = appendBool(out, v.Found)
-		out = appendString(out, v.ErrMsg)
-		out = enc.AppendUvarint(out, v.VerSeq)
-		out = enc.AppendUvarint(out, uint64(v.VerNode))
-		out = appendBool(out, v.Tombstone)
-	case *DeleteRequest:
-		out = appendString(out, v.PK)
-		out = enc.AppendBytes(out, v.CK)
-		out = enc.AppendUvarint(out, v.Epoch)
-	case *DeleteResponse:
-		out = appendString(out, v.ErrMsg)
-	case *ScanRequest:
-		out = appendString(out, v.PK)
-		out = appendOptBytes(out, v.From)
-		out = appendOptBytes(out, v.To)
-		out = enc.AppendUvarint(out, v.Epoch)
-	case *ScanResponse:
-		out = enc.AppendUvarint(out, uint64(len(v.Cells)))
-		for _, c := range v.Cells {
-			out = enc.AppendBytes(out, c.CK)
-			out = enc.AppendBytes(out, c.Value)
-			out = appendVersion(out, c.Ver, c.Tombstone)
-		}
-		out = appendString(out, v.ErrMsg)
-	case *BatchPutRequest:
-		out = enc.AppendUvarint(out, uint64(len(v.Entries)))
-		for _, e := range v.Entries {
-			out = appendEntry(out, e)
-		}
-		out = enc.AppendUvarint(out, v.Epoch)
-	case *BatchPutResponse:
-		out = enc.AppendUvarint(out, v.Applied)
-		out = appendString(out, v.ErrMsg)
-	case *MultiGetRequest:
-		out = enc.AppendUvarint(out, uint64(len(v.Keys)))
-		for _, k := range v.Keys {
-			out = appendString(out, k.PK)
-			out = enc.AppendBytes(out, k.CK)
-		}
-		out = enc.AppendUvarint(out, v.Epoch)
-	case *MultiGetResponse:
-		out = enc.AppendUvarint(out, uint64(len(v.Values)))
-		for _, val := range v.Values {
-			out = enc.AppendBytes(out, val.Value)
-			out = appendBool(out, val.Found)
-		}
-		out = appendString(out, v.ErrMsg)
-	case *RingStateRequest:
-		// No fields.
-	case *RingStateResponse:
-		out = enc.AppendUvarint(out, v.Epoch)
-		out = enc.AppendUvarint(out, uint64(v.Vnodes))
-		out = enc.AppendUvarint(out, uint64(v.RF))
-		out = appendNodeAddrs(out, v.Nodes)
-		out = appendString(out, v.ErrMsg)
-	case *StreamRangeRequest:
-		out = enc.AppendUvarint(out, uint64(v.Lo))
-		out = enc.AppendUvarint(out, uint64(v.Hi))
-		out = enc.AppendUvarint(out, uint64(v.AfterToken))
-		out = appendString(out, v.AfterPK)
-		out = enc.AppendUvarint(out, uint64(v.MaxCells))
-	case *StreamRangeResponse:
-		out = enc.AppendUvarint(out, uint64(len(v.Entries)))
-		for _, e := range v.Entries {
-			out = appendEntry(out, e)
-		}
-		out = enc.AppendUvarint(out, uint64(v.NextToken))
-		out = appendString(out, v.NextPK)
-		out = appendBool(out, v.More)
-		out = appendString(out, v.ErrMsg)
-	case *DeleteRangeRequest:
-		out = enc.AppendUvarint(out, uint64(v.Lo))
-		out = enc.AppendUvarint(out, uint64(v.Hi))
-	case *DeleteRangeResponse:
-		out = enc.AppendUvarint(out, v.Removed)
-		out = appendString(out, v.ErrMsg)
-	case *DigestRequest:
-		out = enc.AppendUvarint(out, uint64(v.Lo))
-		out = enc.AppendUvarint(out, uint64(v.Hi))
-		out = enc.AppendUvarint(out, uint64(v.Depth))
-	case *DigestResponse:
-		out = enc.AppendUvarint(out, uint64(len(v.Leaves)))
-		for _, l := range v.Leaves {
-			out = enc.AppendUvarint(out, l.Hash)
-			out = enc.AppendUvarint(out, l.Cells)
-		}
-		out = appendString(out, v.ErrMsg)
-	case *NodeStatsRequest:
-		// No fields.
-	case *NodeStatsResponse:
-		out = enc.AppendUvarint(out, v.Epoch)
-		out = enc.AppendUvarint(out, uint64(len(v.Shards)))
-		for _, sh := range v.Shards {
-			out = enc.AppendUvarint(out, sh.MemtableBytes)
-			out = enc.AppendUvarint(out, uint64(sh.FrozenMemtables))
-			out = enc.AppendUvarint(out, uint64(sh.SSTables))
-		}
-		out = enc.AppendUvarint(out, v.FlushedBytes)
-		out = enc.AppendUvarint(out, v.FlushCount)
-		out = enc.AppendUvarint(out, v.CompactionCount)
-		out = enc.AppendUvarint(out, v.CompactionBytesIn)
-		out = enc.AppendUvarint(out, v.CompactionBytesOut)
-		out = enc.AppendUvarint(out, uint64(len(v.LevelTables)))
-		for _, n := range v.LevelTables {
-			out = enc.AppendUvarint(out, uint64(n))
-		}
-		out = enc.AppendUvarint(out, uint64(len(v.LevelBytes)))
-		for _, n := range v.LevelBytes {
-			out = enc.AppendUvarint(out, n)
-		}
-		out = enc.AppendUvarint(out, v.CacheHits)
-		out = enc.AppendUvarint(out, v.CacheMisses)
-		out = enc.AppendUvarint(out, v.CacheEvictions)
-		out = enc.AppendUvarint(out, v.CacheBytes)
-		out = enc.AppendUvarint(out, v.BlockBytesLogical)
-		out = enc.AppendUvarint(out, v.BlockBytesStored)
-		out = enc.AppendUvarint(out, uint64(len(v.Peers)))
-		for _, p := range v.Peers {
-			out = enc.AppendUvarint(out, uint64(p.ID))
-			out = appendBool(out, p.Up)
-			out = enc.AppendUvarint(out, uint64(p.Suspicion))
-			out = enc.AppendUvarint(out, p.SinceMillis)
-		}
-		out = enc.AppendUvarint(out, v.DialCount)
-		out = enc.AppendUvarint(out, v.RedialCount)
-		out = appendString(out, v.ErrMsg)
-	case *JoinRequest:
-		out = enc.AppendUvarint(out, uint64(v.ID))
-		out = appendString(out, v.Addr)
-	case *JoinResponse:
-		out = enc.AppendUvarint(out, v.Epoch)
-		out = enc.AppendUvarint(out, uint64(v.Moves))
-		out = enc.AppendUvarint(out, v.CellsStreamed)
-		out = enc.AppendUvarint(out, v.CellsRetired)
-		out = enc.AppendUvarint(out, uint64(v.Pages))
-		out = enc.AppendUvarint(out, v.StreamNanos)
-		out = enc.AppendUvarint(out, v.FlipNanos)
-		out = appendString(out, v.RetireErr)
-		out = appendString(out, v.ErrMsg)
-	case *BeginMigrationRequest:
-		out = enc.AppendUvarint(out, uint64(len(v.Moves)))
-		for _, mv := range v.Moves {
-			out = enc.AppendUvarint(out, uint64(mv.Lo))
-			out = enc.AppendUvarint(out, uint64(mv.Hi))
-			out = enc.AppendUvarint(out, uint64(mv.From))
-			out = enc.AppendUvarint(out, uint64(mv.To))
-		}
-		out = appendNodeAddrs(out, v.Nodes)
-	case *BeginMigrationResponse:
-		out = appendString(out, v.ErrMsg)
-	case *EndMigrationRequest:
-		// No fields.
-	case *EndMigrationResponse:
-		out = appendString(out, v.ErrMsg)
-	case *SetRingStateRequest:
-		out = enc.AppendUvarint(out, v.Epoch)
-		out = enc.AppendUvarint(out, uint64(v.Vnodes))
-		out = enc.AppendUvarint(out, uint64(v.RF))
-		out = appendNodeAddrs(out, v.Nodes)
-	case *SetRingStateResponse:
-		out = appendString(out, v.ErrMsg)
-	case *PingRequest:
-		out = enc.AppendUvarint(out, uint64(v.FromID))
-		out = enc.AppendUvarint(out, v.Epoch)
-	case *PingResponse:
-		out = enc.AppendUvarint(out, uint64(v.ID))
-		out = enc.AppendUvarint(out, v.Epoch)
-		out = appendString(out, v.ErrMsg)
-	case *LeaveRequest:
-		out = enc.AppendUvarint(out, uint64(v.ID))
-	case *LeaveResponse:
-		out = appendString(out, v.ErrMsg)
-	default:
-		return out, fmt.Errorf("wire: fast codec cannot marshal %T", m)
-	}
-	return out, nil
-}
-
-// appendString is enc.AppendBytes for a string, without converting it.
-func appendString(out []byte, s string) []byte {
-	return append(enc.AppendUvarint(out, uint64(len(s))), s...)
-}
-
-// appendBool encodes a bool as one byte.
-func appendBool(out []byte, b bool) []byte {
-	if b {
-		return append(out, 1)
-	}
-	return append(out, 0)
-}
-
-// entryFlagTombstone marks a deleted entry/cell on the wire.
-const entryFlagTombstone = byte(1)
-
-// appendVersion encodes a cell version plus flags: seq, node, flags.
-func appendVersion(out []byte, ver row.Version, tombstone bool) []byte {
-	out = enc.AppendUvarint(out, ver.Seq)
-	out = enc.AppendUvarint(out, uint64(ver.Node))
-	flags := byte(0)
-	if tombstone {
-		flags = entryFlagTombstone
-	}
-	return append(out, flags)
-}
-
-// appendEntry encodes one row.Entry: pk, ck, value, version, flags.
-func appendEntry(out []byte, e row.Entry) []byte {
-	out = appendString(out, e.PK)
-	out = enc.AppendBytes(out, e.CK)
-	out = enc.AppendBytes(out, e.Value)
-	return appendVersion(out, e.Ver, e.Tombstone)
-}
-
-// appendNodeAddrs encodes an address book: count, then (id, addr) pairs.
-func appendNodeAddrs(out []byte, nodes []NodeAddr) []byte {
-	out = enc.AppendUvarint(out, uint64(len(nodes)))
-	for _, n := range nodes {
-		out = enc.AppendUvarint(out, uint64(n.ID))
-		out = appendString(out, n.Addr)
-	}
-	return out
+	return frame, c.err
 }
 
 // Unmarshal implements Codec. Every count is bounded by the bytes left
-// before anything is sized from it (decoder.count), so an element count
+// before anything is sized from it (coder.count), so an element count
 // off the wire can neither panic nor commit memory the frame does not
 // back.
 func (FastCodec) Unmarshal(data []byte) (Message, error) {
@@ -325,355 +71,461 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := decoder{buf: data[n:]}
-	switch v := m.(type) {
-	case *CountRequest:
-		v.QueryID = d.uvarint()
-		v.Seq = uint32(d.uvarint())
-		v.PK = string(d.bytes())
-		v.TraceSendNanos = int64(d.uvarint())
-		v.Epoch = d.uvarint()
-	case *CountResponse:
-		v.QueryID = d.uvarint()
-		v.Seq = uint32(d.uvarint())
-		v.NodeID = uint32(d.uvarint())
-		v.Elements = d.uvarint()
-		if cnt := d.count(2); cnt > 0 { // type, count
-			v.Counts = make(map[uint8]uint64, min(cnt, 256))
-			for range cnt {
-				ty := d.byte()
-				v.Counts[ty] = d.uvarint()
-			}
-		}
-		v.ErrMsg = string(d.bytes())
-		v.RecvNanos = int64(d.uvarint())
-		v.QueueNanos = int64(d.uvarint())
-		v.DBNanos = int64(d.uvarint())
-	case *PutRequest:
-		v.PK = string(d.bytes())
-		v.CK = d.bytes()
-		v.Value = d.bytes()
-		v.Epoch = d.uvarint()
-	case *PutResponse:
-		v.ErrMsg = string(d.bytes())
-	case *GetRequest:
-		v.PK = string(d.bytes())
-		v.CK = d.bytes()
-		v.Epoch = d.uvarint()
-	case *GetResponse:
-		v.Value = d.bytes()
-		v.Found = d.byte() == 1
-		v.ErrMsg = string(d.bytes())
-		v.VerSeq = d.uvarint()
-		v.VerNode = uint16(d.uvarint())
-		v.Tombstone = d.byte() == 1
-	case *DeleteRequest:
-		v.PK = string(d.bytes())
-		v.CK = d.bytes()
-		v.Epoch = d.uvarint()
-	case *DeleteResponse:
-		v.ErrMsg = string(d.bytes())
-	case *ScanRequest:
-		v.PK = string(d.bytes())
-		v.From = d.optBytes()
-		v.To = d.optBytes()
-		v.Epoch = d.uvarint()
-	case *ScanResponse:
-		if cnt := d.count(5); cnt > 0 { // ck, value, seq, node, flags
-			v.Cells = make([]row.Cell, cnt)
-			for i := range v.Cells {
-				c := &v.Cells[i]
-				c.CK, c.Value = d.bytes(), d.bytes()
-				c.Ver, c.Tombstone = d.version()
-			}
-		}
-		v.ErrMsg = string(d.bytes())
-	case *BatchPutRequest:
-		v.Entries = d.entries()
-		v.Epoch = d.uvarint()
-	case *BatchPutResponse:
-		v.Applied = d.uvarint()
-		v.ErrMsg = string(d.bytes())
-	case *MultiGetRequest:
-		if cnt := d.count(2); cnt > 0 { // pk, ck
-			v.Keys = make([]GetKey, cnt)
-			for i := range v.Keys {
-				v.Keys[i] = GetKey{PK: string(d.bytes()), CK: d.bytes()}
-			}
-		}
-		v.Epoch = d.uvarint()
-	case *MultiGetResponse:
-		if cnt := d.count(2); cnt > 0 { // value, found
-			v.Values = make([]MultiGetValue, cnt)
-			for i := range v.Values {
-				v.Values[i] = MultiGetValue{Value: d.bytes(), Found: d.byte() == 1}
-			}
-		}
-		v.ErrMsg = string(d.bytes())
-	case *RingStateRequest:
-		// No fields.
-	case *RingStateResponse:
-		v.Epoch = d.uvarint()
-		v.Vnodes = uint32(d.uvarint())
-		v.RF = uint32(d.uvarint())
-		v.Nodes = d.nodeAddrs()
-		v.ErrMsg = string(d.bytes())
-	case *StreamRangeRequest:
-		v.Lo = int64(d.uvarint())
-		v.Hi = int64(d.uvarint())
-		v.AfterToken = int64(d.uvarint())
-		v.AfterPK = string(d.bytes())
-		v.MaxCells = uint32(d.uvarint())
-	case *StreamRangeResponse:
-		v.Entries = d.entries()
-		v.NextToken = int64(d.uvarint())
-		v.NextPK = string(d.bytes())
-		v.More = d.byte() == 1
-		v.ErrMsg = string(d.bytes())
-	case *DeleteRangeRequest:
-		v.Lo = int64(d.uvarint())
-		v.Hi = int64(d.uvarint())
-	case *DeleteRangeResponse:
-		v.Removed = d.uvarint()
-		v.ErrMsg = string(d.bytes())
-	case *DigestRequest:
-		v.Lo = int64(d.uvarint())
-		v.Hi = int64(d.uvarint())
-		v.Depth = uint32(d.uvarint())
-	case *DigestResponse:
-		if cnt := d.count(2); cnt > 0 { // hash, cells
-			v.Leaves = make([]DigestLeaf, cnt)
-			for i := range v.Leaves {
-				v.Leaves[i] = DigestLeaf{Hash: d.uvarint(), Cells: d.uvarint()}
-			}
-		}
-		v.ErrMsg = string(d.bytes())
-	case *NodeStatsRequest:
-		// No fields.
-	case *NodeStatsResponse:
-		v.Epoch = d.uvarint()
-		if cnt := d.count(3); cnt > 0 { // memtable bytes, frozen, tables
-			v.Shards = make([]ShardStat, cnt)
-			for i := range v.Shards {
-				v.Shards[i] = ShardStat{
-					MemtableBytes:   d.uvarint(),
-					FrozenMemtables: uint32(d.uvarint()),
-					SSTables:        uint32(d.uvarint()),
-				}
-			}
-		}
-		v.FlushedBytes = d.uvarint()
-		v.FlushCount = d.uvarint()
-		v.CompactionCount = d.uvarint()
-		v.CompactionBytesIn = d.uvarint()
-		v.CompactionBytesOut = d.uvarint()
-		if cnt := d.count(1); cnt > 0 {
-			v.LevelTables = make([]uint32, cnt)
-			for i := range v.LevelTables {
-				v.LevelTables[i] = uint32(d.uvarint())
-			}
-		}
-		if cnt := d.count(1); cnt > 0 {
-			v.LevelBytes = make([]uint64, cnt)
-			for i := range v.LevelBytes {
-				v.LevelBytes[i] = d.uvarint()
-			}
-		}
-		v.CacheHits = d.uvarint()
-		v.CacheMisses = d.uvarint()
-		v.CacheEvictions = d.uvarint()
-		v.CacheBytes = d.uvarint()
-		v.BlockBytesLogical = d.uvarint()
-		v.BlockBytesStored = d.uvarint()
-		if cnt := d.count(4); cnt > 0 { // id, up, suspicion, since
-			v.Peers = make([]PeerStat, cnt)
-			for i := range v.Peers {
-				v.Peers[i] = PeerStat{
-					ID:          uint32(d.uvarint()),
-					Up:          d.byte() == 1,
-					Suspicion:   uint32(d.uvarint()),
-					SinceMillis: d.uvarint(),
-				}
-			}
-		}
-		v.DialCount = d.uvarint()
-		v.RedialCount = d.uvarint()
-		v.ErrMsg = string(d.bytes())
-	case *JoinRequest:
-		v.ID = uint32(d.uvarint())
-		v.Addr = string(d.bytes())
-	case *JoinResponse:
-		v.Epoch = d.uvarint()
-		v.Moves = uint32(d.uvarint())
-		v.CellsStreamed = d.uvarint()
-		v.CellsRetired = d.uvarint()
-		v.Pages = uint32(d.uvarint())
-		v.StreamNanos = d.uvarint()
-		v.FlipNanos = d.uvarint()
-		v.RetireErr = string(d.bytes())
-		v.ErrMsg = string(d.bytes())
-	case *BeginMigrationRequest:
-		if cnt := d.count(4); cnt > 0 { // lo, hi, from, to
-			v.Moves = make([]Move, cnt)
-			for i := range v.Moves {
-				v.Moves[i] = Move{
-					Lo:   int64(d.uvarint()),
-					Hi:   int64(d.uvarint()),
-					From: uint32(d.uvarint()),
-					To:   uint32(d.uvarint()),
-				}
-			}
-		}
-		v.Nodes = d.nodeAddrs()
-	case *BeginMigrationResponse:
-		v.ErrMsg = string(d.bytes())
-	case *EndMigrationRequest:
-		// No fields.
-	case *EndMigrationResponse:
-		v.ErrMsg = string(d.bytes())
-	case *SetRingStateRequest:
-		v.Epoch = d.uvarint()
-		v.Vnodes = uint32(d.uvarint())
-		v.RF = uint32(d.uvarint())
-		v.Nodes = d.nodeAddrs()
-	case *SetRingStateResponse:
-		v.ErrMsg = string(d.bytes())
-	case *PingRequest:
-		v.FromID = uint32(d.uvarint())
-		v.Epoch = d.uvarint()
-	case *PingResponse:
-		v.ID = uint32(d.uvarint())
-		v.Epoch = d.uvarint()
-		v.ErrMsg = string(d.bytes())
-	case *LeaveRequest:
-		v.ID = uint32(d.uvarint())
-	case *LeaveResponse:
-		v.ErrMsg = string(d.bytes())
+	var c coder
+	c.buf, c.n, c.dec = data, n, true
+	walk(&c, m)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
+	if c.n != len(data) {
 		// A well-formed fast frame is consumed exactly; leftovers mean a
 		// foreign format whose length prefix happened to parse as a type
 		// ID (e.g. a slow-codec frame).
-		return nil, fmt.Errorf("wire: %d trailing bytes in fast frame", len(d.buf))
+		return nil, fmt.Errorf("wire: %d trailing bytes in fast frame", len(data)-c.n)
 	}
 	return m, nil
 }
 
-// appendOptBytes encodes a possibly-nil byte slice: 0 = nil, 1 = present.
-func appendOptBytes(out, b []byte) []byte {
-	if b == nil {
-		return append(out, 0)
+// walk is every message's wire layout, written once: it lists the
+// fields of m in frame order, and the coder appends them (Marshal) or
+// reads them back into m (Unmarshal). Adding a message is a struct and
+// type ID in message.go, a row in registry and an arm here.
+func walk(c *coder, m Message) {
+	switch v := m.(type) {
+	case *CountRequest:
+		num(c, &v.QueryID)
+		num(c, &v.Seq)
+		c.str(&v.PK)
+		num(c, &v.TraceSendNanos)
+		num(c, &v.Epoch)
+	case *CountResponse:
+		num(c, &v.QueryID)
+		num(c, &v.Seq)
+		num(c, &v.NodeID)
+		num(c, &v.Elements)
+		c.counts(&v.Counts)
+		c.str(&v.ErrMsg)
+		num(c, &v.RecvNanos)
+		num(c, &v.QueueNanos)
+		num(c, &v.DBNanos)
+	case *PutRequest:
+		c.str(&v.PK)
+		c.bytes(&v.CK)
+		c.bytes(&v.Value)
+		num(c, &v.Epoch)
+	case *PutResponse:
+		c.str(&v.ErrMsg)
+	case *GetRequest:
+		c.str(&v.PK)
+		c.bytes(&v.CK)
+		num(c, &v.Epoch)
+	case *GetResponse:
+		c.bytes(&v.Value)
+		c.bool(&v.Found)
+		c.str(&v.ErrMsg)
+		num(c, &v.VerSeq)
+		num(c, &v.VerNode)
+		c.bool(&v.Tombstone)
+	case *DeleteRequest:
+		c.str(&v.PK)
+		c.bytes(&v.CK)
+		num(c, &v.Epoch)
+	case *DeleteResponse:
+		c.str(&v.ErrMsg)
+	case *ScanRequest:
+		c.str(&v.PK)
+		c.optBytes(&v.From)
+		c.optBytes(&v.To)
+		num(c, &v.Epoch)
+	case *ScanResponse:
+		for i := range seq(c, &v.Cells, 5) { // ck, value, seq, node, flags
+			c.cell(&v.Cells[i])
+		}
+		c.str(&v.ErrMsg)
+	case *BatchPutRequest:
+		c.entries(&v.Entries)
+		num(c, &v.Epoch)
+	case *BatchPutResponse:
+		num(c, &v.Applied)
+		c.str(&v.ErrMsg)
+	case *MultiGetRequest:
+		for i := range seq(c, &v.Keys, 2) {
+			c.str(&v.Keys[i].PK)
+			c.bytes(&v.Keys[i].CK)
+		}
+		num(c, &v.Epoch)
+	case *MultiGetResponse:
+		for i := range seq(c, &v.Values, 2) {
+			c.bytes(&v.Values[i].Value)
+			c.bool(&v.Values[i].Found)
+		}
+		c.str(&v.ErrMsg)
+	case *RingStateRequest, *NodeStatsRequest, *EndMigrationRequest:
+		// No fields.
+	case *RingStateResponse:
+		num(c, &v.Epoch)
+		num(c, &v.Vnodes)
+		num(c, &v.RF)
+		c.nodeAddrs(&v.Nodes)
+		c.str(&v.ErrMsg)
+	case *StreamRangeRequest:
+		num(c, &v.Lo)
+		num(c, &v.Hi)
+		num(c, &v.AfterToken)
+		c.str(&v.AfterPK)
+		num(c, &v.MaxCells)
+	case *StreamRangeResponse:
+		c.entries(&v.Entries)
+		num(c, &v.NextToken)
+		c.str(&v.NextPK)
+		c.bool(&v.More)
+		c.str(&v.ErrMsg)
+	case *DeleteRangeRequest:
+		num(c, &v.Lo)
+		num(c, &v.Hi)
+	case *DeleteRangeResponse:
+		num(c, &v.Removed)
+		c.str(&v.ErrMsg)
+	case *DigestRequest:
+		num(c, &v.Lo)
+		num(c, &v.Hi)
+		num(c, &v.Depth)
+	case *DigestResponse:
+		for i := range seq(c, &v.Leaves, 2) {
+			num(c, &v.Leaves[i].Hash)
+			num(c, &v.Leaves[i].Cells)
+		}
+		c.str(&v.ErrMsg)
+	case *NodeStatsResponse:
+		num(c, &v.Epoch)
+		for i := range seq(c, &v.Shards, 3) {
+			sh := &v.Shards[i]
+			num(c, &sh.MemtableBytes)
+			num(c, &sh.FrozenMemtables)
+			num(c, &sh.SSTables)
+		}
+		num(c, &v.FlushedBytes)
+		num(c, &v.FlushCount)
+		num(c, &v.CompactionCount)
+		num(c, &v.CompactionBytesIn)
+		num(c, &v.CompactionBytesOut)
+		for i := range seq(c, &v.LevelTables, 1) {
+			num(c, &v.LevelTables[i])
+		}
+		for i := range seq(c, &v.LevelBytes, 1) {
+			num(c, &v.LevelBytes[i])
+		}
+		num(c, &v.CacheHits)
+		num(c, &v.CacheMisses)
+		num(c, &v.CacheEvictions)
+		num(c, &v.CacheBytes)
+		num(c, &v.BlockBytesLogical)
+		num(c, &v.BlockBytesStored)
+		for i := range seq(c, &v.Peers, 4) {
+			p := &v.Peers[i]
+			num(c, &p.ID)
+			c.bool(&p.Up)
+			num(c, &p.Suspicion)
+			num(c, &p.SinceMillis)
+		}
+		num(c, &v.DialCount)
+		num(c, &v.RedialCount)
+		c.str(&v.ErrMsg)
+	case *JoinRequest:
+		num(c, &v.ID)
+		c.str(&v.Addr)
+	case *JoinResponse:
+		num(c, &v.Epoch)
+		num(c, &v.Moves)
+		num(c, &v.CellsStreamed)
+		num(c, &v.CellsRetired)
+		num(c, &v.Pages)
+		num(c, &v.StreamNanos)
+		num(c, &v.FlipNanos)
+		c.str(&v.RetireErr)
+		c.str(&v.ErrMsg)
+	case *BeginMigrationRequest:
+		for i := range seq(c, &v.Moves, 4) {
+			mv := &v.Moves[i]
+			num(c, &mv.Lo)
+			num(c, &mv.Hi)
+			num(c, &mv.From)
+			num(c, &mv.To)
+		}
+		c.nodeAddrs(&v.Nodes)
+	case *BeginMigrationResponse:
+		c.str(&v.ErrMsg)
+	case *EndMigrationResponse:
+		c.str(&v.ErrMsg)
+	case *SetRingStateRequest:
+		num(c, &v.Epoch)
+		num(c, &v.Vnodes)
+		num(c, &v.RF)
+		c.nodeAddrs(&v.Nodes)
+	case *SetRingStateResponse:
+		c.str(&v.ErrMsg)
+	case *PingRequest:
+		num(c, &v.FromID)
+		num(c, &v.Epoch)
+	case *PingResponse:
+		num(c, &v.ID)
+		num(c, &v.Epoch)
+		c.str(&v.ErrMsg)
+	case *LeaveRequest:
+		num(c, &v.ID)
+	case *LeaveResponse:
+		c.str(&v.ErrMsg)
+	case *ErrorResponse:
+		c.str(&v.ErrMsg)
+	default:
+		c.err = fmt.Errorf("wire: fast codec cannot marshal %T", m)
 	}
-	out = append(out, 1)
-	return enc.AppendBytes(out, b)
 }
 
-// decoder is a cursor over a frame with sticky error handling. It lives
-// on Unmarshal's stack: nothing it decodes is copied into it.
-type decoder struct {
-	buf []byte
+// coder carries one frame through walk in one direction: Marshal's
+// appends each field at n and only reads the message, Unmarshal's reads
+// each field from n, with a sticky error, and stores it. Both advance
+// the integer n through one buffer, so the per-field path stores no
+// pointer into the coder (a store the garbage collector's write barrier
+// would watch). It lives on the caller's stack: nothing it decodes is
+// copied into it. Callers set its fields one by one: a composite literal
+// is built in a temporary and copied into the address-taken coder with
+// 16-byte loads that straddle the temporary's 8-byte stores, a store-
+// forwarding stall that cost more than a small message's whole decode.
+type coder struct {
+	buf []byte // Marshal: scratch grown as needed; Unmarshal: the frame
+	n   int    // bytes written, or bytes read
+	dec bool
 	err error
 }
 
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+// num carries an unsigned or two's-complement integer as a uvarint. It
+// is every integer read, so it reads the varint itself rather than
+// through a helper: one call per integer field.
+func num[T uint16 | uint32 | uint64 | int64](c *coder, v *T) {
+	if !c.dec {
+		c.putUvarint(uint64(*v))
+		return
 	}
-	v, n := enc.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = ErrTruncated
-		return 0
+	if c.err != nil {
+		return
 	}
-	d.buf = d.buf[n:]
-	return v
+	x, k := binary.Uvarint(c.buf[c.n:])
+	if k <= 0 {
+		c.err = ErrTruncated
+		return
+	}
+	c.n += k
+	*v = T(x)
 }
 
-func (d *decoder) byte() uint8 {
-	if d.err != nil {
-		return 0
+func (c *coder) bool(b *bool) {
+	if c.dec {
+		*b = c.byte() == 1
+		return
 	}
-	if len(d.buf) == 0 {
-		d.err = ErrTruncated
-		return 0
+	x := byte(0)
+	if *b {
+		x = 1
 	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
+	c.putByte(x)
 }
 
-// bytes returns a length-prefixed field as a view into the frame, with
+// str carries a length-prefixed string; decoding copies it out of the
+// frame.
+func (c *coder) str(s *string) {
+	if c.dec {
+		*s = string(c.view())
+	} else {
+		c.room(binary.MaxVarintLen64 + len(*s))
+		n := c.n + binary.PutUvarint(c.buf[c.n:], uint64(len(*s)))
+		c.n = n + copy(c.buf[n:], *s)
+	}
+}
+
+// bytes carries a length-prefixed byte field; decoding yields a view
+// into the frame (see view).
+func (c *coder) bytes(b *[]byte) {
+	if c.dec {
+		*b = c.view()
+	} else {
+		c.room(binary.MaxVarintLen64 + len(*b))
+		n := c.n + binary.PutUvarint(c.buf[c.n:], uint64(len(*b)))
+		c.n = n + copy(c.buf[n:], *b)
+	}
+}
+
+// optBytes carries a byte field whose nil-ness is part of its value (a
+// scan bound): 0 for nil, 1 and the bytes otherwise.
+func (c *coder) optBytes(b *[]byte) {
+	present := *b != nil
+	c.bool(&present)
+	if present {
+		c.bytes(b)
+	}
+}
+
+// entryFlagTombstone marks a deleted entry/cell on the wire.
+const entryFlagTombstone = byte(1)
+
+// version carries a cell version plus its flags byte: seq, node, flags.
+func (c *coder) version(ver *row.Version, tombstone *bool) {
+	num(c, &ver.Seq)
+	num(c, &ver.Node)
+	if c.dec {
+		*tombstone = c.byte()&entryFlagTombstone != 0
+	} else if *tombstone {
+		c.putByte(entryFlagTombstone)
+	} else {
+		c.putByte(0)
+	}
+}
+
+// cell carries one scanned cell: ck, value, version. Scan replies are
+// the codec's one long element loop, so this is the one layout spelled
+// per direction: encoding reserves room for the whole cell and appends
+// it without a call per field.
+func (c *coder) cell(cl *row.Cell) {
+	if c.dec {
+		cl.CK, cl.Value = c.view(), c.view()
+		c.version(&cl.Ver, &cl.Tombstone)
+		return
+	}
+	c.room(4*binary.MaxVarintLen64 + 1 + len(cl.CK) + len(cl.Value))
+	b, n := c.buf, c.n
+	n += binary.PutUvarint(b[n:], uint64(len(cl.CK)))
+	n += copy(b[n:], cl.CK)
+	n += binary.PutUvarint(b[n:], uint64(len(cl.Value)))
+	n += copy(b[n:], cl.Value)
+	n += binary.PutUvarint(b[n:], cl.Ver.Seq)
+	n += binary.PutUvarint(b[n:], uint64(cl.Ver.Node))
+	b[n] = 0
+	if cl.Tombstone {
+		b[n] = entryFlagTombstone
+	}
+	c.n = n + 1
+}
+
+// entries carries a run of row.Entry: pk, ck, value, version each.
+func (c *coder) entries(s *[]row.Entry) {
+	for i := range seq(c, s, 6) {
+		e := &(*s)[i]
+		c.str(&e.PK)
+		c.bytes(&e.CK)
+		c.bytes(&e.Value)
+		c.version(&e.Ver, &e.Tombstone)
+	}
+}
+
+// nodeAddrs carries an address book: (id, addr) pairs.
+func (c *coder) nodeAddrs(s *[]NodeAddr) {
+	for i := range seq(c, s, 2) {
+		num(c, &(*s)[i].ID)
+		c.str(&(*s)[i].Addr)
+	}
+}
+
+// seq carries the count of a slice whose elements take at least minSize
+// bytes each on the wire and returns it; the caller then carries each
+// element. Decoding sizes the slice only from a count the rest of the
+// frame can hold (count), and an empty one decodes as nil.
+func seq[T any](c *coder, s *[]T, minSize int) int {
+	if !c.dec {
+		c.putUvarint(uint64(len(*s)))
+	} else if n := c.count(minSize); n > 0 {
+		*s = make([]T, n)
+	}
+	return len(*s)
+}
+
+// counts carries CountResponse's per-type tallies: a count, then (type
+// byte, uvarint) pairs in map order.
+func (c *coder) counts(m *map[uint8]uint64) {
+	if !c.dec {
+		c.putUvarint(uint64(len(*m)))
+		for ty, n := range *m {
+			c.putByte(ty)
+			c.putUvarint(n)
+		}
+		return
+	}
+	if n := c.count(2); n > 0 {
+		*m = make(map[uint8]uint64, min(n, 256))
+		for range n {
+			ty := c.byte()
+			var cnt uint64
+			num(c, &cnt)
+			(*m)[ty] = cnt
+		}
+	}
+}
+
+// The encoding primitives write at n, growing buf when it is short.
+
+// room makes sure k more bytes fit after n.
+func (c *coder) room(k int) {
+	if len(c.buf)-c.n < k {
+		c.buf = append(c.buf[:c.n], make([]byte, k)...)
+		c.buf = c.buf[:cap(c.buf)]
+	}
+}
+
+func (c *coder) putUvarint(x uint64) {
+	c.room(binary.MaxVarintLen64)
+	c.n += binary.PutUvarint(c.buf[c.n:], x)
+}
+
+func (c *coder) putByte(b byte) {
+	c.room(1)
+	c.buf[c.n] = b
+	c.n++
+}
+
+// The decoding primitives read at n; after the first error each returns
+// zero without reading.
+
+func (c *coder) byte() byte {
+	if c.err != nil {
+		return 0
+	}
+	if c.n == len(c.buf) {
+		c.err = ErrTruncated
+		return 0
+	}
+	c.n++
+	return c.buf[c.n-1]
+}
+
+// view returns a length-prefixed field as a view into the frame, with
 // its capacity ending at its own last byte (row.carve's rule), or nil
 // when the field is empty.
-func (d *decoder) bytes() []byte {
-	if d.err != nil {
+func (c *coder) view() []byte {
+	if c.err != nil {
 		return nil
 	}
-	b, n := enc.Bytes(d.buf)
-	if n == 0 {
-		d.err = ErrTruncated
+	l, k := binary.Uvarint(c.buf[c.n:])
+	if k <= 0 || l > uint64(len(c.buf)-c.n-k) {
+		c.err = ErrTruncated
 		return nil
 	}
-	d.buf = d.buf[n:]
-	if len(b) == 0 {
+	c.n += k
+	if l == 0 {
 		return nil
 	}
-	return b[:len(b):len(b)]
-}
-
-func (d *decoder) optBytes() []byte {
-	if d.byte() == 0 {
-		return nil
-	}
-	return d.bytes()
+	start := c.n
+	c.n += int(l)
+	return c.buf[start:c.n:c.n]
 }
 
 // count reads an element count whose elements take at least minSize
 // bytes each on the wire. A count the rest of the frame cannot hold is
 // a truncated frame — caught here, before a slice is sized from it.
-func (d *decoder) count(minSize int) int {
-	cnt := d.uvarint()
-	if cnt > uint64(len(d.buf)/minSize) {
-		d.err = ErrTruncated
+func (c *coder) count(minSize int) int {
+	var n uint64
+	num(c, &n)
+	if n > uint64((len(c.buf)-c.n)/minSize) {
+		c.err = ErrTruncated
 		return 0
 	}
-	return int(cnt)
-}
-
-// version decodes a cell version plus flags written by appendVersion.
-func (d *decoder) version() (row.Version, bool) {
-	seq := d.uvarint()
-	node := uint16(d.uvarint())
-	return row.Version{Seq: seq, Node: node}, d.byte()&entryFlagTombstone != 0
-}
-
-// entries decodes a count-prefixed run of row.Entry written by
-// appendEntry.
-func (d *decoder) entries() []row.Entry {
-	cnt := d.count(6) // pk, ck, value, seq, node, flags
-	if cnt == 0 {
-		return nil
-	}
-	out := make([]row.Entry, cnt)
-	for i := range out {
-		e := &out[i]
-		e.PK, e.CK, e.Value = string(d.bytes()), d.bytes(), d.bytes()
-		e.Ver, e.Tombstone = d.version()
-	}
-	return out
-}
-
-// nodeAddrs decodes an address book written by appendNodeAddrs.
-func (d *decoder) nodeAddrs() []NodeAddr {
-	cnt := d.count(2) // id, addr
-	if cnt == 0 {
-		return nil
-	}
-	nodes := make([]NodeAddr, cnt)
-	for i := range nodes {
-		nodes[i] = NodeAddr{ID: uint32(d.uvarint()), Addr: string(d.bytes())}
-	}
-	return nodes
+	return int(n)
 }

@@ -170,24 +170,79 @@ func TestFastMarshalAllocs(t *testing.T) {
 // element slices; the byte fields cost nothing.
 func TestFastUnmarshalAllocs(t *testing.T) {
 	skipAllocPinUnderRace(t)
-	scan := &ScanResponse{}
-	for i := range 32 {
-		scan.Cells = append(scan.Cells, row.Cell{
-			CK:    []byte(fmt.Sprintf("ck-%04d", i)),
-			Value: bytes.Repeat([]byte{byte(i)}, 100),
-			Ver:   row.Version{Seq: uint64(i) + 1, Node: 2},
-		})
-	}
 	for _, c := range []struct {
 		m   Message
 		max float64
 	}{
-		{scan, 2}, // message + cell slice
+		{scanResponse32(), 2}, // message + cell slice
 		{&GetResponse{Value: bytes.Repeat([]byte("v"), 100), Found: true, VerSeq: 9}, 1},
 	} {
 		data, _ := FastCodec{}.Marshal(c.m)
 		if got := testing.AllocsPerRun(100, func() { _, _ = FastCodec{}.Unmarshal(data) }); got > c.max {
 			t.Errorf("%T: Unmarshal allocates %v times, want <= %v", c.m, got, c.max)
 		}
+	}
+}
+
+// scanResponse32 is a scan-tcp reply: 32 cells of 128-byte values.
+func scanResponse32() *ScanResponse {
+	scan := &ScanResponse{}
+	for i := range 32 {
+		scan.Cells = append(scan.Cells, row.Cell{
+			CK:    []byte(fmt.Sprintf("ck-%04d", i)),
+			Value: bytes.Repeat([]byte{byte(i)}, 128),
+			Ver:   row.Version{Seq: uint64(i) + 1, Node: 2},
+		})
+	}
+	return scan
+}
+
+// benchMessages are the frames the BENCHMARK.json workloads put on the
+// wire: scan-tcp's reply, the point get and put pairs, and countall-tcp's
+// count pair.
+var benchMessages = []struct {
+	name string
+	m    Message
+}{
+	{"ScanResponse", scanResponse32()},
+	{"GetRequest", &GetRequest{PK: "part-000123", CK: []byte("ck-0042"), Epoch: 3}},
+	{"GetResponse", &GetResponse{Value: bytes.Repeat([]byte("v"), 128), Found: true, VerSeq: 1 << 20, VerNode: 2}},
+	{"PutRequest", &PutRequest{PK: "part-000123", CK: []byte("ck-0042"), Value: bytes.Repeat([]byte("v"), 128), Epoch: 3}},
+	{"PutResponse", &PutResponse{}},
+	{"CountRequest", &CountRequest{QueryID: 42, Seq: 17, PK: "part-000123", TraceSendNanos: 1 << 60}},
+	{"CountResponse", &CountResponse{QueryID: 42, Seq: 17, NodeID: 3, Elements: 64,
+		Counts: map[uint8]uint64{0: 16, 1: 16, 2: 16, 3: 16}, RecvNanos: 1 << 60, QueueNanos: 900, DBNanos: 4000}},
+}
+
+// BenchmarkFastMarshal and BenchmarkFastUnmarshal time each direction of
+// the codec on its own, so a codec regression shows in `go test -bench`
+// without a cluster or bench/run.sh.
+func BenchmarkFastMarshal(b *testing.B) {
+	for _, bm := range benchMessages {
+		b.Run(bm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := (FastCodec{}).Marshal(bm.m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkFastUnmarshal(b *testing.B) {
+	for _, bm := range benchMessages {
+		data, err := FastCodec{}.Marshal(bm.m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := (FastCodec{}).Unmarshal(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -7,13 +7,14 @@
 //     and a per-field type tag, and that is encoded and decoded through
 //     reflection. Flexible, and expensive in both CPU and bytes.
 //   - FastCodec is the analogue of Kryo with registered classes: each
-//     message type is pre-registered under a numeric ID and encodes
-//     through hand-written, allocation-light binary routines.
+//     message type is registered under a numeric ID (registry) and its
+//     fields are listed once, in wire order, in walk.
 //
 // The paper measured 150 µs/message with the default serializer and
 // 19 µs after switching — almost an order of magnitude — and a payload
 // drop from 7.5 MB to 900 KB for ten thousand messages. The codec
-// benchmarks in this package reproduce the ratio on the Go stack.
+// benchmarks in this package reproduce the ratio on the Go stack. Only
+// FastCodec serves traffic; SlowCodec is the experiment's subject.
 package wire
 
 import (
@@ -66,6 +67,7 @@ const (
 	TypePingResponse
 	TypeLeaveRequest
 	TypeLeaveResponse
+	TypeErrorResponse
 )
 
 // --- Topology epochs --------------------------------------------------------
@@ -559,6 +561,16 @@ type LeaveResponse struct {
 // TypeID implements Message.
 func (*LeaveResponse) TypeID() uint16 { return TypeLeaveResponse }
 
+// ErrorResponse is a node's answer to a frame it cannot decode or a
+// message it does not serve, whatever was asked: the caller reports the
+// text instead of failing to recognise the reply.
+type ErrorResponse struct {
+	ErrMsg string
+}
+
+// TypeID implements Message.
+func (*ErrorResponse) TypeID() uint16 { return TypeErrorResponse }
+
 // NodeStatsRequest asks a node for its storage-engine load summary.
 type NodeStatsRequest struct{}
 
@@ -652,82 +664,53 @@ type Codec interface {
 	Unmarshal([]byte) (Message, error)
 }
 
+// registry is the one table of message types, indexed by wire type ID:
+// FastCodec instantiates what it decodes from it, and SlowCodec's type
+// names are derived from it.
+var registry = [...]func() Message{
+	TypeCountRequest:           func() Message { return new(CountRequest) },
+	TypeCountResponse:          func() Message { return new(CountResponse) },
+	TypePutRequest:             func() Message { return new(PutRequest) },
+	TypePutResponse:            func() Message { return new(PutResponse) },
+	TypeGetRequest:             func() Message { return new(GetRequest) },
+	TypeGetResponse:            func() Message { return new(GetResponse) },
+	TypeScanRequest:            func() Message { return new(ScanRequest) },
+	TypeScanResponse:           func() Message { return new(ScanResponse) },
+	TypeBatchPutRequest:        func() Message { return new(BatchPutRequest) },
+	TypeBatchPutResponse:       func() Message { return new(BatchPutResponse) },
+	TypeMultiGetRequest:        func() Message { return new(MultiGetRequest) },
+	TypeMultiGetResponse:       func() Message { return new(MultiGetResponse) },
+	TypeRingStateRequest:       func() Message { return new(RingStateRequest) },
+	TypeRingStateResponse:      func() Message { return new(RingStateResponse) },
+	TypeStreamRangeRequest:     func() Message { return new(StreamRangeRequest) },
+	TypeStreamRangeResponse:    func() Message { return new(StreamRangeResponse) },
+	TypeDeleteRangeRequest:     func() Message { return new(DeleteRangeRequest) },
+	TypeDeleteRangeResponse:    func() Message { return new(DeleteRangeResponse) },
+	TypeNodeStatsRequest:       func() Message { return new(NodeStatsRequest) },
+	TypeNodeStatsResponse:      func() Message { return new(NodeStatsResponse) },
+	TypeDeleteRequest:          func() Message { return new(DeleteRequest) },
+	TypeDeleteResponse:         func() Message { return new(DeleteResponse) },
+	TypeDigestRequest:          func() Message { return new(DigestRequest) },
+	TypeDigestResponse:         func() Message { return new(DigestResponse) },
+	TypeJoinRequest:            func() Message { return new(JoinRequest) },
+	TypeJoinResponse:           func() Message { return new(JoinResponse) },
+	TypeBeginMigrationRequest:  func() Message { return new(BeginMigrationRequest) },
+	TypeBeginMigrationResponse: func() Message { return new(BeginMigrationResponse) },
+	TypeEndMigrationRequest:    func() Message { return new(EndMigrationRequest) },
+	TypeEndMigrationResponse:   func() Message { return new(EndMigrationResponse) },
+	TypeSetRingStateRequest:    func() Message { return new(SetRingStateRequest) },
+	TypeSetRingStateResponse:   func() Message { return new(SetRingStateResponse) },
+	TypePingRequest:            func() Message { return new(PingRequest) },
+	TypePingResponse:           func() Message { return new(PingResponse) },
+	TypeLeaveRequest:           func() Message { return new(LeaveRequest) },
+	TypeLeaveResponse:          func() Message { return new(LeaveResponse) },
+	TypeErrorResponse:          func() Message { return new(ErrorResponse) },
+}
+
 // newMessage instantiates the registered concrete type for a type ID.
 func newMessage(id uint16) (Message, error) {
-	switch id {
-	case TypeCountRequest:
-		return &CountRequest{}, nil
-	case TypeCountResponse:
-		return &CountResponse{}, nil
-	case TypePutRequest:
-		return &PutRequest{}, nil
-	case TypePutResponse:
-		return &PutResponse{}, nil
-	case TypeGetRequest:
-		return &GetRequest{}, nil
-	case TypeGetResponse:
-		return &GetResponse{}, nil
-	case TypeScanRequest:
-		return &ScanRequest{}, nil
-	case TypeScanResponse:
-		return &ScanResponse{}, nil
-	case TypeBatchPutRequest:
-		return &BatchPutRequest{}, nil
-	case TypeBatchPutResponse:
-		return &BatchPutResponse{}, nil
-	case TypeMultiGetRequest:
-		return &MultiGetRequest{}, nil
-	case TypeMultiGetResponse:
-		return &MultiGetResponse{}, nil
-	case TypeRingStateRequest:
-		return &RingStateRequest{}, nil
-	case TypeRingStateResponse:
-		return &RingStateResponse{}, nil
-	case TypeStreamRangeRequest:
-		return &StreamRangeRequest{}, nil
-	case TypeStreamRangeResponse:
-		return &StreamRangeResponse{}, nil
-	case TypeDeleteRangeRequest:
-		return &DeleteRangeRequest{}, nil
-	case TypeDeleteRangeResponse:
-		return &DeleteRangeResponse{}, nil
-	case TypeNodeStatsRequest:
-		return &NodeStatsRequest{}, nil
-	case TypeNodeStatsResponse:
-		return &NodeStatsResponse{}, nil
-	case TypeDeleteRequest:
-		return &DeleteRequest{}, nil
-	case TypeDeleteResponse:
-		return &DeleteResponse{}, nil
-	case TypeDigestRequest:
-		return &DigestRequest{}, nil
-	case TypeDigestResponse:
-		return &DigestResponse{}, nil
-	case TypeJoinRequest:
-		return &JoinRequest{}, nil
-	case TypeJoinResponse:
-		return &JoinResponse{}, nil
-	case TypeBeginMigrationRequest:
-		return &BeginMigrationRequest{}, nil
-	case TypeBeginMigrationResponse:
-		return &BeginMigrationResponse{}, nil
-	case TypeEndMigrationRequest:
-		return &EndMigrationRequest{}, nil
-	case TypeEndMigrationResponse:
-		return &EndMigrationResponse{}, nil
-	case TypeSetRingStateRequest:
-		return &SetRingStateRequest{}, nil
-	case TypeSetRingStateResponse:
-		return &SetRingStateResponse{}, nil
-	case TypePingRequest:
-		return &PingRequest{}, nil
-	case TypePingResponse:
-		return &PingResponse{}, nil
-	case TypeLeaveRequest:
-		return &LeaveRequest{}, nil
-	case TypeLeaveResponse:
-		return &LeaveResponse{}, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown message type %d", id)
+	if int(id) < len(registry) && registry[id] != nil {
+		return registry[id](), nil
 	}
+	return nil, fmt.Errorf("wire: unknown message type %d", id)
 }

@@ -23,32 +23,16 @@ type SlowCodec struct{}
 func (SlowCodec) Name() string { return "slow" }
 
 // slowRegistry maps type names back to concrete types, playing the role
-// of the JVM classpath during deserialization.
+// of the JVM classpath during deserialization. It is derived from
+// registry, so both codecs know the same messages.
 var slowRegistry = map[string]reflect.Type{}
 
 func init() {
-	for _, m := range []Message{
-		&CountRequest{}, &CountResponse{},
-		&PutRequest{}, &PutResponse{},
-		&GetRequest{}, &GetResponse{},
-		&ScanRequest{}, &ScanResponse{},
-		&BatchPutRequest{}, &BatchPutResponse{},
-		&MultiGetRequest{}, &MultiGetResponse{},
-		&RingStateRequest{}, &RingStateResponse{},
-		&StreamRangeRequest{}, &StreamRangeResponse{},
-		&DeleteRangeRequest{}, &DeleteRangeResponse{},
-		&NodeStatsRequest{}, &NodeStatsResponse{},
-		&DeleteRequest{}, &DeleteResponse{},
-		&DigestRequest{}, &DigestResponse{},
-		&JoinRequest{}, &JoinResponse{},
-		&BeginMigrationRequest{}, &BeginMigrationResponse{},
-		&EndMigrationRequest{}, &EndMigrationResponse{},
-		&SetRingStateRequest{}, &SetRingStateResponse{},
-		&PingRequest{}, &PingResponse{},
-		&LeaveRequest{}, &LeaveResponse{},
-	} {
-		t := reflect.TypeOf(m).Elem()
-		slowRegistry[t.String()] = t
+	for _, newMsg := range registry {
+		if newMsg != nil {
+			t := reflect.TypeOf(newMsg()).Elem()
+			slowRegistry[t.String()] = t
+		}
 	}
 }
 

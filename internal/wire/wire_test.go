@@ -137,6 +137,14 @@ func sampleMessages() []Message {
 			{ID: 1, Up: true, SinceMillis: 120000},
 			{ID: 2, Up: false, Suspicion: 5, SinceMillis: 900},
 		}, DialCount: 12, RedialCount: 3},
+		// The last fields no fixture above sets (TestFixturesCoverEveryField).
+		&CountRequest{QueryID: 3, Seq: 1, PK: "cube-7", Epoch: 8},
+		&CountResponse{QueryID: 9, Seq: 2, NodeID: 1, Elements: 3, Counts: map[uint8]uint64{4: 3},
+			RecvNanos: 1700000000123456789, QueueNanos: 7, DBNanos: 9},
+		&GetResponse{ErrMsg: "wrong epoch: node at 3, request at 4"},
+		&NodeStatsResponse{ErrMsg: "engine closed"},
+		&LeaveResponse{ErrMsg: "shutting down"},
+		&ErrorResponse{ErrMsg: "bad frame"},
 	}
 }
 

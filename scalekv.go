@@ -147,16 +147,8 @@ const (
 // backlog, SSTable counts, flushed bytes and background-work counters.
 type EngineStats = storage.EngineStats
 
-// Codec serializes wire messages; SlowCodec and FastCodec reproduce the
-// Section V-B comparison.
-type (
-	Codec     = wire.Codec
-	SlowCodec = wire.SlowCodec
-	FastCodec = wire.FastCodec
-)
-
 // StartCluster boots an n-node in-process cluster with defaults
-// (FastCodec, replication factor 1, WAL enabled).
+// (replication factor 1, WAL enabled).
 func StartCluster(nodes int) (*Cluster, error) {
 	return cluster.StartLocal(cluster.LocalOptions{Nodes: nodes})
 }
