@@ -38,6 +38,9 @@ func retryable(err error) error {
 }
 
 func isRetryable(err error) bool {
+	if err == nil {
+		return false // before r, which escapes: a success allocates nothing
+	}
 	var r retryableError
 	return errors.As(err, &r)
 }
@@ -305,194 +308,116 @@ func (c *Client) adopt(topo *hashring.Topology, addrs map[hashring.NodeID]string
 
 // --- Writes -----------------------------------------------------------------
 
-// Put writes one cell to every replica of its partition. The replica
-// RPCs are issued concurrently over the pipelined transport, so a
-// replication factor above one costs one network round trip, not rf.
-// On a wrong-epoch rejection or an unreachable replica the client
-// refreshes its ring and retries the whole write (idempotent: last
-// write wins).
-func (c *Client) Put(pk string, ck, value []byte) error {
-	var lastErr error
+// routedWrite is routedRead's twin for writes: send makes one attempt
+// at the whole write, routed by the given ring. On a wrong-epoch
+// rejection or an unreachable replica the client refreshes its ring and
+// sends the whole write again (idempotent: last write wins).
+func (c *Client) routedWrite(send func(t *hashring.Topology) error) error {
+	var err error
 	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
-		t := c.topo()
-		payload, err := codec.Marshal(&wire.PutRequest{PK: pk, CK: ck, Value: value, Epoch: t.Epoch()})
-		if err != nil {
+		if err = send(c.topo()); err == nil || !isRetryable(err) {
 			return err
 		}
-		err = c.fanOutWrite(t.Replicas(pk, c.rf), payload)
-		if err == nil {
-			return nil
-		}
-		if !isRetryable(err) {
-			return err
-		}
-		lastErr = err
-		if rerr := c.refreshRing(); rerr != nil {
+		if c.refreshRing() != nil {
 			break
 		}
 	}
-	return lastErr
+	return err
 }
 
-// fanOutWrite sends one pre-marshalled write to every listed node
-// concurrently and reaps all acknowledgements, returning the first
-// error (retryable errors win over nothing, but any ack error is
-// reported).
-func (c *Client) fanOutWrite(nodes []hashring.NodeID, payload []byte) error {
-	var firstErr error
-	record := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-	}
-	chans := make([]<-chan []byte, 0, len(nodes))
-	for _, node := range nodes {
-		conn, err := c.conn(node)
-		if err != nil {
-			record(retryable(err))
-			continue
-		}
-		ch, err := conn.Go(payload)
-		if err != nil {
-			c.dropConn(node, conn)
-			record(retryable(err))
-			continue
-		}
-		chans = append(chans, ch)
-	}
-	for _, ch := range chans {
-		record(c.reapPut(ch))
-	}
-	return firstErr
-}
-
-// reapPut waits for one in-flight write (single put, batch or delete)
-// and converts its response into an error. Wrong-epoch rejections and
-// transport failures come back retryable.
-func (c *Client) reapPut(ch <-chan []byte) error {
-	raw, ok := <-ch
-	if !ok {
-		return retryable(fmt.Errorf("cluster: write failed: %w", transport.ErrClosed))
-	}
-	resp, err := codec.Unmarshal(raw)
-	if err != nil {
-		return err
-	}
-	var errMsg string
-	switch pr := resp.(type) {
-	case *wire.PutResponse:
-		errMsg = pr.ErrMsg
-	case *wire.BatchPutResponse:
-		errMsg = pr.ErrMsg
-	case *wire.DeleteResponse:
-		errMsg = pr.ErrMsg
-	default:
-		return replyErr(resp)
-	}
-	if errMsg == "" {
-		return nil
-	}
-	if wire.IsWrongEpoch(errMsg) {
-		return retryable(errors.New(errMsg))
-	}
-	return errors.New(errMsg)
+// Put writes one cell to every replica of its partition. The replica
+// RPCs are issued concurrently over the pipelined transport, so a
+// replication factor above one costs one network round trip, not rf.
+// Epoch changes and unreachable replicas re-route (see routedWrite).
+func (c *Client) Put(pk string, ck, value []byte) error {
+	return c.routedWrite(func(t *hashring.Topology) error {
+		return c.fanOutWrite(t.Replicas(pk, c.rf), &wire.PutRequest{PK: pk, CK: ck, Value: value, Epoch: t.Epoch()})
+	})
 }
 
 // Delete removes one cell on every replica of its partition — the
 // distributed half of the engine's tombstone write. Routing, replica
-// fan-out, wrong-epoch refresh/re-route and idempotent retries all
-// match Put: the accepting node stamps the tombstone's version and
-// dual-write-forwards it during a migration, so the delete converges to
-// the same winner on every replica even while the range is moving.
+// fan-out and re-routing match Put: the accepting node stamps the
+// tombstone's version and dual-write-forwards it during a migration, so
+// the delete converges to the same winner on every replica even while
+// the range is moving.
 func (c *Client) Delete(pk string, ck []byte) error {
-	var lastErr error
-	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
-		t := c.topo()
-		payload, err := codec.Marshal(&wire.DeleteRequest{PK: pk, CK: ck, Epoch: t.Epoch()})
-		if err != nil {
-			return err
-		}
-		err = c.fanOutWrite(t.Replicas(pk, c.rf), payload)
-		if err == nil {
-			return nil
-		}
-		if !isRetryable(err) {
-			return err
-		}
-		lastErr = err
-		if rerr := c.refreshRing(); rerr != nil {
-			break
-		}
-	}
-	return lastErr
+	return c.routedWrite(func(t *hashring.Topology) error {
+		return c.fanOutWrite(t.Replicas(pk, c.rf), &wire.DeleteRequest{PK: pk, CK: ck, Epoch: t.Epoch()})
+	})
 }
 
 // PutBatch writes many cells in replica-aware batches: entries are
 // grouped by destination node across all replicas, each node receives
 // one BatchPutRequest, and all node RPCs fly concurrently. Equivalent to
-// a Put per entry, minus the per-cell round trips. Retryable failures
-// (epoch change, unreachable node) refresh the ring and resend the
-// whole batch — idempotent, same as Put.
+// a Put per entry, minus the per-cell round trips, and re-routed like
+// one.
 func (c *Client) PutBatch(entries []row.Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	var lastErr error
-	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
-		t := c.topo()
-		err := c.putBatchOnce(t, entries)
-		if err == nil {
-			return nil
+	return c.routedWrite(func(t *hashring.Topology) error {
+		perNode := make(map[hashring.NodeID][]row.Entry)
+		for _, e := range entries {
+			for _, node := range t.Replicas(e.PK, c.rf) {
+				perNode[node] = append(perNode[node], e)
+			}
 		}
-		if !isRetryable(err) {
-			return err
+		w := acks{chans: make([]<-chan []byte, 0, len(perNode))}
+		for node, batch := range perNode {
+			w.add(c.goBatch(node, batch, t.Epoch()))
 		}
-		lastErr = err
-		if rerr := c.refreshRing(); rerr != nil {
-			break
-		}
-	}
-	return lastErr
+		return w.wait(c)
+	})
 }
 
-func (c *Client) putBatchOnce(t *hashring.Topology, entries []row.Entry) error {
-	perNode := make(map[hashring.NodeID][]row.Entry)
-	for _, e := range entries {
-		for _, node := range t.Replicas(e.PK, c.rf) {
-			perNode[node] = append(perNode[node], e)
-		}
+// fanOutWrite sends one write to every listed node concurrently and
+// reaps every acknowledgement.
+func (c *Client) fanOutWrite(nodes []hashring.NodeID, req wire.Message) error {
+	payload, err := codec.Marshal(req)
+	if err != nil {
+		return err
 	}
-	var firstErr error
-	record := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
+	w := acks{chans: make([]<-chan []byte, 0, len(nodes))}
+	for _, node := range nodes {
+		w.add(c.goWrite(node, payload))
 	}
-	chans := make([]<-chan []byte, 0, len(perNode))
-	for node, batch := range perNode {
-		ch, err := c.goBatch(node, batch, t.Epoch())
-		if err != nil {
-			record(err)
-			continue
-		}
-		chans = append(chans, ch)
-	}
-	for _, ch := range chans {
-		record(c.reapPut(ch))
-	}
-	return firstErr
+	return w.wait(c)
 }
 
-// goBatch launches one asynchronous BatchPutRequest at a node. Errors
-// are transport-class and marked retryable.
-func (c *Client) goBatch(node hashring.NodeID, batch []row.Entry, epoch uint64) (<-chan []byte, error) {
+// acks holds one write's in-flight acknowledgements and its first
+// error.
+type acks struct {
+	chans []<-chan []byte
+	err   error
+}
+
+// add records one launched write, or the error that kept it from
+// launching.
+func (w *acks) add(ch <-chan []byte, err error) {
+	if err == nil {
+		w.chans = append(w.chans, ch)
+	} else if w.err == nil {
+		w.err = err
+	}
+}
+
+// wait reaps every acknowledgement and returns the write's first error.
+func (w *acks) wait(c *Client) error {
+	for _, ch := range w.chans {
+		if err := c.reapPut(ch); err != nil && w.err == nil {
+			w.err = err
+		}
+	}
+	return w.err
+}
+
+// goWrite launches one pre-marshalled write at a node. Errors are
+// transport-class and marked retryable.
+func (c *Client) goWrite(node hashring.NodeID, payload []byte) (<-chan []byte, error) {
 	conn, err := c.conn(node)
 	if err != nil {
 		return nil, retryable(err)
-	}
-	payload, err := codec.Marshal(&wire.BatchPutRequest{Entries: batch, Epoch: epoch})
-	if err != nil {
-		return nil, err
 	}
 	ch, err := conn.Go(payload)
 	if err != nil {
@@ -500,6 +425,27 @@ func (c *Client) goBatch(node hashring.NodeID, batch []row.Entry, epoch uint64) 
 		return nil, retryable(err)
 	}
 	return ch, nil
+}
+
+// goBatch launches one asynchronous BatchPutRequest at a node.
+func (c *Client) goBatch(node hashring.NodeID, batch []row.Entry, epoch uint64) (<-chan []byte, error) {
+	payload, err := codec.Marshal(&wire.BatchPutRequest{Entries: batch, Epoch: epoch})
+	if err != nil {
+		return nil, err
+	}
+	return c.goWrite(node, payload)
+}
+
+// reapPut waits for one in-flight write (single put, batch or delete)
+// and converts its reply into an error (see decode). A connection that
+// closed under the write is retryable.
+func (c *Client) reapPut(ch <-chan []byte) error {
+	raw, ok := <-ch
+	if !ok {
+		return retryable(fmt.Errorf("cluster: write failed: %w", transport.ErrClosed))
+	}
+	_, err := decode[wire.Reply](raw)
+	return err
 }
 
 // --- Reads ------------------------------------------------------------------
@@ -519,10 +465,9 @@ type readServed struct {
 // partition's replicas on transport errors (a dead primary degrades a
 // read instead of killing it — requires rf > 1 to have somewhere to
 // go), and on a wrong-epoch rejection refresh the ring and re-route.
-// build must stamp the given epoch into the request; errMsgOf extracts
-// the typed response's error message. Sharing the loop keeps the three
-// read paths from diverging on retry or epoch policy.
-func routedRead[R wire.Message](c *Client, pk string, build func(epoch uint64) wire.Message, errMsgOf func(R) string) (R, readServed, error) {
+// build must stamp the given epoch into the request. Sharing the loop
+// keeps the three read paths from diverging on retry or epoch policy.
+func routedRead[R wire.Reply](c *Client, pk string, build func(epoch uint64) wire.Message) (R, readServed, error) {
 	var zero R
 	var lastErr error
 	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
@@ -539,15 +484,12 @@ func routedRead[R wire.Message](c *Client, pk string, build func(epoch uint64) w
 				continue // unreachable replica: try the next one
 			}
 			tr, err := decode[R](raw)
+			if isRetryable(err) {
+				lastErr = err
+				break // stale ring: refresh, then re-route
+			}
 			if err != nil {
 				return zero, readServed{}, err
-			}
-			if msg := errMsgOf(tr); msg != "" {
-				if wire.IsWrongEpoch(msg) {
-					lastErr = retryable(errors.New(msg))
-					break // stale ring: refresh, then re-route
-				}
-				return zero, readServed{}, errors.New(msg)
 			}
 			if i > 0 {
 				c.Failovers.Add(1)
@@ -572,9 +514,8 @@ func routedRead[R wire.Message](c *Client, pk string, build func(epoch uint64) w
 // frame, which nothing else refers to: it is the caller's, to keep or
 // to modify.
 func (c *Client) Get(pk string, ck []byte) ([]byte, bool, error) {
-	resp, served, err := routedRead(c, pk,
-		func(epoch uint64) wire.Message { return &wire.GetRequest{PK: pk, CK: ck, Epoch: epoch} },
-		func(r *wire.GetResponse) string { return r.ErrMsg })
+	resp, served, err := routedRead[*wire.GetResponse](c, pk,
+		func(epoch uint64) wire.Message { return &wire.GetRequest{PK: pk, CK: ck, Epoch: epoch} })
 	if err != nil {
 		return nil, false, err
 	}
@@ -715,16 +656,13 @@ func (c *Client) MultiGet(keys []wire.GetKey) ([]wire.MultiGetValue, error) {
 				continue
 			}
 			mr, err := decode[*wire.MultiGetResponse](raw)
+			if isRetryable(err) {
+				lastErr = err
+				needRefresh = true
+				continue // keys stay unresolved; re-routed next attempt
+			}
 			if err != nil {
 				return nil, err
-			}
-			if mr.ErrMsg != "" {
-				if wire.IsWrongEpoch(mr.ErrMsg) {
-					lastErr = retryable(errors.New(mr.ErrMsg))
-					needRefresh = true
-					continue // keys stay unresolved; re-routed next attempt
-				}
-				return nil, errors.New(mr.ErrMsg)
 			}
 			if len(mr.Values) != len(p.idx) {
 				return nil, fmt.Errorf("cluster: multi-get returned %d values for %d keys", len(mr.Values), len(p.idx))
@@ -760,9 +698,8 @@ func (c *Client) MultiGet(keys []wire.GetKey) ([]wire.MultiGetValue, error) {
 // frame and are the caller's; each is capped, so appending to one never
 // writes into the next.
 func (c *Client) Scan(pk string, from, to []byte) ([]row.Cell, error) {
-	resp, _, err := routedRead(c, pk,
-		func(epoch uint64) wire.Message { return &wire.ScanRequest{PK: pk, From: from, To: to, Epoch: epoch} },
-		func(r *wire.ScanResponse) string { return r.ErrMsg })
+	resp, _, err := routedRead[*wire.ScanResponse](c, pk,
+		func(epoch uint64) wire.Message { return &wire.ScanRequest{PK: pk, From: from, To: to, Epoch: epoch} })
 	if err != nil {
 		return nil, err
 	}
@@ -775,9 +712,8 @@ func (c *Client) Scan(pk string, from, to []byte) ([]row.Cell, error) {
 // partition after a rebalance. (CountAll's fan-out stays unversioned
 // and accounts failures per request instead.)
 func (c *Client) Count(pk string) (map[uint8]uint64, uint64, error) {
-	resp, _, err := routedRead(c, pk,
-		func(epoch uint64) wire.Message { return &wire.CountRequest{PK: pk, Epoch: epoch} },
-		func(r *wire.CountResponse) string { return r.ErrMsg })
+	resp, _, err := routedRead[*wire.CountResponse](c, pk,
+		func(epoch uint64) wire.Message { return &wire.CountRequest{PK: pk, Epoch: epoch} })
 	if err != nil {
 		return nil, 0, err
 	}
@@ -786,14 +722,7 @@ func (c *Client) Count(pk string) (map[uint8]uint64, uint64, error) {
 
 // NodeStats fetches one member's engine-load summary.
 func (c *Client) NodeStats(node hashring.NodeID) (*wire.NodeStatsResponse, error) {
-	ns, err := call[*wire.NodeStatsResponse](c.caller(node), &wire.NodeStatsRequest{})
-	if err != nil {
-		return nil, err
-	}
-	if ns.ErrMsg != "" {
-		return nil, errors.New(ns.ErrMsg)
-	}
-	return ns, nil
+	return call[*wire.NodeStatsResponse](c.caller(node), &wire.NodeStatsRequest{})
 }
 
 // MasterOptions tunes the fan-out aggregation — the knobs the paper's
@@ -956,13 +885,8 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 			continue
 		}
 		recvAbs := time.Now()
-		msg, err := codec.Unmarshal(raw)
+		cr, err := decode[*wire.CountResponse](raw)
 		if err != nil {
-			res.Errors++
-			continue
-		}
-		cr, ok := msg.(*wire.CountResponse)
-		if !ok || cr.ErrMsg != "" {
 			res.Errors++
 			continue
 		}

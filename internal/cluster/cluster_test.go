@@ -28,45 +28,54 @@ func startTest(t *testing.T, opts LocalOptions) *Cluster {
 }
 
 // TestOnlyNonBlockingOpsRunInline pins which requests Node.handle
-// answers on the connection's reader goroutine. Adding a message to the
-// inline set is a claim that it can never wait on another RPC or on
-// engine backpressure.
+// answers on the connection's reader goroutine, for every request type
+// in the wire registry: each must have a row in the dispatch table, and
+// handle must follow the row. Adding a message to the inline set is a
+// claim that it can never wait on another RPC or on engine backpressure.
 func TestOnlyNonBlockingOpsRunInline(t *testing.T) {
 	c := startTest(t, LocalOptions{Nodes: 1})
 	n := c.Nodes[0]
-	codec := wire.FastCodec{}
-	for _, tc := range []struct {
-		req    wire.Message
-		inline bool
-	}{
-		{&wire.GetRequest{PK: "p", CK: []byte("c")}, true},
-		{&wire.CountRequest{PK: "p"}, true},
-		{&wire.PingRequest{}, true},
-		{&wire.RingStateRequest{}, true},
-		{&wire.PutRequest{PK: "p", CK: []byte("c"), Value: []byte("v")}, false},
-		{&wire.DeleteRequest{PK: "p", CK: []byte("c")}, false},
-		{&wire.BatchPutRequest{}, false},
-		{&wire.MultiGetRequest{}, false},
-		{&wire.ScanRequest{PK: "p"}, false},
-		{&wire.StreamRangeRequest{}, false},
-		{&wire.DigestRequest{}, false},
-		{&wire.NodeStatsRequest{}, false},
-	} {
-		payload, err := codec.Marshal(tc.req)
+	wantInline := map[uint16]bool{
+		wire.TypeGetRequest:       true,
+		wire.TypeCountRequest:     true,
+		wire.TypePingRequest:      true,
+		wire.TypeRingStateRequest: true,
+	}
+	requests := 0
+	for id := uint16(1); ; id++ {
+		req, err := wire.New(id)
+		if err != nil {
+			break
+		}
+		if _, isReply := req.(wire.Reply); isReply {
+			continue
+		}
+		requests++
+		if int(id) >= len(ops) || ops[id].serve == nil {
+			t.Errorf("%T: no dispatch row", req)
+			continue
+		}
+		if ops[id].inline != wantInline[id] {
+			t.Errorf("%T: row inline=%v, want %v", req, ops[id].inline, wantInline[id])
+		}
+		payload, err := codec.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp, rest := n.handle(payload)
-		if (rest == nil) != tc.inline || (resp != nil) != tc.inline {
-			t.Errorf("%T: inline=%v, want %v", tc.req, rest == nil, tc.inline)
+		if (rest == nil) != ops[id].inline || (resp != nil) != ops[id].inline {
+			t.Errorf("%T: inline=%v, want %v", req, rest == nil, ops[id].inline)
 			continue
 		}
 		if rest != nil {
 			resp = rest()
 		}
 		if _, err := codec.Unmarshal(resp); err != nil {
-			t.Errorf("%T: response does not decode: %v", tc.req, err)
+			t.Errorf("%T: response does not decode: %v", req, err)
 		}
+	}
+	if requests == 0 {
+		t.Error("the registry holds no request types")
 	}
 	if resp, rest := n.handle([]byte{0xff, 0xfe}); rest != nil || resp == nil {
 		t.Error("a frame that does not decode must be answered inline")

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -200,12 +199,8 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 		}
 	}()
 	for id := range participants {
-		bm, err := call[*wire.BeginMigrationResponse](co.caller(addrOf(id)), beginReq)
-		if err != nil {
+		if _, err := call[*wire.BeginMigrationResponse](co.caller(addrOf(id)), beginReq); err != nil {
 			return nil, fmt.Errorf("cluster: begin migration at node %d: %w", id, err)
-		}
-		if bm.ErrMsg != "" {
-			return nil, fmt.Errorf("cluster: begin migration at node %d: %s", id, bm.ErrMsg)
 		}
 		migrating = append(migrating, addrOf(id))
 	}
@@ -250,12 +245,8 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 		}
 	}
 	for id, addr := range flipTargets {
-		sr, err := call[*wire.SetRingStateResponse](co.caller(addr), flipReq)
-		if err != nil {
+		if _, err := call[*wire.SetRingStateResponse](co.caller(addr), flipReq); err != nil {
 			return nil, fmt.Errorf("cluster: flip node %d: %w", id, err)
-		}
-		if sr.ErrMsg != "" {
-			return nil, fmt.Errorf("cluster: flip node %d: %s", id, sr.ErrMsg)
 		}
 	}
 	report.FlipDuration = time.Since(flipStart)
@@ -266,11 +257,7 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 	// unreclaimed disk space (reported, not fatal) — failing here would
 	// tear down a node the whole cluster now routes to.
 	for _, addr := range migrating {
-		em, err := call[*wire.EndMigrationResponse](co.caller(addr), &wire.EndMigrationRequest{})
-		if err == nil && em.ErrMsg != "" {
-			err = errors.New(em.ErrMsg)
-		}
-		if err != nil {
+		if _, err := call[*wire.EndMigrationResponse](co.caller(addr), &wire.EndMigrationRequest{}); err != nil {
 			recordRetireErr(report, err)
 		}
 	}
@@ -282,10 +269,6 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 		dr, err := call[*wire.DeleteRangeResponse](co.caller(p.addrsNext[r.Node]), &wire.DeleteRangeRequest{Lo: r.Lo, Hi: r.Hi})
 		if err != nil {
 			recordRetireErr(report, fmt.Errorf("retire [%d,%d] at node %d: %w", r.Lo, r.Hi, r.Node, err))
-			continue
-		}
-		if dr.ErrMsg != "" {
-			recordRetireErr(report, fmt.Errorf("retire [%d,%d] at node %d: %s", r.Lo, r.Hi, r.Node, dr.ErrMsg))
 			continue
 		}
 		report.CellsRetired += int64(dr.Removed)
@@ -477,7 +460,7 @@ func (co *coordinator) pickSources(old *hashring.Topology, moves []hashring.Rang
 			return v
 		}
 		var total int64 = math.MaxInt64
-		if ns, err := call[*wire.NodeStatsResponse](co.caller(addrs[id]), &wire.NodeStatsRequest{}); err == nil && ns.ErrMsg == "" {
+		if ns, err := call[*wire.NodeStatsResponse](co.caller(addrs[id]), &wire.NodeStatsRequest{}); err == nil {
 			total = 0
 			for _, sh := range ns.Shards {
 				total += int64(sh.MemtableBytes)
@@ -510,12 +493,8 @@ func (co *coordinator) streamRange(m hashring.RangeMove, srcAddr, dstAddr string
 		if len(entries) == 0 {
 			return nil
 		}
-		bp, err := call[*wire.BatchPutResponse](co.caller(dstAddr), &wire.BatchPutRequest{Entries: entries}) // epoch 0
-		if err != nil {
+		if _, err := call[*wire.BatchPutResponse](co.caller(dstAddr), &wire.BatchPutRequest{Entries: entries}); err != nil { // epoch 0
 			return err
-		}
-		if bp.ErrMsg != "" {
-			return errors.New(bp.ErrMsg)
 		}
 		cells += int64(len(entries))
 		return nil

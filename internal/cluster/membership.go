@@ -242,8 +242,8 @@ func (n *Node) probeOnce() {
 			return // pool closed: the node is shutting down
 		}
 		probe := callerFunc(func(payload []byte) ([]byte, error) { return rd.CallTimeout(payload, timeout) })
-		pr, err := call[*wire.PingResponse](probe, ping)
-		n.notePeer(id, err == nil && pr.ErrMsg == "")
+		_, err = call[*wire.PingResponse](probe, ping)
+		n.notePeer(id, err == nil)
 	}
 	n.pruneHealth(rs.topo)
 }
@@ -479,14 +479,7 @@ func (n *Node) handleJoin(req *wire.JoinRequest) *wire.JoinResponse {
 
 // ringStateRPC asks one connection for its ring state.
 func ringStateRPC(conn transport.Caller) (*wire.RingStateResponse, error) {
-	rs, err := call[*wire.RingStateResponse](conn, &wire.RingStateRequest{})
-	if err != nil {
-		return nil, err
-	}
-	if rs.ErrMsg != "" {
-		return nil, errors.New(rs.ErrMsg)
-	}
-	return rs, nil
+	return call[*wire.RingStateResponse](conn, &wire.RingStateRequest{})
 }
 
 // JoinRing boots a node and brings it into a live ring through a seed
@@ -554,10 +547,6 @@ func JoinRing(l transport.Listener, opts NodeOptions, seedAddr string) (*Node, *
 	if err != nil {
 		node.Close()
 		return nil, nil, fmt.Errorf("cluster: join via %s: %w", seedAddr, err)
-	}
-	if jr.ErrMsg != "" {
-		node.Close()
-		return nil, nil, fmt.Errorf("cluster: join via %s: %s", seedAddr, jr.ErrMsg)
 	}
 	return node, jr, nil
 }

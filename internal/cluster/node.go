@@ -406,156 +406,136 @@ func (n *Node) forwardEntries(entries []row.Entry) error {
 		if !ok {
 			return fmt.Errorf("cluster: node %d: no forward conn to %d", n.id, target)
 		}
-		bp, err := call[*wire.BatchPutResponse](conn, &wire.BatchPutRequest{Entries: batch}) // epoch 0: wildcard
-		if err != nil {
+		if _, err := call[*wire.BatchPutResponse](conn, &wire.BatchPutRequest{Entries: batch}); err != nil { // epoch 0: wildcard
 			return fmt.Errorf("cluster: node %d: forward to %d: %w", n.id, target, err)
-		}
-		if bp.ErrMsg != "" {
-			return fmt.Errorf("cluster: node %d: forward to %d: %s", n.id, target, bp.ErrMsg)
 		}
 		n.ForwardedWrites.Add(int64(len(batch)))
 	}
 	return nil
 }
 
+// op is one row of the node's dispatch table: how a request type is
+// served, and whether it is served inline on the connection's reader
+// goroutine. Only an op that can never wait on another RPC or on engine
+// backpressure may run inline: Get, Count, Ping and RingState read the
+// engine or the ring and return. Everything else goes back to the
+// transport as a continuation for its worker pool: writes forward inside
+// a migration window and can park on freeze backpressure, scans and
+// multi-gets hold the connection for as long as their result is, and
+// streams, digests and admin calls do both.
+type op struct {
+	serve  func(n *Node, req wire.Message, recv time.Time) wire.Message
+	inline bool
+}
+
+// typed adapts a handler of one request type to a table row. Each type
+// keeps its own method: the worker's live stack while deep in the engine
+// then holds only that handler's locals — this path runs once per RPC,
+// so its stack footprint is hot.
+func typed[Req wire.Message, Resp wire.Reply](h func(*Node, Req) Resp) func(*Node, wire.Message, time.Time) wire.Message {
+	return func(n *Node, req wire.Message, _ time.Time) wire.Message { return h(n, req.(Req)) }
+}
+
+// ops is the node's one dispatch table, indexed by wire type ID. A
+// message without a row is answered with an ErrorResponse.
+var ops = [...]op{
+	wire.TypeGetRequest:            {inline: true, serve: typed((*Node).handleGet)},
+	wire.TypeCountRequest:          {inline: true, serve: (*Node).handleCount},
+	wire.TypePingRequest:           {inline: true, serve: typed((*Node).handlePing)},
+	wire.TypeRingStateRequest:      {inline: true, serve: typed((*Node).handleRingState)},
+	wire.TypePutRequest:            {serve: typed((*Node).handlePut)},
+	wire.TypeDeleteRequest:         {serve: typed((*Node).handleDelete)},
+	wire.TypeBatchPutRequest:       {serve: typed((*Node).handleBatchPut)},
+	wire.TypeMultiGetRequest:       {serve: typed((*Node).handleMultiGet)},
+	wire.TypeScanRequest:           {serve: typed((*Node).handleScan)},
+	wire.TypeStreamRangeRequest:    {serve: typed((*Node).streamRange)},
+	wire.TypeDigestRequest:         {serve: typed((*Node).handleDigest)},
+	wire.TypeDeleteRangeRequest:    {serve: typed((*Node).handleDeleteRange)},
+	wire.TypeNodeStatsRequest:      {serve: typed((*Node).handleNodeStats)},
+	wire.TypeJoinRequest:           {serve: typed((*Node).handleJoin)},
+	wire.TypeBeginMigrationRequest: {serve: typed((*Node).handleBeginMigration)},
+	wire.TypeEndMigrationRequest:   {serve: typed((*Node).handleEndMigration)},
+	wire.TypeSetRingStateRequest:   {serve: typed((*Node).handleSetRingState)},
+	wire.TypeLeaveRequest:          {serve: typed((*Node).handleLeave)},
+}
+
 // handle decodes one request on the connection's reader goroutine and
-// answers it there when it is one of the four ops that can never wait
-// on another RPC or on engine backpressure: Get, Count, Ping and
-// RingState read the engine or the ring and return. Everything else
-// goes back to the transport as a continuation for its worker pool:
-// writes forward inside a migration window and can park on freeze
-// backpressure, scans and multi-gets hold the connection for as long as
-// their result is, and streams, digests and admin calls do both. A frame
-// that does not decode is answered inline with an ErrorResponse.
+// serves it by its row in ops: there, when the row is inline, or as a
+// continuation for the transport's worker pool. A frame that does not
+// decode, or a message no row serves, is answered inline with an
+// ErrorResponse.
 func (n *Node) handle(payload []byte) (resp []byte, rest func() []byte) {
 	recv := time.Now()
 	msg, err := codec.Unmarshal(payload)
 	if err != nil {
 		return n.encode(&wire.ErrorResponse{ErrMsg: "bad frame: " + err.Error()}), nil
 	}
-	switch req := msg.(type) {
-	case *wire.GetRequest:
-		return n.encode(n.handleGet(req)), nil
-	case *wire.CountRequest:
-		if msg := n.epochCheck(req.Epoch); msg != "" {
-			return n.encode(&wire.CountResponse{QueryID: req.QueryID, Seq: req.Seq, ErrMsg: msg}), nil
-		}
-		return n.encode(n.count(req, recv)), nil
-	case *wire.PingRequest:
-		return n.encode(n.handlePing(req)), nil
-	case *wire.RingStateRequest:
-		return n.encode(n.ringStateResponse()), nil
+	id := int(msg.TypeID())
+	if id >= len(ops) || ops[id].serve == nil {
+		return n.encode(&wire.ErrorResponse{ErrMsg: fmt.Sprintf("unexpected message %T", msg)}), nil
 	}
-	return nil, func() []byte { return n.encode(n.handlePooled(msg)) }
+	o := &ops[id]
+	if o.inline {
+		return n.encode(o.serve(n, msg, recv)), nil
+	}
+	return nil, func() []byte { return n.encode(o.serve(n, msg, recv)) }
 }
 
-// handlePooled dispatches a request that handle left to the worker
-// pool. Each message type gets its own method: the worker's live stack
-// while deep in the engine then holds only the taken branch's locals,
-// not the union of every case — this path runs once per RPC, so its
-// stack footprint is hot.
-func (n *Node) handlePooled(msg wire.Message) wire.Message {
-	switch req := msg.(type) {
-	case *wire.PutRequest:
-		return n.handlePut(req)
-	case *wire.DeleteRequest:
-		return n.handleDelete(req)
-	case *wire.BatchPutRequest:
-		return n.handleBatchPut(req)
-	case *wire.MultiGetRequest:
-		return n.handleMultiGet(req)
-	case *wire.ScanRequest:
-		return n.handleScan(req)
-	case *wire.StreamRangeRequest:
-		return n.streamRange(req)
-	case *wire.DigestRequest:
-		return n.handleDigest(req)
-	case *wire.DeleteRangeRequest:
-		return n.handleDeleteRange(req)
-	case *wire.NodeStatsRequest:
-		return n.statsResponse()
-	case *wire.JoinRequest:
-		return n.handleJoin(req)
-	case *wire.BeginMigrationRequest:
-		return n.handleBeginMigration(req)
-	case *wire.EndMigrationRequest:
-		n.EndMigration()
-		return &wire.EndMigrationResponse{}
-	case *wire.SetRingStateRequest:
-		return n.handleSetRingState(req)
-	case *wire.LeaveRequest:
-		return n.handleLeave(req)
-	default:
-		return &wire.ErrorResponse{ErrMsg: fmt.Sprintf("unexpected message %T", msg)}
+// write is the one path of every write request: epoch check, one engine
+// batch (so the engine's version stamps are readable afterwards: the
+// dual-write forward must carry them, or the forwarded copy and a
+// streamed copy of the same cell could merge differently at the target),
+// the dual-write forward, and an epoch re-check after applying. If the
+// epoch flipped while the write was in flight, the dual-write window may
+// already be closed and the forward skipped — acking would lose the
+// write for readers at the new topology. Rejecting makes the client
+// retry at the new epoch; the local copy is at worst idempotent garbage.
+// It returns the reply's ErrMsg.
+func (n *Node) write(epoch uint64, ents []row.Entry) string {
+	if msg := n.epochCheck(epoch); msg != "" {
+		return msg
 	}
+	if err := n.engine.PutBatch(ents); err != nil {
+		return err.Error()
+	}
+	if err := n.forwardEntries(ents); err != nil {
+		return err.Error()
+	}
+	return n.epochCheck(epoch)
 }
 
 func (n *Node) handlePut(req *wire.PutRequest) *wire.PutResponse {
-	if msg := n.epochCheck(req.Epoch); msg != "" {
-		return &wire.PutResponse{ErrMsg: msg}
-	}
-	// Apply through the batch path so the engine's version stamp is
-	// readable afterwards: the dual-write forward must carry it, or
-	// the forwarded copy and a streamed copy of the same cell could
-	// merge differently at the target.
-	ents := []row.Entry{{PK: req.PK, CK: req.CK, Value: req.Value}}
-	if err := n.engine.PutBatch(ents); err != nil {
-		return &wire.PutResponse{ErrMsg: err.Error()}
-	}
-	if err := n.forwardEntries(ents); err != nil {
-		return &wire.PutResponse{ErrMsg: err.Error()}
-	}
-	// Re-check after applying: if the epoch flipped while this write
-	// was in flight, the dual-write window may already be closed and
-	// the forward skipped — acking would lose the write for readers
-	// at the new topology. Rejecting makes the client retry at the
-	// new epoch; the local copy is at worst idempotent garbage.
-	if msg := n.epochCheck(req.Epoch); msg != "" {
-		return &wire.PutResponse{ErrMsg: msg}
-	}
-	return &wire.PutResponse{}
+	return &wire.PutResponse{ErrMsg: n.write(req.Epoch, []row.Entry{{PK: req.PK, CK: req.CK, Value: req.Value}})}
 }
 
+// handleDelete writes a tombstone, so a delete issued during a rebalance
+// lands on the range's new owner with the version that makes every
+// replica agree.
 func (n *Node) handleDelete(req *wire.DeleteRequest) *wire.DeleteResponse {
-	if msg := n.epochCheck(req.Epoch); msg != "" {
-		return &wire.DeleteResponse{ErrMsg: msg}
-	}
-	// A delete is a tombstone write: same stamping, same dual-write
-	// forwarding and same post-apply epoch re-check as a put, so a
-	// delete issued during a rebalance lands on the range's new
-	// owner with the version that makes every replica agree.
-	ents := []row.Entry{{PK: req.PK, CK: req.CK, Tombstone: true}}
-	if err := n.engine.PutBatch(ents); err != nil {
-		return &wire.DeleteResponse{ErrMsg: err.Error()}
-	}
-	if err := n.forwardEntries(ents); err != nil {
-		return &wire.DeleteResponse{ErrMsg: err.Error()}
-	}
-	if msg := n.epochCheck(req.Epoch); msg != "" {
-		return &wire.DeleteResponse{ErrMsg: msg}
-	}
-	return &wire.DeleteResponse{}
+	return &wire.DeleteResponse{ErrMsg: n.write(req.Epoch, []row.Entry{{PK: req.PK, CK: req.CK, Tombstone: true}})}
 }
 
+// handleBatchPut is the group commit: the whole batch lands in one
+// engine call — one lock acquisition, one WAL write — instead of
+// len(Entries) RPCs.
 func (n *Node) handleBatchPut(req *wire.BatchPutRequest) *wire.BatchPutResponse {
-	if msg := n.epochCheck(req.Epoch); msg != "" {
-		return &wire.BatchPutResponse{ErrMsg: msg}
-	}
-	// Group commit: the whole batch lands in one engine call — one
-	// lock acquisition, one WAL write — instead of len(Entries) RPCs.
-	if err := n.engine.PutBatch(req.Entries); err != nil {
-		return &wire.BatchPutResponse{ErrMsg: err.Error()}
-	}
-	if err := n.forwardEntries(req.Entries); err != nil {
-		return &wire.BatchPutResponse{ErrMsg: err.Error()}
-	}
-	// Same post-apply re-check as PutRequest: an epoch flip racing
-	// this batch must surface as a retryable rejection, not an ack
-	// that skipped the dual-write window.
-	if msg := n.epochCheck(req.Epoch); msg != "" {
+	if msg := n.write(req.Epoch, req.Entries); msg != "" {
 		return &wire.BatchPutResponse{ErrMsg: msg}
 	}
 	return &wire.BatchPutResponse{Applied: uint64(len(req.Entries))}
+}
+
+func (n *Node) handleCount(m wire.Message, recv time.Time) wire.Message {
+	req := m.(*wire.CountRequest)
+	if msg := n.epochCheck(req.Epoch); msg != "" {
+		return &wire.CountResponse{QueryID: req.QueryID, Seq: req.Seq, ErrMsg: msg}
+	}
+	return n.count(req, recv)
+}
+
+func (n *Node) handleEndMigration(*wire.EndMigrationRequest) *wire.EndMigrationResponse {
+	n.EndMigration()
+	return &wire.EndMigrationResponse{}
 }
 
 func (n *Node) handleMultiGet(req *wire.MultiGetRequest) *wire.MultiGetResponse {
@@ -618,8 +598,8 @@ func (n *Node) handleDeleteRange(req *wire.DeleteRangeRequest) *wire.DeleteRange
 	return resp
 }
 
-// ringStateResponse serializes the node's current topology view.
-func (n *Node) ringStateResponse() *wire.RingStateResponse {
+// handleRingState serializes the node's current topology view.
+func (n *Node) handleRingState(*wire.RingStateRequest) *wire.RingStateResponse {
 	rs := n.ring.Load()
 	if rs == nil {
 		return &wire.RingStateResponse{ErrMsg: "node has no topology"}
@@ -664,8 +644,8 @@ func (n *Node) handleDigest(req *wire.DigestRequest) *wire.DigestResponse {
 	return resp
 }
 
-// statsResponse summarizes the engine for the coordinator.
-func (n *Node) statsResponse() *wire.NodeStatsResponse {
+// handleNodeStats summarizes the engine for the coordinator.
+func (n *Node) handleNodeStats(*wire.NodeStatsRequest) *wire.NodeStatsResponse {
 	st := n.engine.Stats()
 	resp := &wire.NodeStatsResponse{
 		FlushedBytes:       uint64(st.FlushedBytes),

@@ -302,9 +302,6 @@ func (c *Client) digest(node hashring.NodeID, lo, hi int64, rep *RepairReport) (
 	if err != nil {
 		return nil, fmt.Errorf("cluster: digest node %d: %w", node, err)
 	}
-	if dr.ErrMsg != "" {
-		return nil, fmt.Errorf("cluster: digest node %d: %s", node, dr.ErrMsg)
-	}
 	return dr.Leaves, nil
 }
 
@@ -381,12 +378,8 @@ func (c *Client) shipRepair(node hashring.NodeID, entries []row.Entry) error {
 		if n > chunk {
 			n = chunk
 		}
-		bp, err := call[*wire.BatchPutResponse](c.caller(node), &wire.BatchPutRequest{Entries: entries[:n]}) // epoch 0
-		if err != nil {
+		if _, err := call[*wire.BatchPutResponse](c.caller(node), &wire.BatchPutRequest{Entries: entries[:n]}); err != nil { // epoch 0
 			return fmt.Errorf("cluster: repair ship to node %d: %w", node, err)
-		}
-		if bp.ErrMsg != "" {
-			return fmt.Errorf("cluster: repair ship to node %d: %s", node, bp.ErrMsg)
 		}
 		entries = entries[n:]
 	}

@@ -14,8 +14,8 @@ import (
 var codec wire.FastCodec
 
 // call runs one synchronous RPC: marshal req, send it, decode the reply
-// as an R. The reply's own ErrMsg is the caller's to check.
-func call[R wire.Message](conn transport.Caller, req wire.Message) (R, error) {
+// as an R (see decode).
+func call[R wire.Reply](conn transport.Caller, req wire.Message) (R, error) {
 	payload, err := codec.Marshal(req)
 	if err != nil {
 		var zero R
@@ -29,20 +29,31 @@ func call[R wire.Message](conn transport.Caller, req wire.Message) (R, error) {
 	return decode[R](raw)
 }
 
-// decode unmarshals a reply frame that should hold an R. A node that
-// could not serve the request answers with a wire.ErrorResponse, which
-// comes back as an error carrying the node's text — not retryable: the
-// node is healthy and would answer the same again.
-func decode[R wire.Message](raw []byte) (R, error) {
+// decode unmarshals a reply frame that should hold an R, and is the one
+// place a node's error becomes the caller's: a reply whose ErrMsg is set
+// comes back as an error carrying the node's text, and so does a
+// wire.ErrorResponse, a node's answer to a request it could not serve.
+// Only a wrong-epoch rejection is retryable (the client refreshes its
+// ring and re-routes); any other error is the answer of a healthy node,
+// which would answer the same again.
+func decode[R wire.Reply](raw []byte) (R, error) {
 	var zero R
 	msg, err := codec.Unmarshal(raw)
 	if err != nil {
 		return zero, err
 	}
-	if r, ok := msg.(R); ok {
-		return r, nil
+	r, ok := msg.(R)
+	if !ok {
+		return zero, replyErr(msg)
 	}
-	return zero, replyErr(msg)
+	switch text := r.ErrText(); {
+	case text == "":
+		return r, nil
+	case wire.IsWrongEpoch(text):
+		return zero, retryable(errors.New(text))
+	default:
+		return zero, errors.New(text)
+	}
 }
 
 // replyErr is the error for a reply of a type the caller did not ask
@@ -71,9 +82,6 @@ func pageRange(conn transport.Caller, lo, hi int64, maxCells uint32, fn func([]r
 		page, err := call[*wire.StreamRangeResponse](conn, req)
 		if err != nil {
 			return pages, err
-		}
-		if page.ErrMsg != "" {
-			return pages, errors.New(page.ErrMsg)
 		}
 		pages++
 		if err := fn(page.Entries); err != nil {

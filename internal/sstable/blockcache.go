@@ -205,16 +205,15 @@ func (s *blockCacheShard) evictOneLocked() int64 {
 }
 
 // memSize approximates the resident bytes of a decoded table meta: block
-// index keys, entries and slots, partition directory strings and the
-// by-key map.
+// index keys, entries and slots, and the partition directory's entries
+// and keys.
 func (m *tableMeta) memSize() int64 {
 	var n int64
 	for i := range m.blocks {
 		n += int64(len(m.blocks[i].firstKey)) + 32
 	}
 	for i := range m.parts {
-		// Directory entry plus its map slot.
-		n += 2*int64(len(m.parts[i].pk)) + 56
+		n += int64(len(m.parts[i].pk)) + 32
 	}
 	return n
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -58,13 +60,19 @@ type Reader struct {
 }
 
 // tableMeta is a table's lazily-loaded index state: the block index,
-// the partition directory with each partition's first block, and — with
-// a cache attached — one cache slot per block.
+// the partition directory (sorted by key) with each partition's first
+// block, and — with a cache attached — one cache slot per block.
 type tableMeta struct {
 	blocks []blockIndexEntry
 	parts  []partDirEntry
-	byPK   map[string]int
 	slots  []cacheSlot
+}
+
+// part finds pk's index in the partition directory by binary search.
+func (m *tableMeta) part(pk string) (int, bool) {
+	return slices.BinarySearchFunc(m.parts, pk, func(e partDirEntry, pk string) int {
+		return strings.Compare(e.pk, pk)
+	})
 }
 
 // Open prepares a reader for an SSTable file: it validates the footer
@@ -325,7 +333,6 @@ func (r *Reader) readMeta() (*tableMeta, error) {
 	}
 	p = p[u:]
 	m.parts = make([]partDirEntry, 0, nParts)
-	m.byPK = make(map[string]int, nParts)
 	// A partition's cell count sizes its collect (ReadSlice,
 	// PartitionIter), so the counts are bounded by the cells the data
 	// section can hold: a stored byte decodes to at most lzMaxCopy/2
@@ -347,7 +354,6 @@ func (r *Reader) readMeta() (*tableMeta, error) {
 		if i > 0 && pk <= m.parts[i-1].pk {
 			return nil, ErrCorrupt
 		}
-		m.byPK[pk] = int(i)
 		m.parts = append(m.parts, partDirEntry{pk: pk, cells: cells})
 	}
 	// Each partition's first block is blockFor(its prefix), found in one
@@ -450,7 +456,7 @@ func (r *Reader) Slice(c *SliceCursor, pk string, from, to []byte) error {
 	if err != nil {
 		return err
 	}
-	pi, ok := m.byPK[pk]
+	pi, ok := m.part(pk)
 	if !ok {
 		return ErrNotFound
 	}
@@ -635,7 +641,7 @@ func (r *Reader) HasColumnIndex(pk string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if _, ok := m.byPK[pk]; !ok {
+	if _, ok := m.part(pk); !ok {
 		return false, ErrNotFound
 	}
 	prefix := enc.PartitionPrefix(pk)

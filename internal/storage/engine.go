@@ -98,8 +98,11 @@ type Options struct {
 	// SHARDS manifest — on reopen the on-disk value wins, because the
 	// existing files were partitioned with it.
 	Shards int
-	// FlushThreshold is the memtable payload size, in bytes, that
-	// triggers a background flush to SSTable. 0 means 4MB.
+	// FlushThreshold is the ceiling of the memtable payload size, in
+	// bytes, that triggers a background flush to SSTable: each shard
+	// freezes at its own fixed point in (¾·FlushThreshold,
+	// FlushThreshold], shard 0 at FlushThreshold itself, so the shards
+	// do not all flush and compact at once. 0 means 4MB.
 	FlushThreshold int64
 	// ColumnIndexSize forwards to the SSTable writer, which reads only
 	// its sign: negative disables intra-partition seeking (the Figure 6
@@ -450,9 +453,7 @@ func (e *Engine) write(pk string, ck, value []byte, ver row.Version, tombstone b
 	if s.mem.Put(pk, ck, value, ver, tombstone) {
 		s.partGen.Add(1) // new cell address: the partition set may have grown
 	}
-	if s.mem.Bytes() >= e.opts.FlushThreshold {
-		s.freezeLocked()
-	}
+	s.freezeIfFullLocked()
 	s.mu.Unlock()
 	return nil
 }

@@ -126,16 +126,28 @@ func (s *shard) writeManifestLocked() error {
 	}
 	path := s.manifestPath()
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(b.String()), 0o644); err != nil {
-		return err
+	err := writeSynced(tmp, []byte(b.String()))
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if f, err := os.Open(tmp); err == nil {
-		f.Sync()
-		f.Close()
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
+	}
+	return err
+}
+
+// writeSynced writes data to a new file at path and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return nil
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"scalekv/internal/row"
 )
 
 // refStore is the specification the engine is checked against: a plain
@@ -90,15 +92,7 @@ func TestEngineAgainstModel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("op %d: scan: %v", i, err)
 			}
-			want := ref.scan(p)
-			if len(got) != len(want) {
-				t.Fatalf("op %d: scan(%s) %d cells want %d", i, p, len(got), len(want))
-			}
-			for j := range want {
-				if !bytes.Equal(got[j].CK, want[j][0]) || !bytes.Equal(got[j].Value, want[j][1]) {
-					t.Fatalf("op %d: scan(%s) cell %d mismatch", i, p, j)
-				}
-			}
+			matchesModel(t, fmt.Sprintf("op %d: scan(%s)", i, p), got, ref.scan(p))
 		case op < 97: // flush
 			if err := e.Flush(); err != nil {
 				t.Fatalf("op %d: flush: %v", i, err)
@@ -119,13 +113,24 @@ func TestEngineAgainstModel(t *testing.T) {
 
 	// Final full comparison.
 	for p := range ref {
-		want := ref.scan(p)
 		got, err := e.ScanPartition(p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("final scan(%s): %d cells want %d", p, len(got), len(want))
+		matchesModel(t, fmt.Sprintf("final scan(%s)", p), got, ref.scan(p))
+	}
+}
+
+// matchesModel fails the test unless a scan returned exactly the model's
+// cells: the same clustering keys with the same values, in order.
+func matchesModel(t *testing.T, what string, got []row.Cell, want [][2][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d cells want %d", what, len(got), len(want))
+	}
+	for j := range want {
+		if !bytes.Equal(got[j].CK, want[j][0]) || !bytes.Equal(got[j].Value, want[j][1]) {
+			t.Fatalf("%s: cell %d is %q=%q want %q=%q", what, j, got[j].CK, got[j].Value, want[j][0], want[j][1])
 		}
 	}
 }

@@ -135,6 +135,7 @@ type shard struct {
 	walSeq     int              // next WAL segment number
 	sstSeq     int              // next SSTable sequence number
 	memGen     int64            // memtable generation, seeds the skip list
+	flushAt    int64            // active memtable bytes that freeze it (see flushThreshold)
 
 	compactReq bool          // leveled maintenance wanted (see pickJobLocked)
 	majorReq   bool          // Engine.Compact: merge everything into one run
@@ -197,7 +198,7 @@ func (s *shard) totalTablesLocked() int {
 // data still covered by WAL segments or by the compaction inputs that
 // survived.
 func (e *Engine) openShard(id int) (*shard, error) {
-	s := &shard{id: id, eng: e, mem: e.newMemtable(id, 0)}
+	s := &shard{id: id, eng: e, mem: e.newMemtable(id, 0), flushAt: flushThreshold(e.opts.FlushThreshold, id, e.opts.Shards)}
 	s.cond = sync.NewCond(&s.mu)
 
 	releaseAll := func() {
@@ -296,7 +297,7 @@ func (e *Engine) openShard(id int) (*shard, error) {
 
 // newMemtable builds one shard's memtable of one generation: a distinct
 // deterministic skip-list seed per shard and generation, and a key
-// filter sized for the flush threshold it will be frozen at.
+// filter sized for the largest threshold a shard freezes at.
 func (e *Engine) newMemtable(id int, gen int64) *memtable.Memtable {
 	return memtable.New(e.opts.Seed+int64(id)*1_000_003+gen, e.opts.FlushThreshold)
 }
@@ -384,10 +385,25 @@ func (s *shard) putBatch(entries []row.Entry) error {
 	if inserted {
 		s.partGen.Add(1)
 	}
-	if s.mem.Bytes() >= s.eng.opts.FlushThreshold {
+	s.freezeIfFullLocked()
+	return nil
+}
+
+// flushThreshold is shard id's freeze point: the shards' points are
+// spread evenly over (¾·ceiling, ceiling], shard 0 at the ceiling. Shards
+// fed alike would otherwise freeze, flush and compact in lockstep, in
+// waves; out of step they fill and drain one at a time. A one-shard
+// engine freezes at the ceiling.
+func flushThreshold(ceiling int64, id, shards int) int64 {
+	return ceiling - ceiling/4*int64(id)/int64(shards)
+}
+
+// freezeIfFullLocked freezes the active memtable once it holds the
+// shard's threshold. Caller holds mu.
+func (s *shard) freezeIfFullLocked() {
+	if s.mem.Bytes() >= s.flushAt {
 		s.freezeLocked()
 	}
-	return nil
 }
 
 // freezeLocked seals the active memtable and WAL segment and queues
@@ -853,7 +869,10 @@ func (s *shard) flushHead() bool {
 		return true
 	}
 	s.sstSeq = seq + 1
-	s.frozen = s.frozen[1:]
+	// Copy on pop: the published views share the old array, and
+	// slicing past the head would keep the flushed memtable reachable
+	// from it for as long as the array lives.
+	s.frozen = append([]*frozenMem(nil), s.frozen[1:]...)
 	s.publishLocked()
 	s.flushErr = nil
 	s.eng.Metrics.Flushes.Add(1)

@@ -67,7 +67,7 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 	if n <= 0 {
 		return nil, ErrTruncated
 	}
-	m, err := newMessage(uint16(id))
+	m, err := New(uint16(id))
 	if err != nil {
 		return nil, err
 	}

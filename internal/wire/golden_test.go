@@ -94,7 +94,7 @@ func TestFixturesCoverEveryField(t *testing.T) {
 		}
 	}
 	for id := uint16(1); ; id++ {
-		m, err := newMessage(id)
+		m, err := New(id)
 		if err != nil {
 			break
 		}
@@ -113,6 +113,22 @@ func TestFixturesCoverEveryField(t *testing.T) {
 					t.Errorf("no fixture sets %s", sub)
 				}
 			}
+		}
+	}
+}
+
+// TestEveryResponseIsAReply: a client reads a node's error through
+// Reply, and a node's dispatch test tells requests from responses by
+// it, so every response type must implement it and no request may.
+func TestEveryResponseIsAReply(t *testing.T) {
+	for id := uint16(1); ; id++ {
+		m, err := New(id)
+		if err != nil {
+			break
+		}
+		_, isReply := m.(Reply)
+		if name := reflect.TypeOf(m).Elem().Name(); isReply != strings.HasSuffix(name, "Response") {
+			t.Errorf("%s: implements Reply = %v", name, isReply)
 		}
 	}
 }

@@ -29,6 +29,33 @@ type Message interface {
 	TypeID() uint16
 }
 
+// Reply is implemented by every response message. ErrText is the error
+// the answering node reported in ErrMsg, "" when it served the request.
+type Reply interface {
+	Message
+	ErrText() string
+}
+
+func (m *CountResponse) ErrText() string          { return m.ErrMsg }
+func (m *PutResponse) ErrText() string            { return m.ErrMsg }
+func (m *GetResponse) ErrText() string            { return m.ErrMsg }
+func (m *ScanResponse) ErrText() string           { return m.ErrMsg }
+func (m *BatchPutResponse) ErrText() string       { return m.ErrMsg }
+func (m *MultiGetResponse) ErrText() string       { return m.ErrMsg }
+func (m *RingStateResponse) ErrText() string      { return m.ErrMsg }
+func (m *StreamRangeResponse) ErrText() string    { return m.ErrMsg }
+func (m *DeleteRangeResponse) ErrText() string    { return m.ErrMsg }
+func (m *NodeStatsResponse) ErrText() string      { return m.ErrMsg }
+func (m *DeleteResponse) ErrText() string         { return m.ErrMsg }
+func (m *DigestResponse) ErrText() string         { return m.ErrMsg }
+func (m *JoinResponse) ErrText() string           { return m.ErrMsg }
+func (m *BeginMigrationResponse) ErrText() string { return m.ErrMsg }
+func (m *EndMigrationResponse) ErrText() string   { return m.ErrMsg }
+func (m *SetRingStateResponse) ErrText() string   { return m.ErrMsg }
+func (m *PingResponse) ErrText() string           { return m.ErrMsg }
+func (m *LeaveResponse) ErrText() string          { return m.ErrMsg }
+func (m *ErrorResponse) ErrText() string          { return m.ErrMsg }
+
 // Message type IDs. Stable on the wire; never reorder.
 const (
 	TypeCountRequest uint16 = iota + 1
@@ -707,8 +734,8 @@ var registry = [...]func() Message{
 	TypeErrorResponse:          func() Message { return new(ErrorResponse) },
 }
 
-// newMessage instantiates the registered concrete type for a type ID.
-func newMessage(id uint16) (Message, error) {
+// New instantiates the registered concrete type for a wire type ID.
+func New(id uint16) (Message, error) {
 	if int(id) < len(registry) && registry[id] != nil {
 		return registry[id](), nil
 	}
