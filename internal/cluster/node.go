@@ -699,18 +699,10 @@ func (n *Node) count(req *wire.CountRequest, recv time.Time) *wire.CountResponse
 	dbStart := time.Now()
 	resp.QueueNanos = dbStart.Sub(recv).Nanoseconds()
 
-	// Tally on the stack straight from the engine's views — nothing of
-	// a cell outlives the callback — and build the response map once.
-	var byType [256]uint64
-	var elements uint64
-	err := n.engine.AggregatePartition(req.PK, func(_, value []byte) {
-		elements++
-		ty := uint8(0)
-		if len(value) > 0 {
-			ty = value[0]
-		}
-		byType[ty]++
-	})
+	// Tally on the stack — from a table's directory when one table holds
+	// the partition — and build the response map from the types seen.
+	var tc row.TypeCounts
+	err := n.engine.CountTypes(req.PK, &tc)
 	resp.DBNanos = time.Since(dbStart).Nanoseconds()
 	<-n.dbSlots
 	n.Served.Add(1)
@@ -719,13 +711,11 @@ func (n *Node) count(req *wire.CountRequest, recv time.Time) *wire.CountResponse
 		resp.ErrMsg = err.Error()
 		return resp
 	}
-	resp.Counts = make(map[uint8]uint64)
-	for ty, c := range byType {
-		if c > 0 {
-			resp.Counts[uint8(ty)] = c
-		}
+	resp.Counts = make(map[uint8]uint64, tc.Types())
+	for ty, c := range tc.All() {
+		resp.Counts[ty] = c
 	}
-	resp.Elements = elements
+	resp.Elements = tc.Live()
 	return resp
 }
 

@@ -3,6 +3,7 @@ package sstable
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // BlockCache is a process-wide, capacity-bounded cache of *decompressed*
@@ -204,16 +205,13 @@ func (s *blockCacheShard) evictOneLocked() int64 {
 	}
 }
 
-// memSize approximates the resident bytes of a decoded table meta: block
-// index keys, entries and slots, and the partition directory's entries
-// and keys.
+// memSize is the resident bytes of a decoded table meta, every byte it
+// holds: the meta section it keeps (block first keys and the directory's
+// keys and histograms are views into it), the block index and directory
+// records, the block slots and the struct itself.
 func (m *tableMeta) memSize() int64 {
-	var n int64
-	for i := range m.blocks {
-		n += int64(len(m.blocks[i].firstKey)) + 32
-	}
-	for i := range m.parts {
-		n += int64(len(m.parts[i].pk)) + 32
-	}
-	return n
+	return int64(unsafe.Sizeof(*m)) + int64(cap(m.buf)) +
+		int64(cap(m.blocks))*int64(unsafe.Sizeof(blockIndexEntry{})) +
+		int64(cap(m.parts))*int64(unsafe.Sizeof(partDirEntry{})) +
+		int64(cap(m.slots))*int64(unsafe.Sizeof(cacheSlot{}))
 }

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"scalekv/internal/enc"
+	"scalekv/internal/raceflag"
 	"scalekv/internal/row"
 )
 
@@ -69,6 +72,10 @@ func metaTable(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	emptyFirst := append([]row.Cell{{CK: []byte{}, Value: []byte("root")}}, makeCells(6, 8)[1:]...)
+	withTombstones := makeCells(10, 8)
+	for _, i := range []int{3, 7} {
+		withTombstones[i].Value, withTombstones[i].Tombstone = nil, true
+	}
 	for _, p := range []struct {
 		pk    string
 		cells []row.Cell
@@ -77,7 +84,7 @@ func metaTable(t testing.TB) []byte {
 		{"b", makeCells(30, 16)}, // several blocks
 		{"c", nil},
 		{"d", emptyFirst},
-		{"e", makeCells(10, 8)},
+		{"e", withTombstones},
 	} {
 		if err := w.AddPartition(p.pk, p.cells); err != nil {
 			t.Fatal(err)
@@ -113,8 +120,37 @@ func metaWithCount(meta []byte, off int, n uint64) []byte {
 }
 
 // metaWithCellCounts replaces the cell counts of the named partitions in
-// the directory of a meta section (which starts at dirOff).
+// the directory of a meta section (which starts at dirOff), keeping
+// their type histograms.
 func metaWithCellCounts(meta []byte, dirOff int, counts map[string]uint64) []byte {
+	return editDirectory(meta, dirOff, func(pk []byte, cells uint64, hist []byte) (uint64, []byte) {
+		if c, ok := counts[string(pk)]; ok {
+			cells = c
+		}
+		return cells, hist
+	})
+}
+
+// metaWithHistogram replaces the type histogram of partition pk in the
+// directory of a meta section (which starts at dirOff) with the given
+// (type, count) pairs, in the order given.
+func metaWithHistogram(meta []byte, dirOff int, pk string, pairs ...[2]uint64) []byte {
+	return editDirectory(meta, dirOff, func(key []byte, cells uint64, hist []byte) (uint64, []byte) {
+		if string(key) != pk {
+			return cells, hist
+		}
+		hist = enc.AppendUvarint(nil, uint64(len(pairs)))
+		for _, p := range pairs {
+			hist = enc.AppendUvarint(append(hist, byte(p[0])), p[1])
+		}
+		return cells, hist
+	})
+}
+
+// editDirectory re-encodes the partition directory of a meta section
+// (which starts at dirOff), passing each entry's key, cell count and
+// encoded type histogram through edit.
+func editDirectory(meta []byte, dirOff int, edit func(pk []byte, cells uint64, hist []byte) (uint64, []byte)) []byte {
 	out := append([]byte(nil), meta[:dirOff]...)
 	n, u := enc.Uvarint(meta[dirOff:])
 	out = enc.AppendUvarint(out, n)
@@ -122,11 +158,13 @@ func metaWithCellCounts(meta []byte, dirOff int, counts map[string]uint64) []byt
 	for range n {
 		pk, u1 := enc.Bytes(p)
 		cells, u2 := enc.Uvarint(p[u1:])
-		if c, ok := counts[string(pk)]; ok {
-			cells = c
+		u3, err := checkTypeCounts(p[u1+u2:], cells)
+		if err != nil {
+			panic(err)
 		}
-		out = enc.AppendUvarint(enc.AppendBytes(out, pk), cells)
-		p = p[u1+u2:]
+		cells, hist := edit(pk, cells, p[u1+u2:u1+u2+u3])
+		out = append(enc.AppendUvarint(enc.AppendBytes(out, pk), cells), hist...)
+		p = p[u1+u2+u3:]
 	}
 	return append(out, p...)
 }
@@ -253,9 +291,14 @@ func TestOpenRejectsDegenerateBloom(t *testing.T) {
 //  4. on any meta that loads, every partition's directory block is the
 //     block a search of the whole index for its prefix finds.
 //
-// The seeds are the unmodified sections and the three crash inputs the
-// bounds were written for: a meta claiming 2^40 blocks, a filter with no
-// bits and a partition claiming 2^50 cells.
+// Every directory entry carries a type histogram, and each partition's
+// is added up through the slice cursor, which must never yield more
+// live cells than the partition's cell count. The seeds are the
+// unmodified sections, the three crash inputs the bounds were written
+// for — a meta claiming 2^40 blocks, a filter with no bits and a
+// partition claiming 2^50 cells — and two histograms readMeta refuses:
+// one whose counts sum past the partition's cells, one whose types are
+// out of order.
 func FuzzTableMeta(f *testing.F) {
 	file := metaTable(f)
 	orig := cutTable(file)
@@ -263,6 +306,8 @@ func FuzzTableMeta(f *testing.F) {
 	f.Add(metaWithCount(orig.meta, 0, 1<<40), orig.bloom, uint64(5))
 	f.Add(orig.meta, bloomSection(0, 7), uint64(5))
 	f.Add(metaWithCellCounts(orig.meta, dirOffset(file), map[string]uint64{"b": 1 << 50}), orig.bloom, uint64(5))
+	f.Add(metaWithHistogram(orig.meta, dirOffset(file), "a", [2]uint64{0, 2}, [2]uint64{1, 2}), orig.bloom, uint64(5))
+	f.Add(metaWithHistogram(orig.meta, dirOffset(file), "a", [2]uint64{1, 1}, [2]uint64{0, 1}), orig.bloom, uint64(5))
 	path := filepath.Join(f.TempDir(), "t.sst")
 
 	f.Fuzz(func(t *testing.T, meta, bloomSec []byte, partCount uint64) {
@@ -299,6 +344,11 @@ func FuzzTableMeta(f *testing.F) {
 				check("Slice", err)
 				continue
 			}
+			var tc row.TypeCounts
+			c.TypeCounts(&tc)
+			if tc.Live() > uint64(c.Cells()) {
+				t.Fatalf("partition %q: %d live cells by type, %d cells", pk, tc.Live(), c.Cells())
+			}
 			for n := 0; c.Next() && n < 1<<12; n++ {
 			}
 			check("slice walk", c.Err())
@@ -324,9 +374,10 @@ func FuzzTableMeta(f *testing.F) {
 		if err != nil {
 			t.Fatalf("meta loaded for Partitions, then failed: %v", err)
 		}
-		for _, p := range m.parts {
-			if want := blockFor(m.blocks, enc.AppendInternalKey(nil, p.pk, nil)); p.first != want {
-				t.Fatalf("partition %q: directory block %d, index search %d", p.pk, p.first, want)
+		for i, p := range m.parts {
+			pk := string(m.key(i))
+			if want := blockFor(m.blocks, enc.AppendInternalKey(nil, pk, nil)); int(p.first) != want {
+				t.Fatalf("partition %q: directory block %d, index search %d", pk, p.first, want)
 			}
 		}
 	})
@@ -366,13 +417,14 @@ func TestSliceSearchesOnlyThePartitionsBlocks(t *testing.T) {
 		}
 		onBoundary := map[bool]int{} // by whether the first CK is empty
 		for i, p := range m.parts {
-			prefix := enc.AppendInternalKey(nil, p.pk, nil)
-			if want := blockFor(m.blocks, prefix); p.first != want {
-				t.Fatalf("%s/%s: directory block %d, index search %d", tc.name, p.pk, p.first, want)
+			pk := string(m.key(i))
+			prefix := enc.AppendInternalKey(nil, pk, nil)
+			if want := blockFor(m.blocks, prefix); int(p.first) != want {
+				t.Fatalf("%s/%s: directory block %d, index search %d", tc.name, pk, p.first, want)
 			}
-			cells := tc.parts[p.pk]
+			cells := tc.parts[pk]
 			for _, b := range m.blocks[1:] {
-				if len(cells) > 0 && bytes.Equal(b.firstKey, enc.AppendInternalKey(nil, p.pk, cells[0].CK)) {
+				if len(cells) > 0 && bytes.Equal(b.firstKey, enc.AppendInternalKey(nil, pk, cells[0].CK)) {
 					onBoundary[len(cells[0].CK) == 0]++
 				}
 			}
@@ -383,13 +435,13 @@ func TestSliceSearchesOnlyThePartitionsBlocks(t *testing.T) {
 			}
 			var c SliceCursor
 			for _, from := range targets {
-				if err := r.Slice(&c, p.pk, from, nil); err != nil {
+				if err := r.Slice(&c, pk, from, nil); err != nil {
 					t.Fatal(err)
 				}
 				if want := blockFor(m.blocks, c.bounds.Start()); c.bi != want {
-					t.Fatalf("%s/%s from %q: slice starts at block %d, index search %d (partition %d)", tc.name, p.pk, from, c.bi, want, i)
+					t.Fatalf("%s/%s from %q: slice starts at block %d, index search %d (partition %d)", tc.name, pk, from, c.bi, want, i)
 				}
-				got, err := r.ReadSlice(p.pk, from, nil)
+				got, err := r.ReadSlice(pk, from, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -400,12 +452,188 @@ func TestSliceSearchesOnlyThePartitionsBlocks(t *testing.T) {
 					}
 				}
 				if len(got) != n {
-					t.Fatalf("%s/%s from %q: %d cells, want %d", tc.name, p.pk, from, len(got), n)
+					t.Fatalf("%s/%s from %q: %d cells, want %d", tc.name, pk, from, len(got), n)
 				}
 			}
 		}
 		if tc.name == "multi-block" && (onBoundary[true] == 0 || onBoundary[false] == 0) {
 			t.Fatalf("no partition starts on a block boundary (empty first CK: %d, other: %d)", onBoundary[true], onBoundary[false])
 		}
+	}
+}
+
+// TestDirectoryCountsLiveCellsByType: each partition's directory entry
+// counts its live cells by row.TypeOf — tombstones left out, an empty
+// value counted as type 0 — and agrees with a tally over the cells the
+// table returns, for partitions of one type, many types, only
+// tombstones and no cells, in one block and across several.
+func TestDirectoryCountsLiveCellsByType(t *testing.T) {
+	mixed := makeCells(200, 8) // first value byte = cell index: 200 types
+	for i := range mixed {
+		switch i % 5 {
+		case 1:
+			mixed[i].Value, mixed[i].Tombstone = nil, true
+		case 2:
+			mixed[i].Value = nil
+		}
+	}
+	oneType := makeCells(40, 8)
+	for i := range oneType {
+		oneType[i].Value[0] = 7
+	}
+	allDead := makeCells(4, 8)
+	for i := range allDead {
+		allDead[i].Value, allDead[i].Tombstone = nil, true
+	}
+	parts := map[string][]row.Cell{"mixed": mixed, "one-type": oneType, "all-dead": allDead, "empty": nil}
+	r, err := Open(writeTable(t, WriterOptions{BlockSize: 256}, parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var c SliceCursor
+	for pk, cells := range parts {
+		var want row.TypeCounts
+		for _, cell := range cells {
+			if !cell.Tombstone {
+				want.Add(row.TypeOf(cell.Value), 1)
+			}
+		}
+		if err := r.Slice(&c, pk, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		before := r.Stats.ReadAtCalls.Load()
+		var got row.TypeCounts
+		c.TypeCounts(&got)
+		if r.Stats.ReadAtCalls.Load() != before {
+			t.Fatalf("%s: counting by type read the file", pk)
+		}
+		if got != want {
+			t.Errorf("%s: directory counts %d live cells in %d types, the cells %d in %d",
+				pk, got.Live(), got.Types(), want.Live(), want.Types())
+		}
+	}
+}
+
+// TestLoadMetaChecksTypeHistograms: a checksummed directory whose type
+// histogram is out of order, repeats a type, counts a type zero times,
+// lists more types than cells or sums past the cell count is
+// ErrCorrupt, never a count the partition cannot hold.
+func TestLoadMetaChecksTypeHistograms(t *testing.T) {
+	file := metaTable(t)
+	s := cutTable(file)
+	// Partition "a" holds three cells.
+	for name, pairs := range map[string][][2]uint64{
+		"unsorted":         {{1, 1}, {0, 1}},
+		"repeated type":    {{1, 1}, {1, 1}},
+		"zero count":       {{0, 1}, {1, 0}},
+		"more types":       {{0, 1}, {1, 1}, {2, 1}, {3, 1}},
+		"sum past cells":   {{0, 2}, {1, 2}},
+		"one count past":   {{4, 4}},
+		"huge count":       {{0, 1 << 62}, {1, 1 << 62}},
+		"type count > 256": nil, // filled below
+	} {
+		s := s
+		if pairs == nil {
+			s.meta = metaWithCellCounts(s.meta, dirOffset(file), map[string]uint64{"a": 300})
+			pairs = make([][2]uint64, 257)
+			for i := range pairs {
+				pairs[i] = [2]uint64{uint64(i), 1}
+			}
+		}
+		s.meta = metaWithHistogram(s.meta, dirOffset(file), "a", pairs...)
+		r, err := openBytes(t, s.seal(5))
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		if _, err := r.Partitions(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Partitions = %v, want ErrCorrupt", name, err)
+		}
+		r.Close()
+	}
+}
+
+// TestMetaChargeIsEveryByte pins a decoded meta's block-cache charge on
+// the shape of storage's TestColdGetAllocs (keys pk%06d, four 256-byte
+// cells a partition). The charge is every byte the meta holds — the
+// section buffer, the block and directory records, the slots — with no
+// key or histogram allocated beside the buffer, and per partition it
+// stays under what the previous decoding charged while holding a string
+// and a 32-byte record per partition and charging neither the buffer
+// nor the slots. Decoding allocates the same few times whatever the
+// partition count, so a meta the cache evicted is cheap to decode
+// again.
+func TestMetaChargeIsEveryByte(t *testing.T) {
+	const parts = 8000
+	path := filepath.Join(t.TempDir(), "cold.sst")
+	w, err := NewWriter(path, WriterOptions{ExpectedPartitions: parts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := make([]byte, 256)
+	cells := make([]row.Cell, 4)
+	for p := 0; p < parts; p++ {
+		for c := range cells {
+			cells[c] = row.Cell{CK: []byte(fmt.Sprintf("ck%06d", c)), Value: value, Ver: row.Version{Seq: uint64(p*4 + c + 1)}}
+		}
+		if err := w.AddPartition(fmt.Sprintf("pk%06d", p), cells); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.AttachCache(NewBlockCache(64 << 20))
+	m, err := r.loadMeta()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	held := int64(unsafe.Sizeof(*m)) + int64(cap(m.buf)) +
+		int64(cap(m.blocks))*int64(unsafe.Sizeof(m.blocks[0])) +
+		int64(cap(m.parts))*int64(unsafe.Sizeof(m.parts[0])) +
+		int64(cap(m.slots))*int64(unsafe.Sizeof(m.slots[0]))
+	if got := m.memSize(); got != held {
+		t.Fatalf("memSize %d, the meta holds %d", got, held)
+	}
+	inBuf := func(b []byte) bool {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(m.buf)))
+		p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+		return len(b) == 0 || (p >= lo && p+uintptr(len(b)) <= lo+uintptr(len(m.buf)))
+	}
+	for i := range m.blocks {
+		if !inBuf(m.blocks[i].firstKey) {
+			t.Fatalf("block %d's first key is allocated beside the meta buffer", i)
+		}
+	}
+
+	var previous int64 // the charge of the string-per-partition decoding
+	for i := range m.parts {
+		previous += int64(len(m.key(i))) + 32
+	}
+	for i := range m.blocks {
+		previous += int64(len(m.blocks[i].firstKey)) + 32
+	}
+	if got := m.memSize(); got > previous {
+		t.Fatalf("meta charge %d B (%.1f B a partition), previously %d B (%.1f)",
+			got, float64(got)/parts, previous, float64(previous)/parts)
+	}
+	t.Logf("meta charge %d B (%.1f B a partition), previously %d B (%.1f)",
+		m.memSize(), float64(m.memSize())/parts, previous, float64(previous)/parts)
+
+	if raceflag.Enabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := r.readMeta(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 8 {
+		t.Fatalf("decoding a %d-partition meta allocates %.0f times, want a constant <= 8", parts, allocs)
 	}
 }

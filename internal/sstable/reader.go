@@ -5,10 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -59,20 +58,53 @@ type Reader struct {
 	meta        atomic.Pointer[tableMeta]
 }
 
-// tableMeta is a table's lazily-loaded index state: the block index,
-// the partition directory (sorted by key) with each partition's first
-// block, and — with a cache attached — one cache slot per block.
+// tableMeta is a table's lazily-loaded index state: the meta section
+// as read (block index, then partition directory), the block index
+// decoded over it, one record per partition locating its directory
+// entry and first block, and — with a cache attached — one cache slot
+// per block. Keys and histograms stay in buf, read in place: a decode
+// allocates the same four slices whatever the partition count.
 type tableMeta struct {
-	blocks []blockIndexEntry
-	parts  []partDirEntry
+	buf    []byte
+	blocks []blockIndexEntry // firstKey views into buf
+	parts  []partDirEntry    // sorted by key
 	slots  []cacheSlot
+}
+
+// partDirEntry locates one partition in a decoded meta. Neither field
+// is stored: the reader derives both when it loads the directory.
+type partDirEntry struct {
+	off   uint32 // the partition's directory entry starts at buf[off]
+	first uint32 // the block a slice of the partition starts its search at
+}
+
+// key returns partition i's key, a view into the meta buffer.
+func (m *tableMeta) key(i int) []byte {
+	k, _ := enc.Bytes(m.buf[m.parts[i].off:])
+	return k
+}
+
+// entry returns partition i's key and cell count and the encoded type
+// histogram behind them, all read in place; readMeta checked the bytes.
+func (m *tableMeta) entry(i int) (key []byte, cells uint64, hist []byte) {
+	p := m.buf[m.parts[i].off:]
+	key, u := enc.Bytes(p)
+	cells, u2 := enc.Uvarint(p[u:])
+	return key, cells, p[u+u2:]
 }
 
 // part finds pk's index in the partition directory by binary search.
 func (m *tableMeta) part(pk string) (int, bool) {
-	return slices.BinarySearchFunc(m.parts, pk, func(e partDirEntry, pk string) int {
-		return strings.Compare(e.pk, pk)
-	})
+	i, j := 0, len(m.parts)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if string(m.key(h)) < pk {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(m.parts) && string(m.key(i)) == pk
 }
 
 // Open prepares a reader for an SSTable file: it validates the footer
@@ -109,7 +141,7 @@ func open(f *os.File) (*Reader, error) {
 	}
 	switch string(term[:]) {
 	case string(footerMagic):
-	case "SKVT", "SKV2":
+	case "SKVT", "SKV2", "SKV3":
 		return nil, ErrUnsupportedFormat
 	default:
 		return nil, ErrCorrupt
@@ -204,8 +236,8 @@ func (r *Reader) Partitions() ([]string, error) {
 		return nil, err
 	}
 	out := make([]string, len(m.parts))
-	for i, e := range m.parts {
-		out[i] = e.pk
+	for i := range m.parts {
+		out[i] = string(m.key(i))
 	}
 	return out, nil
 }
@@ -220,7 +252,7 @@ func (r *Reader) Bounds() (first, last string, err error) {
 	if len(m.parts) == 0 {
 		return "", "", nil
 	}
-	return m.parts[0].pk, m.parts[len(m.parts)-1].pk, nil
+	return string(m.key(0)), string(m.key(len(m.parts) - 1)), nil
 }
 
 // MayContain consults the bloom filter; false means the partition is
@@ -273,18 +305,22 @@ func (r *Reader) residentMeta() *tableMeta {
 
 // Minimum encoded sizes of a block index entry (empty first key, one-
 // byte offset and length), a partition directory entry (empty key,
-// one-byte cell count) and a data-block entry (three length varints,
-// seq, node and flags of one byte each): a count read off disk is
-// checked against them before it sizes an allocation.
+// one-byte cell count, no types) and a data-block entry (three length
+// varints, seq, node and flags of one byte each): a count read off disk
+// is checked against them before it sizes an allocation.
 const (
 	minBlockIndexEntry = 3
-	minPartDirEntry    = 2
+	minPartDirEntry    = 3
 	minBlockEntry      = 6
 )
 
 // readMeta reads, checks and decodes the block index and partition
 // directory, then derives each partition's first block.
 func (r *Reader) readMeta() (*tableMeta, error) {
+	// Directory entries are located by 32-bit offsets into the section.
+	if r.bloomOff-r.blockIdxOff > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: meta section over 4 GiB", ErrCorrupt)
+	}
 	buf := make([]byte, r.bloomOff-r.blockIdxOff)
 	if err := r.readAt(buf, int64(r.blockIdxOff)); err != nil {
 		return nil, err
@@ -292,7 +328,7 @@ func (r *Reader) readMeta() (*tableMeta, error) {
 	if crc32.ChecksumIEEE(buf) != r.metaCRC {
 		return nil, fmt.Errorf("%w: meta crc mismatch", ErrCorrupt)
 	}
-	m := &tableMeta{}
+	m := &tableMeta{buf: buf}
 	p := buf
 	nBlocks, u := enc.Uvarint(p)
 	if u <= 0 || nBlocks > uint64(len(p)-u)/minBlockIndexEntry {
@@ -338,11 +374,14 @@ func (r *Reader) readMeta() (*tableMeta, error) {
 	// section can hold: a stored byte decodes to at most lzMaxCopy/2
 	// bytes (a two-byte copy op), an entry takes minBlockEntry of them.
 	cellsLeft := (r.blockIdxOff - uint64(len(magic))) * lzMaxCopy / (2 * minBlockEntry)
+	var prev []byte
 	for i := uint64(0); i < nParts; i++ {
-		pkb, u1 := enc.Bytes(p)
-		if u1 == 0 {
+		off := uint32(len(buf) - len(p))
+		pk, u1 := enc.Bytes(p)
+		if u1 == 0 || (i > 0 && bytes.Compare(pk, prev) <= 0) {
 			return nil, ErrCorrupt
 		}
+		prev = pk
 		p = p[u1:]
 		cells, u2 := enc.Uvarint(p)
 		if u2 <= 0 || cells > cellsLeft {
@@ -350,11 +389,15 @@ func (r *Reader) readMeta() (*tableMeta, error) {
 		}
 		cellsLeft -= cells
 		p = p[u2:]
-		pk := string(pkb)
-		if i > 0 && pk <= m.parts[i-1].pk {
-			return nil, ErrCorrupt
+		u3, err := checkTypeCounts(p, cells)
+		if err != nil {
+			return nil, err
 		}
-		m.parts = append(m.parts, partDirEntry{pk: pk, cells: cells})
+		p = p[u3:]
+		m.parts = append(m.parts, partDirEntry{off: off})
+	}
+	if len(p) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the partition directory", ErrCorrupt, len(p))
 	}
 	// Each partition's first block is blockFor(its prefix), found in one
 	// merge pass: partitions and block first keys are both ascending, so
@@ -362,13 +405,50 @@ func (r *Reader) readMeta() (*tableMeta, error) {
 	var prefix []byte
 	j := 0
 	for i := range m.parts {
-		prefix = enc.AppendInternalKey(prefix[:0], m.parts[i].pk, nil)
+		prefix = enc.AppendInternalKey(prefix[:0], string(m.key(i)), nil)
 		for j+1 < len(m.blocks) && bytes.Compare(m.blocks[j+1].firstKey, prefix) <= 0 {
 			j++
 		}
-		m.parts[i].first = j
+		m.parts[i].first = uint32(j)
 	}
 	return m, nil
+}
+
+// checkTypeCounts checks the type histogram at the head of p, which
+// belongs to a partition of the given cell count, and returns its
+// encoded length: nTypes uvarint, then nTypes (type u8, count uvarint)
+// pairs with types strictly ascending and every count non-zero. The
+// counts sum to the partition's live cells, so neither nTypes nor the
+// sum may exceed its cell count; anything else is ErrCorrupt.
+func checkTypeCounts(p []byte, cells uint64) (int, error) {
+	nTypes, n := enc.Uvarint(p)
+	if n <= 0 || nTypes > cells || nTypes > 256 {
+		return 0, ErrCorrupt
+	}
+	left, prev := cells, -1
+	for range nTypes {
+		if n >= len(p) || int(p[n]) <= prev {
+			return 0, ErrCorrupt
+		}
+		prev = int(p[n])
+		c, u := enc.Uvarint(p[n+1:])
+		if u <= 0 || c == 0 || c > left {
+			return 0, ErrCorrupt
+		}
+		left -= c
+		n += 1 + u
+	}
+	return n, nil
+}
+
+// addTypeCounts adds a histogram checkTypeCounts accepted to tc.
+func addTypeCounts(tc *row.TypeCounts, p []byte) {
+	nTypes, n := enc.Uvarint(p)
+	for range nTypes {
+		c, u := enc.Uvarint(p[n+1:])
+		tc.Add(p[n], c)
+		n += 1 + u
+	}
 }
 
 // blockFor returns the index of the last block whose first key is <=
@@ -431,6 +511,7 @@ func (r *Reader) blockPayload(m *tableMeta, bi int, fill bool) ([]byte, error) {
 type SliceCursor struct {
 	r      *Reader
 	m      *tableMeta
+	part   int // the partition's index in m's directory
 	bi     int // next block to load
 	seeked bool
 	done   bool
@@ -461,17 +542,18 @@ func (r *Reader) Slice(c *SliceCursor, pk string, from, to []byte) error {
 		return ErrNotFound
 	}
 	r.Stats.PartitionsRead.Add(1)
-	c.r, c.m, c.cells = r, m, m.parts[pi].cells
+	_, c.cells, _ = m.entry(pi)
+	c.r, c.m, c.part = r, m, pi
 	c.seeked, c.done, c.err = false, c.cells == 0, nil
 	c.bounds.Set(pk, from, to)
-	first := m.parts[pi].first
+	first := int(m.parts[pi].first)
 	c.bi = first
 	if from == nil {
 		return nil
 	}
 	end := len(m.blocks)
 	if pi+1 < len(m.parts) {
-		end = min(end, m.parts[pi+1].first+1)
+		end = min(end, int(m.parts[pi+1].first)+1)
 	}
 	c.bi += blockFor(m.blocks[first:end], c.bounds.Start())
 	if c.bi > first {
@@ -499,6 +581,15 @@ func (r *Reader) Slice(c *SliceCursor, pk string, from, to []byte) error {
 // Cells returns how many cells the table holds for the whole partition:
 // an upper bound on what the slice yields, for sizing a result.
 func (c *SliceCursor) Cells() int { return int(c.cells) }
+
+// TypeCounts adds the live cells the table holds for the whole
+// partition, whatever the slice's bounds, to tc by type, from the
+// partition directory: no data block is read. Call it after Slice
+// succeeded and before Release.
+func (c *SliceCursor) TypeCounts(tc *row.TypeCounts) {
+	_, _, hist := c.m.entry(c.part)
+	addTypeCounts(tc, hist)
+}
 
 // Next steps to the following cell of the slice and reports whether
 // there is one; after false, Err tells the end of the slice from a
@@ -701,11 +792,12 @@ func (it *PartitionIter) Next() (string, []row.Cell, bool) {
 	if it.idx >= len(it.meta.parts) {
 		return "", nil, false
 	}
-	p := it.meta.parts[it.idx]
+	key, n, _ := it.meta.entry(it.idx)
+	pk := string(key)
 	it.idx++
-	prefix := enc.PartitionPrefix(p.pk)
-	cells := make([]row.Cell, 0, p.cells)
-	for uint64(len(cells)) < p.cells {
+	prefix := enc.PartitionPrefix(pk)
+	cells := make([]row.Cell, 0, n)
+	for uint64(len(cells)) < n {
 		if it.qpos >= len(it.queue) {
 			if !it.fillQueue() {
 				if it.err == nil {
@@ -723,7 +815,7 @@ func (it *PartitionIter) Next() (string, []row.Cell, bool) {
 		cells = append(cells, qc.cell)
 		it.qpos++
 	}
-	return p.pk, cells, true
+	return pk, cells, true
 }
 
 // fillQueue decodes the next data block into the cell queue.

@@ -9,16 +9,18 @@
 // Data blocks hold restart-point prefix-compressed cells keyed by the
 // enc internal key (see block.go), each with its own CRC. The block
 // index records every block's first key, offset and length; the
-// partition directory records every partition key and its cell count.
-// Both are covered by a meta CRC and loaded lazily on first use — Open
+// partition directory records every partition key, its cell count and
+// a histogram of its live cells by type (row.TypeOf: the first value
+// byte), so the paper's count-by-type query is answered from the
+// directory when one table holds the whole partition. Both sections
+// are covered by a meta CRC and loaded lazily on first use — Open
 // reads only the footer and the bloom filter, and a cold point read
 // costs one meta ReadAt plus one data-block ReadAt instead of a
 // whole-partition transfer. The footer carries the section offsets, the
 // entry and partition counts, and the table's maximum version sequence,
-// and ends in the terminator "SKV3". Files ending in the terminators of
-// the flat layouts earlier engines wrote ("SKVT", "SKV2") are rejected
-// with ErrUnsupportedFormat; docs/sstable-format.md has the migration
-// note.
+// and ends in the terminator "SKV4". Files ending in the terminators
+// earlier engines wrote ("SKVT", "SKV2", "SKV3") are rejected with
+// ErrUnsupportedFormat; docs/sstable-format.md has the migration note.
 //
 // The detail that matters for the paper's Formula 6 is the sparse
 // intra-partition index — Cassandra's column_index_size_in_kb. Here the
@@ -50,7 +52,7 @@ import (
 
 var (
 	magic       = []byte("SKVT") // file header
-	footerMagic = []byte("SKV3") // footer terminator
+	footerMagic = []byte("SKV4") // footer terminator
 )
 
 // footerSize: blockIdxOff, partDirOff, bloomOff, entryCount, partCount,
@@ -62,10 +64,11 @@ const flagTombstone = byte(1)
 // ErrCorrupt reports a structurally invalid SSTable file.
 var ErrCorrupt = errors.New("sstable: corrupt file")
 
-// ErrUnsupportedFormat reports an intact table in one of the flat
-// layouts (footer terminator "SKVT" or "SKV2") that engines before the
-// block-based format wrote, which this package does not read.
-var ErrUnsupportedFormat = errors.New(`sstable: table written by an older engine (flat v1/v2 layout); see "Migrating pre-PR 8 data" in docs/sstable-format.md`)
+// ErrUnsupportedFormat reports an intact table of a generation earlier
+// engines wrote — the flat layouts (footer terminator "SKVT" or "SKV2")
+// or the block-based layout without type histograms ("SKV3") — which
+// this package does not read.
+var ErrUnsupportedFormat = errors.New(`sstable: table written by an older engine (flat v1/v2 or block-based v3 layout); see "Migrating older data" in docs/sstable-format.md`)
 
 // ErrNotFound reports a partition absent from the table.
 var ErrNotFound = errors.New("sstable: partition not found")
@@ -75,14 +78,6 @@ type blockIndexEntry struct {
 	firstKey []byte // internal key of the block's first cell
 	offset   uint64
 	length   uint64
-}
-
-// partDirEntry is one partition-directory record. first is not stored:
-// the reader derives it when it loads the directory.
-type partDirEntry struct {
-	pk    string
-	cells uint64
-	first int // the block a slice of the partition starts its search at
 }
 
 // Writer builds an SSTable. Partitions must be added in ascending
@@ -104,7 +99,9 @@ type Writer struct {
 	block       blockBuilder
 	blockFirst  []byte // internal key of the open block's first cell
 	blocks      []blockIndexEntry
-	parts       []partDirEntry
+	dir         []byte // partition directory entries, encoded as added
+	nParts      uint64
+	hist        row.TypeCounts // the open partition's live cells by type
 	entryCount  uint64
 	keyBuf      []byte
 
@@ -174,7 +171,8 @@ func NewWriter(path string, opts WriterOptions) (*Writer, error) {
 // AddPartition appends one partition. Cells must be sorted by clustering
 // key and the partition key must be greater than any previously added.
 // The cells stream into the open data block, which is cut at the target
-// size. A partition that would straddle the current block's budget
+// size, and the partition's directory entry records its cell count and
+// its live cells by type. A partition that would straddle the current block's budget
 // starts a fresh block instead, so small partitions stay whole inside
 // one block (and report no intra-partition index); large ones span
 // several blocks and can be sliced from the middle.
@@ -206,6 +204,9 @@ func (w *Writer) AddPartition(pk string, cells []row.Cell) error {
 			w.blockFirst = append(w.blockFirst[:0], w.keyBuf...)
 		}
 		w.block.add(w.keyBuf, c.Value, c.Ver, c.Tombstone)
+		if !c.Tombstone {
+			w.hist.Add(row.TypeOf(c.Value), 1)
+		}
 		if c.Ver.Seq > w.maxSeq {
 			w.maxSeq = c.Ver.Seq
 		}
@@ -216,7 +217,16 @@ func (w *Writer) AddPartition(pk string, cells []row.Cell) error {
 		}
 	}
 	w.entryCount += uint64(len(cells))
-	w.parts = append(w.parts, partDirEntry{pk: pk, cells: uint64(len(cells))})
+	w.nParts++
+	// pk | cells | nTypes | (type u8, count uvarint) × nTypes, types
+	// ascending; docs/sstable-format.md has the layout.
+	w.dir = append(enc.AppendUvarint(w.dir, uint64(len(pk))), pk...)
+	w.dir = enc.AppendUvarint(w.dir, uint64(len(cells)))
+	w.dir = enc.AppendUvarint(w.dir, uint64(w.hist.Types()))
+	for ty, n := range w.hist.All() {
+		w.dir = enc.AppendUvarint(append(w.dir, ty), n)
+	}
+	w.hist.Reset()
 	w.filter.AddString(pk)
 	return nil
 }
@@ -266,18 +276,15 @@ func (w *Writer) Close() error {
 		idx = enc.AppendUvarint(idx, b.offset)
 		idx = enc.AppendUvarint(idx, b.length)
 	}
-	var dir []byte
-	dir = enc.AppendUvarint(dir, uint64(len(w.parts)))
-	for _, p := range w.parts {
-		dir = enc.AppendBytes(dir, []byte(p.pk))
-		dir = enc.AppendUvarint(dir, p.cells)
-	}
+	// The directory's partition count goes at the end of the index
+	// buffer, in front of the entries AddPartition encoded.
+	partDirOff := w.w.count + uint64(len(idx))
+	idx = enc.AppendUvarint(idx, w.nParts)
 	if _, err := w.w.Write(idx); err != nil {
 		w.f.Close()
 		return err
 	}
-	partDirOff := w.w.count
-	if _, err := w.w.Write(dir); err != nil {
+	if _, err := w.w.Write(w.dir); err != nil {
 		w.f.Close()
 		return err
 	}
@@ -288,14 +295,14 @@ func (w *Writer) Close() error {
 		return err
 	}
 	metaCRC := crc32.ChecksumIEEE(idx)
-	metaCRC = crc32.Update(metaCRC, crc32.IEEETable, dir)
+	metaCRC = crc32.Update(metaCRC, crc32.IEEETable, w.dir)
 
 	footer := make([]byte, footerSize)
 	binary.LittleEndian.PutUint64(footer[0:], blockIdxOff)
 	binary.LittleEndian.PutUint64(footer[8:], partDirOff)
 	binary.LittleEndian.PutUint64(footer[16:], bloomOff)
 	binary.LittleEndian.PutUint64(footer[24:], w.entryCount)
-	binary.LittleEndian.PutUint64(footer[32:], uint64(len(w.parts)))
+	binary.LittleEndian.PutUint64(footer[32:], w.nParts)
 	binary.LittleEndian.PutUint64(footer[40:], w.maxSeq)
 	binary.LittleEndian.PutUint32(footer[48:], metaCRC)
 	binary.LittleEndian.PutUint32(footer[52:], crc32.ChecksumIEEE(bf))

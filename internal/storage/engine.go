@@ -182,6 +182,9 @@ type Metrics struct {
 	TombstonesGCed     atomic.Int64
 	BloomSkips         atomic.Int64
 	SSTablesTouched    atomic.Int64
+	// DirectoryCounts counts the CountTypes calls a lone table's
+	// directory answered without reading a data block.
+	DirectoryCounts atomic.Int64
 	// BlockBytesLogical/Stored accumulate the uncompressed payload vs
 	// on-disk size of every data block written by flush and compaction —
 	// Stored/Logical is the engine's cumulative compression ratio.
@@ -310,17 +313,18 @@ func rejectLegacyLayout(dir string) error {
 }
 
 // manifestFormat is the on-disk format generation recorded in the
-// SHARDS manifest: "v3" marks a directory with per-shard level
-// manifests, block-based tables and versioned WAL records — the only
-// generation this engine reads or writes.
-const manifestFormat = "v3"
+// SHARDS manifest: "v4" marks a directory with per-shard level
+// manifests, block-based tables whose partition directory counts live
+// cells by type, and versioned WAL records — the only generation this
+// engine reads or writes.
+const manifestFormat = "v4"
 
 // loadOrInitShardCount reads the SHARDS manifest — "<count> <format>" —
 // writing it with want on first open. The persisted count wins on
 // reopen: partition keys were hashed to files with it. Any other format
-// field — "v2" or none from an older engine, something newer from a
-// later one — fails loudly: this engine would misread the files (for
-// older data see "Migrating pre-PR 8 data" in docs/sstable-format.md).
+// field — "v3", "v2" or none from an older engine, something newer from
+// a later one — fails loudly: this engine would misread the files (for
+// older data see "Migrating older data" in docs/sstable-format.md).
 func loadOrInitShardCount(dir string, want int) (int, error) {
 	path := filepath.Join(dir, "SHARDS")
 	b, err := os.ReadFile(path)
@@ -617,9 +621,40 @@ func (e *Engine) visitRaw(pk string, fn func(ck, value []byte, ver row.Version, 
 
 // CountPartition returns the number of live cells in a partition.
 func (e *Engine) CountPartition(pk string) (int, error) {
-	n := 0
-	err := e.AggregatePartition(pk, func(_, _ []byte) { n++ })
-	return n, err
+	var tc row.TypeCounts
+	err := e.CountTypes(pk, &tc)
+	return int(tc.Live()), err
+}
+
+// CountTypes adds the live cells of a partition to tc by type
+// (row.TypeOf) — the paper's "count by type" query. When a single table
+// is the partition's only source, the answer is that table's directory
+// histogram and no data block is read (Metrics.DirectoryCounts counts
+// these); otherwise the sources are merged and every live cell tallied,
+// as AggregatePartition would.
+func (e *Engine) CountTypes(pk string, tc *row.TypeCounts) error {
+	e.Metrics.Scans.Add(1)
+	view := e.shardFor(pk).snapshot()
+	defer view.close()
+	mc, err := e.gatherSources(view, pk, nil, nil)
+	if err != nil {
+		return err
+	}
+	defer mc.close()
+	if t := mc.loneTable(); t != nil {
+		e.Metrics.DirectoryCounts.Add(1)
+		t.TypeCounts(tc)
+		return nil
+	}
+	if err := mc.start(); err != nil {
+		return err
+	}
+	for mc.Next() {
+		if _, value, _, tomb := mc.Cell(); !tomb {
+			tc.Add(row.TypeOf(value), 1)
+		}
+	}
+	return mc.Err()
 }
 
 // AggregatePartition streams every live cell of a partition through fn

@@ -38,10 +38,21 @@ func (r refStore) scan(pk string) [][2][]byte {
 	return out
 }
 
+// counts tallies the model's cells of pk by type.
+func (r refStore) counts(pk string) row.TypeCounts {
+	var tc row.TypeCounts
+	for _, v := range r[pk] {
+		tc.Add(row.TypeOf(v), 1)
+	}
+	return tc
+}
+
 // TestEngineAgainstModel drives the engine with a random operation
 // sequence — puts, deletes (pre-flush), gets, scans, flushes,
 // compactions, even a close/reopen — and checks every read against the
-// reference model.
+// reference model. The final sweep also checks every partition's count
+// and count by type, before and after a flush and compaction leave each
+// partition in one table, where its directory answers the count.
 func TestEngineAgainstModel(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Options{Dir: dir, FlushThreshold: 8 << 10, CompactAfter: 4, Seed: 1})
@@ -62,7 +73,11 @@ func TestEngineAgainstModel(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		switch op := rng.Intn(100); {
 		case op < 45: // put
-			p, c, v := pk(), ck(), []byte(fmt.Sprintf("v%d", i))
+			// Five types, and now and then an empty value (type 0).
+			p, c, v := pk(), ck(), []byte(fmt.Sprintf("%c%d", 'a'+i%5, i))
+			if i%11 == 0 {
+				v = nil
+			}
 			if err := e.Put(p, c, v); err != nil {
 				t.Fatalf("op %d: put: %v", i, err)
 			}
@@ -112,12 +127,38 @@ func TestEngineAgainstModel(t *testing.T) {
 	}
 
 	// Final full comparison.
-	for p := range ref {
-		got, err := e.ScanPartition(p, nil, nil)
-		if err != nil {
-			t.Fatal(err)
+	sweep := func(when string) {
+		for p := range ref {
+			got, err := e.ScanPartition(p, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchesModel(t, fmt.Sprintf("%s scan(%s)", when, p), got, ref.scan(p))
+			n, err := e.CountPartition(p)
+			if err != nil || n != len(ref[p]) {
+				t.Fatalf("%s count(%s) = %d, %v, want %d", when, p, n, err, len(ref[p]))
+			}
+			var tc row.TypeCounts
+			if err := e.CountTypes(p, &tc); err != nil {
+				t.Fatal(err)
+			}
+			if want := ref.counts(p); tc != want {
+				t.Fatalf("%s count by type(%s): %d live in %d types, want %d in %d",
+					when, p, tc.Live(), tc.Types(), want.Live(), want.Types())
+			}
 		}
-		matchesModel(t, fmt.Sprintf("final scan(%s)", p), got, ref.scan(p))
+	}
+	sweep("final")
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Metrics.DirectoryCounts.Load()
+	sweep("compacted")
+	if e.Metrics.DirectoryCounts.Load() == before {
+		t.Fatal("no count was answered from a table directory after a full compaction")
 	}
 }
 

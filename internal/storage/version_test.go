@@ -291,6 +291,18 @@ func flatTable(term string) []byte {
 	return append(b, term...)
 }
 
+// blockTableV3 is a block-based table as the generation before type
+// histograms ended it ("SKV3"): a golden table with its terminator
+// swapped, which the footer CRC does not cover.
+func blockTableV3(t *testing.T) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(goldenDir, "l0-first.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b[:len(b)-4:len(b)-4], "SKV3"...)
+}
+
 // TestOpenRejectsOtherGenerations: a directory (or table) written by an
 // older engine — or stamped by a newer one — is refused by name at
 // Open, never upgraded in place, swept or misread.
@@ -302,16 +314,20 @@ func TestOpenRejectsOtherGenerations(t *testing.T) {
 		wantIs  error
 		wantMsg string
 	}{
-		{"v1 table", map[string]string{"SHARDS": "1 v3\n", "manifest-s00": manifest, table: string(flatTable("SKVT"))},
+		{"v1 table", map[string]string{"SHARDS": "1 v4\n", "manifest-s00": manifest, table: string(flatTable("SKVT"))},
 			sstable.ErrUnsupportedFormat, table},
-		{"v2 table", map[string]string{"SHARDS": "1 v3\n", "manifest-s00": manifest, table: string(flatTable("SKV2"))},
+		{"v2 table", map[string]string{"SHARDS": "1 v4\n", "manifest-s00": manifest, table: string(flatTable("SKV2"))},
+			sstable.ErrUnsupportedFormat, table},
+		{"v3 table", map[string]string{"SHARDS": "1 v4\n", "manifest-s00": manifest, table: string(blockTableV3(t))},
 			sstable.ErrUnsupportedFormat, table},
 		{"v2 SHARDS", map[string]string{"SHARDS": "1 v2\n", table: string(flatTable("SKV2"))},
-			nil, `written with format "v2"; this engine supports "v3"`},
+			nil, `written with format "v2"; this engine supports "v4"`},
+		{"v3 SHARDS", map[string]string{"SHARDS": "1 v3\n", table: string(blockTableV3(t))},
+			nil, `written with format "v3"; this engine supports "v4"`},
 		{"format-less SHARDS", map[string]string{"SHARDS": "1\n", table: string(flatTable("SKVT"))},
-			nil, `written with format ""; this engine supports "v3"`},
+			nil, `written with format ""; this engine supports "v4"`},
 		{"future SHARDS", map[string]string{"SHARDS": "4 v9\n"},
-			nil, `written with format "v9"; this engine supports "v3"`},
+			nil, `written with format "v9"; this engine supports "v4"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -64,6 +64,22 @@ var mergeCursors = sync.Pool{New: func() any { return new(mergeCursor) }}
 // bounds mean unbounded) over the sources of view, which the caller
 // keeps pinned until close.
 func (e *Engine) openMerge(view *shardView, pk string, from, to []byte) (*mergeCursor, error) {
+	mc, err := e.gatherSources(view, pk, from, to)
+	if err != nil {
+		return nil, err
+	}
+	if err := mc.start(); err != nil {
+		mc.close()
+		return nil, err
+	}
+	return mc, nil
+}
+
+// gatherSources returns a merge cursor over the sources of view that
+// may hold cells of pk with from <= CK < to, positioned before any of
+// them is read: a table its bloom filter or its directory rules out is
+// no source, nor is a memtable its key filter rules out.
+func (e *Engine) gatherSources(view *shardView, pk string, from, to []byte) (*mergeCursor, error) {
 	mc := mergeCursors.Get().(*mergeCursor)
 	// Sources oldest to newest — SSTables, then frozen memtables, then
 	// the active memtable — so the tie-break on equal versions keeps the
@@ -87,13 +103,29 @@ func (e *Engine) openMerge(view *shardView, pk string, from, to []byte) (*mergeC
 		mc.addMem(fm.mem, pk, from, to)
 	}
 	mc.addMem(view.mem, pk, from, to)
+	return mc, nil
+}
+
+// start loads every source's first cell.
+func (mc *mergeCursor) start() error {
 	for i := range mc.srcs {
 		if err := mc.srcs[i].advance(); err != nil {
-			mc.close()
-			return nil, err
+			return err
 		}
 	}
-	return mc, nil
+	return nil
+}
+
+// loneTable returns the only source when it is a table, nil otherwise.
+// Such a table alone answers the partition: it holds one version per
+// clustering key (its writer refuses duplicates), no other source has a
+// cell for its tombstones to mask or to shadow its own, and reads apply
+// no fence.
+func (mc *mergeCursor) loneTable() *sstable.SliceCursor {
+	if len(mc.srcs) == 1 && mc.srcs[0].isTable {
+		return &mc.srcs[0].tbl
+	}
+	return nil
 }
 
 // add appends a source, reusing the buffers of one parked there by an

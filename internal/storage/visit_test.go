@@ -258,6 +258,34 @@ func TestAggregatePartitionZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCountTypesZeroAlloc pins the paper's count at zero allocations,
+// answered from the table directory and merged over memtable + table.
+func TestCountTypesZeroAlloc(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	e := allocPartition(t, 1000)
+	count := func(want uint64) func() {
+		return func() {
+			var tc row.TypeCounts
+			if err := e.CountTypes("alloc-pk", &tc); err != nil || tc.Live() != want {
+				t.Fatalf("count saw %d cells, want %d (err %v)", tc.Live(), want, err)
+			}
+		}
+	}
+	before := e.Metrics.DirectoryCounts.Load()
+	if allocs := testing.AllocsPerRun(200, count(1000)); allocs != 0 {
+		t.Fatalf("CountTypes from the directory allocates %.0f times per call, want 0", allocs)
+	}
+	if e.Metrics.DirectoryCounts.Load() == before {
+		t.Fatal("a flushed partition was not counted from its table's directory")
+	}
+	if err := e.Put("alloc-pk", []byte("zz-memtable"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, count(1001)); allocs != 0 {
+		t.Fatalf("CountTypes over memtable + table allocates %.0f times per call, want 0", allocs)
+	}
+}
+
 // TestScanPartitionAllocs pins the collecting read at the cell slice
 // plus the arena, whatever the cell count.
 func TestScanPartitionAllocs(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"scalekv/internal/enc"
@@ -66,6 +67,10 @@ func (FastCodec) Unmarshal(data []byte) (Message, error) {
 	id, n := enc.Uvarint(data)
 	if n <= 0 {
 		return nil, ErrTruncated
+	}
+	if id > math.MaxUint16 {
+		// Truncating it would decode 65536 + k as message k.
+		return nil, fmt.Errorf("wire: unknown message type %d", id)
 	}
 	m, err := New(uint16(id))
 	if err != nil {

@@ -57,6 +57,29 @@ func hugeCountFrames() []hugeCountFrame {
 	return out
 }
 
+// wideTypeIDFrame is a GetRequest body behind the type ID
+// 65536 + TypeGetRequest (65541), which a decoder truncating the ID to
+// 16 bits reads as a GetRequest.
+func wideTypeIDFrame(t testing.TB) []byte {
+	t.Helper()
+	frame, err := FastCodec{}.Marshal(&GetRequest{PK: "part-000123", CK: []byte("ck-0042"), Epoch: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n := enc.Uvarint(frame)
+	return append(enc.AppendUvarint(nil, 1<<16+uint64(TypeGetRequest)), frame[n:]...)
+}
+
+// TestFastUnmarshalRejectsWideTypeID: a type ID above 65535 names no
+// message. It used to be truncated to 16 bits, so 65541 followed by a
+// GetRequest body decoded as a GetRequest without an error.
+func TestFastUnmarshalRejectsWideTypeID(t *testing.T) {
+	frame := wideTypeIDFrame(t)
+	if m, err := (FastCodec{}).Unmarshal(frame); err == nil {
+		t.Fatalf("type ID 65541 decoded as %T", m)
+	}
+}
+
 // TestFastUnmarshalBoundsCounts: a count read off the wire is bounded by
 // the bytes left in the frame before anything is sized from it. Each
 // frame used to panic in makeslice (a node's reader goroutine has no

@@ -28,6 +28,7 @@ func FuzzFastCodec(f *testing.F) {
 	for _, hc := range hugeCountFrames() {
 		f.Add(hc.frame)
 	}
+	f.Add(wideTypeIDFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The least of three decodes: the fuzzing engine allocates on
 		// goroutines of its own while one runs, and the 64 KB of slack
