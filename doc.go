@@ -185,8 +185,9 @@
 //
 // On disk, tables are block-based SSTables (sorted data blocks with
 // restart-point prefix compression, per-block CRCs, a block index and
-// partition directory fetched on first use — docs/sstable-format.md is
-// the full layout). There is one on-disk generation, recorded in the
+// a partition directory fetched on first use, which counts each
+// partition's live cells by type so a Count that one table answers
+// reads no data block — docs/sstable-format.md is the full layout). There is one on-disk generation, recorded in the
 // SHARDS manifest: a directory or table written by an earlier revision
 // is refused at open with an error naming it, and the same document
 // has the migration note.

@@ -219,3 +219,34 @@ func TestCollectorOwnsItsCells(t *testing.T) {
 		}
 	}
 }
+
+// TestTypeCounts: All yields exactly the types counted, ascending, with
+// their counts; Live and Types follow; Reset empties the tally; an empty
+// value is type 0.
+func TestTypeCounts(t *testing.T) {
+	var tc TypeCounts
+	want := map[uint8]uint64{0: 2, 63: 1, 64: 5, 200: 3, 255: 1}
+	for ty, n := range want {
+		tc.Add(ty, n)
+	}
+	tc.Add(7, 0) // counting nothing leaves no trace
+	tc.Add(TypeOf(nil), 1)
+	want[0]++
+	last, seen := -1, 0
+	for ty, n := range tc.All() {
+		if int(ty) <= last || want[ty] != n {
+			t.Fatalf("All yielded (%d, %d) after type %d; want counts %v", ty, n, last, want)
+		}
+		last, seen = int(ty), seen+1
+	}
+	if seen != len(want) || tc.Types() != len(want) || tc.Live() != 13 {
+		t.Fatalf("%d types yielded, Types %d, Live %d; want %d types, 13 live", seen, tc.Types(), tc.Live(), len(want))
+	}
+	if TypeOf([]byte{9, 1}) != 9 {
+		t.Fatal("a value's type is its first byte")
+	}
+	tc.Reset()
+	if tc != (TypeCounts{}) {
+		t.Fatal("Reset left counts behind")
+	}
+}

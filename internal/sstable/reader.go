@@ -63,7 +63,7 @@ type Reader struct {
 // decoded over it, one record per partition locating its directory
 // entry and first block, and — with a cache attached — one cache slot
 // per block. Keys and histograms stay in buf, read in place: a decode
-// allocates the same four slices whatever the partition count.
+// allocates the same few times whatever the partition count.
 type tableMeta struct {
 	buf    []byte
 	blocks []blockIndexEntry // firstKey views into buf
@@ -71,26 +71,28 @@ type tableMeta struct {
 	slots  []cacheSlot
 }
 
-// partDirEntry locates one partition in a decoded meta. Neither field
-// is stored: the reader derives both when it loads the directory.
+// partDirEntry locates one partition in a decoded meta: its key is
+// buf[off:off+klen], its cell count and type histogram follow the key.
+// first is not stored: the reader derives it when it loads the
+// directory.
 type partDirEntry struct {
-	off   uint32 // the partition's directory entry starts at buf[off]
-	first uint32 // the block a slice of the partition starts its search at
+	off, klen uint32
+	first     uint32 // the block a slice of the partition starts its search at
 }
 
 // key returns partition i's key, a view into the meta buffer.
 func (m *tableMeta) key(i int) []byte {
-	k, _ := enc.Bytes(m.buf[m.parts[i].off:])
-	return k
+	e := &m.parts[i]
+	return m.buf[e.off : e.off+e.klen]
 }
 
-// entry returns partition i's key and cell count and the encoded type
-// histogram behind them, all read in place; readMeta checked the bytes.
-func (m *tableMeta) entry(i int) (key []byte, cells uint64, hist []byte) {
-	p := m.buf[m.parts[i].off:]
-	key, u := enc.Bytes(p)
-	cells, u2 := enc.Uvarint(p[u:])
-	return key, cells, p[u+u2:]
+// entry returns partition i's cell count and the encoded type histogram
+// behind it, read in place; readMeta checked the bytes.
+func (m *tableMeta) entry(i int) (cells uint64, hist []byte) {
+	e := &m.parts[i]
+	p := m.buf[e.off+e.klen:]
+	cells, u := enc.Uvarint(p)
+	return cells, p[u:]
 }
 
 // part finds pk's index in the partition directory by binary search.
@@ -376,12 +378,12 @@ func (r *Reader) readMeta() (*tableMeta, error) {
 	cellsLeft := (r.blockIdxOff - uint64(len(magic))) * lzMaxCopy / (2 * minBlockEntry)
 	var prev []byte
 	for i := uint64(0); i < nParts; i++ {
-		off := uint32(len(buf) - len(p))
 		pk, u1 := enc.Bytes(p)
 		if u1 == 0 || (i > 0 && bytes.Compare(pk, prev) <= 0) {
 			return nil, ErrCorrupt
 		}
 		prev = pk
+		off := uint32(len(buf) - len(p) + u1 - len(pk))
 		p = p[u1:]
 		cells, u2 := enc.Uvarint(p)
 		if u2 <= 0 || cells > cellsLeft {
@@ -394,7 +396,7 @@ func (r *Reader) readMeta() (*tableMeta, error) {
 			return nil, err
 		}
 		p = p[u3:]
-		m.parts = append(m.parts, partDirEntry{off: off})
+		m.parts = append(m.parts, partDirEntry{off: off, klen: uint32(len(pk))})
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("%w: %d bytes after the partition directory", ErrCorrupt, len(p))
@@ -542,7 +544,7 @@ func (r *Reader) Slice(c *SliceCursor, pk string, from, to []byte) error {
 		return ErrNotFound
 	}
 	r.Stats.PartitionsRead.Add(1)
-	_, c.cells, _ = m.entry(pi)
+	c.cells, _ = m.entry(pi)
 	c.r, c.m, c.part = r, m, pi
 	c.seeked, c.done, c.err = false, c.cells == 0, nil
 	c.bounds.Set(pk, from, to)
@@ -587,7 +589,7 @@ func (c *SliceCursor) Cells() int { return int(c.cells) }
 // partition directory: no data block is read. Call it after Slice
 // succeeded and before Release.
 func (c *SliceCursor) TypeCounts(tc *row.TypeCounts) {
-	_, _, hist := c.m.entry(c.part)
+	_, hist := c.m.entry(c.part)
 	addTypeCounts(tc, hist)
 }
 
@@ -792,8 +794,8 @@ func (it *PartitionIter) Next() (string, []row.Cell, bool) {
 	if it.idx >= len(it.meta.parts) {
 		return "", nil, false
 	}
-	key, n, _ := it.meta.entry(it.idx)
-	pk := string(key)
+	pk := string(it.meta.key(it.idx))
+	n, _ := it.meta.entry(it.idx)
 	it.idx++
 	prefix := enc.PartitionPrefix(pk)
 	cells := make([]row.Cell, 0, n)

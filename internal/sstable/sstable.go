@@ -172,10 +172,10 @@ func NewWriter(path string, opts WriterOptions) (*Writer, error) {
 // key and the partition key must be greater than any previously added.
 // The cells stream into the open data block, which is cut at the target
 // size, and the partition's directory entry records its cell count and
-// its live cells by type. A partition that would straddle the current block's budget
-// starts a fresh block instead, so small partitions stay whole inside
-// one block (and report no intra-partition index); large ones span
-// several blocks and can be sliced from the middle.
+// its live cells by type. A partition that would straddle the current
+// block's budget starts a fresh block instead, so small partitions stay
+// whole inside one block (and report no intra-partition index); large
+// ones span several blocks and can be sliced from the middle.
 func (w *Writer) AddPartition(pk string, cells []row.Cell) error {
 	if w.err != nil {
 		return w.err
