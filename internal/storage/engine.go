@@ -658,10 +658,11 @@ func (e *Engine) CountTypes(pk string, tc *row.TypeCounts) error {
 }
 
 // AggregatePartition streams every live cell of a partition through fn
-// in clustering order — the "count by type" aggregation of the paper's
-// prototype is built on this. Nothing is copied on the way: ck and value
-// are valid only during the call, and point into memory other readers
-// share, so fn reads them and copies what it keeps.
+// in clustering order, always through the merge: the cursor walk that
+// CountTypes falls back to, for callers that must see each cell.
+// Nothing is copied on the way: ck and value are valid only during the
+// call, and point into memory other readers share, so fn reads them and
+// copies what it keeps.
 func (e *Engine) AggregatePartition(pk string, fn func(ck, value []byte)) error {
 	e.Metrics.Scans.Add(1)
 	return e.visitRaw(pk, func(ck, value []byte, _ row.Version, tombstone bool) bool {
