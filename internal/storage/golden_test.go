@@ -19,11 +19,12 @@ const goldenDir = "testdata/golden"
 // disk twin of wire's TestFastFramesAreByteStable: a fixed, seeded input
 // goes through two flushes into L0 and one major compaction into L1, and
 // every table written on the way must equal its file under
-// testdata/golden byte for byte. The input has multi-block partitions,
-// overwrites across the flushes, tombstones and empty values, so every section of the format — data
-// blocks, block index, partition directory, bloom filter and footer —
-// is covered. A refactor of the writer or of compaction that moves a
-// single byte fails here, not in a directory an older build wrote.
+// testdata/golden byte for byte. The input has a multi-block partition,
+// overwrites across the flushes, tombstones and empty values, so every
+// section of the format — data blocks, block index, partition
+// directory, bloom filter and footer — is covered. A refactor of the
+// writer or of compaction that moves a single byte fails here, not in a
+// directory an older build wrote.
 func TestTablesAreByteStable(t *testing.T) {
 	dir := t.TempDir()
 	e := openTest(t, Options{Dir: dir, Shards: 1, DisableWAL: true, FlushThreshold: 1 << 30})
