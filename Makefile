@@ -53,9 +53,11 @@ deploy-smoke:
 # and partition count behind re-sealed CRCs never panic, allocate beyond
 # a small multiple of the file or fail with anything but ErrCorrupt or
 # ErrNotFound, and each partition's derived first block is the one a
-# whole-index search finds) and the WAL record reader (arbitrary bytes
+# whole-index search finds), the WAL record reader (arbitrary bytes
 # after a segment's intact records are a torn tail: no panic, no error,
-# no allocation beyond the file).
+# no allocation beyond the file), the shard manifest (every accepted
+# line names one of the shard's own tables, which round-trip) and the
+# SHARDS file (an accepted shard count is in [1, 1024]).
 # On the socket: the TCP frame reader (arbitrary bytes in arbitrary
 # segments yield exactly the whole frames in them, memory follows the
 # bytes received, and valid frame sequences round-trip however the
@@ -68,6 +70,8 @@ fuzz-smoke:
 	go test -run=NONE -fuzz=FuzzBlockSeek -fuzztime=10s ./internal/sstable/
 	go test -run=NONE -fuzz=FuzzTableMeta -fuzztime=10s ./internal/sstable/
 	go test -run=NONE -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/storage/
+	go test -run=NONE -fuzz=FuzzManifest -fuzztime=10s ./internal/storage/
+	go test -run=NONE -fuzz=FuzzShardsFile -fuzztime=10s ./internal/storage/
 	go test -run=NONE -fuzz=FuzzFrameStream -fuzztime=10s ./internal/transport/
 	go test -run=NONE -fuzz=FuzzFastCodec -fuzztime=10s ./internal/wire/
 

@@ -155,9 +155,9 @@ func lowerBound(cells []Cell, ck []byte) int {
 // wins, and on an exact version tie — the same write held by two
 // sources — the later source wins (sources are passed oldest to newest,
 // SSTables before memtables). Tombstones take part in the merge like
-// any other cell and appear in the output; callers that serve reads
-// filter them (DropTombstones), while compaction and range streaming
-// keep them so a delete keeps masking older copies elsewhere.
+// any other cell and appear in the output. The engine merges through
+// its streaming cursor (storage's mergeCursor) for reads and compaction
+// alike; Merge is the reference a property test holds that cursor to.
 func Merge(sources ...[]Cell) []Cell {
 	switch len(sources) {
 	case 0:
@@ -205,9 +205,10 @@ func Merge(sources ...[]Cell) []Cell {
 	}
 }
 
-// DropTombstones filters deleted cells out of a merged run — the last
-// step of serving a read. It returns the input slice unchanged when no
-// tombstone is present (the common case allocates nothing).
+// DropTombstones filters deleted cells out of a merged run, as a read
+// serves it; with Merge, the reference the engine's cursor is tested
+// against. It returns the input slice unchanged when no tombstone is
+// present.
 func DropTombstones(cells []Cell) []Cell {
 	i := 0
 	for i < len(cells) && !cells[i].Tombstone {
@@ -263,6 +264,13 @@ func (c *Collector) Append(ck, value []byte, ver Version, tombstone bool) {
 	cell.CK, c.arena = carve(c.arena, ck)
 	cell.Value, c.arena = carve(c.arena, value)
 	c.Cells = append(c.Cells, cell)
+}
+
+// Reset empties the collector for the next run of cells, keeping the
+// cell slice and the last arena chunk: the next Appends overwrite the
+// cells it held, so the caller must be done with them.
+func (c *Collector) Reset() {
+	c.Cells, c.arena, c.hint = c.Cells[:0], c.arena[:0], 0
 }
 
 // maxArenaChunk bounds what one arena chunk commits on the strength of a

@@ -184,36 +184,6 @@ func decodeStoredBlock(block []byte) ([]byte, error) {
 	}
 }
 
-// decodeBlock decodes a stored block end to end: CRC check, optional
-// decompression, then the entry walk. See decodeStoredBlock and
-// decodeEntries.
-func decodeBlock(block []byte, fn func(ik, value []byte, ver row.Version, tomb bool) bool) error {
-	payload, err := decodeStoredBlock(block)
-	if err != nil {
-		return err
-	}
-	return decodeEntries(payload, fn)
-}
-
-// decodeEntries streams an entry payload's cells through fn in order.
-// The ik and value slices are only valid during the call (ik is a
-// reused buffer, value aliases the payload); fn copies what it keeps.
-// Returning false from fn stops the walk without error. Any structural
-// violation — truncated varint, impossible lengths — yields ErrCorrupt;
-// arbitrary input bytes never panic (the fuzz target pins this).
-func decodeEntries(payload []byte, fn func(ik, value []byte, ver row.Version, tomb bool) bool) error {
-	var c blockCursor
-	if err := c.reset(payload); err != nil {
-		return err
-	}
-	for c.next() {
-		if !fn(c.key, c.value, c.ver, c.tomb) {
-			return nil
-		}
-	}
-	return c.err
-}
-
 // blockCursor walks the entries of one decoded entry payload: the one
 // entry parser behind every read of a block. The current entry is
 // exposed as views — key is the cursor's own scratch buffer, rebuilt

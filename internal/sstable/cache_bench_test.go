@@ -10,7 +10,7 @@ import (
 // cache that either covers the working set (hit path: RAM-speed,
 // no I/O, no decompression) or is far smaller than it (miss path:
 // every read pays one ReadAt plus an LZ decode). The scan benchmark
-// streams the whole compressed table through the partition iterator.
+// streams the whole compressed table through one Reader.Scan.
 
 const (
 	benchCells   = 40000 // ~10MB logical at 256B values
@@ -82,7 +82,7 @@ func BenchmarkCacheMissPointRead(b *testing.B) {
 }
 
 // BenchmarkScanThroughCompressed streams the whole compressed table
-// through the partition iterator — the compaction and range-scan shape.
+// through one scan — the compaction shape.
 func BenchmarkScanThroughCompressed(b *testing.B) {
 	path := buildCacheBenchTable(b)
 	r, err := Open(path)
@@ -93,17 +93,15 @@ func BenchmarkScanThroughCompressed(b *testing.B) {
 	var logical int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := r.Iter()
-		for {
-			_, cells, ok := it.Next()
-			if !ok {
-				break
-			}
-			for j := range cells {
-				logical += int64(len(cells[j].Value))
-			}
+		var c SliceCursor
+		if err := r.Scan(&c); err != nil {
+			b.Fatal(err)
 		}
-		if err := it.Err(); err != nil {
+		for c.Next() {
+			_, value, _, _ := c.Cell()
+			logical += int64(len(value))
+		}
+		if err := c.Err(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -333,22 +333,19 @@ func TestBlockCacheOversizedLeavesSlotEmpty(t *testing.T) {
 	}
 }
 
-// TestPartitionIterProbesWithoutFilling: the compactor's iterator reads
-// cached blocks but never caches what it reads, so a compaction pass
-// cannot flush the working set.
-func TestPartitionIterProbesWithoutFilling(t *testing.T) {
+// TestTableScanProbesWithoutFilling: the compactor's whole-table scan
+// reads cached blocks but never caches what it reads, so a compaction
+// pass cannot flush the working set.
+func TestTableScanProbesWithoutFilling(t *testing.T) {
 	r, c := cachedTable(t, 64<<20)
 	scan := func() {
-		it := r.Iter()
-		for _, _, ok := it.Next(); ok; _, _, ok = it.Next() {
-		}
-		if err := it.Err(); err != nil {
+		if _, err := scanPartitions(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	scan()
 	if n := cachedBlocks(t, r); n != 0 {
-		t.Fatalf("iterator filled %d block slots", n)
+		t.Fatalf("scan filled %d block slots", n)
 	}
 	if _, err := r.ReadPartition("p"); err != nil {
 		t.Fatal(err)
@@ -357,6 +354,6 @@ func TestPartitionIterProbesWithoutFilling(t *testing.T) {
 	hits := c.Stats().Hits
 	scan()
 	if got := c.Stats().Hits - hits; got < int64(blocks) {
-		t.Fatalf("iterator over %d cached blocks hit %d times", blocks, got)
+		t.Fatalf("scan over %d cached blocks hit %d times", blocks, got)
 	}
 }

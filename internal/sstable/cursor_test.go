@@ -21,6 +21,36 @@ func (e blockEntry) equal(o blockEntry) bool {
 	return bytes.Equal(e.ik, o.ik) && bytes.Equal(e.value, o.value) && e.ver == o.ver && e.tomb == o.tomb
 }
 
+// decodeBlock decodes a stored block end to end: CRC check, optional
+// decompression, then the entry walk. See decodeStoredBlock and
+// decodeEntries.
+func decodeBlock(block []byte, fn func(ik, value []byte, ver row.Version, tomb bool) bool) error {
+	payload, err := decodeStoredBlock(block)
+	if err != nil {
+		return err
+	}
+	return decodeEntries(payload, fn)
+}
+
+// decodeEntries streams an entry payload's cells through fn in order.
+// The ik and value slices are only valid during the call (ik is a
+// reused buffer, value aliases the payload); fn copies what it keeps.
+// Returning false from fn stops the walk without error. Any structural
+// violation — truncated varint, impossible lengths — yields ErrCorrupt;
+// arbitrary input bytes never panic (the fuzz target pins this).
+func decodeEntries(payload []byte, fn func(ik, value []byte, ver row.Version, tomb bool) bool) error {
+	var c blockCursor
+	if err := c.reset(payload); err != nil {
+		return err
+	}
+	for c.next() {
+		if !fn(c.key, c.value, c.ver, c.tomb) {
+			return nil
+		}
+	}
+	return c.err
+}
+
 // linearDecode is the reference the cursor is checked against: every
 // entry of the payload from its first byte, restart array unused.
 func linearDecode(t testing.TB, payload []byte) []blockEntry {

@@ -206,8 +206,7 @@ func TestLoadMetaBoundsCountsByBytesLeft(t *testing.T) {
 }
 
 // TestLoadMetaBoundsCellCounts: a partition's cell count sizes the cell
-// slice of a whole-partition collect (ReadPartition, PartitionIter.Next),
-// so a checksummed directory claiming more cells than the data section
+// slice of a whole-partition collect (ReadPartition), so a checksummed directory claiming more cells than the data section
 // can hold — in one partition or summed over all — is ErrCorrupt. Before
 // the bound, 2^50 cells panicked makeslice on the compaction worker.
 func TestLoadMetaBoundsCellCounts(t *testing.T) {
@@ -230,11 +229,42 @@ func TestLoadMetaBoundsCellCounts(t *testing.T) {
 		if _, err := r.ReadPartition("b"); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: ReadPartition = %v, want ErrCorrupt", name, err)
 		}
-		it := r.Iter()
-		for _, _, ok := it.Next(); ok; _, _, ok = it.Next() {
+		if _, err := scanPartitions(r); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Scan = %v, want ErrCorrupt", name, err)
 		}
-		if !errors.Is(it.Err(), ErrCorrupt) {
-			t.Errorf("%s: Iter = %v, want ErrCorrupt", name, it.Err())
+		r.Close()
+	}
+}
+
+// TestScanChecksTheFooterEntryCount: a scan counts the cells the data
+// blocks yield against the footer's entry count, so a re-sealed footer
+// that claims a cell more or a cell fewer than the blocks hold, or
+// none, ends the scan in ErrCorrupt; the true count scans clean.
+func TestScanChecksTheFooterEntryCount(t *testing.T) {
+	orig := cutTable(metaTable(t))
+	n := binary.LittleEndian.Uint64(orig.footer[24:])
+	for _, claim := range []uint64{n, n - 1, n + 1, 0} {
+		s := orig
+		s.footer = bytes.Clone(orig.footer)
+		binary.LittleEndian.PutUint64(s.footer[24:], claim)
+		r, err := openBytes(t, s.seal(5))
+		if err != nil {
+			t.Fatalf("claim %d: open: %v", claim, err)
+		}
+		var c SliceCursor
+		if err := r.Scan(&c); err != nil {
+			t.Fatalf("claim %d: Scan: %v", claim, err)
+		}
+		cells := uint64(0)
+		for c.Next() {
+			cells++
+		}
+		if claim == n {
+			if c.Err() != nil || cells != n {
+				t.Errorf("true count %d: scanned %d cells, %v", n, cells, c.Err())
+			}
+		} else if !errors.Is(c.Err(), ErrCorrupt) {
+			t.Errorf("footer claims %d of %d cells: scan ended in %v, want ErrCorrupt", claim, n, c.Err())
 		}
 		r.Close()
 	}
@@ -281,8 +311,8 @@ func TestOpenRejectsDegenerateBloom(t *testing.T) {
 // once, lets the fuzzer replace those sections, re-seals every CRC so
 // the decoders are reached, then opens the table, lists its partitions,
 // for every partition (up to 64) runs a point read, a whole-partition
-// slice and a whole-partition collect, and walks the table's partitions
-// with the compactor's iterator. Properties:
+// slice and a whole-partition collect, and scans the table as the
+// compactor does. Properties:
 //
 //  1. nothing panics;
 //  2. the run allocates no more than a small multiple of the file size,
@@ -355,13 +385,13 @@ func FuzzTableMeta(f *testing.F) {
 			_, err = r.ReadPartition(pk)
 			check("ReadPartition", err)
 		}
-		it := r.Iter()
-		for n := 0; n < 64; n++ {
-			if _, _, ok := it.Next(); !ok {
-				break
-			}
+		serr := r.Scan(&c)
+		for n := 0; serr == nil && n < 1<<12 && c.Next(); n++ {
 		}
-		check("Iter", it.Err())
+		if serr == nil {
+			serr = c.Err()
+		}
+		check("Scan", serr)
 		runtime.ReadMemStats(&after)
 		ops := uint64(3 + 3*len(pks))
 		if got, limit := after.TotalAlloc-before.TotalAlloc, ops*64*uint64(len(data))+1<<20; got > limit {

@@ -52,6 +52,7 @@ type Reader struct {
 	blockIdxOff uint64
 	partDirOff  uint64
 	bloomOff    uint64
+	entryCount  uint64 // cells in the data blocks; a scan checks it
 	partCount   uint64
 	metaCRC     uint32
 	metaMu      sync.Mutex
@@ -164,6 +165,7 @@ func open(f *os.File) (*Reader, error) {
 		blockIdxOff: binary.LittleEndian.Uint64(footer[0:]),
 		partDirOff:  binary.LittleEndian.Uint64(footer[8:]),
 		bloomOff:    binary.LittleEndian.Uint64(footer[16:]),
+		entryCount:  binary.LittleEndian.Uint64(footer[24:]),
 		partCount:   binary.LittleEndian.Uint64(footer[32:]),
 		maxSeq:      binary.LittleEndian.Uint64(footer[40:]),
 		metaCRC:     binary.LittleEndian.Uint32(footer[48:]),
@@ -371,10 +373,10 @@ func (r *Reader) readMeta() (*tableMeta, error) {
 	}
 	p = p[u:]
 	m.parts = make([]partDirEntry, 0, nParts)
-	// A partition's cell count sizes its collect (ReadSlice,
-	// PartitionIter), so the counts are bounded by the cells the data
-	// section can hold: a stored byte decodes to at most lzMaxCopy/2
-	// bytes (a two-byte copy op), an entry takes minBlockEntry of them.
+	// A partition's cell count sizes its collect (ReadSlice), so the
+	// counts are bounded by the cells the data section can hold: a
+	// stored byte decodes to at most lzMaxCopy/2 bytes (a two-byte copy
+	// op), an entry takes minBlockEntry of them.
 	cellsLeft := (r.blockIdxOff - uint64(len(magic))) * lzMaxCopy / (2 * minBlockEntry)
 	var prev []byte
 	for i := uint64(0); i < nParts; i++ {
@@ -478,8 +480,8 @@ func (r *Reader) readBlock(b blockIndexEntry) ([]byte, error) {
 // blockPayload returns one block's decoded entry payload, serving it
 // from the shared cache when possible. A miss reads and decodes the
 // stored block; fill says whether the result is then cached — point and
-// slice reads fill, the compactor's scan-once iterator only probes, so
-// a compaction pass cannot flush the working set out of the cache. The
+// slice reads fill, the compactor's scan-once pass only probes, so a
+// compaction pass cannot flush the working set out of the cache. The
 // returned payload is shared and read-only.
 func (r *Reader) blockPayload(m *tableMeta, bi int, fill bool) ([]byte, error) {
 	if r.cache != nil {
@@ -504,21 +506,23 @@ func (r *Reader) blockPayload(m *tableMeta, bi int, fill bool) ([]byte, error) {
 
 // SliceCursor streams the cells of one partition slice of one table in
 // clustering order, chaining block cursors across the data blocks the
-// slice spans. What it yields are views: the clustering key lives in the
-// cursor's scratch buffer and is overwritten by the next step, the value
-// aliases a block payload the cache shares between readers — read it,
-// never write it, and copy what must outlive the next call to Next. The
-// zero value is ready for Reader.Slice; a reused cursor keeps its
-// buffers, so a warm read allocates nothing.
+// slice spans — or, pointed by Scan, every cell of the table. What it
+// yields are views: the key lives in the cursor's scratch buffer and is
+// overwritten by the next step, the value aliases a block payload the
+// cache shares between readers — read it, never write it, and copy what
+// must outlive the next call to Next. The zero value is ready for
+// Reader.Slice or Reader.Scan; a reused cursor keeps its buffers, so a
+// warm read allocates nothing.
 type SliceCursor struct {
 	r      *Reader
 	m      *tableMeta
-	part   int // the partition's index in m's directory
-	bi     int // next block to load
+	part   int  // the partition's index in m's directory
+	bi     int  // next block to load
+	scan   bool // a whole-table pass: see Scan
 	seeked bool
 	done   bool
 	err    error
-	cells  uint64
+	cells  uint64 // the partition's cells; for a scan, the cells still to come
 	blk    blockCursor
 	bounds enc.Bounds
 }
@@ -546,7 +550,7 @@ func (r *Reader) Slice(c *SliceCursor, pk string, from, to []byte) error {
 	r.Stats.PartitionsRead.Add(1)
 	c.cells, _ = m.entry(pi)
 	c.r, c.m, c.part = r, m, pi
-	c.seeked, c.done, c.err = false, c.cells == 0, nil
+	c.scan, c.seeked, c.done, c.err = false, false, c.cells == 0, nil
 	c.bounds.Set(pk, from, to)
 	first := int(m.parts[pi].first)
 	c.bi = first
@@ -580,6 +584,26 @@ func (r *Reader) Slice(c *SliceCursor, pk string, from, to []byte) error {
 	return nil
 }
 
+// Scan points c before the table's first cell, for one pass over every
+// data block in file order: the compactor's input. Its Cell returns the
+// whole internal key where a slice returns the clustering key. Internal
+// keys sort by (partition key, clustering key), so one merge rule spans
+// the table's partitions and the caller splits them where the key's
+// partition prefix changes. A scan probes the block cache but never
+// fills it, so a compaction pass cannot flush the working set out of
+// it. Blocks that hold more or fewer cells than the footer's entry
+// count end the scan in ErrCorrupt.
+func (r *Reader) Scan(c *SliceCursor) error {
+	c.Release()
+	m, err := r.loadMeta()
+	if err != nil {
+		return err
+	}
+	c.r, c.m, c.bi, c.cells = r, m, 0, r.entryCount
+	c.scan, c.seeked, c.done, c.err = true, true, false, nil
+	return nil
+}
+
 // Cells returns how many cells the table holds for the whole partition:
 // an upper bound on what the slice yields, for sizing a result.
 func (c *SliceCursor) Cells() int { return int(c.cells) }
@@ -605,6 +629,9 @@ func (c *SliceCursor) Next() bool {
 		// The block is exhausted, or none is loaded yet: chain to the next
 		// one the slice reaches into.
 		if c.err = c.blk.err; c.err != nil || !c.loadBlock() {
+			if c.scan && c.err == nil && c.cells != 0 {
+				c.err = ErrCorrupt // the footer counts cells no block holds
+			}
 			c.done = true
 			return false
 		}
@@ -615,6 +642,14 @@ func (c *SliceCursor) Next() bool {
 			c.seeked = true
 			ok = c.blk.seek(c.bounds.Start())
 		}
+	}
+	if c.scan {
+		if c.cells == 0 {
+			c.err, c.done = ErrCorrupt, true // a cell past the footer's count
+			return false
+		}
+		c.cells--
+		return true
 	}
 	if bytes.Compare(c.blk.key, c.bounds.End()) >= 0 {
 		c.done = true
@@ -633,10 +668,10 @@ func (c *SliceCursor) Next() bool {
 // loadBlock points the block cursor at the next data block, unless the
 // block index says the slice ends before it.
 func (c *SliceCursor) loadBlock() bool {
-	if c.bi >= len(c.m.blocks) || bytes.Compare(c.m.blocks[c.bi].firstKey, c.bounds.End()) >= 0 {
+	if c.bi >= len(c.m.blocks) || !c.scan && bytes.Compare(c.m.blocks[c.bi].firstKey, c.bounds.End()) >= 0 {
 		return false
 	}
-	payload, err := c.r.blockPayload(c.m, c.bi, true)
+	payload, err := c.r.blockPayload(c.m, c.bi, !c.scan)
 	if err == nil {
 		err = c.blk.reset(payload)
 	}
@@ -645,9 +680,14 @@ func (c *SliceCursor) loadBlock() bool {
 	return err == nil
 }
 
-// Cell returns the current cell; call it only after Next reported true.
+// Cell returns the current cell — for a scan, keyed by its whole
+// internal key; call it only after Next reported true.
 func (c *SliceCursor) Cell() (ck, value []byte, ver row.Version, tombstone bool) {
-	return c.blk.key[len(c.bounds.Prefix()):], c.blk.value, c.blk.ver, c.blk.tomb
+	key := c.blk.key
+	if !c.scan {
+		key = key[len(c.bounds.Prefix()):]
+	}
+	return key, c.blk.value, c.blk.ver, c.blk.tomb
 }
 
 // Err returns the error that ended the walk, nil at the slice's end.
@@ -746,107 +786,4 @@ func (r *Reader) HasColumnIndex(pk string) (bool, error) {
 		return bytes.Compare(m.blocks[k].firstKey, end) >= 0
 	})
 	return j1-j0 >= 2, nil
-}
-
-// PartitionIter streams a table's partitions in ascending key order —
-// the compactor's merge source. It decodes each data block exactly
-// once, sequentially. Not safe for concurrent use.
-type PartitionIter struct {
-	r   *Reader
-	err error
-	idx int // next partition
-
-	// Streaming state: cells decoded ahead of the cursor.
-	meta  *tableMeta
-	bi    int // next block to decode
-	queue []queuedCell
-	qpos  int
-}
-
-type queuedCell struct {
-	ik   []byte
-	cell row.Cell // CK left nil until the partition prefix is stripped
-}
-
-// Iter returns a sequential partition iterator over the whole table.
-func (r *Reader) Iter() *PartitionIter {
-	return &PartitionIter{r: r}
-}
-
-// Err returns the first error the iterator hit; Next returns false on
-// error, so check Err after the loop.
-func (it *PartitionIter) Err() error { return it.err }
-
-// Next yields the next partition and its cells. It returns ok=false at
-// the end of the table or on error (see Err).
-func (it *PartitionIter) Next() (string, []row.Cell, bool) {
-	if it.err != nil {
-		return "", nil, false
-	}
-	if it.meta == nil {
-		m, err := it.r.loadMeta()
-		if err != nil {
-			it.err = err
-			return "", nil, false
-		}
-		it.meta = m
-	}
-	if it.idx >= len(it.meta.parts) {
-		return "", nil, false
-	}
-	pk := string(it.meta.key(it.idx))
-	n, _ := it.meta.entry(it.idx)
-	it.idx++
-	prefix := enc.PartitionPrefix(pk)
-	cells := make([]row.Cell, 0, n)
-	for uint64(len(cells)) < n {
-		if it.qpos >= len(it.queue) {
-			if !it.fillQueue() {
-				if it.err == nil {
-					it.err = ErrCorrupt // directory promised more cells than the blocks hold
-				}
-				return "", nil, false
-			}
-		}
-		qc := &it.queue[it.qpos]
-		if !bytes.HasPrefix(qc.ik, prefix) {
-			it.err = ErrCorrupt
-			return "", nil, false
-		}
-		qc.cell.CK = qc.ik[len(prefix):]
-		cells = append(cells, qc.cell)
-		it.qpos++
-	}
-	return pk, cells, true
-}
-
-// fillQueue decodes the next data block into the cell queue.
-func (it *PartitionIter) fillQueue() bool {
-	if it.bi >= len(it.meta.blocks) {
-		return false
-	}
-	payload, err := it.r.blockPayload(it.meta, it.bi, false)
-	if err != nil {
-		it.err = err
-		return false
-	}
-	it.bi++
-	it.queue = it.queue[:0]
-	it.qpos = 0
-	err = decodeEntries(payload, func(ik, value []byte, ver row.Version, tomb bool) bool {
-		it.queue = append(it.queue, queuedCell{
-			ik: append([]byte(nil), ik...),
-			cell: row.Cell{
-				Value:     append([]byte(nil), value...),
-				Ver:       ver,
-				Tombstone: tomb,
-			},
-		})
-		return true
-	})
-	if err != nil {
-		it.err = err
-		return false
-	}
-	return len(it.queue) > 0
 }

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"scalekv/internal/enc"
 	"scalekv/internal/row"
 )
 
@@ -125,7 +127,36 @@ func TestV3PartitionKeyWithZeroBytes(t *testing.T) {
 	}
 }
 
-func TestV3IterMatchesReadPartition(t *testing.T) {
+// scanPartitions walks r with one whole-table scan and groups what it
+// yields by partition, with owned copies of the cells. A scan never sees
+// an empty partition: it has no cell to yield.
+func scanPartitions(r *Reader) ([]row.Partition, error) {
+	var c SliceCursor
+	if err := r.Scan(&c); err != nil {
+		return nil, err
+	}
+	defer c.Release()
+	var out []row.Partition
+	for c.Next() {
+		ik, value, ver, tomb := c.Cell()
+		pk, ck, err := enc.DecodeInternalKey(ik)
+		if err != nil {
+			return nil, err
+		}
+		if len(out) == 0 || out[len(out)-1].Key != pk {
+			out = append(out, row.Partition{Key: pk})
+		}
+		p := &out[len(out)-1]
+		p.Cells = append(p.Cells, row.Cell{CK: bytes.Clone(ck), Value: bytes.Clone(value), Ver: ver, Tombstone: tomb})
+	}
+	return out, c.Err()
+}
+
+// TestTableScanMatchesReadPartition: a whole-table scan yields every
+// non-empty partition in key order, each cell for cell as ReadPartition
+// returns it — across block boundaries and a partition spanning several
+// blocks.
+func TestTableScanMatchesReadPartition(t *testing.T) {
 	parts := map[string][]row.Cell{
 		"a":     makeCells(2000, 32), // spans several blocks
 		"b":     nil,                 // empty partition
@@ -137,39 +168,29 @@ func TestV3IterMatchesReadPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	it := r.Iter()
+	got, err := scanPartitions(r)
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
 	var seen []string
-	for {
-		pk, cells, ok := it.Next()
-		if !ok {
-			break
-		}
-		seen = append(seen, pk)
-		want, err := r.ReadPartition(pk)
+	for _, p := range got {
+		seen = append(seen, p.Key)
+		want, err := r.ReadPartition(p.Key)
 		if err != nil {
-			t.Fatalf("read %q: %v", pk, err)
+			t.Fatalf("read %q: %v", p.Key, err)
 		}
-		if len(cells) != len(want) {
-			t.Fatalf("%q: iter %d cells, read %d", pk, len(cells), len(want))
+		if len(p.Cells) != len(want) {
+			t.Fatalf("%q: scan %d cells, read %d", p.Key, len(p.Cells), len(want))
 		}
 		for i := range want {
-			if !bytes.Equal(cells[i].CK, want[i].CK) || !bytes.Equal(cells[i].Value, want[i].Value) ||
-				cells[i].Ver != want[i].Ver || cells[i].Tombstone != want[i].Tombstone {
-				t.Fatalf("%q cell %d mismatch", pk, i)
+			if !bytes.Equal(p.Cells[i].CK, want[i].CK) || !bytes.Equal(p.Cells[i].Value, want[i].Value) ||
+				p.Cells[i].Ver != want[i].Ver || p.Cells[i].Tombstone != want[i].Tombstone {
+				t.Fatalf("%q cell %d mismatch", p.Key, i)
 			}
 		}
 	}
-	if err := it.Err(); err != nil {
-		t.Fatalf("iter: %v", err)
-	}
-	want := []string{"a", "after", "b", "c"}
-	if len(seen) != len(want) {
-		t.Fatalf("iter saw %v", seen)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("iter order %v, want %v", seen, want)
-		}
+	if want := []string{"a", "after", "c"}; !slices.Equal(seen, want) {
+		t.Fatalf("scan saw %v, want %v", seen, want)
 	}
 }
 
@@ -276,7 +297,7 @@ func BenchmarkV3ColdPointRead(b *testing.B) {
 }
 
 func BenchmarkV3FullScan(b *testing.B) {
-	// Full-table sequential scan through the partition iterator.
+	// Full-table sequential scan, the compactor's read.
 	path := filepath.Join(b.TempDir(), "bench.sst")
 	w, _ := NewWriter(path, WriterOptions{})
 	for i := 0; i < 64; i++ {
@@ -291,19 +312,16 @@ func BenchmarkV3FullScan(b *testing.B) {
 	var bytesScanned int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := r.Iter()
-		n := 0
-		for {
-			_, cells, ok := it.Next()
-			if !ok {
-				break
-			}
-			n += len(cells)
-			for j := range cells {
-				bytesScanned += int64(len(cells[j].Value))
-			}
+		var c SliceCursor
+		if err := r.Scan(&c); err != nil {
+			b.Fatal(err)
 		}
-		if err := it.Err(); err != nil {
+		n := 0
+		for ; c.Next(); n++ {
+			_, value, _, _ := c.Cell()
+			bytesScanned += int64(len(value))
+		}
+		if err := c.Err(); err != nil {
 			b.Fatal(err)
 		}
 		if n != 64*500 {

@@ -33,7 +33,7 @@
 // never split across blocks.
 //
 // This file is the format's constants and the Writer; reader.go is the
-// Reader and its iterator.
+// Reader and its cursor.
 package sstable
 
 import (

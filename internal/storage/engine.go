@@ -319,16 +319,25 @@ func rejectLegacyLayout(dir string) error {
 // engine reads or writes.
 const manifestFormat = "v4"
 
+// maxShards bounds the shard count. Each shard opens with a worker, a
+// memtable and a scan of the directory, so a SHARDS file claiming more
+// is damage, not a layout to open.
+const maxShards = 1 << 10
+
 // loadOrInitShardCount reads the SHARDS manifest — "<count> <format>" —
 // writing it with want on first open. The persisted count wins on
-// reopen: partition keys were hashed to files with it. Any other format
-// field — "v3", "v2" or none from an older engine, something newer from
-// a later one — fails loudly: this engine would misread the files (for
-// older data see "Migrating older data" in docs/sstable-format.md).
+// reopen: partition keys were hashed to files with it. A count above
+// maxShards is corrupt. Any other format field — "v3", "v2" or none
+// from an older engine, something newer from a later one — fails
+// loudly: this engine would misread the files (for older data see
+// "Migrating older data" in docs/sstable-format.md).
 func loadOrInitShardCount(dir string, want int) (int, error) {
 	path := filepath.Join(dir, "SHARDS")
 	b, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
+		if want > maxShards {
+			return 0, fmt.Errorf("storage: %d shards, at most %d", want, maxShards)
+		}
 		if err := os.WriteFile(path, []byte(fmt.Sprintf("%d %s\n", want, manifestFormat)), 0o644); err != nil {
 			return 0, err
 		}
@@ -342,7 +351,7 @@ func loadOrInitShardCount(dir string, want int) (int, error) {
 		return 0, fmt.Errorf("storage: corrupt shard manifest %s: %q", path, b)
 	}
 	n, err := strconv.Atoi(fields[0])
-	if err != nil || n < 1 {
+	if err != nil || n < 1 || n > maxShards {
 		return 0, fmt.Errorf("storage: corrupt shard manifest %s: %q", path, b)
 	}
 	format := ""
@@ -561,7 +570,7 @@ func (e *Engine) GetVersioned(pk string, ck []byte) (row.Cell, bool, error) {
 	found := false
 	// Newest sources first; a later (older) source only replaces the
 	// best cell on a strictly higher version, so exact ties keep the
-	// newer source's copy — the same tie-break as row.Merge.
+	// newer source's copy — the same tie-break as mergeCursor.
 	if v, ver, tomb, ok := view.mem.Get(pk, ck); ok {
 		best = row.Cell{CK: ck, Value: v, Ver: ver, Tombstone: tomb}
 		found = true

@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"scalekv/internal/row"
@@ -173,6 +175,71 @@ func TestManifestMissingTableFailsLoudly(t *testing.T) {
 	os.Remove(names[0])
 	if _, err := Open(Options{Dir: dir}); err == nil {
 		t.Fatal("opened a store whose manifest lists a missing table")
+	}
+}
+
+// TestManifestRejectsForeignTables: a manifest line names a file the
+// shard opens and, once a compaction retires the table, deletes. A
+// damaged line naming a file outside the data directory, or another
+// shard's table, must fail the open as a corrupt manifest and leave the
+// file it names alone.
+func TestManifestRejectsForeignTables(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "data")
+	e, err := Open(Options{Dir: dir, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if err := e.Put(fmt.Sprintf("p%02d", i), ck(1), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	own, _ := filepath.Glob(filepath.Join(dir, "sst-s00-*.db"))
+	other, _ := filepath.Glob(filepath.Join(dir, "sst-s01-*.db"))
+	if len(own) != 1 || len(other) != 1 {
+		t.Fatalf("shard tables %v and %v, want one each", own, other)
+	}
+	data, err := os.ReadFile(own[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := filepath.Join(root, "x", filepath.Base(own[0]))
+	if err := os.MkdirAll(filepath.Dir(outside), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(outside, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "manifest-s00")
+	orig, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"../x/" + filepath.Base(own[0]), filepath.Base(other[0])} {
+		line := fmt.Sprintf("0 %s \"\" \"\"\n", name)
+		if err := os.WriteFile(manifest, append(bytes.Clone(orig), line...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := Open(Options{Dir: dir})
+		if err == nil {
+			e.Close()
+			t.Fatalf("opened a store whose manifest-s00 lists %s", name)
+		}
+		if !strings.Contains(err.Error(), "corrupt shard manifest") {
+			t.Fatalf("manifest-s00 listing %s: %v, want a corrupt manifest", name, err)
+		}
+	}
+	for _, path := range []string{outside, other[0]} {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("a file the damaged manifest named is gone: %v", err)
+		}
 	}
 }
 

@@ -45,9 +45,12 @@ func (s *shard) manifestPath() string {
 	return filepath.Join(s.eng.opts.Dir, fmt.Sprintf("manifest-s%02d", s.id))
 }
 
-// readShardManifest parses manifest-sNN. A missing manifest (a shard
-// that has not flushed yet) reads as an empty one.
-func readShardManifest(path string) (entries []manifestEntry, err error) {
+// readShardManifest parses shard id's manifest-sNN. A missing manifest
+// (a shard that has not flushed yet) reads as an empty one. A line that
+// names anything but one of the shard's own tables is corrupt: the name
+// is joined onto the data directory, and the file behind it is deleted
+// once a compaction retires it.
+func readShardManifest(path string, id int) (entries []manifestEntry, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -88,7 +91,7 @@ func readShardManifest(path string) (entries []manifestEntry, err error) {
 				err = fmt.Errorf("trailing garbage")
 			}
 		}
-		if err != nil || e.level < 0 || e.name == "" {
+		if _, ok := tableSeq(e.name, id); err != nil || e.level < 0 || !ok {
 			return nil, fmt.Errorf("storage: corrupt shard manifest %s: line %q", path, line)
 		}
 		entries = append(entries, e)
@@ -97,6 +100,16 @@ func readShardManifest(path string) (entries []manifestEntry, err error) {
 		return nil, err
 	}
 	return entries, nil
+}
+
+// tableSeq returns the sequence number of shard id's table file name as
+// sstPath builds it, sst-sNN-<seq>.db; ok is false for any other name,
+// a path with a directory included.
+func tableSeq(name string, id int) (seq int, ok bool) {
+	digits, ok := strings.CutPrefix(name, fmt.Sprintf("sst-s%02d-", id))
+	digits, isDB := strings.CutSuffix(digits, ".db")
+	n, err := strconv.ParseUint(digits, 10, 31)
+	return int(n), ok && isDB && err == nil
 }
 
 // unquotePrefix consumes one Go-quoted string from the front of s.
@@ -117,16 +130,15 @@ func unquotePrefix(s string) (val, rest string, err error) {
 // background-write failure (the in-memory swap is rolled back or the
 // job retried).
 func (s *shard) writeManifestLocked() error {
-	var b strings.Builder
+	var entries []manifestEntry
 	for level, tables := range s.levels {
 		for _, t := range tables {
-			fmt.Fprintf(&b, "%d %s %s %s\n", level, filepath.Base(t.Path()),
-				strconv.Quote(t.first), strconv.Quote(t.last))
+			entries = append(entries, manifestEntry{level, filepath.Base(t.Path()), t.first, t.last})
 		}
 	}
 	path := s.manifestPath()
 	tmp := path + ".tmp"
-	err := writeSynced(tmp, []byte(b.String()))
+	err := writeSynced(tmp, formatManifest(entries))
 	if err == nil {
 		err = os.Rename(tmp, path)
 	}
@@ -134,6 +146,15 @@ func (s *shard) writeManifestLocked() error {
 		os.Remove(tmp)
 	}
 	return err
+}
+
+// formatManifest lays entries out as readShardManifest parses them.
+func formatManifest(entries []manifestEntry) []byte {
+	var b []byte
+	for _, e := range entries {
+		b = fmt.Appendf(b, "%d %s %s %s\n", e.level, e.name, strconv.Quote(e.first), strconv.Quote(e.last))
+	}
+	return b
 }
 
 // writeSynced writes data to a new file at path and fsyncs it.

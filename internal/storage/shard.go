@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"scalekv/internal/enc"
 	"scalekv/internal/memtable"
 	"scalekv/internal/row"
 	"scalekv/internal/sstable"
@@ -161,9 +163,7 @@ func (s *shard) walPath(seq int) string {
 // noteSSTName pulls sstSeq past the sequence number embedded in an
 // on-disk table name so new tables never collide with existing files.
 func (s *shard) noteSSTName(base string) {
-	var n int
-	fmt.Sscanf(base, fmt.Sprintf("sst-s%02d-%%06d.db", s.id), &n)
-	if n >= s.sstSeq {
+	if n, ok := tableSeq(base, s.id); ok && n >= s.sstSeq {
 		s.sstSeq = n + 1
 	}
 }
@@ -207,7 +207,7 @@ func (e *Engine) openShard(id int) (*shard, error) {
 		}
 	}
 
-	entries, err := readShardManifest(s.manifestPath())
+	entries, err := readShardManifest(s.manifestPath(), id)
 	if err != nil {
 		return nil, err
 	}
@@ -995,10 +995,9 @@ func (s *shard) executeMergeLocked(job *mergeJob, drop func(pk string) bool, fen
 	return mergeInstalled
 }
 
-// writeTable streams a frozen memtable into sst-sNN-<seq>.db. The file
-// is built under a .tmp name and renamed into place only when complete,
-// so a crash or error never leaves a half-written table where Open
-// would load it. Called without the lock.
+// writeTable streams a frozen memtable into sst-sNN-<seq>.db, one
+// partition at a time through one reused cell buffer (AddPartition keeps
+// nothing of it). Called without the lock.
 func (s *shard) writeTable(mem *memtable.Memtable, seq int) (*sstable.Reader, error) {
 	if gate := s.eng.testFlushGate; gate != nil {
 		<-gate
@@ -1011,46 +1010,55 @@ func (s *shard) writeTable(mem *memtable.Memtable, seq int) (*sstable.Reader, er
 	if s.isAbandoned() {
 		return nil, errClosed
 	}
-	path := s.sstPath(seq)
-	tmp := path + ".tmp"
-	w, err := sstable.NewWriter(tmp, sstable.WriterOptions{
-		ColumnIndexSize:    s.eng.opts.ColumnIndexSize,
-		ExpectedPartitions: len(mem.Partitions()),
-		Compression:        s.eng.opts.Compression,
-	})
+	w, err := s.createTable(seq, len(mem.Partitions()))
 	if err != nil {
 		return nil, err
 	}
-	// Stream the memtable in order, grouping cells per partition.
 	var curPK string
 	var cur []row.Cell
-	first := true
-	flushPart := func() error {
-		if first {
-			return nil
-		}
-		return w.AddPartition(curPK, cur)
-	}
 	err = mem.Each(func(ent memtable.Entry) error {
-		if first || ent.PK != curPK {
-			if err := flushPart(); err != nil {
+		if len(cur) > 0 && ent.PK != curPK {
+			if err := w.AddPartition(curPK, cur); err != nil {
 				return err
 			}
-			curPK, cur, first = ent.PK, nil, false
+			cur = cur[:0]
 		}
+		curPK = ent.PK
 		// Tombstones flush like any cell: they must keep masking older
 		// copies in other tables until compaction collects them.
 		cur = append(cur, row.Cell{CK: ent.CK, Value: ent.Value, Ver: ent.Ver, Tombstone: ent.Tombstone})
 		return nil
 	})
-	if err == nil {
-		err = flushPart()
+	if err == nil && len(cur) > 0 {
+		err = w.AddPartition(curPK, cur)
 	}
 	if err != nil {
-		w.Close()
-		os.Remove(tmp)
+		s.abortTable(w, seq)
 		return nil, err
 	}
+	return s.sealTable(w, seq)
+}
+
+// createTable starts the table that sealTable turns into
+// sst-sNN-<seq>.db. It is built under a .tmp name and renamed into place
+// only when complete, so a crash or an error never leaves a half-written
+// table where Open would load it.
+func (s *shard) createTable(seq, partitions int) (*sstable.Writer, error) {
+	return sstable.NewWriter(s.sstPath(seq)+".tmp", sstable.WriterOptions{
+		ColumnIndexSize:    s.eng.opts.ColumnIndexSize,
+		ExpectedPartitions: partitions,
+		Compression:        s.eng.opts.Compression,
+	})
+}
+
+// sealTable is the one way a flush or a compaction output becomes a
+// table: close the writer, count its block bytes, rename it into place
+// and open it. A failure at any step leaves nothing of it on disk —
+// without the reader the table must not exist, so the WAL segments or
+// the compaction inputs keep covering its data.
+func (s *shard) sealTable(w *sstable.Writer, seq int) (*sstable.Reader, error) {
+	path := s.sstPath(seq)
+	tmp := path + ".tmp"
 	if err := w.Close(); err != nil {
 		os.Remove(tmp)
 		return nil, err
@@ -1064,12 +1072,16 @@ func (s *shard) writeTable(mem *memtable.Memtable, seq int) (*sstable.Reader, er
 	}
 	r, err := s.eng.openTable(path)
 	if err != nil {
-		// Leave no half-live state: without the reader the table must
-		// not exist, so the WAL segments keep covering the data.
 		os.Remove(path)
 		return nil, err
 	}
 	return r, nil
+}
+
+// abortTable discards a table createTable started.
+func (s *shard) abortTable(w *sstable.Writer, seq int) {
+	w.Close()
+	os.Remove(s.sstPath(seq) + ".tmp")
 }
 
 // gcWatermarkLocked returns the version sequence below which this
@@ -1096,38 +1108,27 @@ func (s *shard) gcWatermarkLocked() uint64 {
 	return wm
 }
 
-// mergeSource is one input table's cursor through mergeTables.
-type mergeSource struct {
-	it    *sstable.PartitionIter
-	pk    string
-	cells []row.Cell
-	done  bool
-}
-
-func (m *mergeSource) advance() error {
-	pk, cells, ok := m.it.Next()
-	if !ok {
-		m.done = true
-		return m.it.Err()
-	}
-	m.pk, m.cells = pk, cells
-	return nil
-}
-
-// mergeTables streams the input tables (oldest first) through a k-way
-// partition merge into one or more output tables, dropping shadowed
-// cell versions, collecting tombstones whose version sequence is below
-// gcBelow — except in partitions the fenced predicate covers, whose
-// tombstones are kept because a migration or repair may still stream
-// older copies in behind them — and, when drop is non-nil, whole
-// partitions (the DeleteRange purge), reporting how many live cells
-// that removed. Outputs rotate at TargetTableBytes on partition
-// boundaries so deep levels stay range-partitioned into bounded-size
-// tables. Each input is read exactly once, sequentially, through its
-// partition iterator. Same .tmp-then-rename discipline as writeTable.
-// Called without the lock; the inputs stay readable throughout.
+// mergeTables streams the input tables (oldest first) through one
+// mergeCursor into one or more output tables. Each input is read once,
+// sequentially, by a whole-table scan, so the merge runs over internal
+// keys — by partition, then clustering key — under the read path's rule:
+// shadowed versions drop out, an exact version tie goes to the newer
+// input, tombstones come through. The consumer splits the merged stream
+// where the partition prefix changes and, per partition, drops it
+// whole when drop covers it (the DeleteRange purge, counting the live
+// cells that removed), or else collects the tombstones whose version
+// sequence is below gcBelow — except in partitions the fenced predicate
+// covers, whose tombstones are kept because a migration or repair may
+// still stream older copies in behind them. Outputs rotate at
+// TargetTableBytes on partition boundaries so deep levels stay
+// range-partitioned into bounded-size tables. Called without the lock;
+// the inputs stay readable throughout.
 func (s *shard) mergeTables(inputs []*tableHandle, startSeq int, drop func(pk string) bool, gcBelow uint64, fenced func(pk string) bool) (outs []*sstable.Reader, dropped, gced, bytesOut int64, err error) {
+	var w *sstable.Writer
 	fail := func(e error) ([]*sstable.Reader, int64, int64, int64, error) {
+		if w != nil {
+			s.abortTable(w, startSeq+len(outs))
+		}
 		for _, r := range outs {
 			r.Close()
 			os.Remove(r.Path())
@@ -1135,126 +1136,100 @@ func (s *shard) mergeTables(inputs []*tableHandle, startSeq int, drop func(pk st
 		return nil, 0, 0, 0, e
 	}
 
-	srcs := make([]*mergeSource, len(inputs))
+	mc := mergeCursors.Get().(*mergeCursor)
+	defer mc.close()
 	expectParts := 0
-	for i, t := range inputs {
-		srcs[i] = &mergeSource{it: t.Iter()}
-		if err := srcs[i].advance(); err != nil {
+	for _, t := range inputs {
+		if err := t.Scan(&mc.add(true).tbl); err != nil {
 			return fail(err)
 		}
 		expectParts += t.NumPartitions()
 	}
+	if err := mc.start(); err != nil {
+		return fail(err)
+	}
 
-	var w *sstable.Writer
-	var wTmp string
-	var wBytes int64
-	finishOut := func() error {
-		if w == nil {
-			return nil
-		}
-		path := s.sstPath(startSeq + len(outs))
-		if err := w.Close(); err != nil {
-			os.Remove(wTmp)
-			return err
-		}
-		logical, stored := w.BlockBytes()
-		s.eng.Metrics.BlockBytesLogical.Add(logical)
-		s.eng.Metrics.BlockBytesStored.Add(stored)
-		if err := os.Rename(wTmp, path); err != nil {
-			os.Remove(wTmp)
-			return err
-		}
-		r, err := s.eng.openTable(path)
+	var (
+		part             row.Collector // the open partition's kept cells
+		pk               string
+		prefix           []byte // pk's internal-key prefix
+		dropPart, gcPart bool
+		wBytes           int64
+	)
+	seal := func() error {
+		r, err := s.sealTable(w, startSeq+len(outs))
+		w, wBytes = nil, 0
 		if err != nil {
-			os.Remove(path)
 			return err
 		}
 		bytesOut += r.Size()
 		outs = append(outs, r)
-		w, wBytes = nil, 0
 		return nil
 	}
-
-	for {
-		// Next partition: the smallest pk across the unfinished sources.
-		minPK, any := "", false
-		for _, m := range srcs {
-			if !m.done && (!any || m.pk < minPK) {
-				minPK, any = m.pk, true
-			}
-		}
-		if !any {
-			break
-		}
-		// Merge every source holding it, oldest source first so exact
-		// version ties resolve to the newer source, as reads do.
-		var sources [][]row.Cell
-		for _, m := range srcs {
-			if !m.done && m.pk == minPK {
-				sources = append(sources, m.cells)
-			}
-		}
-		cells := row.Merge(sources...)
-		for _, m := range srcs {
-			if !m.done && m.pk == minPK {
-				if err := m.advance(); err != nil {
-					return fail(err)
-				}
-			}
-		}
-		if drop != nil && drop(minPK) {
-			// Count the live (post-merge) cells the purge removes, so
-			// handoff accounting matches what a reader would have seen.
-			dropped += int64(len(row.DropTombstones(cells)))
-			continue
-		}
-		// Collect tombstones under the GC watermark: the merge already
-		// dropped everything they shadowed within the inputs, and the
-		// watermark guarantees nothing older is still waiting to flush
-		// locally. A partition under a migration fence keeps them all —
-		// an in-flight stream may still deliver a sub-watermark copy
-		// from another node that only the tombstone can mask.
-		if gcBelow > 0 && (fenced == nil || !fenced(minPK)) {
-			kept := cells[:0]
-			for _, c := range cells {
-				if c.Tombstone && c.Ver.Seq < gcBelow {
-					gced++
-					continue
-				}
-				kept = append(kept, c)
-			}
-			cells = kept
-		}
-		if len(cells) == 0 {
-			continue // the partition was only tombstones; it is gone
+	// emit writes the open partition, unless nothing of it was kept.
+	emit := func() error {
+		if len(part.Cells) == 0 {
+			return nil
 		}
 		if w == nil {
-			wTmp = s.sstPath(startSeq+len(outs)) + ".tmp"
-			w, err = sstable.NewWriter(wTmp, sstable.WriterOptions{
-				ColumnIndexSize:    s.eng.opts.ColumnIndexSize,
-				ExpectedPartitions: expectParts,
-				Compression:        s.eng.opts.Compression,
-			})
-			if err != nil {
-				return fail(err)
+			var err error
+			if w, err = s.createTable(startSeq+len(outs), expectParts); err != nil {
+				return err
 			}
 		}
-		if err := w.AddPartition(minPK, cells); err != nil {
-			w.Close()
-			os.Remove(wTmp)
-			return fail(err)
+		if err := w.AddPartition(pk, part.Cells); err != nil {
+			return err
 		}
-		for _, c := range cells {
+		for _, c := range part.Cells {
 			wBytes += int64(len(c.CK) + len(c.Value) + 16)
 		}
 		if wBytes >= s.eng.opts.TargetTableBytes {
-			if err := finishOut(); err != nil {
+			return seal()
+		}
+		return nil
+	}
+	for mc.Next() {
+		ik, value, ver, tomb := mc.Cell()
+		if len(prefix) == 0 || !bytes.HasPrefix(ik, prefix) {
+			if err := emit(); err != nil {
 				return fail(err)
 			}
+			part.Reset()
+			var ck []byte
+			var err error
+			if pk, ck, err = enc.DecodeInternalKey(ik); err != nil {
+				return fail(fmt.Errorf("%w: %w", sstable.ErrCorrupt, err))
+			}
+			prefix = append(prefix[:0], ik[:len(ik)-len(ck)]...)
+			dropPart = drop != nil && drop(pk)
+			// The merge already dropped everything a tombstone shadowed
+			// within the inputs, and the watermark guarantees nothing older
+			// is still waiting to flush locally. A partition under a
+			// migration fence keeps them all: an in-flight stream may still
+			// deliver a sub-watermark copy that only the tombstone masks.
+			gcPart = gcBelow > 0 && (fenced == nil || !fenced(pk))
+		}
+		switch {
+		case dropPart:
+			if !tomb {
+				dropped++
+			}
+		case gcPart && tomb && ver.Seq < gcBelow:
+			gced++
+		default:
+			part.Append(ik[len(prefix):], value, ver, tomb)
 		}
 	}
-	if err := finishOut(); err != nil {
+	if err := mc.Err(); err != nil {
 		return fail(err)
+	}
+	if err := emit(); err != nil {
+		return fail(err)
+	}
+	if w != nil {
+		if err := seal(); err != nil {
+			return fail(err)
+		}
 	}
 	return outs, dropped, gced, bytesOut, nil
 }

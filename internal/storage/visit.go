@@ -13,7 +13,8 @@ import (
 // per-source cursors — an SSTable slice cursor per table, a memtable
 // cursor per memtable — that streams a partition's cells as views, with
 // nothing materialised in between. Scans collect it, counts and digests
-// consume it in place.
+// consume it in place, and compaction runs the same merge over
+// whole-table scans.
 
 // readSource is one input of the merge and its head cell.
 type readSource struct {
@@ -43,14 +44,16 @@ func (s *readSource) advance() error {
 	return nil
 }
 
-// mergeCursor streams the merged cells of one partition slice in
-// clustering order, one cell per clustering key: the highest version
-// wins and an exact version tie — the same write held by two sources —
-// goes to the later, newer source; tombstones come through raw. That is
-// row.Merge's rule, applied without building its inputs. The cells are
-// views (see sstable.SliceCursor and memtable.Cursor): valid until the
-// next call to Next, read-only always. Cursors are pooled, so a warm
-// read of a cached partition allocates nothing.
+// mergeCursor streams the merged cells of its sources in key order, one
+// cell per key: the highest version wins and an exact version tie — the
+// same write held by two sources — goes to the later, newer source;
+// tombstones come through raw. It is the engine's one merge rule. A read
+// merges one partition slice, keyed by clustering key; a compaction
+// merges whole tables (mergeTables), whose scan cursors key each cell by
+// its whole internal key. row.Merge is only its test reference. The
+// cells are views (see sstable.SliceCursor and memtable.Cursor): valid
+// until the next call to Next, read-only always. Cursors are pooled, so
+// a warm read of a cached partition allocates nothing.
 type mergeCursor struct {
 	srcs []readSource // oldest → newest
 	gen  uint64
