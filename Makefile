@@ -11,17 +11,20 @@ build:
 	go build ./...
 	cd bench && go build ./... && go vet ./...
 
-# One full pass under the race detector, then the two packages whose
-# bugs depend on how many cores interleave them (the framed-RPC path and
-# the join state machine), repeated at one, two and eight Ps. The
-# allocation pins of the read path and the codec skip themselves under
-# -race (it changes what allocates), so they get a plain run of their
-# own.
+# One full pass under the race detector, then the packages whose bugs
+# depend on how many cores interleave them, repeated at one, two and
+# eight Ps: the framed-RPC path and the join state machine five times,
+# the storage engine (one background runner per shard swapping tables
+# under lock-free readers and writers) twice. The allocation pins of the
+# read path, the flush and compaction merges, memtable Partitions and
+# the codec skip themselves under -race (it changes what allocates), so
+# they get a plain run of their own.
 test:
 	go test -race -shuffle=on ./...
 	go test -run 'ZeroAlloc|Allocs' ./internal/memtable ./internal/storage ./internal/sstable ./internal/wire
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -race -shuffle=on -count=5 ./internal/transport ./internal/cluster || exit 1; \
+		GOMAXPROCS=$$p go test -race -shuffle=on -count=2 ./internal/storage || exit 1; \
 	done
 	cd bench && go test ./...
 

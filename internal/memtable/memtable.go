@@ -6,8 +6,8 @@
 //
 // Concurrency follows the skip list's single-writer discipline: Put and
 // Freeze must be externally serialized (the storage engine holds the
-// shard write lock around them), but Get, Slice (and the Cursor it
-// positions), ScanPartition, Each and Partitions are lock-free — they
+// shard write lock around them), but Get, Slice and Scan (and the Cursor
+// they position), ScanPartition and Partitions are lock-free — they
 // ride the skip list's atomically published links, so the engine's
 // point-read fast path acquires no locks at all. MinVersion must be called under the same serialization
 // as Put; MaxVersion is safe once the memtable is frozen and published
@@ -259,15 +259,17 @@ func (m *Memtable) MinVersion() (row.Version, bool) {
 }
 
 // Cursor streams one partition slice of a memtable in clustering order,
-// tombstones included. The cells it yields are views into the skip
-// list: keys are immutable after insert and an overwrite swaps the value
-// pointer instead of writing through it, so a view stays intact for as
-// long as the caller holds it. The zero value is ready for Slice, and a
-// reused Cursor builds its bounds without allocating.
+// or the whole memtable in internal-key order, tombstones included. The
+// cells it yields are views into the skip list: keys are immutable after
+// insert and an overwrite swaps the value pointer instead of writing
+// through it, so a view stays intact for as long as the caller holds it.
+// The zero value is ready for Slice or Scan, and a reused Cursor builds
+// its bounds without allocating.
 type Cursor struct {
 	it      skiplist.Iterator
 	bounds  enc.Bounds
 	started bool
+	scan    bool // positioned by Scan: no end bound, whole keys
 }
 
 // Slice points c before the first cell of pk with from <= CK < to; nil
@@ -276,7 +278,7 @@ type Cursor struct {
 // or not at all. It reports false when the filter rules the partition
 // out; the cursor is then empty and the skip list was not touched.
 func (m *Memtable) Slice(c *Cursor, pk string, from, to []byte) bool {
-	c.started = false
+	c.started, c.scan = false, false
 	if !m.filter.mayContain(maphash.String(filterSeed, pk)) {
 		c.it = skiplist.Iterator{}
 		return false
@@ -286,20 +288,33 @@ func (m *Memtable) Slice(c *Cursor, pk string, from, to []byte) bool {
 	return true
 }
 
-// Next steps to the following cell of the slice and reports whether
-// there is one.
+// Scan points c before the memtable's first cell, for one pass over
+// every cell in internal-key order: the flush's source, the twin of
+// sstable.Reader.Scan. Its Cell returns the whole internal key where a
+// slice returns the clustering key, so the caller splits partitions
+// where the key's partition prefix changes.
+func (m *Memtable) Scan(c *Cursor) {
+	c.started, c.scan = false, true
+	c.it = m.list.First()
+}
+
+// Next steps to the following cell and reports whether there is one.
 func (c *Cursor) Next() bool {
 	if c.started {
 		c.it.Next()
 	}
 	c.started = true
-	return c.it.Valid() && bytes.Compare(c.it.Key(), c.bounds.End()) < 0
+	return c.it.Valid() && (c.scan || bytes.Compare(c.it.Key(), c.bounds.End()) < 0)
 }
 
-// Cell returns the current cell; call it only after Next reported true.
-func (c *Cursor) Cell() (ck, value []byte, ver row.Version, tombstone bool) {
+// Cell returns the current cell — its clustering key, or its whole
+// internal key under Scan; call it only after Next reported true.
+func (c *Cursor) Cell() (key, value []byte, ver row.Version, tombstone bool) {
 	ver, tombstone, value = decodeValue(c.it.Value())
-	return c.it.Key()[len(c.bounds.Prefix()):], value, ver, tombstone
+	if key = c.it.Key(); !c.scan {
+		key = key[len(c.bounds.Prefix()):]
+	}
+	return key, value, ver, tombstone
 }
 
 // Release drops the cursor's hold on the memtable, keeping only its
@@ -330,45 +345,23 @@ func (m *Memtable) Bytes() int64 {
 	return m.list.Bytes()
 }
 
-// Entry is one internal-key/value pair yielded by Each.
-type Entry struct {
-	PK        string
-	CK        []byte
-	Value     []byte
-	Ver       row.Version
-	Tombstone bool
-}
-
-// Each calls fn for every cell in internal-key order. It is used by the
-// flush path, which owns the frozen memtable.
-func (m *Memtable) Each(fn func(Entry) error) error {
-	for it := m.list.First(); it.Valid(); it.Next() {
-		pk, ck, err := enc.DecodeInternalKey(it.Key())
-		if err != nil {
-			continue
-		}
-		ver, tomb, value := decodeValue(it.Value())
-		if err := fn(Entry{PK: pk, CK: ck, Value: value, Ver: ver, Tombstone: tomb}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Partitions returns the distinct partition keys present, in key order.
+// A key is decoded only where the partition prefix changes, so it costs
+// one allocation per partition, not per cell.
 func (m *Memtable) Partitions() []string {
 	var out []string
-	last := ""
-	first := true
+	var prefix []byte // the current partition's prefix, a view into the list
 	for it := m.list.First(); it.Valid(); it.Next() {
-		pk, _, err := enc.DecodeInternalKey(it.Key())
+		ik := it.Key()
+		if prefix != nil && bytes.HasPrefix(ik, prefix) {
+			continue
+		}
+		pk, ck, err := enc.DecodeInternalKey(ik)
 		if err != nil {
 			continue
 		}
-		if first || pk != last {
-			out = append(out, pk)
-			last, first = pk, false
-		}
+		prefix = ik[:len(ik)-len(ck)]
+		out = append(out, pk)
 	}
 	return out
 }

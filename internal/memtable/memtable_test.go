@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"scalekv/internal/enc"
+	"scalekv/internal/raceflag"
 	"scalekv/internal/row"
 )
 
@@ -183,7 +185,10 @@ func mustPanic(t *testing.T, fn func()) {
 	fn()
 }
 
-func TestEachVisitsAllSorted(t *testing.T) {
+// TestScanVisitsAllSorted walks a whole memtable with Scan: every cell
+// once, in internal-key order (by partition, then clustering key), with
+// its version.
+func TestScanVisitsAllSorted(t *testing.T) {
 	m := New(1, 0)
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -192,44 +197,27 @@ func TestEachVisitsAllSorted(t *testing.T) {
 	var count int
 	lastPK := ""
 	var lastCK []byte
-	err := m.Each(func(e Entry) error {
-		if e.PK < lastPK {
-			t.Fatalf("partition order violated: %q after %q", e.PK, lastPK)
+	var c Cursor
+	for m.Scan(&c); c.Next(); {
+		ik, _, ver, _ := c.Cell()
+		pk, ck, err := enc.DecodeInternalKey(ik)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if e.PK == lastPK && bytes.Compare(e.CK, lastCK) <= 0 {
-			t.Fatalf("ck order violated in %q", e.PK)
+		if pk < lastPK {
+			t.Fatalf("partition order violated: %q after %q", pk, lastPK)
 		}
-		if e.Ver.IsZero() {
-			t.Fatal("Each dropped the cell version")
+		if pk == lastPK && bytes.Compare(ck, lastCK) <= 0 {
+			t.Fatalf("ck order violated in %q", pk)
 		}
-		lastPK, lastCK = e.PK, e.CK
+		if ver.IsZero() {
+			t.Fatal("Scan dropped the cell version")
+		}
+		lastPK, lastCK = pk, ck
 		count++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if count != n {
 		t.Fatalf("visited %d want %d", count, n)
-	}
-}
-
-func TestEachStopsOnError(t *testing.T) {
-	m := New(1, 0)
-	for i := 0; i < 10; i++ {
-		put(m, "p", []byte{byte(i)}, nil)
-	}
-	calls := 0
-	wantErr := fmt.Errorf("stop")
-	err := m.Each(func(Entry) error {
-		calls++
-		if calls == 3 {
-			return wantErr
-		}
-		return nil
-	})
-	if err != wantErr || calls != 3 {
-		t.Fatalf("err=%v calls=%d", err, calls)
 	}
 }
 
@@ -247,6 +235,30 @@ func TestPartitions(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v want %v", got, want)
 		}
+	}
+}
+
+// TestPartitionsAllocs pins Partitions at one allocation per partition
+// (its key) plus the result slice's growth, however many cells each
+// partition holds: a key is decoded only where the partition changes.
+func TestPartitionsAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const parts, cells = 50, 40
+	m := New(1, 4<<20)
+	for p := 0; p < parts; p++ {
+		for c := 0; c < cells; c++ {
+			put(m, fmt.Sprintf("pk%03d", p), []byte(fmt.Sprintf("ck%03d", c)), []byte("v"))
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if got := len(m.Partitions()); got != parts {
+			t.Fatalf("%d partitions, want %d", got, parts)
+		}
+	})
+	if allocs > parts+10 {
+		t.Fatalf("Partitions allocates %.0f times over %d partitions of %d cells, want at most %d", allocs, parts, cells, parts+10)
 	}
 }
 

@@ -230,10 +230,11 @@ type Engine struct {
 
 	// Test hooks, nil in production. Set the gate before any engine
 	// activity: the first mutex handoff to the workers publishes it.
-	// Tests set and clear the error hook while the flusher runs, so it
-	// is an atomic pointer (one load per flush, off the request path).
-	testFlushGate chan struct{}                           // flusher blocks here before touching disk
-	testFlushErr  atomic.Pointer[func(shardID int) error] // injected SSTable-write failure
+	// Tests set and clear the error hook while the worker runs, so it
+	// is an atomic pointer (one load per flush or compaction, off the
+	// request path).
+	testFlushGate chan struct{}                           // worker blocks here before a job writes a table
+	testFlushErr  atomic.Pointer[func(shardID int) error] // injected failure of a job's table write
 }
 
 // Open creates or reopens an engine in opts.Dir, replaying any per-shard

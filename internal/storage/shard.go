@@ -109,7 +109,7 @@ func (v *shardView) close() {
 // freely overlapping. levels[n] for n >= 1 hold tables with pairwise
 // disjoint partition-key ranges, sorted by first key, each level
 // budgeted at LevelBaseBytes * 10^(n-1) bytes. The worker promotes
-// overflow downward (see pickJobLocked), merging only the overlapping
+// overflow downward (see pickLeveledLocked), merging only the overlapping
 // slice of the next level — the leveled policy that bounds both write
 // amplification and table count, replacing the old whole-shard
 // full-merge whose rewrite cost grew quadratically with data size.
@@ -139,7 +139,7 @@ type shard struct {
 	memGen     int64            // memtable generation, seeds the skip list
 	flushAt    int64            // active memtable bytes that freeze it (see flushThreshold)
 
-	compactReq bool          // leveled maintenance wanted (see pickJobLocked)
+	compactReq bool          // leveled maintenance wanted (see pickLeveledLocked)
 	majorReq   bool          // Engine.Compact: merge everything into one run
 	purges     []*purgeRange // pending DeleteRange purges, oldest first
 	busy       bool          // worker is writing tables outside the lock
@@ -450,6 +450,12 @@ type purgeRange struct {
 	removed int64
 }
 
+// covers reports whether the purge drops partition pk.
+func (p *purgeRange) covers(pk string) bool {
+	tok := PartitionToken(pk)
+	return p.lo <= tok && tok <= p.hi
+}
+
 // waitDrainedLocked blocks until the shard has no queued or running
 // background work, returning early with any background error. Caller
 // holds mu.
@@ -466,16 +472,33 @@ func (s *shard) waitDrainedLocked() error {
 	return s.flushErr
 }
 
-// --- compaction picking ------------------------------------------------------
+// --- background jobs -----------------------------------------------------------
 
-// mergeJob is one unit of background table maintenance the worker
-// executes outside the lock.
-type mergeJob struct {
-	inputs   []*tableHandle // merge sources, oldest first
-	srcLevel int
-	dst      int          // level the outputs land in
-	gcOK     bool         // inputs cover every table overlapping their range
-	move     *tableHandle // non-nil: reassign this table to dst without I/O
+// jobKind is what a job is for: the runner settles each kind's queue or
+// request, metrics and partition generation once its result is live.
+type jobKind int
+
+const (
+	jobFlush   jobKind = iota // the oldest frozen memtable into one L0 table
+	jobPurge                  // a DeleteRange: every table, without the range's partitions
+	jobMajor                  // Engine.Compact: every table into one sorted run
+	jobLeveled                // an overflowing level's tables into the next level
+	jobRelink                 // a table overlapping nothing below changes level, no I/O
+)
+
+// job is one unit of background work. Every kind but the relink is one
+// merge (mergeTables) of its sources into new tables at level dst, which
+// the runner (runLocked) writes outside the lock and installs.
+type job struct {
+	kind   jobKind
+	mem    *frozenMem     // flush: the frozen head, the merge's one source
+	inputs []*tableHandle // table sources, oldest first; a relink's table
+	dst    int            // level the outputs land in
+	gcOK   bool           // inputs cover every table overlapping their range
+	purge  *purgeRange    // purge: the partitions to drop
+	req    *bool          // the request the picker consumed: re-armed on a redo or failure
+
+	dropped, gced, bytesOut int64 // what the merge did, set by mergeTables
 }
 
 // levelBudget is the byte budget of level n (n >= 1):
@@ -561,8 +584,42 @@ func (s *shard) needsCompactionLocked() bool {
 	return false
 }
 
-// pickJobLocked chooses the next leveled-maintenance job, or nil when
-// the tree is within budget. Priority order:
+// nextJobLocked picks the shard's next background job, or nil when
+// there is none, in priority order: flush the oldest frozen memtable,
+// then serve the oldest DeleteRange purge, then a requested major
+// compaction, then leveled maintenance (pickLeveledLocked). A purge or
+// major compaction with no tables to merge is settled on the spot.
+// Only the worker pops the frozen and purge queues, so the head a job
+// takes is still the head when the runner installs it — later freezes
+// and DeleteRanges append behind it. Caller holds mu.
+func (s *shard) nextJobLocked() *job {
+	if len(s.frozen) > 0 {
+		return &job{kind: jobFlush, mem: s.frozen[0]}
+	}
+	for len(s.purges) > 0 {
+		if s.totalTablesLocked() > 0 {
+			return &job{kind: jobPurge, purge: s.purges[0], inputs: s.allTablesLocked(), dst: s.deepestDstLocked(), gcOK: true}
+		}
+		s.purges = s.purges[1:]
+	}
+	if s.majorReq {
+		s.majorReq = false
+		if inputs := s.allTablesLocked(); len(inputs) > 1 {
+			return &job{kind: jobMajor, inputs: inputs, dst: s.deepestDstLocked(), gcOK: true, req: &s.majorReq}
+		}
+	}
+	if s.compactReq {
+		s.compactReq = false
+		if j := s.pickLeveledLocked(); j != nil {
+			j.req = &s.compactReq
+			return j
+		}
+	}
+	return nil
+}
+
+// pickLeveledLocked chooses the next leveled-maintenance job, or nil
+// when the tree is within budget. Priority order:
 //
 //  1. L0 overflow: merge all of L0 with the overlapping run of L1.
 //     L0 tables interleave arbitrarily, so they always merge together.
@@ -573,7 +630,7 @@ func (s *shard) needsCompactionLocked() bool {
 //     rewritten, sidestepping the write amplification entirely.
 //
 // Caller holds mu.
-func (s *shard) pickJobLocked() *mergeJob {
+func (s *shard) pickLeveledLocked() *job {
 	if len(s.levels) == 0 {
 		return nil
 	}
@@ -585,10 +642,7 @@ func (s *shard) pickJobLocked() *mergeJob {
 		}
 		inputs := append(append([]*tableHandle(nil), older...), l0...)
 		jlo, jhi := combinedRange(inputs)
-		return &mergeJob{
-			inputs: inputs, srcLevel: 0, dst: 1,
-			gcOK: s.gcSafeLocked(inputs, jlo, jhi),
-		}
+		return &job{kind: jobLeveled, inputs: inputs, dst: 1, gcOK: s.gcSafeLocked(inputs, jlo, jhi)}
 	}
 	for n := 1; n < len(s.levels) && n < maxLevels-1; n++ {
 		if levelBytes(s.levels[n]) <= s.levelBudget(n) {
@@ -604,204 +658,13 @@ func (s *shard) pickJobLocked() *mergeJob {
 			older = overlappingRun(s.levels[n+1], src.first, src.last)
 		}
 		if len(older) == 0 {
-			return &mergeJob{move: src, srcLevel: n, dst: n + 1}
+			return &job{kind: jobRelink, inputs: []*tableHandle{src}, dst: n + 1}
 		}
 		inputs := append(append([]*tableHandle(nil), older...), src)
 		lo, hi := combinedRange(inputs)
-		return &mergeJob{
-			inputs: inputs, srcLevel: n, dst: n + 1,
-			gcOK: s.gcSafeLocked(inputs, lo, hi),
-		}
+		return &job{kind: jobLeveled, inputs: inputs, dst: n + 1, gcOK: s.gcSafeLocked(inputs, lo, hi)}
 	}
 	return nil
-}
-
-// installLocked swaps a merge's inputs for its outputs at level dst and
-// commits the new layout to the manifest. On manifest failure the
-// in-memory layout is rolled back and the error returned; the caller
-// disposes of the outputs and retries. Level slices are rebuilt fresh —
-// published views hold their own flattened copy, never these slices.
-// Caller holds mu.
-func (s *shard) installLocked(inputs []*tableHandle, outs []*tableHandle, dst int) error {
-	in := map[*tableHandle]bool{}
-	for _, t := range inputs {
-		in[t] = true
-	}
-	old := s.levels
-	levels := make([][]*tableHandle, len(s.levels))
-	for n, lvl := range s.levels {
-		kept := make([]*tableHandle, 0, len(lvl))
-		for _, t := range lvl {
-			if !in[t] {
-				kept = append(kept, t)
-			}
-		}
-		levels[n] = kept
-	}
-	for len(levels) <= dst {
-		levels = append(levels, nil)
-	}
-	merged := append(append([]*tableHandle(nil), levels[dst]...), outs...)
-	if dst >= 1 {
-		sort.Slice(merged, func(a, b int) bool { return merged[a].first < merged[b].first })
-	}
-	levels[dst] = merged
-	for len(levels) > 1 && len(levels[len(levels)-1]) == 0 {
-		levels = levels[:len(levels)-1]
-	}
-	s.levels = levels
-	if err := s.writeManifestLocked(); err != nil {
-		s.levels = old
-		return err
-	}
-	return nil
-}
-
-// --- worker ------------------------------------------------------------------
-
-// mergeStatus is the outcome of executeMergeLocked, steering the worker
-// loop.
-type mergeStatus int
-
-const (
-	mergeInstalled mergeStatus = iota // outputs live, inputs retired
-	mergeRedo                         // fence moved: result discarded, redo the job
-	mergeFailed                       // flushErr set; caller parks for a retry
-	mergeExit                         // shard abandoned or closing: worker returns
-)
-
-// worker is the shard's background goroutine: it turns frozen memtables
-// into SSTables, retires their WAL segments, and maintains the level
-// tree — all without blocking the write path. On failure the frozen
-// memtable and its WAL segments stay intact (readers keep merging them,
-// recovery can replay them) and the worker waits for the next signal to
-// retry, surfacing the error through Flush/Close.
-func (s *shard) worker() {
-	defer s.eng.wg.Done()
-	s.mu.Lock()
-	for {
-		for !s.closing && !s.abandoned && len(s.frozen) == 0 && !s.compactReq && !s.majorReq && len(s.purges) == 0 {
-			s.cond.Wait()
-		}
-		if s.abandoned {
-			s.mu.Unlock()
-			return
-		}
-		switch {
-		case len(s.frozen) > 0:
-			if !s.flushHead() {
-				return
-			}
-
-		case len(s.purges) > 0:
-			// Only the worker pops the queue, so the head it processes
-			// outside the lock is still the head when it returns —
-			// concurrent DeleteRanges append behind it and are served on
-			// later loop turns, never dropped.
-			req := s.purges[0]
-			if s.totalTablesLocked() == 0 {
-				s.purges = s.purges[1:]
-				s.cond.Broadcast()
-				continue
-			}
-			drop := func(pk string) bool {
-				tok := PartitionToken(pk)
-				return req.lo <= tok && tok <= req.hi
-			}
-			inputs := s.allTablesLocked()
-			job := &mergeJob{inputs: inputs, dst: s.deepestDstLocked(), gcOK: true}
-			var dropped int64
-			switch s.executeMergeLocked(job, drop, true, &dropped, nil) {
-			case mergeExit:
-				return
-			case mergeRedo, mergeFailed:
-				continue
-			}
-			// The purge removed partitions: invalidate the engine's merged
-			// partition index. Bumped after the swap is published so an
-			// index builder that loaded the old generation can never
-			// enumerate the new view under it unnoticed.
-			s.partGen.Add(1)
-			req.removed = dropped
-			s.purges = s.purges[1:]
-			s.eng.Metrics.RangePurges.Add(1)
-			s.cond.Broadcast()
-
-		case s.majorReq:
-			s.majorReq = false
-			inputs := s.allTablesLocked()
-			if len(inputs) <= 1 {
-				s.cond.Broadcast()
-				continue
-			}
-			job := &mergeJob{inputs: inputs, dst: s.deepestDstLocked(), gcOK: true}
-			var gced int64
-			switch s.executeMergeLocked(job, nil, false, nil, &gced) {
-			case mergeExit:
-				return
-			case mergeRedo:
-				s.majorReq = true
-				continue
-			case mergeFailed:
-				s.majorReq = true
-				continue
-			}
-			// A compaction can collapse tombstone-only partitions out of
-			// existence, shrinking the partition set.
-			s.partGen.Add(1)
-			s.eng.Metrics.Compactions.Add(1)
-			s.eng.Metrics.TombstonesGCed.Add(gced)
-			s.cond.Broadcast()
-
-		case s.compactReq:
-			s.compactReq = false
-			job := s.pickJobLocked()
-			if job == nil {
-				s.cond.Broadcast()
-				continue
-			}
-			if job.move != nil {
-				// Free relink: the table overlaps nothing below it, so it
-				// changes level without being rewritten.
-				if err := s.installLocked([]*tableHandle{job.move}, []*tableHandle{job.move}, job.dst); err != nil {
-					s.flushErr = err
-					s.compactReq = true
-					s.cond.Broadcast()
-					if s.closing {
-						s.mu.Unlock()
-						return
-					}
-					s.cond.Wait()
-					continue
-				}
-				s.publishLocked()
-				if s.needsCompactionLocked() {
-					s.compactReq = true
-				}
-				s.cond.Broadcast()
-				continue
-			}
-			var gced int64
-			switch s.executeMergeLocked(job, nil, false, nil, &gced) {
-			case mergeExit:
-				return
-			case mergeRedo, mergeFailed:
-				s.compactReq = true
-				continue
-			}
-			s.partGen.Add(1)
-			s.eng.Metrics.Compactions.Add(1)
-			s.eng.Metrics.TombstonesGCed.Add(gced)
-			if s.needsCompactionLocked() {
-				s.compactReq = true
-			}
-			s.cond.Broadcast()
-
-		case s.closing:
-			s.mu.Unlock()
-			return
-		}
-	}
 }
 
 // deepestDstLocked is the landing level for whole-shard merges (major
@@ -818,76 +681,196 @@ func (s *shard) deepestDstLocked() int {
 	return dst
 }
 
-// flushHead writes the head of the frozen queue to an L0 table. Returns
-// false when the worker must exit. Called (and returns) holding mu.
-func (s *shard) flushHead() bool {
-	fm := s.frozen[0]
-	seq := s.sstSeq
-	s.busy = true
-	s.mu.Unlock()
-	r, err := s.writeTable(fm.mem, seq)
+// installLocked swaps a job's input tables for its outputs at level dst
+// and commits the new layout to the manifest; a flush also pops its
+// memtable off the frozen queue. On manifest failure the in-memory
+// layout is rolled back and the error returned; the caller disposes of
+// the outputs and retries. Level slices are rebuilt fresh — published
+// views hold their own flattened copy, never these slices. Caller
+// holds mu.
+func (s *shard) installLocked(j *job, outs []*tableHandle) error {
+	in := map[*tableHandle]bool{}
+	for _, t := range j.inputs {
+		in[t] = true
+	}
+	old := s.levels
+	levels := make([][]*tableHandle, len(s.levels))
+	for n, lvl := range s.levels {
+		kept := make([]*tableHandle, 0, len(lvl))
+		for _, t := range lvl {
+			if !in[t] {
+				kept = append(kept, t)
+			}
+		}
+		levels[n] = kept
+	}
+	for len(levels) <= j.dst {
+		levels = append(levels, nil)
+	}
+	merged := append(append([]*tableHandle(nil), levels[j.dst]...), outs...)
+	if j.dst >= 1 {
+		sort.Slice(merged, func(a, b int) bool { return merged[a].first < merged[b].first })
+	}
+	levels[j.dst] = merged
+	for len(levels) > 1 && len(levels[len(levels)-1]) == 0 {
+		levels = levels[:len(levels)-1]
+	}
+	s.levels = levels
+	if err := s.writeManifestLocked(); err != nil {
+		s.levels = old
+		return err
+	}
+	if j.mem != nil {
+		// Copy on pop: the published views share the old array, and
+		// slicing past the head would keep the flushed memtable reachable
+		// from it for as long as the array lives.
+		s.frozen = append([]*frozenMem(nil), s.frozen[1:]...)
+	}
+	return nil
+}
+
+// --- worker ------------------------------------------------------------------
+
+// worker is the shard's background goroutine: it takes one job at a
+// time from nextJobLocked and runs it — flushes frozen memtables,
+// serves purges, maintains the level tree — without blocking the write
+// path. On closing it drains what is queued, then exits.
+func (s *shard) worker() {
+	defer s.eng.wg.Done()
 	s.mu.Lock()
-	s.busy = false
-	if s.abandoned {
-		if err == nil {
-			r.Close()
-			os.Remove(r.Path())
+	defer s.mu.Unlock()
+	for !s.abandoned {
+		j := s.nextJobLocked()
+		if j == nil {
+			if s.closing {
+				return
+			}
+			// Requests settled without work: wake the drain waiters.
+			s.cond.Broadcast()
+			s.cond.Wait()
+			continue
 		}
-		s.cond.Broadcast()
+		if !s.runLocked(j) {
+			return
+		}
+	}
+}
+
+// runLocked runs one job: merge its sources outside the lock, recheck
+// abandonment and the fence generation, install the outputs, publish,
+// and settle the job's kind. It stays busy while it retires the flushed
+// WAL segments or the merged input tables, so Flush and Compact callers
+// observe the final on-disk state (barring in-flight readers, which
+// unlink retired tables as they finish). A failure leaves every source
+// as it was — the frozen memtable and its WAL segments keep serving
+// reads and recovery, the input tables stay listed — records flushErr
+// for Flush and Close to report, and parks the worker until the next
+// signal to retry. Called and returns holding mu; false means the
+// worker must exit.
+func (s *shard) runLocked(j *job) bool {
+	seq := s.sstSeq
+	var outs []*sstable.Reader
+	var err error
+	if j.kind != jobRelink {
+		var gcBelow uint64
+		if j.gcOK {
+			gcBelow = s.gcWatermarkLocked()
+		}
+		fences, fenceGen := s.eng.fenceSnapshot()
+		s.busy = true
 		s.mu.Unlock()
-		return false
-	}
-	var h *tableHandle
-	if err == nil {
-		h, err = newTableHandle(r)
-		if err != nil {
-			r.Close()
-			os.Remove(r.Path())
+		outs, err = s.mergeTables(j, seq, gcBelow, fencedFn(fences))
+		s.mu.Lock()
+		s.busy = false
+		if s.abandoned {
+			discardTables(outs)
+			s.cond.Broadcast()
+			return false
+		}
+		if err == nil && (j.kind == jobPurge || j.gced > 0) && s.eng.fenceGen.Load() != fenceGen {
+			// A migration fence opened while this merge ran: it may have
+			// collected tombstones the fence now protects. Discard the
+			// result and redo with the fresh fence set. A merge with zero
+			// collections is byte-equivalent to a fence-honoring one, so it
+			// installs — but a purge's collections inside the partitions it
+			// dropped are not counted in gced, so a purge always redoes.
+			discardTables(outs)
+			j.rearm()
+			return true
 		}
 	}
+	var handles []*tableHandle
+	if j.kind == jobRelink {
+		handles = j.inputs // the table is its own output
+	}
+	for _, r := range outs {
+		h, herr := newTableHandle(r)
+		if herr != nil {
+			err = herr
+			break
+		}
+		handles = append(handles, h)
+	}
 	if err == nil {
-		if len(s.levels) == 0 {
-			s.levels = append(s.levels, nil)
-		}
-		old := s.levels[0]
-		s.levels[0] = append(append([]*tableHandle(nil), old...), h)
-		if merr := s.writeManifestLocked(); merr != nil {
-			s.levels[0] = old
-			h.drop.Store(true)
-			h.release()
-			err = merr
-		}
+		err = s.installLocked(j, handles)
 	}
 	if err != nil {
+		discardTables(outs)
+		j.rearm()
 		s.flushErr = err
 		s.cond.Broadcast()
 		if s.closing {
-			s.mu.Unlock()
 			return false
 		}
 		s.cond.Wait() // retry on the next signal, not in a hot loop
 		return true
 	}
-	s.sstSeq = seq + 1
-	// Copy on pop: the published views share the old array, and
-	// slicing past the head would keep the flushed memtable reachable
-	// from it for as long as the array lives.
-	s.frozen = append([]*frozenMem(nil), s.frozen[1:]...)
+	s.sstSeq = seq + len(outs)
 	s.publishLocked()
 	s.flushErr = nil
-	s.eng.Metrics.Flushes.Add(1)
-	s.eng.Metrics.FlushedBytes.Add(fm.mem.Bytes())
-	if s.needsCompactionLocked() {
+	switch j.kind {
+	case jobFlush:
+		s.eng.Metrics.Flushes.Add(1)
+		s.eng.Metrics.FlushedBytes.Add(j.mem.mem.Bytes())
+	case jobPurge, jobMajor, jobLeveled:
+		s.eng.Metrics.CompactionBytesIn.Add(levelBytes(j.inputs))
+		s.eng.Metrics.CompactionBytesOut.Add(j.bytesOut)
+		// A purge removes partitions and a compaction can collapse
+		// tombstone-only ones out of existence: invalidate the engine's
+		// merged partition index. Bumped after the swap is published so an
+		// index builder that loaded the old generation can never enumerate
+		// the new view under it unnoticed.
+		s.partGen.Add(1)
+		if j.kind == jobPurge {
+			j.purge.removed = j.dropped
+			s.purges = s.purges[1:]
+			s.eng.Metrics.RangePurges.Add(1)
+		} else {
+			s.eng.Metrics.Compactions.Add(1)
+			s.eng.Metrics.TombstonesGCed.Add(j.gced)
+		}
+	}
+	// A flush or a leveled step may leave the tree over budget; a purge
+	// or a major compaction leaves one run, which the next flush checks.
+	if j.kind != jobPurge && j.kind != jobMajor && s.needsCompactionLocked() {
 		s.compactReq = true
 	}
-	// Stay busy through the WAL cleanup so Flush callers observe a fully
-	// settled shard; readers already see the new table.
+	// Stay busy while the leftovers are retired; readers already see the
+	// new tables.
 	s.busy = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	// The cells are live in the SSTable; their WAL segments are done.
-	for _, p := range fm.walPaths {
-		os.Remove(p)
+	switch j.kind {
+	case jobFlush:
+		// The cells are live in the table; their WAL segments are done.
+		for _, p := range j.mem.walPaths {
+			os.Remove(p)
+		}
+	case jobPurge, jobMajor, jobLeveled:
+		for _, t := range j.inputs {
+			t.drop.Store(true)
+			t.release()
+		}
 	}
 	s.mu.Lock()
 	s.busy = false
@@ -895,148 +878,13 @@ func (s *shard) flushHead() bool {
 	return true
 }
 
-// executeMergeLocked runs one merge job outside the lock and installs
-// the result: merge the inputs (dropping shadowed versions, optionally
-// dropping whole partitions and collecting tombstones), swap the level
-// layout, commit the manifest, and unlink the inputs. fenceAlways
-// forces the migration-fence recheck even when no tombstone was
-// collected (the purge path: tombstones inside dropped partitions are
-// not counted in gced). Called and returns holding mu.
-func (s *shard) executeMergeLocked(job *mergeJob, drop func(pk string) bool, fenceAlways bool, droppedOut, gcedOut *int64) mergeStatus {
-	seq := s.sstSeq
-	gcBelow := uint64(0)
-	if job.gcOK {
-		gcBelow = s.gcWatermarkLocked()
+// rearm puts back the request the picker consumed, so the job is picked
+// again. A flush or a purge needs none: its queue head stays in place
+// until it is installed.
+func (j *job) rearm() {
+	if j.req != nil {
+		*j.req = true
 	}
-	fences, fenceGen := s.eng.fenceSnapshot()
-	s.busy = true
-	s.mu.Unlock()
-
-	outs, dropped, gced, bytesOut, err := s.mergeTables(job.inputs, seq, drop, gcBelow, fencedFn(fences))
-	discardOuts := func() {
-		for _, r := range outs {
-			r.Close()
-			os.Remove(r.Path())
-		}
-	}
-
-	s.mu.Lock()
-	s.busy = false
-	if s.abandoned {
-		if err == nil {
-			discardOuts()
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return mergeExit
-	}
-	if err == nil && (fenceAlways || gced > 0) && s.eng.fenceGen.Load() != fenceGen {
-		// A migration fence opened while this merge ran: it may have
-		// collected tombstones the fence now protects. Discard the result
-		// and redo with the fresh fence set. A merge with zero collections
-		// is byte-equivalent to a fence-honoring one, so outside the purge
-		// path it installs and the (whole-job) redo is saved.
-		discardOuts()
-		return mergeRedo
-	}
-	var handles []*tableHandle
-	if err == nil {
-		for _, r := range outs {
-			h, herr := newTableHandle(r)
-			if herr != nil {
-				err = herr
-				break
-			}
-			handles = append(handles, h)
-		}
-	}
-	if err == nil {
-		err = s.installLocked(job.inputs, handles, job.dst)
-	}
-	if err != nil {
-		discardOuts()
-		s.flushErr = err
-		s.cond.Broadcast()
-		if s.closing {
-			s.mu.Unlock()
-			return mergeExit
-		}
-		s.cond.Wait()
-		return mergeFailed
-	}
-	s.sstSeq = seq + len(outs)
-	s.publishLocked()
-	s.flushErr = nil
-	var bytesIn int64
-	for _, t := range job.inputs {
-		bytesIn += t.size
-	}
-	s.eng.Metrics.CompactionBytesIn.Add(bytesIn)
-	s.eng.Metrics.CompactionBytesOut.Add(bytesOut)
-	if droppedOut != nil {
-		*droppedOut = dropped
-	}
-	if gcedOut != nil {
-		*gcedOut = gced
-	}
-	// Stay busy while the superseded tables are retired so Compact
-	// callers observe the final on-disk state (barring in-flight readers,
-	// which unlink the files as they finish).
-	s.busy = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	for _, t := range job.inputs {
-		t.drop.Store(true)
-		t.release()
-	}
-	s.mu.Lock()
-	s.busy = false
-	s.cond.Broadcast()
-	return mergeInstalled
-}
-
-// writeTable streams a frozen memtable into sst-sNN-<seq>.db, one
-// partition at a time through one reused cell buffer (AddPartition keeps
-// nothing of it). Called without the lock.
-func (s *shard) writeTable(mem *memtable.Memtable, seq int) (*sstable.Reader, error) {
-	if gate := s.eng.testFlushGate; gate != nil {
-		<-gate
-	}
-	if hook := s.eng.testFlushErr.Load(); hook != nil {
-		if err := (*hook)(s.id); err != nil {
-			return nil, err
-		}
-	}
-	if s.isAbandoned() {
-		return nil, errClosed
-	}
-	w, err := s.createTable(seq, len(mem.Partitions()))
-	if err != nil {
-		return nil, err
-	}
-	var curPK string
-	var cur []row.Cell
-	err = mem.Each(func(ent memtable.Entry) error {
-		if len(cur) > 0 && ent.PK != curPK {
-			if err := w.AddPartition(curPK, cur); err != nil {
-				return err
-			}
-			cur = cur[:0]
-		}
-		curPK = ent.PK
-		// Tombstones flush like any cell: they must keep masking older
-		// copies in other tables until compaction collects them.
-		cur = append(cur, row.Cell{CK: ent.CK, Value: ent.Value, Ver: ent.Ver, Tombstone: ent.Tombstone})
-		return nil
-	})
-	if err == nil && len(cur) > 0 {
-		err = w.AddPartition(curPK, cur)
-	}
-	if err != nil {
-		s.abortTable(w, seq)
-		return nil, err
-	}
-	return s.sealTable(w, seq)
 }
 
 // createTable starts the table that sealTable turns into
@@ -1051,11 +899,11 @@ func (s *shard) createTable(seq, partitions int) (*sstable.Writer, error) {
 	})
 }
 
-// sealTable is the one way a flush or a compaction output becomes a
-// table: close the writer, count its block bytes, rename it into place
-// and open it. A failure at any step leaves nothing of it on disk —
-// without the reader the table must not exist, so the WAL segments or
-// the compaction inputs keep covering its data.
+// sealTable is the one way a job's output becomes a table: close the
+// writer, count its block bytes, rename it into place and open it. A
+// failure at any step leaves nothing of it on disk — without the reader
+// the table must not exist, so the WAL segments or the compaction
+// inputs keep covering its data.
 func (s *shard) sealTable(w *sstable.Writer, seq int) (*sstable.Reader, error) {
 	path := s.sstPath(seq)
 	tmp := path + ".tmp"
@@ -1078,10 +926,13 @@ func (s *shard) sealTable(w *sstable.Writer, seq int) (*sstable.Reader, error) {
 	return r, nil
 }
 
-// abortTable discards a table createTable started.
-func (s *shard) abortTable(w *sstable.Writer, seq int) {
-	w.Close()
-	os.Remove(s.sstPath(seq) + ".tmp")
+// discardTables closes and deletes tables a job wrote but did not
+// install.
+func discardTables(outs []*sstable.Reader) {
+	for _, r := range outs {
+		r.Close()
+		os.Remove(r.Path())
+	}
 }
 
 // gcWatermarkLocked returns the version sequence below which this
@@ -1108,38 +959,54 @@ func (s *shard) gcWatermarkLocked() uint64 {
 	return wm
 }
 
-// mergeTables streams the input tables (oldest first) through one
-// mergeCursor into one or more output tables. Each input is read once,
-// sequentially, by a whole-table scan, so the merge runs over internal
-// keys — by partition, then clustering key — under the read path's rule:
-// shadowed versions drop out, an exact version tie goes to the newer
-// input, tombstones come through. The consumer splits the merged stream
-// where the partition prefix changes and, per partition, drops it
-// whole when drop covers it (the DeleteRange purge, counting the live
-// cells that removed), or else collects the tombstones whose version
-// sequence is below gcBelow — except in partitions the fenced predicate
-// covers, whose tombstones are kept because a migration or repair may
-// still stream older copies in behind them. Outputs rotate at
-// TargetTableBytes on partition boundaries so deep levels stay
-// range-partitioned into bounded-size tables. Called without the lock;
-// the inputs stay readable throughout.
-func (s *shard) mergeTables(inputs []*tableHandle, startSeq int, drop func(pk string) bool, gcBelow uint64, fenced func(pk string) bool) (outs []*sstable.Reader, dropped, gced, bytesOut int64, err error) {
+// mergeTables is the runner's one write step: it streams the job's
+// sources — the frozen memtable of a flush, or the input tables oldest
+// first — through one mergeCursor into one or more output tables. Each
+// source is read once, sequentially, by a whole-memtable or whole-table
+// scan, so the merge runs over internal keys — by partition, then
+// clustering key — under the read path's rule: shadowed versions drop
+// out, an exact version tie goes to the newer input, tombstones come
+// through. The consumer splits the merged stream where the partition
+// prefix changes and, per partition, drops it whole when the job's
+// purge covers it (counting the live cells that removed), or else
+// collects the tombstones whose version sequence is below gcBelow —
+// except in partitions the fenced predicate covers, whose tombstones
+// are kept because a migration or repair may still stream older copies
+// in behind them. A flush has no purge and a zero gcBelow. Outputs
+// below L0 rotate at TargetTableBytes on partition boundaries so deep
+// levels stay range-partitioned into bounded-size tables; a flush
+// writes one L0 table. Called without the lock; the sources stay
+// readable throughout.
+func (s *shard) mergeTables(j *job, startSeq int, gcBelow uint64, fenced func(pk string) bool) (outs []*sstable.Reader, err error) {
+	if gate := s.eng.testFlushGate; gate != nil {
+		<-gate
+	}
+	if hook := s.eng.testFlushErr.Load(); hook != nil {
+		if err := (*hook)(s.id); err != nil {
+			return nil, err
+		}
+	}
+	if s.isAbandoned() {
+		return nil, errClosed
+	}
 	var w *sstable.Writer
-	fail := func(e error) ([]*sstable.Reader, int64, int64, int64, error) {
+	fail := func(e error) ([]*sstable.Reader, error) {
 		if w != nil {
-			s.abortTable(w, startSeq+len(outs))
+			w.Close()
+			os.Remove(s.sstPath(startSeq+len(outs)) + ".tmp")
 		}
-		for _, r := range outs {
-			r.Close()
-			os.Remove(r.Path())
-		}
-		return nil, 0, 0, 0, e
+		discardTables(outs)
+		return nil, e
 	}
 
 	mc := mergeCursors.Get().(*mergeCursor)
 	defer mc.close()
 	expectParts := 0
-	for _, t := range inputs {
+	if j.mem != nil {
+		j.mem.mem.Scan(&mc.add(false).mem)
+		expectParts = len(j.mem.mem.Partitions())
+	}
+	for _, t := range j.inputs {
 		if err := t.Scan(&mc.add(true).tbl); err != nil {
 			return fail(err)
 		}
@@ -1162,7 +1029,7 @@ func (s *shard) mergeTables(inputs []*tableHandle, startSeq int, drop func(pk st
 		if err != nil {
 			return err
 		}
-		bytesOut += r.Size()
+		j.bytesOut += r.Size()
 		outs = append(outs, r)
 		return nil
 	}
@@ -1183,7 +1050,7 @@ func (s *shard) mergeTables(inputs []*tableHandle, startSeq int, drop func(pk st
 		for _, c := range part.Cells {
 			wBytes += int64(len(c.CK) + len(c.Value) + 16)
 		}
-		if wBytes >= s.eng.opts.TargetTableBytes {
+		if j.dst >= 1 && wBytes >= s.eng.opts.TargetTableBytes {
 			return seal()
 		}
 		return nil
@@ -1201,7 +1068,7 @@ func (s *shard) mergeTables(inputs []*tableHandle, startSeq int, drop func(pk st
 				return fail(fmt.Errorf("%w: %w", sstable.ErrCorrupt, err))
 			}
 			prefix = append(prefix[:0], ik[:len(ik)-len(ck)]...)
-			dropPart = drop != nil && drop(pk)
+			dropPart = j.purge != nil && j.purge.covers(pk)
 			// The merge already dropped everything a tombstone shadowed
 			// within the inputs, and the watermark guarantees nothing older
 			// is still waiting to flush locally. A partition under a
@@ -1212,10 +1079,10 @@ func (s *shard) mergeTables(inputs []*tableHandle, startSeq int, drop func(pk st
 		switch {
 		case dropPart:
 			if !tomb {
-				dropped++
+				j.dropped++
 			}
 		case gcPart && tomb && ver.Seq < gcBelow:
-			gced++
+			j.gced++
 		default:
 			part.Append(ik[len(prefix):], value, ver, tomb)
 		}
@@ -1231,7 +1098,7 @@ func (s *shard) mergeTables(inputs []*tableHandle, startSeq int, drop func(pk st
 			return fail(err)
 		}
 	}
-	return outs, dropped, gced, bytesOut, nil
+	return outs, nil
 }
 
 func (s *shard) isAbandoned() bool {

@@ -35,8 +35,8 @@ func frozenCount(e *Engine) int {
 	return n
 }
 
-// failFlushes makes every SSTable write fail with msg until
-// clearFlushFault.
+// failFlushes makes every table write — a flush's, a compaction's or a
+// purge's — fail with msg until clearFlushFault.
 func failFlushes(e *Engine, msg string) {
 	hook := func(int) error { return errors.New(msg) }
 	e.testFlushErr.Store(&hook)
