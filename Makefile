@@ -49,7 +49,9 @@ deploy-smoke:
 
 # Short fuzz pass over the parsers of bytes the process did not write
 # itself. On disk: the block codec (decode must never panic on arbitrary
-# bytes, encode→decode must round-trip), the block cursor's restart-point
+# bytes, encode→decode must round-trip), the LZ decompressor on its own
+# (never panics or writes past its buffer, compress→decompress
+# round-trips), the block cursor's restart-point
 # seek (arbitrary payload and target never panic or read out of bounds,
 # and on writer-built blocks seek agrees with a linear decode), the
 # table meta (a fuzzed block index, partition directory, bloom section
@@ -59,8 +61,10 @@ deploy-smoke:
 # whole-index search finds), the WAL record reader (arbitrary bytes
 # after a segment's intact records are a torn tail: no panic, no error,
 # no allocation beyond the file), the shard manifest (every accepted
-# line names one of the shard's own tables, which round-trip) and the
-# SHARDS file (an accepted shard count is in [1, 1024]).
+# line names one of the shard's own tables, which round-trip), the
+# SHARDS file (an accepted shard count is in [1, 1024]) and the node's
+# topology file (every accepted ring passes hashring.Validate and
+# round-trips).
 # On the socket: the TCP frame reader (arbitrary bytes in arbitrary
 # segments yield exactly the whole frames in them, memory follows the
 # bytes received, and valid frame sequences round-trip however the
@@ -70,11 +74,13 @@ deploy-smoke:
 # CI runs this as a smoke; local soak: raise -fuzztime.
 fuzz-smoke:
 	go test -run=NONE -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/sstable/
+	go test -run=NONE -fuzz=FuzzLZDecompress -fuzztime=10s ./internal/sstable/
 	go test -run=NONE -fuzz=FuzzBlockSeek -fuzztime=10s ./internal/sstable/
 	go test -run=NONE -fuzz=FuzzTableMeta -fuzztime=10s ./internal/sstable/
 	go test -run=NONE -fuzz=FuzzReplayWAL -fuzztime=10s ./internal/storage/
 	go test -run=NONE -fuzz=FuzzManifest -fuzztime=10s ./internal/storage/
 	go test -run=NONE -fuzz=FuzzShardsFile -fuzztime=10s ./internal/storage/
+	go test -run=NONE -fuzz=FuzzTopologyFile -fuzztime=10s ./internal/cluster/
 	go test -run=NONE -fuzz=FuzzFrameStream -fuzztime=10s ./internal/transport/
 	go test -run=NONE -fuzz=FuzzFastCodec -fuzztime=10s ./internal/wire/
 

@@ -96,7 +96,7 @@ func serve(args []string) {
 	join := fs.String("join", "", "address of any existing member to join through (empty = bootstrap or resume)")
 	advertise := fs.String("advertise", "", "address peers dial to reach this node (default: listen address, wildcard host rewritten to 127.0.0.1)")
 	rf := fs.Int("rf", 1, "replication factor when bootstrapping a fresh cluster (joins and resumes adopt the ring's)")
-	vnodes := fs.Int("vnodes", 64, "virtual nodes per member when bootstrapping a fresh cluster")
+	vnodes := fs.Int("vnodes", 64, fmt.Sprintf("virtual nodes per member when bootstrapping a fresh cluster (1 to %d)", hashring.MaxVnodes))
 	parallelism := fs.Int("db-parallelism", 16, "concurrent database requests")
 	probeInterval := fs.Duration("probe-interval", time.Second, "peer liveness probe interval (0 = off)")
 	repairInterval := fs.Duration("repair-interval", 5*time.Minute, "self-scheduled anti-entropy interval, jittered (0 = off)")
@@ -140,6 +140,10 @@ func serve(args []string) {
 		// the membership it last flipped to.
 		if opts.ID < 0 {
 			opts.ID = 0
+		}
+		if err := hashring.Validate([]hashring.NodeID{opts.ID}, *vnodes); err != nil {
+			fmt.Fprintln(os.Stderr, "kvstore serve:", err)
+			os.Exit(2)
 		}
 		opts.Topology = hashring.FromNodes(1, []hashring.NodeID{opts.ID}, *vnodes)
 		opts.Addrs = map[hashring.NodeID]string{opts.ID: adv}

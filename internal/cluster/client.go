@@ -262,22 +262,12 @@ func (c *Client) refreshRing() error {
 	if best == nil {
 		return lastErr
 	}
-	c.adoptRingState(best)
-	return nil
-}
-
-// adoptRingState rebuilds a topology from its wire form and installs it.
-func (c *Client) adoptRingState(rs *wire.RingStateResponse) {
-	ids := make([]hashring.NodeID, 0, len(rs.Nodes))
-	addrs := make(map[hashring.NodeID]string, len(rs.Nodes))
-	for _, n := range rs.Nodes {
-		id := hashring.NodeID(n.ID)
-		ids = append(ids, id)
-		if n.Addr != "" {
-			addrs[id] = n.Addr
-		}
+	topo, addrs, err := ringFromWire(best.Epoch, best.Nodes, best.Vnodes)
+	if err != nil {
+		return err
 	}
-	c.adopt(hashring.FromNodes(rs.Epoch, ids, int(rs.Vnodes)), addrs)
+	c.adopt(topo, addrs)
+	return nil
 }
 
 // adopt installs a topology (unless it is older than the current one),

@@ -362,6 +362,17 @@ func nodesFromWire(nodes []wire.NodeAddr) ([]hashring.NodeID, map[hashring.NodeI
 	return ids, addrs
 }
 
+// ringFromWire builds the topology a ring-state message describes, after
+// hashring.Validate has checked its shape: the one way a ring arriving
+// over a socket becomes a Topology.
+func ringFromWire(epoch uint64, nodes []wire.NodeAddr, vnodes uint32) (*hashring.Topology, map[hashring.NodeID]string, error) {
+	ids, addrs := nodesFromWire(nodes)
+	if err := hashring.Validate(ids, int(vnodes)); err != nil {
+		return nil, nil, fmt.Errorf("cluster: ring state at epoch %d: %w", epoch, err)
+	}
+	return hashring.FromNodes(epoch, ids, int(vnodes)), addrs, nil
+}
+
 // handleBeginMigration opens the migration window from the wire: the
 // request carries the full move list and the next epoch's address
 // book; this node filters its own roles and dials its forward targets
@@ -407,8 +418,10 @@ func (n *Node) handleSetRingState(req *wire.SetRingStateRequest) *wire.SetRingSt
 			return &wire.SetRingStateResponse{}
 		}
 	}
-	ids, addrs := nodesFromWire(req.Nodes)
-	topo := hashring.FromNodes(req.Epoch, ids, int(req.Vnodes))
+	topo, addrs, err := ringFromWire(req.Epoch, req.Nodes, req.Vnodes)
+	if err != nil {
+		return &wire.SetRingStateResponse{ErrMsg: err.Error()}
+	}
 	n.installRing(topo, addrs, int(req.RF), true)
 	n.pruneHealth(topo)
 	return &wire.SetRingStateResponse{}
@@ -509,20 +522,18 @@ func JoinRing(l transport.Listener, opts NodeOptions, seedAddr string) (*Node, *
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: seed %s: %w", seedAddr, err)
 	}
-	ids, addrs := nodesFromWire(rs.Nodes)
+	topo, addrs, err := ringFromWire(rs.Epoch, rs.Nodes, rs.Vnodes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: seed %s: %w", seedAddr, err)
+	}
 	if opts.ID < 0 {
-		maxID := hashring.NodeID(-1)
-		for _, id := range ids {
-			if id > maxID {
-				maxID = id
-			}
-		}
-		opts.ID = maxID + 1
+		ids := topo.Nodes() // sorted ascending
+		opts.ID = ids[len(ids)-1] + 1
 	}
 	if opts.ReplicationFactor <= 0 {
 		opts.ReplicationFactor = int(rs.RF)
 	}
-	opts.Topology = hashring.FromNodes(rs.Epoch, ids, int(rs.Vnodes))
+	opts.Topology = topo
 	opts.Addrs = addrs
 
 	node, err := StartNode(l, opts)
@@ -580,7 +591,10 @@ func Connect(seeds []string, opts ClientOptions) (*Client, error) {
 	if best == nil {
 		return nil, fmt.Errorf("cluster: connect: %w", lastErr)
 	}
-	ids, addrs := nodesFromWire(best.Nodes)
+	topo, addrs, err := ringFromWire(best.Epoch, best.Nodes, best.Vnodes)
+	if err != nil {
+		return nil, err
+	}
 	if opts.ReplicationFactor <= 0 {
 		opts.ReplicationFactor = int(best.RF)
 	}
@@ -592,5 +606,5 @@ func Connect(seeds []string, opts ClientOptions) (*Client, error) {
 		merged[id] = a
 	}
 	opts.Addrs = merged
-	return NewClient(hashring.FromNodes(best.Epoch, ids, int(best.Vnodes)), nil, opts), nil
+	return NewClient(topo, nil, opts), nil
 }

@@ -745,3 +745,26 @@ func TestTopologyFilePersistence(t *testing.T) {
 		t.Fatal("corrupted topology file loaded without error")
 	}
 }
+
+// TestRingFromWireValidates: every ring state read off a socket goes
+// through hashring.Validate before a topology is built from it, so a
+// member listed twice or a vnode count past the bound is an error. The
+// bound is exceeded by one: a huge count would allocate if the check
+// ever regressed.
+func TestRingFromWireValidates(t *testing.T) {
+	nodes := []wire.NodeAddr{{ID: 0, Addr: "a"}, {ID: 1, Addr: "b"}}
+	topo, addrs, err := ringFromWire(4, nodes, 16)
+	if err != nil || topo.Epoch() != 4 || topo.Size() != 2 || addrs[1] != "b" {
+		t.Fatalf("a valid ring state: %v, %v, %v", topo, addrs, err)
+	}
+	if _, _, err := ringFromWire(4, nodes, hashring.MaxVnodes+1); err == nil {
+		t.Fatal("accepted a vnode count past hashring.MaxVnodes")
+	}
+	if _, _, err := ringFromWire(4, append(nodes, wire.NodeAddr{ID: 1, Addr: "c"}), 16); err == nil {
+		t.Fatal("accepted a member listed twice")
+	}
+	resp := (&Node{}).handleSetRingState(&wire.SetRingStateRequest{Epoch: 2, Nodes: nodes, Vnodes: hashring.MaxVnodes + 1})
+	if resp.ErrMsg == "" {
+		t.Fatal("a node accepted a flip to a ring past the vnode bound")
+	}
+}

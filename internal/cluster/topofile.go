@@ -133,8 +133,11 @@ func loadTopologyFile(dir string) (*hashring.Topology, map[hashring.NodeID]strin
 	if err := sc.Err(); err != nil {
 		return nil, nil, 0, err
 	}
-	if epoch == 0 || vnodes <= 0 || len(ids) == 0 {
+	if epoch == 0 {
 		return nil, nil, 0, fmt.Errorf("cluster: topology file in %s: incomplete snapshot", dir)
+	}
+	if err := hashring.Validate(ids, vnodes); err != nil { // vnodes and members present and bounded
+		return nil, nil, 0, fmt.Errorf("cluster: topology file in %s: %w", dir, err)
 	}
 	return hashring.FromNodes(epoch, ids, vnodes), addrs, rf, nil
 }

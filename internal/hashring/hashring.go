@@ -73,6 +73,37 @@ func New(n, vnodes int) *Topology {
 	return FromNodes(1, ids, vnodes)
 }
 
+// MaxVnodes bounds the virtual nodes per member, and MaxMembers the
+// member count, of a ring shape that arrives from outside the process.
+// FromNodes builds one token per member and vnode, so a larger claim in
+// a topology file, a ring-state message or a flag would size that
+// allocation; it is damage, not a ring to build.
+const (
+	MaxVnodes  = 1024
+	MaxMembers = 1024
+)
+
+// Validate checks a ring shape that arrived from outside the process —
+// a topology file, a ring-state message, a command-line flag — before
+// FromNodes builds it: vnodes in [1, MaxVnodes], 1 to MaxMembers
+// members, each ID non-negative and listed once.
+func Validate(ids []NodeID, vnodes int) error {
+	if vnodes < 1 || vnodes > MaxVnodes {
+		return fmt.Errorf("hashring: %d vnodes per member, want 1 to %d", vnodes, MaxVnodes)
+	}
+	if len(ids) == 0 || len(ids) > MaxMembers {
+		return fmt.Errorf("hashring: %d members, want 1 to %d", len(ids), MaxMembers)
+	}
+	seen := make(map[NodeID]bool, len(ids))
+	for _, id := range ids {
+		if id < 0 || seen[id] {
+			return fmt.Errorf("hashring: member ID %d is negative or listed twice", id)
+		}
+		seen[id] = true
+	}
+	return nil
+}
+
 // FromNodes reconstructs a topology from its wire representation: the
 // epoch, the member IDs and the vnode count. Token derivation is
 // deterministic, so this yields placement identical to the topology the

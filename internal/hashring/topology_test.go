@@ -292,3 +292,37 @@ func TestOwnersAtMatchesReplicas(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateBoundsForeignRings calls the validator directly: a ring
+// shape read from a topology file or a ring-state message once went
+// straight to FromNodes, so "vnodes 1000000000" made a node derive that
+// many tokens per member, and a member listed twice was accepted. The
+// cases never reach FromNodes, which would allocate before failing.
+func TestValidateBoundsForeignRings(t *testing.T) {
+	many := make([]NodeID, MaxMembers+1)
+	for i := range many {
+		many[i] = NodeID(i)
+	}
+	for _, c := range []struct {
+		name   string
+		ids    []NodeID
+		vnodes int
+		ok     bool
+	}{
+		{"one member", []NodeID{0}, 64, true},
+		{"vnodes at the bound", []NodeID{0, 1, 2}, MaxVnodes, true},
+		{"members at the bound", many[:MaxMembers], 1, true},
+		{"a billion vnodes", []NodeID{0}, 1_000_000_000, false},
+		{"vnodes past the bound", []NodeID{0}, MaxVnodes + 1, false},
+		{"zero vnodes", []NodeID{0}, 0, false},
+		{"negative vnodes", []NodeID{0}, -1, false},
+		{"no members", nil, 16, false},
+		{"members past the bound", many, 1, false},
+		{"duplicate member", []NodeID{0, 3, 0}, 16, false},
+		{"negative member", []NodeID{-1}, 16, false},
+	} {
+		if err := Validate(c.ids, c.vnodes); (err == nil) != c.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}

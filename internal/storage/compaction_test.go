@@ -337,13 +337,17 @@ func TestCompactionFailureKeepsStateConsistent(t *testing.T) {
 	lo, hi := PartitionToken(pk(3)), PartitionToken(pk(7))
 	lo, hi = min(lo, hi), max(lo, hi)
 	failed("purge", func() error { _, err := e.DeleteRange(lo, hi); return err })
+	var want int64
 	for p := 0; p < parts; p++ {
 		if tok := PartitionToken(pk(p)); lo <= tok && tok <= hi {
+			want += int64(len(ref[pk(p)]))
 			delete(ref, pk(p))
 		}
 	}
-	if _, err := e.DeleteRange(lo, hi); err != nil {
+	if got, err := e.DeleteRange(lo, hi); err != nil {
 		t.Fatalf("retry after clearing the fault: %v", err)
+	} else if got != want {
+		t.Fatalf("the retried purge removed %d cells, the model %d", got, want)
 	}
 	check("after the retried purge")
 }

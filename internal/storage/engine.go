@@ -233,8 +233,8 @@ type Engine struct {
 	// Tests set and clear the error hook while the worker runs, so it
 	// is an atomic pointer (one load per flush or compaction, off the
 	// request path).
-	testFlushGate chan struct{}                           // worker blocks here before a job writes a table
-	testFlushErr  atomic.Pointer[func(shardID int) error] // injected failure of a job's table write
+	testFlushGate chan struct{}                                         // worker blocks here before a job writes a table
+	testFlushErr  atomic.Pointer[func(shardID int, kind jobKind) error] // injected failure of a job's table write
 }
 
 // Open creates or reopens an engine in opts.Dir, replaying any per-shard
@@ -422,7 +422,7 @@ func (e *Engine) advanceSeq(seq uint64) {
 // waited on.
 func (e *Engine) Put(pk string, ck, value []byte) error {
 	e.Metrics.Puts.Add(1)
-	return e.write(pk, ck, value, e.stamp(), false)
+	return e.shardFor(pk).putBatch([]row.Entry{{PK: pk, CK: ck, Value: value, Ver: e.stamp()}})
 }
 
 // Delete removes (pk, ck) by writing a tombstone: a versioned cell that
@@ -433,43 +433,7 @@ func (e *Engine) Put(pk string, ck, value []byte) error {
 // reopen, and replicates like a put.
 func (e *Engine) Delete(pk string, ck []byte) error {
 	e.Metrics.Deletes.Add(1)
-	return e.write(pk, ck, nil, e.stamp(), true)
-}
-
-// write is the shared single-cell write path behind Put and Delete.
-func (e *Engine) write(pk string, ck, value []byte, ver row.Version, tombstone bool) error {
-	s := e.shardFor(pk)
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return errClosed
-	}
-	if err := s.checkBacklogLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if err := s.ensureWALLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if s.wal != nil {
-		if err := s.wal.append(pk, ck, value, ver, tombstone); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		if e.opts.Sync == SyncAlways {
-			if err := s.wal.sync(); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-		}
-	}
-	if s.mem.Put(pk, ck, value, ver, tombstone) {
-		s.partGen.Add(1) // new cell address: the partition set may have grown
-	}
-	s.freezeIfFullLocked()
-	s.mu.Unlock()
-	return nil
+	return e.shardFor(pk).putBatch([]row.Entry{{PK: pk, CK: ck, Ver: e.stamp(), Tombstone: true}})
 }
 
 // maxFrozenBacklog bounds the frozen-memtable queue when the flusher is
@@ -698,63 +662,74 @@ func (e *Engine) Partitions() ([]string, error) {
 	return out, nil
 }
 
-// Flush freezes every shard's active memtable and blocks until the
-// background workers have written the resulting SSTables (and any
-// triggered compaction has finished). Freezing all shards up front
-// lets their workers write in parallel; the waits then overlap instead
-// of serializing N SSTable writes. A no-op for empty memtables.
+// Flush freezes every shard's active memtable and waits until every
+// memtable queued then — frozen by this call or earlier — is in a
+// level-0 table and its WAL segments are removed. It does not wait for
+// the leveled compactions those tables trigger (WaitIdle does), and it
+// reports only the failure of one of those flushes, or errClosed. All
+// shards are frozen before any is waited on, so their workers flush in
+// parallel. A no-op for empty memtables.
 func (e *Engine) Flush() error {
-	for _, s := range e.shards {
-		s.mu.Lock()
-		if s.closing {
-			s.mu.Unlock()
-			return errClosed
-		}
+	_, err := e.await(func(s *shard) *ticket {
 		s.freezeLocked()
-		// Give the worker a fresh chance after an earlier background
-		// failure; the retry's outcome is what this caller reports.
-		s.flushErr = nil
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-	for _, s := range e.shards {
-		s.mu.Lock()
-		err := s.waitDrainedLocked()
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+		return s.flushTicketLocked()
+	})
+	return err
 }
 
-// Compact asks every shard's worker to merge its whole level tree into
-// a single sorted run (one table, or several range-partitioned ones
-// past TargetTableBytes) at the deepest level, dropping shadowed cell
-// versions and collectable tombstones, and waits for completion.
+// Compact merges every shard's whole level tree into a single sorted run
+// (one table, or several range-partitioned ones past TargetTableBytes)
+// at the deepest level, dropping shadowed cell versions and collectable
+// tombstones, and waits until every shard's run is installed and its
+// inputs retired. It reports a failure of one of those merges, of a
+// flush queued ahead of one, or errClosed. The shards compact in
+// parallel.
 func (e *Engine) Compact() error {
-	for _, s := range e.shards {
+	_, err := e.await(func(s *shard) *ticket { return s.requestLocked(jobMajor, 0, 0) })
+	return err
+}
+
+// await is the one path of a foreground request. Under each shard's
+// lock, enqueue queues the request and returns the ticket its worker
+// settles; every shard is enqueued before any ticket is waited on, so
+// the workers serve the request in parallel. await returns the sum of
+// the tickets' counts and the first error; a closing shard answers
+// errClosed.
+func (e *Engine) await(enqueue func(*shard) *ticket) (int64, error) {
+	tickets := make([]*ticket, len(e.shards))
+	for i, s := range e.shards {
 		s.mu.Lock()
 		if s.closing {
-			s.mu.Unlock()
-			return errClosed
+			tickets[i] = &ticket{done: true, err: errClosed}
+		} else {
+			tickets[i] = enqueue(s)
+			s.cond.Broadcast()
 		}
-		s.majorReq = true
-		s.flushErr = nil
-		s.cond.Broadcast()
-		err := s.waitDrainedLocked()
 		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	var n int64
+	var err error
+	for i, s := range e.shards {
+		t := tickets[i]
+		s.mu.Lock()
+		for !t.done {
+			s.cond.Wait()
+		}
+		n += t.n
+		if err == nil {
+			err = t.err
+		}
+		s.mu.Unlock()
+	}
+	return n, err
 }
 
-// WaitIdle blocks until no background flush or compaction is pending or
-// running. Unlike Flush it freezes nothing, so it observes the engine's
-// autonomous behaviour — tests and measurements use it to settle the
-// engine. It returns the first pending background error, if any.
+// WaitIdle blocks until no shard has a frozen memtable, a request or
+// leveled maintenance queued or running. Unlike Flush it freezes
+// nothing, so it observes the engine's autonomous behaviour — tests and
+// measurements use it to settle the engine. It returns early with a
+// shard's background error — the failure of its last flush, leveled
+// compaction or relink, until a later job succeeds — or errClosed.
 func (e *Engine) WaitIdle() error {
 	for _, s := range e.shards {
 		s.mu.Lock()
@@ -768,33 +743,15 @@ func (e *Engine) WaitIdle() error {
 }
 
 // NumSSTables returns the current count of sorted runs across shards.
-func (e *Engine) NumSSTables() int {
-	n := 0
-	for _, s := range e.shards {
-		s.mu.RLock()
-		n += s.totalTablesLocked()
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (e *Engine) NumSSTables() int { return e.Stats().SSTables }
 
 // MemtableBytes returns the unflushed payload size: active memtables
 // plus frozen memtables still queued for flush.
-func (e *Engine) MemtableBytes() int64 {
-	var n int64
-	for _, s := range e.shards {
-		s.mu.RLock()
-		n += s.mem.Bytes()
-		for _, fm := range s.frozen {
-			n += fm.mem.Bytes()
-		}
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (e *Engine) MemtableBytes() int64 { return e.Stats().MemtableBytes }
 
-// Close drains every shard's flusher and releases every resource. The
-// engine is unusable afterwards; a second Close is a no-op.
+// Close drains every shard's queued work and releases every resource. A
+// Flush, Compact or DeleteRange still waiting gets errClosed. The engine
+// is unusable afterwards; a second Close is a no-op.
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
@@ -813,6 +770,7 @@ func (e *Engine) Close() error {
 		if s.flushErr != nil && firstErr == nil {
 			firstErr = s.flushErr
 		}
+		s.failQueuedLocked(errClosed)
 		// Publish an empty view first so late readers pin nothing: a read
 		// racing Close sees a clean miss instead of a released table.
 		s.mem = e.newMemtable(s.id, s.memGen+1)

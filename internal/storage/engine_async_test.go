@@ -480,6 +480,9 @@ func TestConcurrentStressWithBackgroundMaintenance(t *testing.T) {
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if err := e.WaitIdle(); err != nil { // the compactions the last flushes queued
+		t.Fatal(err)
+	}
 	for w := 0; w < writers; w++ {
 		pk := fmt.Sprintf("writer-%d", w)
 		n, err := e.CountPartition(pk)

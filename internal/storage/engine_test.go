@@ -404,6 +404,11 @@ func TestAutoCompaction(t *testing.T) {
 		e.Put("p", ck(gen), []byte("v"))
 		e.Flush()
 	}
+	// Flush returns once its tables are in L0; the compaction they
+	// trigger runs after.
+	if err := e.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
 	if got := e.NumSSTables(); got > 3 {
 		t.Fatalf("sstables %d, auto-compaction did not run", got)
 	}

@@ -227,36 +227,21 @@ func (e *Engine) CountRange(lo, hi int64) (int64, error) {
 // DeleteRange removes every partition whose token falls in the
 // inclusive [lo, hi] from the engine and returns the number of cells
 // dropped. It is the retirement half of a range handoff: each shard's
-// active memtable is frozen, the background worker drains the frozen
-// queue into SSTables, and a purge compaction then rewrites the shard's
-// tables without the in-range partitions. Blocking (it waits for the
-// purge) but off the write path — concurrent writes to out-of-range
-// partitions proceed; in-range writes racing a purge land in the fresh
-// active memtable and survive, so callers must fence writers first
-// (the coordinator flips the topology epoch before retiring).
+// active memtable is frozen, and the shard's worker flushes the frozen
+// queue and then rewrites the shard's tables without the in-range
+// partitions. It waits until every shard's purge is installed and its
+// inputs retired, and reports a failure of a purge, of a flush queued
+// ahead of one, or errClosed, with the cells the other shards' purges
+// dropped; a retry purges afresh and counts what it drops. Blocking but
+// off the write path — concurrent writes to out-of-range partitions
+// proceed; in-range writes racing a purge land in the fresh active
+// memtable and survive, so callers must fence writers first (the
+// coordinator flips the topology epoch before retiring).
 func (e *Engine) DeleteRange(lo, hi int64) (int64, error) {
-	var removed int64
-	for _, s := range e.shards {
-		s.mu.Lock()
-		if s.closing {
-			s.mu.Unlock()
-			return removed, errClosed
-		}
+	return e.await(func(s *shard) *ticket {
 		s.freezeLocked()
-		req := &purgeRange{lo: lo, hi: hi}
-		s.purges = append(s.purges, req)
-		// Give the worker a fresh chance after an earlier background
-		// failure; this wait reports the retry's own outcome.
-		s.flushErr = nil
-		s.cond.Broadcast()
-		err := s.waitDrainedLocked()
-		s.mu.Unlock()
-		if err != nil {
-			return removed, err
-		}
-		removed += req.removed
-	}
-	return removed, nil
+		return s.requestLocked(jobPurge, lo, hi)
+	})
 }
 
 // LevelStats is one compaction level's footprint within a shard or

@@ -23,6 +23,7 @@ import (
 type frozenMem struct {
 	mem      *memtable.Memtable
 	walPaths []string
+	t        *ticket // a Flush waiting on this memtable, or nil
 }
 
 // tableHandle reference-counts an SSTable reader so the compactor can
@@ -139,11 +140,10 @@ type shard struct {
 	memGen     int64            // memtable generation, seeds the skip list
 	flushAt    int64            // active memtable bytes that freeze it (see flushThreshold)
 
-	compactReq bool          // leveled maintenance wanted (see pickLeveledLocked)
-	majorReq   bool          // Engine.Compact: merge everything into one run
-	purges     []*purgeRange // pending DeleteRange purges, oldest first
-	busy       bool          // worker is writing tables outside the lock
-	flushErr   error         // last background failure; cleared on success/retry
+	compactReq bool       // leveled maintenance wanted (see pickLeveledLocked)
+	requests   []*request // foreground purges and major compactions, oldest first
+	busy       bool       // worker is writing tables outside the lock
+	flushErr   error      // last failed flush or leveled job; cleared by the next success
 	closing    bool
 	abandoned  bool // simulated crash (tests): worker must not touch disk
 }
@@ -177,14 +177,6 @@ func (s *shard) allTablesLocked() []*tableHandle {
 		out = append(out, s.levels[n]...)
 	}
 	return out
-}
-
-func (s *shard) totalTablesLocked() int {
-	n := 0
-	for _, lvl := range s.levels {
-		n += len(lvl)
-	}
-	return n
 }
 
 // openShard loads one shard's level manifest and SSTables and replays
@@ -351,9 +343,10 @@ func (s *shard) ensureWALLocked() error {
 	return nil
 }
 
-// putBatch is the per-shard half of Engine.PutBatch: one lock
-// acquisition and one WAL write for the whole slice. Entries arrive
-// already stamped with their versions.
+// putBatch is the shard's one write path — Engine.PutBatch's per-shard
+// half, and Put and Delete as one-entry batches: one lock acquisition
+// and one WAL write for the whole slice. Entries arrive already stamped
+// with their versions.
 func (s *shard) putBatch(entries []row.Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -442,25 +435,85 @@ func (s *shard) freezeLocked() {
 	s.cond.Broadcast()
 }
 
-// purgeRange is one pending DeleteRange: the worker rewrites the
-// shard's tables without the partitions whose token falls in [lo, hi]
-// and reports how many cells that dropped.
-type purgeRange struct {
-	lo, hi  int64
-	removed int64
+// ticket is one foreground call's wait at one shard (see worker): the
+// call waits on cond until done is set, under mu.
+type ticket struct {
+	done bool
+	err  error
+	n    int64 // the cells a purge removed
+}
+
+// request is a foreground request queued on a shard: a DeleteRange's
+// purge of the partitions whose token falls in [lo, hi], or a Compact's
+// major compaction.
+type request struct {
+	kind   jobKind // jobPurge or jobMajor
+	lo, hi int64
+	ticket
 }
 
 // covers reports whether the purge drops partition pk.
-func (p *purgeRange) covers(pk string) bool {
+func (r *request) covers(pk string) bool {
 	tok := PartitionToken(pk)
-	return p.lo <= tok && tok <= p.hi
+	return r.lo <= tok && tok <= r.hi
+}
+
+// settleLocked settles t unless it is nil or settled. Caller holds mu.
+func (s *shard) settleLocked(t *ticket, n int64, err error) {
+	if t != nil && !t.done {
+		t.done, t.n, t.err = true, n, err
+		s.cond.Broadcast()
+	}
+}
+
+// requestLocked queues a request and returns its ticket. Caller holds
+// mu.
+func (s *shard) requestLocked(kind jobKind, lo, hi int64) *ticket {
+	r := &request{kind: kind, lo: lo, hi: hi}
+	s.requests = append(s.requests, r)
+	return &r.ticket
+}
+
+// popRequestLocked dequeues and settles the head request. Caller holds
+// mu.
+func (s *shard) popRequestLocked(n int64, err error) {
+	r := s.requests[0]
+	s.requests = s.requests[1:]
+	s.settleLocked(&r.ticket, n, err)
+}
+
+// flushTicketLocked returns the newest frozen memtable's ticket: flushes
+// install in queue order, so it covers every memtable queued now. One a
+// failed flush settled is replaced, for the retry. Caller holds mu.
+func (s *shard) flushTicketLocked() *ticket {
+	if len(s.frozen) == 0 {
+		return &ticket{done: true}
+	}
+	fm := s.frozen[len(s.frozen)-1]
+	if fm.t == nil || fm.t.done {
+		fm.t = new(ticket)
+	}
+	return fm.t
+}
+
+// failQueuedLocked settles every ticket at the shard with err; the
+// frozen memtables stay queued, the requests are dropped. Caller holds
+// mu.
+func (s *shard) failQueuedLocked(err error) {
+	for _, fm := range s.frozen {
+		s.settleLocked(fm.t, 0, err)
+	}
+	for _, r := range s.requests {
+		s.settleLocked(&r.ticket, 0, err)
+	}
+	s.requests = nil
 }
 
 // waitDrainedLocked blocks until the shard has no queued or running
 // background work, returning early with any background error. Caller
 // holds mu.
 func (s *shard) waitDrainedLocked() error {
-	for len(s.frozen) > 0 || s.busy || s.compactReq || s.majorReq || len(s.purges) > 0 {
+	for len(s.frozen) > 0 || s.busy || s.compactReq || len(s.requests) > 0 {
 		if s.flushErr != nil {
 			return s.flushErr
 		}
@@ -474,8 +527,8 @@ func (s *shard) waitDrainedLocked() error {
 
 // --- background jobs -----------------------------------------------------------
 
-// jobKind is what a job is for: the runner settles each kind's queue or
-// request, metrics and partition generation once its result is live.
+// jobKind is what a job is for: the runner settles each kind's queue,
+// ticket, metrics and partition generation once its result is live.
 type jobKind int
 
 const (
@@ -495,8 +548,7 @@ type job struct {
 	inputs []*tableHandle // table sources, oldest first; a relink's table
 	dst    int            // level the outputs land in
 	gcOK   bool           // inputs cover every table overlapping their range
-	purge  *purgeRange    // purge: the partitions to drop
-	req    *bool          // the request the picker consumed: re-armed on a redo or failure
+	req    *request       // purge or major compaction: the request it serves
 
 	dropped, gced, bytesOut int64 // what the merge did, set by mergeTables
 }
@@ -586,34 +638,28 @@ func (s *shard) needsCompactionLocked() bool {
 
 // nextJobLocked picks the shard's next background job, or nil when
 // there is none, in priority order: flush the oldest frozen memtable,
-// then serve the oldest DeleteRange purge, then a requested major
-// compaction, then leveled maintenance (pickLeveledLocked). A purge or
-// major compaction with no tables to merge is settled on the spot.
-// Only the worker pops the frozen and purge queues, so the head a job
-// takes is still the head when the runner installs it — later freezes
-// and DeleteRanges append behind it. Caller holds mu.
+// then serve the oldest request, then leveled maintenance
+// (pickLeveledLocked). A request with no tables to merge is settled on
+// the spot. Only the worker pops the frozen and request queues, so the
+// head a job takes is still the head when the runner settles it — later
+// freezes and requests append behind it. compactReq stays set while
+// pickLeveledLocked finds work. Caller holds mu.
 func (s *shard) nextJobLocked() *job {
 	if len(s.frozen) > 0 {
 		return &job{kind: jobFlush, mem: s.frozen[0]}
 	}
-	for len(s.purges) > 0 {
-		if s.totalTablesLocked() > 0 {
-			return &job{kind: jobPurge, purge: s.purges[0], inputs: s.allTablesLocked(), dst: s.deepestDstLocked(), gcOK: true}
+	for len(s.requests) > 0 {
+		r := s.requests[0]
+		if inputs := s.allTablesLocked(); len(inputs) > 1 || (len(inputs) == 1 && r.kind == jobPurge) {
+			return &job{kind: r.kind, req: r, inputs: inputs, dst: s.deepestDstLocked(), gcOK: true}
 		}
-		s.purges = s.purges[1:]
-	}
-	if s.majorReq {
-		s.majorReq = false
-		if inputs := s.allTablesLocked(); len(inputs) > 1 {
-			return &job{kind: jobMajor, inputs: inputs, dst: s.deepestDstLocked(), gcOK: true, req: &s.majorReq}
-		}
+		s.popRequestLocked(0, nil)
 	}
 	if s.compactReq {
-		s.compactReq = false
 		if j := s.pickLeveledLocked(); j != nil {
-			j.req = &s.compactReq
 			return j
 		}
+		s.compactReq = false
 	}
 	return nil
 }
@@ -733,8 +779,17 @@ func (s *shard) installLocked(j *job, outs []*tableHandle) error {
 
 // worker is the shard's background goroutine: it takes one job at a
 // time from nextJobLocked and runs it — flushes frozen memtables,
-// serves purges, maintains the level tree — without blocking the write
+// serves requests, maintains the level tree — without blocking the write
 // path. On closing it drains what is queued, then exits.
+//
+// Flush, Compact and DeleteRange wait on tickets, one per call and
+// shard. A frozen memtable carries the ticket of a Flush waiting on it,
+// a request its own. The runner settles the ticket once the job's result
+// is live and its leftovers retired, with the job's count. A failed
+// request is dequeued and settled with its error, so a retry is a new
+// request; a failed flush settles every ticket at the shard, since
+// nothing queued can run before it. A fence redo settles nothing. Close
+// settles what is left with errClosed.
 func (s *shard) worker() {
 	defer s.eng.wg.Done()
 	s.mu.Lock()
@@ -759,14 +814,15 @@ func (s *shard) worker() {
 // runLocked runs one job: merge its sources outside the lock, recheck
 // abandonment and the fence generation, install the outputs, publish,
 // and settle the job's kind. It stays busy while it retires the flushed
-// WAL segments or the merged input tables, so Flush and Compact callers
-// observe the final on-disk state (barring in-flight readers, which
-// unlink retired tables as they finish). A failure leaves every source
-// as it was — the frozen memtable and its WAL segments keep serving
-// reads and recovery, the input tables stay listed — records flushErr
-// for Flush and Close to report, and parks the worker until the next
-// signal to retry. Called and returns holding mu; false means the
-// worker must exit.
+// WAL segments or the merged input tables, and settles the job's ticket
+// after that, so Flush and Compact callers observe the final on-disk
+// state (barring in-flight readers, which unlink retired tables as they
+// finish). A failure leaves every source as it was — the frozen memtable
+// and its WAL segments keep serving reads and recovery, the input tables
+// stay listed — and settles tickets as the worker comment says. A failed
+// flush or leveled job is recorded in flushErr and retried on the next
+// signal. Called and returns holding mu; false means the worker must
+// exit.
 func (s *shard) runLocked(j *job) bool {
 	seq := s.sstSeq
 	var outs []*sstable.Reader
@@ -790,12 +846,12 @@ func (s *shard) runLocked(j *job) bool {
 		if err == nil && (j.kind == jobPurge || j.gced > 0) && s.eng.fenceGen.Load() != fenceGen {
 			// A migration fence opened while this merge ran: it may have
 			// collected tombstones the fence now protects. Discard the
-			// result and redo with the fresh fence set. A merge with zero
-			// collections is byte-equivalent to a fence-honoring one, so it
-			// installs — but a purge's collections inside the partitions it
-			// dropped are not counted in gced, so a purge always redoes.
+			// result and redo with the fresh fence set; the job's queue head
+			// or compactReq is still in place. A merge with zero collections
+			// is byte-equivalent to a fence-honoring one, so it installs —
+			// but a purge's collections inside the partitions it dropped are
+			// not counted in gced, so a purge always redoes.
 			discardTables(outs)
-			j.rearm()
 			return true
 		}
 	}
@@ -816,13 +872,24 @@ func (s *shard) runLocked(j *job) bool {
 	}
 	if err != nil {
 		discardTables(outs)
-		j.rearm()
-		s.flushErr = err
+		if j.req != nil {
+			s.popRequestLocked(0, err)
+		} else {
+			s.flushErr = err
+			if j.kind == jobFlush {
+				s.failQueuedLocked(err)
+			}
+		}
 		s.cond.Broadcast()
 		if s.closing {
 			return false
 		}
-		s.cond.Wait() // retry on the next signal, not in a hot loop
+		// Retry on the next signal, not in a hot loop — unless a failed
+		// leveled job has work queued ahead of it, whose broadcast may
+		// have come while it ran.
+		if j.kind == jobFlush || len(s.frozen)+len(s.requests) == 0 {
+			s.cond.Wait()
+		}
 		return true
 	}
 	s.sstSeq = seq + len(outs)
@@ -842,8 +909,6 @@ func (s *shard) runLocked(j *job) bool {
 		// the new view under it unnoticed.
 		s.partGen.Add(1)
 		if j.kind == jobPurge {
-			j.purge.removed = j.dropped
-			s.purges = s.purges[1:]
 			s.eng.Metrics.RangePurges.Add(1)
 		} else {
 			s.eng.Metrics.Compactions.Add(1)
@@ -874,17 +939,13 @@ func (s *shard) runLocked(j *job) bool {
 	}
 	s.mu.Lock()
 	s.busy = false
+	if j.req != nil {
+		s.popRequestLocked(j.dropped, nil)
+	} else if j.kind == jobFlush {
+		s.settleLocked(j.mem.t, 0, nil)
+	}
 	s.cond.Broadcast()
 	return true
-}
-
-// rearm puts back the request the picker consumed, so the job is picked
-// again. A flush or a purge needs none: its queue head stays in place
-// until it is installed.
-func (j *job) rearm() {
-	if j.req != nil {
-		*j.req = true
-	}
 }
 
 // createTable starts the table that sealTable turns into
@@ -982,7 +1043,7 @@ func (s *shard) mergeTables(j *job, startSeq int, gcBelow uint64, fenced func(pk
 		<-gate
 	}
 	if hook := s.eng.testFlushErr.Load(); hook != nil {
-		if err := (*hook)(s.id); err != nil {
+		if err := (*hook)(s.id, j.kind); err != nil {
 			return nil, err
 		}
 	}
@@ -1068,7 +1129,7 @@ func (s *shard) mergeTables(j *job, startSeq int, gcBelow uint64, fenced func(pk
 				return fail(fmt.Errorf("%w: %w", sstable.ErrCorrupt, err))
 			}
 			prefix = append(prefix[:0], ik[:len(ik)-len(ck)]...)
-			dropPart = j.purge != nil && j.purge.covers(pk)
+			dropPart = j.kind == jobPurge && j.req.covers(pk)
 			// The merge already dropped everything a tombstone shadowed
 			// within the inputs, and the watermark guarantees nothing older
 			// is still waiting to flush locally. A partition under a

@@ -38,7 +38,18 @@ func frozenCount(e *Engine) int {
 // failFlushes makes every table write — a flush's, a compaction's or a
 // purge's — fail with msg until clearFlushFault.
 func failFlushes(e *Engine, msg string) {
-	hook := func(int) error { return errors.New(msg) }
+	failJobs(e, func(jobKind) bool { return true }, msg)
+}
+
+// failJobs makes the table writes of the jobs whose kind matches fail
+// with msg until clearFlushFault.
+func failJobs(e *Engine, match func(jobKind) bool, msg string) {
+	hook := func(_ int, kind jobKind) error {
+		if match(kind) {
+			return errors.New(msg)
+		}
+		return nil
+	}
 	e.testFlushErr.Store(&hook)
 }
 
