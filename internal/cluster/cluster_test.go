@@ -906,6 +906,9 @@ func BenchmarkCountAll100Keys4Nodes(b *testing.B) {
 		}
 	}
 	c.FlushAll()
+	for _, n := range c.Nodes { // time the settled tree, not its compactions
+		n.Engine().WaitIdle()
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cli.CountAll(pks, MasterOptions{}); err != nil {

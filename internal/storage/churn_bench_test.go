@@ -47,7 +47,12 @@ func BenchmarkDeleteChurn(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i%4096 == 4095 {
+			// Flush returns once the tables are in L0; max-tables counts
+			// the tree after the compactions they trigger.
 			if err := e.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			if err := e.WaitIdle(); err != nil {
 				b.Fatal(err)
 			}
 			if n := e.NumSSTables(); n > maxTables {

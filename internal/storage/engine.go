@@ -422,7 +422,7 @@ func (e *Engine) advanceSeq(seq uint64) {
 // waited on.
 func (e *Engine) Put(pk string, ck, value []byte) error {
 	e.Metrics.Puts.Add(1)
-	return e.shardFor(pk).putBatch([]row.Entry{{PK: pk, CK: ck, Value: value, Ver: e.stamp()}})
+	return e.write(pk, ck, value, e.stamp(), false)
 }
 
 // Delete removes (pk, ck) by writing a tombstone: a versioned cell that
@@ -433,7 +433,43 @@ func (e *Engine) Put(pk string, ck, value []byte) error {
 // reopen, and replicates like a put.
 func (e *Engine) Delete(pk string, ck []byte) error {
 	e.Metrics.Deletes.Add(1)
-	return e.shardFor(pk).putBatch([]row.Entry{{PK: pk, CK: ck, Ver: e.stamp(), Tombstone: true}})
+	return e.write(pk, ck, nil, e.stamp(), true)
+}
+
+// write is the shared single-cell write path behind Put and Delete.
+func (e *Engine) write(pk string, ck, value []byte, ver row.Version, tombstone bool) error {
+	s := e.shardFor(pk)
+	s.mu.Lock()
+	if s.closing {
+		s.mu.Unlock()
+		return errClosed
+	}
+	if err := s.checkBacklogLocked(); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	if err := s.ensureWALLocked(); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	if s.wal != nil {
+		if err := s.wal.append(pk, ck, value, ver, tombstone); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+		if e.opts.Sync == SyncAlways {
+			if err := s.wal.sync(); err != nil {
+				s.mu.Unlock()
+				return err
+			}
+		}
+	}
+	if s.mem.Put(pk, ck, value, ver, tombstone) {
+		s.partGen.Add(1) // new cell address: the partition set may have grown
+	}
+	s.freezeIfFullLocked()
+	s.mu.Unlock()
+	return nil
 }
 
 // maxFrozenBacklog bounds the frozen-memtable queue when the flusher is
@@ -670,58 +706,49 @@ func (e *Engine) Partitions() ([]string, error) {
 // shards are frozen before any is waited on, so their workers flush in
 // parallel. A no-op for empty memtables.
 func (e *Engine) Flush() error {
-	_, err := e.await(func(s *shard) *ticket {
-		s.freezeLocked()
-		return s.flushTicketLocked()
-	})
+	for _, s := range e.shards {
+		s.mu.Lock()
+		if !s.closing {
+			s.freezeLocked()
+		}
+		s.mu.Unlock()
+	}
+	_, err := e.await(jobFlush, 0, 0)
 	return err
 }
 
 // Compact merges every shard's whole level tree into a single sorted run
 // (one table, or several range-partitioned ones past TargetTableBytes)
 // at the deepest level, dropping shadowed cell versions and collectable
-// tombstones, and waits until every shard's run is installed and its
-// inputs retired. It reports a failure of one of those merges, of a
-// flush queued ahead of one, or errClosed. The shards compact in
-// parallel.
+// tombstones. It runs one shard at a time, waiting until the shard's run
+// is installed and its inputs retired before the next starts, and stops
+// at the first failure of a merge or of a flush queued ahead of one, or
+// at errClosed.
 func (e *Engine) Compact() error {
-	_, err := e.await(func(s *shard) *ticket { return s.requestLocked(jobMajor, 0, 0) })
+	_, err := e.await(jobMajor, 0, 0)
 	return err
 }
 
-// await is the one path of a foreground request. Under each shard's
-// lock, enqueue queues the request and returns the ticket its worker
-// settles; every shard is enqueued before any ticket is waited on, so
-// the workers serve the request in parallel. await returns the sum of
-// the tickets' counts and the first error; a closing shard answers
-// errClosed.
-func (e *Engine) await(enqueue func(*shard) *ticket) (int64, error) {
-	tickets := make([]*ticket, len(e.shards))
-	for i, s := range e.shards {
-		s.mu.Lock()
-		if s.closing {
-			tickets[i] = &ticket{done: true, err: errClosed}
-		} else {
-			tickets[i] = enqueue(s)
-			s.cond.Broadcast()
-		}
-		s.mu.Unlock()
-	}
+// await is the one path of a foreground request: shard by shard, it
+// queues the request (enqueueLocked) and waits on the ticket the worker
+// settles before it moves on, so a purge or major compaction holds one
+// shard's inputs and outputs on disk at a time. It returns the sum of
+// the tickets' counts and stops at the first error.
+func (e *Engine) await(kind jobKind, lo, hi int64) (int64, error) {
 	var n int64
-	var err error
-	for i, s := range e.shards {
-		t := tickets[i]
+	for _, s := range e.shards {
 		s.mu.Lock()
+		t := s.enqueueLocked(kind, lo, hi)
+		s.cond.Broadcast() // also wakes a worker parked after a failure, to retry
 		for !t.done {
 			s.cond.Wait()
 		}
-		n += t.n
-		if err == nil {
-			err = t.err
-		}
 		s.mu.Unlock()
+		if n += t.n; t.err != nil {
+			return n, t.err
+		}
 	}
-	return n, err
+	return n, nil
 }
 
 // WaitIdle blocks until no shard has a frozen memtable, a request or
@@ -743,11 +770,30 @@ func (e *Engine) WaitIdle() error {
 }
 
 // NumSSTables returns the current count of sorted runs across shards.
-func (e *Engine) NumSSTables() int { return e.Stats().SSTables }
+func (e *Engine) NumSSTables() int {
+	n := 0
+	for _, s := range e.shards {
+		s.mu.RLock()
+		n += s.totalTablesLocked()
+		s.mu.RUnlock()
+	}
+	return n
+}
 
 // MemtableBytes returns the unflushed payload size: active memtables
 // plus frozen memtables still queued for flush.
-func (e *Engine) MemtableBytes() int64 { return e.Stats().MemtableBytes }
+func (e *Engine) MemtableBytes() int64 {
+	var n int64
+	for _, s := range e.shards {
+		s.mu.RLock()
+		n += s.mem.Bytes()
+		for _, fm := range s.frozen {
+			n += fm.mem.Bytes()
+		}
+		s.mu.RUnlock()
+	}
+	return n
+}
 
 // Close drains every shard's queued work and releases every resource. A
 // Flush, Compact or DeleteRange still waiting gets errClosed. The engine

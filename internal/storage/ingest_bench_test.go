@@ -23,7 +23,11 @@ func BenchmarkGrowingIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i%8192 == 8191 {
+			// Each step pays for the compactions its flush triggers.
 			if err := e.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			if err := e.WaitIdle(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -226,22 +226,19 @@ func (e *Engine) CountRange(lo, hi int64) (int64, error) {
 
 // DeleteRange removes every partition whose token falls in the
 // inclusive [lo, hi] from the engine and returns the number of cells
-// dropped. It is the retirement half of a range handoff: each shard's
-// active memtable is frozen, and the shard's worker flushes the frozen
-// queue and then rewrites the shard's tables without the in-range
-// partitions. It waits until every shard's purge is installed and its
-// inputs retired, and reports a failure of a purge, of a flush queued
-// ahead of one, or errClosed, with the cells the other shards' purges
-// dropped; a retry purges afresh and counts what it drops. Blocking but
-// off the write path — concurrent writes to out-of-range partitions
+// dropped. It is the retirement half of a range handoff. Shard by
+// shard, it freezes the active memtable and waits until the shard's
+// worker has flushed the frozen queue, rewritten the shard's tables
+// without the in-range partitions, installed the result and retired its
+// inputs. It stops at the first failure of a purge or of a flush queued
+// ahead of one, or at errClosed, returning the cells the shards before
+// it dropped; a retry purges afresh and counts what it drops. Blocking
+// but off the write path — concurrent writes to out-of-range partitions
 // proceed; in-range writes racing a purge land in the fresh active
 // memtable and survive, so callers must fence writers first (the
 // coordinator flips the topology epoch before retiring).
 func (e *Engine) DeleteRange(lo, hi int64) (int64, error) {
-	return e.await(func(s *shard) *ticket {
-		s.freezeLocked()
-		return s.requestLocked(jobPurge, lo, hi)
-	})
+	return e.await(jobPurge, lo, hi)
 }
 
 // LevelStats is one compaction level's footprint within a shard or

@@ -179,6 +179,14 @@ func (s *shard) allTablesLocked() []*tableHandle {
 	return out
 }
 
+func (s *shard) totalTablesLocked() int {
+	n := 0
+	for _, lvl := range s.levels {
+		n += len(lvl)
+	}
+	return n
+}
+
 // openShard loads one shard's level manifest and SSTables and replays
 // its WAL segments, oldest first, each into its own frozen memtable
 // queued for background flush. The engine's version counter is pulled
@@ -343,10 +351,9 @@ func (s *shard) ensureWALLocked() error {
 	return nil
 }
 
-// putBatch is the shard's one write path — Engine.PutBatch's per-shard
-// half, and Put and Delete as one-entry batches: one lock acquisition
-// and one WAL write for the whole slice. Entries arrive already stamped
-// with their versions.
+// putBatch is the per-shard half of Engine.PutBatch: one lock
+// acquisition and one WAL write for the whole slice. Entries arrive
+// already stamped with their versions.
 func (s *shard) putBatch(entries []row.Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -466,34 +473,30 @@ func (s *shard) settleLocked(t *ticket, n int64, err error) {
 	}
 }
 
-// requestLocked queues a request and returns its ticket. Caller holds
-// mu.
-func (s *shard) requestLocked(kind jobKind, lo, hi int64) *ticket {
+// enqueueLocked queues one foreground request and returns the ticket
+// its caller waits on; a closing shard answers errClosed. A purge first
+// freezes the active memtable. A flush takes the newest frozen
+// memtable's ticket — flushes install in queue order, so it covers every
+// memtable queued now — replacing one a failed flush settled, for the
+// retry. Caller holds mu.
+func (s *shard) enqueueLocked(kind jobKind, lo, hi int64) *ticket {
+	switch {
+	case s.closing:
+		return &ticket{done: true, err: errClosed}
+	case kind == jobFlush && len(s.frozen) == 0:
+		return &ticket{done: true}
+	case kind == jobFlush:
+		fm := s.frozen[len(s.frozen)-1]
+		if fm.t == nil || fm.t.done {
+			fm.t = new(ticket)
+		}
+		return fm.t
+	case kind == jobPurge:
+		s.freezeLocked()
+	}
 	r := &request{kind: kind, lo: lo, hi: hi}
 	s.requests = append(s.requests, r)
 	return &r.ticket
-}
-
-// popRequestLocked dequeues and settles the head request. Caller holds
-// mu.
-func (s *shard) popRequestLocked(n int64, err error) {
-	r := s.requests[0]
-	s.requests = s.requests[1:]
-	s.settleLocked(&r.ticket, n, err)
-}
-
-// flushTicketLocked returns the newest frozen memtable's ticket: flushes
-// install in queue order, so it covers every memtable queued now. One a
-// failed flush settled is replaced, for the retry. Caller holds mu.
-func (s *shard) flushTicketLocked() *ticket {
-	if len(s.frozen) == 0 {
-		return &ticket{done: true}
-	}
-	fm := s.frozen[len(s.frozen)-1]
-	if fm.t == nil || fm.t.done {
-		fm.t = new(ticket)
-	}
-	return fm.t
 }
 
 // failQueuedLocked settles every ticket at the shard with err; the
@@ -653,7 +656,8 @@ func (s *shard) nextJobLocked() *job {
 		if inputs := s.allTablesLocked(); len(inputs) > 1 || (len(inputs) == 1 && r.kind == jobPurge) {
 			return &job{kind: r.kind, req: r, inputs: inputs, dst: s.deepestDstLocked(), gcOK: true}
 		}
-		s.popRequestLocked(0, nil)
+		s.requests = s.requests[1:]
+		s.settleLocked(&r.ticket, 0, nil)
 	}
 	if s.compactReq {
 		if j := s.pickLeveledLocked(); j != nil {
@@ -873,7 +877,8 @@ func (s *shard) runLocked(j *job) bool {
 	if err != nil {
 		discardTables(outs)
 		if j.req != nil {
-			s.popRequestLocked(0, err)
+			s.requests = s.requests[1:]
+			s.settleLocked(&j.req.ticket, 0, err)
 		} else {
 			s.flushErr = err
 			if j.kind == jobFlush {
@@ -940,7 +945,8 @@ func (s *shard) runLocked(j *job) bool {
 	s.mu.Lock()
 	s.busy = false
 	if j.req != nil {
-		s.popRequestLocked(j.dropped, nil)
+		s.requests = s.requests[1:]
+		s.settleLocked(&j.req.ticket, j.dropped, nil)
 	} else if j.kind == jobFlush {
 		s.settleLocked(j.mem.t, 0, nil)
 	}
