@@ -145,3 +145,61 @@ func TestCloseEndsWaitingDeleteRanges(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactGoesShardByShard: Compact queues its major compaction on a
+// shard only once the previous shard's has been installed and its inputs
+// retired, so at most one shard holds a merge's extra tables on disk at
+// a time. DeleteRange takes the same path (Engine.await).
+func TestCompactGoesShardByShard(t *testing.T) {
+	e := openTest(t, Options{Shards: 2, DisableWAL: true})
+	for gen := 0; gen < 2; gen++ {
+		for p := 0; p < 20; p++ {
+			if err := e.Put(fmt.Sprintf("p%02d", p), ck(gen), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range e.shards {
+		s.mu.RLock()
+		n := len(s.allTablesLocked())
+		s.mu.RUnlock()
+		if n < 2 {
+			t.Fatalf("shard %d holds %d tables; the test needs a merge on each", s.id, n)
+		}
+	}
+	gate := make(chan struct{})
+	e.testFlushGate = gate            // published to the workers by Compact's locks
+	t.Cleanup(func() { close(gate) }) // on failure, free the workers before Close
+	done := make(chan error, 1)
+	go func() { done <- e.Compact() }()
+	state := func(s *shard) (busy bool, queued int) {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.busy, len(s.requests)
+	}
+	for i, s := range e.shards {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if busy, queued := state(s); busy && queued == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d's major compaction never started", i)
+			}
+		}
+		for j, other := range e.shards {
+			if _, queued := state(other); j != i && queued != 0 {
+				t.Fatalf("shard %d has a request queued while shard %d compacts", j, i)
+			}
+		}
+		gate <- struct{}{}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := e.NumSSTables(); n != 2 {
+		t.Fatalf("%d tables after Compact, want one a shard", n)
+	}
+}
