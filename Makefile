@@ -17,11 +17,12 @@ build:
 # the storage engine (one background runner per shard swapping tables
 # under lock-free readers and writers) twice. The allocation pins of the
 # read path, the flush and compaction merges, memtable Partitions and
-# the codec skip themselves under -race (it changes what allocates), so
-# they get a plain run of their own.
+# the codec and the bloom filter's Add and MayContain skip themselves
+# under -race (it changes what allocates), so they get a plain run of
+# their own.
 test:
 	go test -race -shuffle=on ./...
-	go test -run 'ZeroAlloc|Allocs' ./internal/memtable ./internal/storage ./internal/sstable ./internal/wire
+	go test -run 'ZeroAlloc|Allocs' ./internal/bloom ./internal/memtable ./internal/storage ./internal/sstable ./internal/wire
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -race -shuffle=on -count=5 ./internal/transport ./internal/cluster || exit 1; \
 		GOMAXPROCS=$$p go test -race -shuffle=on -count=2 ./internal/storage || exit 1; \
@@ -55,10 +56,11 @@ deploy-smoke:
 # seek (arbitrary payload and target never panic or read out of bounds,
 # and on writer-built blocks seek agrees with a linear decode), the
 # table meta (a fuzzed block index, partition directory, bloom section
-# and partition count behind re-sealed CRCs never panic, allocate beyond
-# a small multiple of the file or fail with anything but ErrCorrupt or
-# ErrNotFound, and each partition's derived first block is the one a
-# whole-index search finds), the WAL record reader (arbitrary bytes
+# — the filter's words, refused when empty, not whole words or not a
+# power of two of them — and partition count behind re-sealed CRCs
+# never panic, allocate beyond a small multiple of the file or fail with
+# anything but ErrCorrupt or ErrNotFound, and each partition's derived
+# first block is the one a whole-index search finds), the WAL record reader (arbitrary bytes
 # after a segment's intact records are a torn tail: no panic, no error,
 # no allocation beyond the file), the shard manifest (every accepted
 # line names one of the shard's own tables, which round-trip), the

@@ -1,118 +1,87 @@
-// Package bloom implements the per-SSTable bloom filter the storage
-// engine consults before touching a sorted run on the read path, exactly
-// the role the paper ascribes to Cassandra's filters ("caches, indexes and
-// bloom filters ... minimise the duration of most of the requests at the
-// cost of introducing variance").
+// Package bloom implements the one bloom filter of the storage engine:
+// every memtable holds one over the keys it stores, and every SSTable
+// stores one over its partition keys, so a read of a key a source lacks
+// skips it — the role the paper ascribes to Cassandra's filters
+// ("caches, indexes and bloom filters ... minimise the duration of most
+// of the requests at the cost of introducing variance").
 //
-// The filter derives its k probe positions from a single 128-bit murmur
-// hash using the standard Kirsch-Mitzenmacher double-hashing construction,
-// so adding and testing a key costs one hash regardless of k.
+// The filter is blocked: a key sets four bits in one 64-bit word, so a
+// probe is one hash and one word load. The hash is murmur.Sum128 of the
+// key. Its second word picks the filter word and the first word's top 24
+// bits pick the four bits. The shard picker reduces the first word
+// modulo the shard count, so within one shard's keys those low bits are
+// fixed; a filter that took its word index from them would see every
+// key of a shard land in the same fraction of its words.
+//
+// Words are atomic.Uint64, so a memtable's readers probe lock-free
+// beside its single writer.
 package bloom
 
 import (
 	"encoding/binary"
 	"errors"
-	"math"
+	"math/bits"
+	"sync/atomic"
 
 	"scalekv/internal/murmur"
 )
 
-// Filter is a classic m-bit, k-hash bloom filter. The zero value is not
-// usable; construct with New or NewWithRate.
+// Filter is a blocked bloom filter with a power-of-two number of 64-bit
+// words. Add must be serialized against other Adds; MayContain is safe
+// beside them. The single writer sets a key's bits before it publishes
+// the key, so a reader that can see a key can see its bits.
 type Filter struct {
-	bits []uint64
-	m    uint64 // number of bits
-	k    uint32 // number of probes
-	n    uint64 // keys added
+	words []atomic.Uint64
+	mask  uint64 // len(words)-1
 }
 
-// maxProbes caps k. Past it a filter gains nothing (the optimum for a
-// one-in-a-billion false-positive rate is 30), and a serialized filter
-// read off disk cannot make every lookup loop billions of times.
-const maxProbes = 32
-
-// New creates a filter with m bits (rounded up to a multiple of 64) and k
-// probes. m is clamped to at least 64, k to [1, 32].
-func New(m uint64, k uint32) *Filter {
-	if m < 64 {
-		m = 64
+// New returns an empty filter of at least nbits bits: the word count is
+// rounded up to a power of two, and is at least one.
+func New(nbits int) *Filter {
+	words := 1
+	for words*64 < nbits {
+		words *= 2
 	}
-	k = min(max(k, 1), maxProbes)
-	words := (m + 63) / 64
-	return &Filter{bits: make([]uint64, words), m: words * 64, k: k}
+	return &Filter{words: make([]atomic.Uint64, words), mask: uint64(words - 1)}
 }
 
-// NewWithRate sizes a filter for n expected keys at the target false
-// positive rate p using the textbook optimum m = -n*ln(p)/ln(2)^2 and
-// k = m/n*ln(2).
-func NewWithRate(n int, p float64) *Filter {
-	if n < 1 {
-		n = 1
-	}
-	if p <= 0 || p >= 1 {
-		p = 0.01
-	}
-	m := uint64(math.Ceil(-float64(n) * math.Log(p) / (math.Ln2 * math.Ln2)))
-	k := uint32(math.Round(float64(m) / float64(n) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	return New(m, k)
-}
-
-// Add inserts key into the filter.
-func (f *Filter) Add(key []byte) {
+// probe returns a key's word and the four bits it sets there.
+func (f *Filter) probe(key []byte) (*atomic.Uint64, uint64) {
 	h1, h2 := murmur.Sum128(key)
-	for i := uint32(0); i < f.k; i++ {
-		pos := (h1 + uint64(i)*h2) % f.m
-		f.bits[pos/64] |= 1 << (pos % 64)
-	}
-	f.n++
+	set := uint64(1)<<(h1>>40&63) | uint64(1)<<(h1>>46&63) | uint64(1)<<(h1>>52&63) | uint64(1)<<(h1>>58)
+	return &f.words[h2&f.mask], set
 }
 
-// AddString inserts a string key.
+// Add inserts key. Writers are serialized, so a load and a store cannot
+// lose another writer's bits, and they cost less than an atomic
+// read-modify-write.
+func (f *Filter) Add(key []byte) {
+	w, set := f.probe(key)
+	if old := w.Load(); old&set != set {
+		w.Store(old | set)
+	}
+}
+
+// AddString inserts a string key. The conversion does not copy: the
+// compiler sees that the hash only reads it (TestFilterZeroAlloc).
 func (f *Filter) AddString(key string) { f.Add([]byte(key)) }
 
-// MayContain reports whether key may have been added. False means the key
+// MayContain reports whether key may have been added. False means it
 // was definitely never added.
 func (f *Filter) MayContain(key []byte) bool {
-	h1, h2 := murmur.Sum128(key)
-	for i := uint32(0); i < f.k; i++ {
-		pos := (h1 + uint64(i)*h2) % f.m
-		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
-			return false
-		}
-	}
-	return true
+	w, set := f.probe(key)
+	return w.Load()&set == set
 }
 
-// MayContainString tests a string key.
+// MayContainString tests a string key, without copying it either.
 func (f *Filter) MayContainString(key string) bool { return f.MayContain([]byte(key)) }
 
-// Count returns how many keys have been added.
-func (f *Filter) Count() uint64 { return f.n }
-
-// Bits returns the filter size in bits.
-func (f *Filter) Bits() uint64 { return f.m }
-
-// EstimatedFalsePositiveRate returns the analytic false-positive
-// probability (1-e^{-kn/m})^k for the current fill.
-func (f *Filter) EstimatedFalsePositiveRate() float64 {
-	if f.n == 0 {
-		return 0
-	}
-	return math.Pow(1-math.Exp(-float64(f.k)*float64(f.n)/float64(f.m)), float64(f.k))
-}
-
-// Marshal serializes the filter for embedding into an SSTable footer.
-// Layout: m(8) k(4) n(8) words...
+// Marshal serializes the filter: its words, little-endian, and nothing
+// else — the length is the only header.
 func (f *Filter) Marshal() []byte {
-	out := make([]byte, 8+4+8+len(f.bits)*8)
-	binary.LittleEndian.PutUint64(out[0:], f.m)
-	binary.LittleEndian.PutUint32(out[8:], f.k)
-	binary.LittleEndian.PutUint64(out[12:], f.n)
-	for i, w := range f.bits {
-		binary.LittleEndian.PutUint64(out[20+i*8:], w)
+	out := make([]byte, 8*len(f.words))
+	for i := range f.words {
+		binary.LittleEndian.PutUint64(out[8*i:], f.words[i].Load())
 	}
 	return out
 }
@@ -120,24 +89,17 @@ func (f *Filter) Marshal() []byte {
 // ErrCorrupt reports a malformed serialized filter.
 var ErrCorrupt = errors.New("bloom: corrupt serialized filter")
 
-// Unmarshal reconstructs a filter serialized by Marshal. It refuses
-// what New cannot build — no bits, no probes, more than 32 probes — so a
-// damaged filter is an error here rather than a division by zero or a
-// four-billion-probe loop in MayContain.
+// Unmarshal reconstructs a filter serialized by Marshal. It refuses what
+// New cannot build: no words, a partial word, or a word count that is
+// not a power of two.
 func Unmarshal(data []byte) (*Filter, error) {
-	if len(data) < 20 {
+	n := len(data) / 8
+	if len(data) == 0 || len(data)%8 != 0 || bits.OnesCount(uint(n)) != 1 {
 		return nil, ErrCorrupt
 	}
-	m := binary.LittleEndian.Uint64(data[0:])
-	k := binary.LittleEndian.Uint32(data[8:])
-	n := binary.LittleEndian.Uint64(data[12:])
-	words := int(m / 64)
-	if m == 0 || m%64 != 0 || k == 0 || k > maxProbes || len(data) != 20+words*8 {
-		return nil, ErrCorrupt
-	}
-	f := &Filter{bits: make([]uint64, words), m: m, k: k, n: n}
-	for i := range f.bits {
-		f.bits[i] = binary.LittleEndian.Uint64(data[20+i*8:])
+	f := &Filter{words: make([]atomic.Uint64, n), mask: uint64(n - 1)}
+	for i := range f.words {
+		f.words[i].Store(binary.LittleEndian.Uint64(data[8*i:]))
 	}
 	return f, nil
 }

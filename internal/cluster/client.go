@@ -65,7 +65,6 @@ type Client struct {
 	rf         int
 	dialer     Dialer
 	readRepair bool
-	repairConc int // anti-entropy worker-pool width (see RepairRange)
 
 	mu      sync.Mutex
 	ring    *hashring.Topology
@@ -114,16 +113,13 @@ type ClientOptions struct {
 	// outage but touches only what failover reads hit — Cluster.Repair
 	// is the convergence guarantee.
 	ReadRepair bool
-	// RepairConcurrency is how many token ranges an anti-entropy pass
-	// (RepairRange, RepairAll, Cluster.Repair) digests and reconciles
-	// concurrently. 0 means 4; 1 restores the sequential pass.
-	RepairConcurrency int
 }
 
-// defaultRepairConcurrency is the anti-entropy pool width when
-// ClientOptions.RepairConcurrency is zero: wide enough to overlap
-// digest round trips across ranges, narrow enough that repair traffic
-// cannot crowd out foreground reads on the replicas.
+// defaultRepairConcurrency is how many token ranges an anti-entropy
+// pass (RepairRange, RepairAll, Cluster.Repair) digests and reconciles
+// concurrently: wide enough to overlap digest round trips across
+// ranges, narrow enough that repair traffic cannot crowd out foreground
+// reads on the replicas.
 const defaultRepairConcurrency = 4
 
 // NewClient wraps per-node RPC clients with ring routing. The conns map
@@ -133,14 +129,10 @@ func NewClient(ring *hashring.Topology, conns map[hashring.NodeID]*transport.Cli
 	if opts.ReplicationFactor <= 0 {
 		opts.ReplicationFactor = 1
 	}
-	if opts.RepairConcurrency <= 0 {
-		opts.RepairConcurrency = defaultRepairConcurrency
-	}
 	c := &Client{
 		rf:         opts.ReplicationFactor,
 		dialer:     opts.Dialer,
 		readRepair: opts.ReadRepair,
-		repairConc: opts.RepairConcurrency,
 		ring:       ring,
 		conns:      make(map[hashring.NodeID]*transport.Client, len(conns)),
 		addrs:      make(map[hashring.NodeID]string, len(opts.Addrs)),

@@ -30,9 +30,6 @@ type LocalOptions struct {
 	// ReadRepair enables the client's failover read-repair (see
 	// ClientOptions.ReadRepair).
 	ReadRepair bool
-	// RepairConcurrency is the anti-entropy worker-pool width (see
-	// ClientOptions.RepairConcurrency). 0 means the default.
-	RepairConcurrency int
 	// ProbeInterval enables per-node peer liveness probing (see
 	// NodeOptions.ProbeInterval). 0 keeps it off — in-process tests
 	// rarely want background ping traffic.
@@ -195,7 +192,6 @@ func start(opts LocalOptions, listen func(hashring.NodeID) (transport.Listener, 
 		Dialer:            dial,
 		Addrs:             addrs,
 		ReadRepair:        opts.ReadRepair,
-		RepairConcurrency: opts.RepairConcurrency,
 	})
 	return c, nil
 }

@@ -36,8 +36,7 @@ import (
 )
 
 // defaultSuspicionThreshold is how many consecutive failed probes mark
-// a peer down when NodeOptions.SuspicionThreshold is zero: one lost
-// probe is noise, three in a row is an outage.
+// a peer down: one lost probe is noise, three in a row is an outage.
 const defaultSuspicionThreshold = 3
 
 // --- Peer connection pool ---------------------------------------------------
@@ -151,7 +150,7 @@ func (n *Node) notePeer(id hashring.NodeID, ok bool) {
 		ps.suspicion = 0
 	} else {
 		ps.suspicion++
-		if ps.up && ps.suspicion >= n.suspicionThreshold {
+		if ps.up && ps.suspicion >= defaultSuspicionThreshold {
 			ps.up = false
 			ps.since = now
 		}
@@ -176,7 +175,7 @@ func (n *Node) markPeerDown(id hashring.NodeID) {
 		ps.since = now
 	}
 	ps.up = false
-	ps.suspicion = n.suspicionThreshold
+	ps.suspicion = defaultSuspicionThreshold
 	n.healthMu.Unlock()
 }
 

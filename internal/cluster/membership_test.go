@@ -636,7 +636,7 @@ func TestPeerHealthFlipAndFailoverReads(t *testing.T) {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			if ph, ok := observer.PeerHealth()[id]; ok && ph.Up == wantUp {
-				if !wantUp && ph.Suspicion < observer.suspicionThreshold {
+				if !wantUp && ph.Suspicion < defaultSuspicionThreshold {
 					t.Fatalf("node %d sees %d down with suspicion %d < threshold", observer.ID(), id, ph.Suspicion)
 				}
 				return

@@ -66,13 +66,10 @@ type NodeOptions struct {
 	AdvertiseAddr string
 	// ProbeInterval is the peer liveness probe period; 0 disables
 	// probing. Each tick pings every peer (jittered ±25%); a peer
-	// missing SuspicionThreshold consecutive probes is marked down,
-	// and a down peer answering again is marked up — which also kicks
-	// an immediate repair pass to catch the returnee up.
+	// missing three consecutive probes (defaultSuspicionThreshold) is
+	// marked down, and a down peer answering again is marked up — which
+	// also kicks an immediate repair pass to catch the returnee up.
 	ProbeInterval time.Duration
-	// SuspicionThreshold is how many consecutive failed probes mark a
-	// peer down. 0 means 3.
-	SuspicionThreshold int
 	// RepairInterval is the self-scheduled anti-entropy period; 0
 	// disables it. Each pass (jittered ±25% so a cluster started in
 	// lockstep doesn't synchronize its repair storms) converges the
@@ -139,13 +136,12 @@ type Node struct {
 	healthMu sync.Mutex
 	health   map[hashring.NodeID]*peerState
 
-	probeInterval      time.Duration
-	suspicionThreshold int
-	repairInterval     time.Duration
-	repairKick         chan struct{}
-	stop               chan struct{}
-	stopOnce           sync.Once
-	loopWg             sync.WaitGroup
+	probeInterval  time.Duration
+	repairInterval time.Duration
+	repairKick     chan struct{}
+	stop           chan struct{}
+	stopOnce       sync.Once
+	loopWg         sync.WaitGroup
 
 	// Served counts database requests processed, for Figure 2's
 	// ops-per-node chart.
@@ -168,9 +164,6 @@ func StartNode(l transport.Listener, opts NodeOptions) (*Node, error) {
 	if opts.DBParallelism <= 0 {
 		opts.DBParallelism = 16
 	}
-	if opts.SuspicionThreshold <= 0 {
-		opts.SuspicionThreshold = defaultSuspicionThreshold
-	}
 	st := opts.Storage
 	st.Dir = opts.Dir
 	// The node's ring identity doubles as the engine's version-stamping
@@ -182,18 +175,17 @@ func StartNode(l transport.Listener, opts NodeOptions) (*Node, error) {
 		return nil, fmt.Errorf("cluster: node %d: %w", opts.ID, err)
 	}
 	n := &Node{
-		id:                 opts.ID,
-		engine:             engine,
-		dbSlots:            make(chan struct{}, opts.DBParallelism),
-		dir:                opts.Dir,
-		dialer:             opts.Dialer,
-		selfAddr:           opts.AdvertiseAddr,
-		health:             make(map[hashring.NodeID]*peerState),
-		probeInterval:      opts.ProbeInterval,
-		suspicionThreshold: opts.SuspicionThreshold,
-		repairInterval:     opts.RepairInterval,
-		repairKick:         make(chan struct{}, 1),
-		stop:               make(chan struct{}),
+		id:             opts.ID,
+		engine:         engine,
+		dbSlots:        make(chan struct{}, opts.DBParallelism),
+		dir:            opts.Dir,
+		dialer:         opts.Dialer,
+		selfAddr:       opts.AdvertiseAddr,
+		health:         make(map[hashring.NodeID]*peerState),
+		probeInterval:  opts.ProbeInterval,
+		repairInterval: opts.RepairInterval,
+		repairKick:     make(chan struct{}, 1),
+		stop:           make(chan struct{}),
 	}
 	n.peers = newPeerPool(opts.Dialer)
 

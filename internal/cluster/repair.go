@@ -125,7 +125,7 @@ func (c *Client) RepairAll(rf int) (*RepairReport, error) {
 // re-syncs the earlier owners so all of them end on that state; a
 // second call over converged replicas ships nothing. Independent
 // ranges are repaired concurrently through a bounded worker pool
-// (ClientOptions.RepairConcurrency wide), so a converged pass's wall
+// (defaultRepairConcurrency wide), so a converged pass's wall
 // clock is dominated by the slowest range, not the sum of all digests.
 func (c *Client) RepairRange(lo, hi int64, rf int) (*RepairReport, error) {
 	return c.repairRanges(lo, hi, rf, nil, nil)
@@ -180,13 +180,7 @@ func (c *Client) repairRanges(lo, hi int64, rf int, fence func(lo, hi int64) fun
 		}
 		jobs = append(jobs, repairJob{lo: rlo, hi: rhi, owners: or.Owners})
 	}
-	conc := c.repairConc
-	if conc > len(jobs) {
-		conc = len(jobs)
-	}
-	if conc < 1 {
-		conc = 1
-	}
+	conc := max(min(defaultRepairConcurrency, len(jobs)), 1)
 
 	rep := &RepairReport{}
 	var (

@@ -22,75 +22,37 @@
 // versioned write that masks older copies in frozen memtables and
 // SSTables until compaction collects it.
 //
-// Every memtable carries a key filter over the internal keys and the
-// partition keys it holds (RocksDB's memtable bloom filter), so a read
-// of a key the memtable lacks — the common case once data has been
-// flushed — costs one hash and one atomic load instead of a walk down
-// the skip list.
+// Every memtable carries a bloom.Filter over the internal keys and the
+// partition keys it holds (RocksDB's memtable bloom filter; the same
+// filter every SSTable stores), so a read of a key the memtable lacks —
+// the common case once data has been flushed — costs one hash and one
+// atomic load instead of a walk down the skip list. The single writer
+// adds a key's bits before it links the key's cell, and cells are never
+// removed, so a reader that can see a cell can see its bits.
 package memtable
 
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/maphash"
 	"sync"
-	"sync/atomic"
 
+	"scalekv/internal/bloom"
 	"scalekv/internal/enc"
 	"scalekv/internal/row"
 	"scalekv/internal/skiplist"
 )
 
-// keyFilter is a blocked bloom filter: a key sets four bits in one
-// 64-bit word, so a probe is one hash and one atomic load. The single
-// writer sets a key's bits before it links the key's cell, and cells are
-// never removed, so a reader that can see a cell can see its bits — no
-// false negatives, frozen or not.
-type keyFilter struct {
-	words []atomic.Uint64
-	mask  uint64 // len(words)-1, a power of two minus one
-}
-
-// filterSeed keys the filter hash. The filter never leaves the process,
-// so a per-process seed costs nothing and keeps its probes unpredictable.
-var filterSeed = maphash.MakeSeed()
-
+// The key filter is sized from the flush threshold: one bit per 8
+// payload bytes, 64KB of filter for the default 4MB memtable.
 const (
-	// filterBytesPerBit sizes a filter from the flush threshold: one bit
-	// per 8 payload bytes, 64KB of filter for the default 4MB memtable.
 	filterBytesPerBit = 8
 	minFilterWords    = 64      // 512 bytes
 	maxFilterWords    = 1 << 17 // 1MB: a larger memtable saturates gracefully
 )
 
-func newKeyFilter(flushBytes int64) keyFilter {
-	words := minFilterWords
-	for words < maxFilterWords && int64(words)*64*filterBytesPerBit < flushBytes {
-		words *= 2
-	}
-	return keyFilter{words: make([]atomic.Uint64, words), mask: uint64(words - 1)}
-}
-
-// probe returns a hash's word and the four bits it sets there: the low
-// bits pick the word, four 6-bit fields of the high half pick the bits.
-func (f *keyFilter) probe(h uint64) (*atomic.Uint64, uint64) {
-	bits := uint64(1)<<(h>>32&63) | uint64(1)<<(h>>38&63) | uint64(1)<<(h>>44&63) | uint64(1)<<(h>>50&63)
-	return &f.words[h&f.mask], bits
-}
-
-// add sets a hash's bits. Writers are serialized (Put holds the
-// memtable's mutex), so a load and a store cannot lose another writer's
-// bits, and they cost less than an atomic read-modify-write.
-func (f *keyFilter) add(h uint64) {
-	w, bits := f.probe(h)
-	if old := w.Load(); old&bits != bits {
-		w.Store(old | bits)
-	}
-}
-
-func (f *keyFilter) mayContain(h uint64) bool {
-	w, bits := f.probe(h)
-	return w.Load()&bits == bits
+func newKeyFilter(flushBytes int64) *bloom.Filter {
+	bits := min(max((flushBytes+filterBytesPerBit-1)/filterBytesPerBit, minFilterWords*64), maxFilterWords*64)
+	return bloom.New(int(bits))
 }
 
 // Stored value layout: fixed-width header (8-byte seq | 2-byte node |
@@ -132,7 +94,7 @@ func decodeValue(stored []byte) (ver row.Version, tombstone bool, value []byte) 
 // versioned cell: single writer, lock-free readers.
 type Memtable struct {
 	list   *skiplist.List
-	filter keyFilter
+	filter *bloom.Filter
 
 	// mu guards the writer-side bookkeeping below. Writers are already
 	// externally serialized; the mutex exists for direct users of the
@@ -178,9 +140,9 @@ func (m *Memtable) Put(pk string, ck, value []byte, ver row.Version, tombstone b
 		panic("memtable: Put on frozen memtable")
 	}
 	// The filter learns the keys before the skip list links the cell.
-	m.filter.add(maphash.Bytes(filterSeed, ik))
+	m.filter.Add(ik)
 	if !m.hasLastPK || pk != m.lastPK {
-		m.filter.add(maphash.String(filterSeed, pk))
+		m.filter.AddString(pk)
 		m.lastPK, m.hasLastPK = pk, true
 	}
 	if !m.hasVer {
@@ -216,7 +178,7 @@ func (m *Memtable) Put(pk string, ck, value []byte, ver row.Version, tombstone b
 func (m *Memtable) Get(pk string, ck []byte) (value []byte, ver row.Version, tombstone, ok bool) {
 	var buf [128]byte
 	ik := enc.AppendInternalKey(buf[:0], pk, ck)
-	if !m.filter.mayContain(maphash.Bytes(filterSeed, ik)) {
+	if !m.filter.MayContain(ik) {
 		return nil, row.Version{}, false, false
 	}
 	stored, ok := m.list.Get(ik)
@@ -279,7 +241,7 @@ type Cursor struct {
 // out; the cursor is then empty and the skip list was not touched.
 func (m *Memtable) Slice(c *Cursor, pk string, from, to []byte) bool {
 	c.started, c.scan = false, false
-	if !m.filter.mayContain(maphash.String(filterSeed, pk)) {
+	if !m.filter.MayContainString(pk) {
 		c.it = skiplist.Iterator{}
 		return false
 	}

@@ -21,9 +21,8 @@ func Sum128(data []byte) (uint64, uint64) {
 }
 
 // Sum128Seed returns the 128-bit MurmurHash3 (x64 variant) of data using
-// the given seed. Cassandra uses seed 0; other seeds are exposed for the
-// blocked bloom filter, which derives independent probe positions from
-// distinct seeds.
+// the given seed. Cassandra uses seed 0, and so does every caller here,
+// the bloom filter included (through Sum128).
 func Sum128Seed(data []byte, seed uint32) (uint64, uint64) {
 	h1 := uint64(seed)
 	h2 := uint64(seed)

@@ -270,28 +270,23 @@ func TestScanChecksTheFooterEntryCount(t *testing.T) {
 	}
 }
 
-// bloomSection serializes a filter header claiming m bits and k probes
-// with the bit words m implies.
-func bloomSection(m uint64, k uint32) []byte {
-	out := binary.LittleEndian.AppendUint64(nil, m)
-	out = binary.LittleEndian.AppendUint32(out, k)
-	out = binary.LittleEndian.AppendUint64(out, 0)
-	return append(out, make([]byte, m/8)...)
+// degenerateBlooms are bloom sections bloom.Unmarshal refuses: no
+// words, a partial word, and a word count that is not a power of two.
+var degenerateBlooms = []struct {
+	name  string
+	bloom []byte
+}{
+	{"empty", nil},
+	{"12 bytes", make([]byte, 12)},
+	{"3 words", make([]byte, 24)},
 }
 
-// TestOpenRejectsDegenerateBloom: a checksummed filter with no bits used
-// to pass Unmarshal and panic the first lookup with a division by zero
-// (on a node's reader goroutine, which has no recover), and one with 2^32
-// probes made every lookup loop that often. Both are ErrCorrupt at Open.
+// TestOpenRejectsDegenerateBloom: a checksummed bloom section no writer
+// produces is ErrCorrupt at Open. An empty one would otherwise panic the
+// first lookup (on a node's reader goroutine, which has no recover).
 func TestOpenRejectsDegenerateBloom(t *testing.T) {
 	file := metaTable(t)
-	for _, c := range []struct {
-		name  string
-		bloom []byte
-	}{
-		{"zero bits", bloomSection(0, 7)},
-		{"2^32-1 probes", bloomSection(64, ^uint32(0))},
-	} {
+	for _, c := range degenerateBlooms {
 		s := cutTable(file)
 		s.bloom = c.bloom
 		r, err := openBytes(t, s.seal(5))
@@ -324,17 +319,19 @@ func TestOpenRejectsDegenerateBloom(t *testing.T) {
 // Every directory entry carries a type histogram, and each partition's
 // is added up through the slice cursor, which must never yield more
 // live cells than the partition's cell count. The seeds are the
-// unmodified sections, the three crash inputs the bounds were written
-// for — a meta claiming 2^40 blocks, a filter with no bits and a
-// partition claiming 2^50 cells — and two histograms readMeta refuses:
-// one whose counts sum past the partition's cells, one whose types are
-// out of order.
+// unmodified sections, the two crash inputs the bounds were written
+// for — a meta claiming 2^40 blocks and a partition claiming 2^50 cells
+// — the three bloom sections Open refuses (degenerateBlooms), and two
+// histograms readMeta refuses: one whose counts sum past the
+// partition's cells, one whose types are out of order.
 func FuzzTableMeta(f *testing.F) {
 	file := metaTable(f)
 	orig := cutTable(file)
 	f.Add(orig.meta, orig.bloom, uint64(5))
 	f.Add(metaWithCount(orig.meta, 0, 1<<40), orig.bloom, uint64(5))
-	f.Add(orig.meta, bloomSection(0, 7), uint64(5))
+	for _, c := range degenerateBlooms {
+		f.Add(orig.meta, c.bloom, uint64(5))
+	}
 	f.Add(metaWithCellCounts(orig.meta, dirOffset(file), map[string]uint64{"b": 1 << 50}), orig.bloom, uint64(5))
 	f.Add(metaWithHistogram(orig.meta, dirOffset(file), "a", [2]uint64{0, 2}, [2]uint64{1, 2}), orig.bloom, uint64(5))
 	f.Add(metaWithHistogram(orig.meta, dirOffset(file), "a", [2]uint64{1, 1}, [2]uint64{0, 1}), orig.bloom, uint64(5))

@@ -144,7 +144,7 @@ func open(f *os.File) (*Reader, error) {
 	}
 	switch string(term[:]) {
 	case string(footerMagic):
-	case "SKVT", "SKV2", "SKV3":
+	case "SKVT", "SKV2", "SKV3", "SKV4":
 		return nil, ErrUnsupportedFormat
 	default:
 		return nil, ErrCorrupt

@@ -18,9 +18,11 @@
 // costs one meta ReadAt plus one data-block ReadAt instead of a
 // whole-partition transfer. The footer carries the section offsets, the
 // entry and partition counts, and the table's maximum version sequence,
-// and ends in the terminator "SKV4". Files ending in the terminators
-// earlier engines wrote ("SKVT", "SKV2", "SKV3") are rejected with
-// ErrUnsupportedFormat; docs/sstable-format.md has the migration note.
+// and ends in the terminator "SKV5". The bloom section is a
+// bloom.Filter's words (see package bloom). Files ending in the
+// terminators earlier engines wrote ("SKVT", "SKV2", "SKV3", "SKV4") are
+// rejected with ErrUnsupportedFormat; docs/sstable-format.md has the
+// migration note.
 //
 // The detail that matters for the paper's Formula 6 is the sparse
 // intra-partition index — Cassandra's column_index_size_in_kb. Here the
@@ -52,8 +54,13 @@ import (
 
 var (
 	magic       = []byte("SKVT") // file header
-	footerMagic = []byte("SKV4") // footer terminator
+	footerMagic = []byte("SKV5") // footer terminator
 )
+
+// bloomBitsPerPartition is the filter's floor per expected partition.
+// The word count rounds up to a power of two, so a table gets 12 to 24
+// bits per partition: at most about 1.1 % false positives.
+const bloomBitsPerPartition = 12
 
 // footerSize: blockIdxOff, partDirOff, bloomOff, entryCount, partCount,
 // maxSeq, metaCRC, bloomCRC, footerCRC, terminator.
@@ -65,10 +72,11 @@ const flagTombstone = byte(1)
 var ErrCorrupt = errors.New("sstable: corrupt file")
 
 // ErrUnsupportedFormat reports an intact table of a generation earlier
-// engines wrote — the flat layouts (footer terminator "SKVT" or "SKV2")
-// or the block-based layout without type histograms ("SKV3") — which
-// this package does not read.
-var ErrUnsupportedFormat = errors.New(`sstable: table written by an older engine (flat v1/v2 or block-based v3 layout); see "Migrating older data" in docs/sstable-format.md`)
+// engines wrote — the flat layouts (footer terminator "SKVT" or "SKV2"),
+// the block-based layout without type histograms ("SKV3") or the one
+// with the classic bloom filter ("SKV4") — which this package does not
+// read.
+var ErrUnsupportedFormat = errors.New(`sstable: table written by an older engine (flat v1/v2 or block-based v3/v4 layout); see "Migrating older data" in docs/sstable-format.md`)
 
 // ErrNotFound reports a partition absent from the table.
 var ErrNotFound = errors.New("sstable: partition not found")
@@ -121,10 +129,9 @@ type WriterOptions struct {
 	// scan from its start. Zero and positive values behave alike;
 	// BlockSize sets the actual seek granularity.
 	ColumnIndexSize int
-	// ExpectedPartitions sizes the bloom filter; 0 means 1024.
+	// ExpectedPartitions sizes the bloom filter, at bloomBitsPerPartition
+	// bits each; 0 means 1024.
 	ExpectedPartitions int
-	// BloomFPRate is the target false positive rate; 0 means 1%.
-	BloomFPRate float64
 	// BlockSize is the data-block target size in bytes; 0 means
 	// DefaultBlockSize.
 	BlockSize int
@@ -140,9 +147,6 @@ func NewWriter(path string, opts WriterOptions) (*Writer, error) {
 	if opts.ExpectedPartitions <= 0 {
 		opts.ExpectedPartitions = 1024
 	}
-	if opts.BloomFPRate <= 0 {
-		opts.BloomFPRate = 0.01
-	}
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = DefaultBlockSize
 	}
@@ -153,7 +157,7 @@ func NewWriter(path string, opts WriterOptions) (*Writer, error) {
 	w := &Writer{
 		f:           f,
 		w:           &countingWriter{w: f},
-		filter:      bloom.NewWithRate(opts.ExpectedPartitions, opts.BloomFPRate),
+		filter:      bloom.New(bloomBitsPerPartition * opts.ExpectedPartitions),
 		blockSize:   opts.BlockSize,
 		noSplit:     opts.ColumnIndexSize < 0,
 		compression: opts.Compression,

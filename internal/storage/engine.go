@@ -113,11 +113,6 @@ type Options struct {
 	// every shard's tables. 0 means 64MB; negative disables the cache
 	// (every block read then hits the OS page cache and decompresses).
 	BlockCacheBytes int64
-	// Compression selects the SSTable block codec for tables written by
-	// flush and compaction. The zero value compresses (LZ with a
-	// per-block compressibility probe); sstable.NoCompression is the
-	// escape hatch for incompressible values.
-	Compression sstable.Compression
 	// DisableWAL turns off the commit log; used by bulk loads and
 	// benchmarks where durability is irrelevant.
 	DisableWAL bool

@@ -962,7 +962,6 @@ func (s *shard) createTable(seq, partitions int) (*sstable.Writer, error) {
 	return sstable.NewWriter(s.sstPath(seq)+".tmp", sstable.WriterOptions{
 		ColumnIndexSize:    s.eng.opts.ColumnIndexSize,
 		ExpectedPartitions: partitions,
-		Compression:        s.eng.opts.Compression,
 	})
 }
 

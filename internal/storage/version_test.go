@@ -291,16 +291,17 @@ func flatTable(term string) []byte {
 	return append(b, term...)
 }
 
-// blockTableV3 is a block-based table as the generation before type
-// histograms ended it ("SKV3"): a golden table with its terminator
-// swapped, which the footer CRC does not cover.
-func blockTableV3(t *testing.T) []byte {
+// blockTable is a block-based table as an earlier generation ended it —
+// "SKV3" before type histograms, "SKV4" before the blocked bloom filter:
+// a golden table with its terminator swapped, which the footer CRC does
+// not cover.
+func blockTable(t *testing.T, term string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join(goldenDir, "l0-first.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(b[:len(b)-4:len(b)-4], "SKV3"...)
+	return append(b[:len(b)-4:len(b)-4], term...)
 }
 
 // TestOpenRejectsOtherGenerations: a directory (or table) written by an
@@ -318,11 +319,13 @@ func TestOpenRejectsOtherGenerations(t *testing.T) {
 			sstable.ErrUnsupportedFormat, table},
 		{"v2 table", map[string]string{"SHARDS": "1 v4\n", "manifest-s00": manifest, table: string(flatTable("SKV2"))},
 			sstable.ErrUnsupportedFormat, table},
-		{"v3 table", map[string]string{"SHARDS": "1 v4\n", "manifest-s00": manifest, table: string(blockTableV3(t))},
+		{"v3 table", map[string]string{"SHARDS": "1 v4\n", "manifest-s00": manifest, table: string(blockTable(t, "SKV3"))},
+			sstable.ErrUnsupportedFormat, table},
+		{"v4 table", map[string]string{"SHARDS": "1 v4\n", "manifest-s00": manifest, table: string(blockTable(t, "SKV4"))},
 			sstable.ErrUnsupportedFormat, table},
 		{"v2 SHARDS", map[string]string{"SHARDS": "1 v2\n", table: string(flatTable("SKV2"))},
 			nil, `written with format "v2"; this engine supports "v4"`},
-		{"v3 SHARDS", map[string]string{"SHARDS": "1 v3\n", table: string(blockTableV3(t))},
+		{"v3 SHARDS", map[string]string{"SHARDS": "1 v3\n", table: string(blockTable(t, "SKV3"))},
 			nil, `written with format "v3"; this engine supports "v4"`},
 		{"format-less SHARDS", map[string]string{"SHARDS": "1\n", table: string(flatTable("SKVT"))},
 			nil, `written with format ""; this engine supports "v4"`},
