@@ -1,7 +1,7 @@
 # Targets mirror the CI jobs (.github/workflows/ci.yml); `make build
 # test` is the tier-1 verify.
 
-.PHONY: build test bench fuzz-smoke deploy-smoke lint
+.PHONY: build test test-race test-allocs test-matrix bench fuzz-smoke deploy-smoke lint fmt-check vet
 
 # bench/ (the BENCHMARK.json yardstick) is its own Go module importing
 # internal/..., so the root ./... never compiles it: build, vet and run
@@ -11,23 +11,31 @@ build:
 	go build ./...
 	cd bench && go build ./... && go vet ./...
 
-# One full pass under the race detector, then the packages whose bugs
-# depend on how many cores interleave them, repeated at one, two and
-# eight Ps: the framed-RPC path and the join state machine five times,
-# the storage engine (one background runner per shard swapping tables
-# under lock-free readers and writers) twice. The allocation pins of the
-# read path, the flush and compaction merges, memtable Partitions and
-# the codec and the bloom filter's Add and MayContain skip themselves
-# under -race (it changes what allocates), so they get a plain run of
-# their own.
-test:
+# One full pass under the race detector (and bench/'s toy test), the
+# allocation pins, then the packages whose bugs depend on how many cores
+# interleave them. Each CI test step runs one of the three targets.
+test: test-race test-allocs test-matrix
+
+test-race:
 	go test -race -shuffle=on ./...
-	go test -run 'ZeroAlloc|Allocs' ./internal/bloom ./internal/memtable ./internal/storage ./internal/sstable ./internal/wire
+	cd bench && go test ./...
+
+# The allocation pins of the client's routed operations, the read path,
+# the single-cell engine write, the flush and compaction merges,
+# memtable Partitions and the codec and the bloom filter's Add and
+# MayContain skip themselves under -race (it changes what allocates),
+# so they get a plain run of their own.
+test-allocs:
+	go test -run 'ZeroAlloc|Allocs' ./internal/bloom ./internal/cluster ./internal/memtable ./internal/storage ./internal/sstable ./internal/wire
+
+# Repeated at one, two and eight Ps: the framed-RPC path and the join
+# state machine five times, the storage engine (one background runner
+# per shard swapping tables under lock-free readers and writers) twice.
+test-matrix:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p go test -race -shuffle=on -count=5 ./internal/transport ./internal/cluster || exit 1; \
 		GOMAXPROCS=$$p go test -race -shuffle=on -count=2 ./internal/storage || exit 1; \
 	done
-	cd bench && go test ./...
 
 # One iteration of every Go benchmark so none bit-rots, then the
 # yardstick the way the pipeline runs it: all five BENCHMARK.json
@@ -86,7 +94,11 @@ fuzz-smoke:
 	go test -run=NONE -fuzz=FuzzFrameStream -fuzztime=10s ./internal/transport/
 	go test -run=NONE -fuzz=FuzzFastCodec -fuzztime=10s ./internal/wire/
 
-lint:
+lint: fmt-check vet
+
+fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+vet:
 	go vet ./...

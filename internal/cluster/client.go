@@ -75,8 +75,10 @@ type Client struct {
 	// RepairedReads counts best-effort read-repair writes issued after
 	// failover reads (observability; see ClientOptions.ReadRepair).
 	RepairedReads atomic.Int64
-	// Failovers counts routed reads (Get, Scan, Count) a non-primary
-	// replica served because an earlier replica was unreachable.
+	// Failovers counts routed reads (Get, Scan, Count, and the Gets a
+	// MultiGet falls back to for a node that cannot answer) a
+	// non-primary replica served because an earlier replica was
+	// unreachable.
 	// cmd/kvload prints the per-step delta: a non-zero count means the
 	// sweep ran against a degraded cluster.
 	Failovers atomic.Int64
@@ -290,11 +292,13 @@ func (c *Client) adopt(topo *hashring.Topology, addrs map[hashring.NodeID]string
 
 // --- Writes -----------------------------------------------------------------
 
-// routedWrite is routedRead's twin for writes: send makes one attempt
-// at the whole write, routed by the given ring. On a wrong-epoch
-// rejection or an unreachable replica the client refreshes its ring and
-// sends the whole write again (idempotent: last write wins).
-func (c *Client) routedWrite(send func(t *hashring.Topology) error) error {
+// routed is the client's one retry loop, behind every routed read and
+// write: send makes one attempt at the whole request, routed by the
+// given ring. On a retryable error — a wrong-epoch rejection, or no
+// replica answering — the client refreshes its ring and sends the whole
+// request again (reads are idempotent, and writes are too: last write
+// wins).
+func (c *Client) routed(send func(t *hashring.Topology) error) error {
 	var err error
 	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
 		if err = send(c.topo()); err == nil || !isRetryable(err) {
@@ -310,9 +314,9 @@ func (c *Client) routedWrite(send func(t *hashring.Topology) error) error {
 // Put writes one cell to every replica of its partition. The replica
 // RPCs are issued concurrently over the pipelined transport, so a
 // replication factor above one costs one network round trip, not rf.
-// Epoch changes and unreachable replicas re-route (see routedWrite).
+// Epoch changes and unreachable replicas re-route (see routed).
 func (c *Client) Put(pk string, ck, value []byte) error {
-	return c.routedWrite(func(t *hashring.Topology) error {
+	return c.routed(func(t *hashring.Topology) error {
 		return c.fanOutWrite(t.Replicas(pk, c.rf), &wire.PutRequest{PK: pk, CK: ck, Value: value, Epoch: t.Epoch()})
 	})
 }
@@ -324,7 +328,7 @@ func (c *Client) Put(pk string, ck, value []byte) error {
 // the delete converges to the same winner on every replica even while
 // the range is moving.
 func (c *Client) Delete(pk string, ck []byte) error {
-	return c.routedWrite(func(t *hashring.Topology) error {
+	return c.routed(func(t *hashring.Topology) error {
 		return c.fanOutWrite(t.Replicas(pk, c.rf), &wire.DeleteRequest{PK: pk, CK: ck, Epoch: t.Epoch()})
 	})
 }
@@ -338,7 +342,7 @@ func (c *Client) PutBatch(entries []row.Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	return c.routedWrite(func(t *hashring.Topology) error {
+	return c.routed(func(t *hashring.Topology) error {
 		perNode := make(map[hashring.NodeID][]row.Entry)
 		for _, e := range entries {
 			for _, node := range t.Replicas(e.PK, c.rf) {
@@ -362,7 +366,7 @@ func (c *Client) fanOutWrite(nodes []hashring.NodeID, req wire.Message) error {
 	}
 	w := acks{chans: make([]<-chan []byte, 0, len(nodes))}
 	for _, node := range nodes {
-		w.add(c.goWrite(node, payload))
+		w.add(c.goCall(node, payload))
 	}
 	return w.wait(c)
 }
@@ -394,9 +398,9 @@ func (w *acks) wait(c *Client) error {
 	return w.err
 }
 
-// goWrite launches one pre-marshalled write at a node. Errors are
+// goCall launches one pre-marshalled request at a node. Errors are
 // transport-class and marked retryable.
-func (c *Client) goWrite(node hashring.NodeID, payload []byte) (<-chan []byte, error) {
+func (c *Client) goCall(node hashring.NodeID, payload []byte) (<-chan []byte, error) {
 	conn, err := c.conn(node)
 	if err != nil {
 		return nil, retryable(err)
@@ -415,18 +419,24 @@ func (c *Client) goBatch(node hashring.NodeID, batch []row.Entry, epoch uint64) 
 	if err != nil {
 		return nil, err
 	}
-	return c.goWrite(node, payload)
+	return c.goCall(node, payload)
+}
+
+// reap waits for one launched request and decodes its reply as an R (see
+// decode). A connection that closed under the request is retryable.
+func reap[R wire.Reply](ch <-chan []byte) (R, error) {
+	raw, ok := <-ch
+	if !ok {
+		var zero R
+		return zero, retryable(fmt.Errorf("cluster: request failed: %w", transport.ErrClosed))
+	}
+	return decode[R](raw)
 }
 
 // reapPut waits for one in-flight write (single put, batch or delete)
-// and converts its reply into an error (see decode). A connection that
-// closed under the write is retryable.
+// and returns its error (see reap).
 func (c *Client) reapPut(ch <-chan []byte) error {
-	raw, ok := <-ch
-	if !ok {
-		return retryable(fmt.Errorf("cluster: write failed: %w", transport.ErrClosed))
-	}
-	_, err := decode[wire.Reply](raw)
+	_, err := reap[wire.Reply](ch)
 	return err
 }
 
@@ -442,50 +452,43 @@ type readServed struct {
 	replicas []hashring.NodeID
 }
 
-// routedRead is the shared failover/refresh loop behind Get, Scan and
-// Count: marshal the request for the current epoch, walk the
-// partition's replicas on transport errors (a dead primary degrades a
-// read instead of killing it — requires rf > 1 to have somewhere to
-// go), and on a wrong-epoch rejection refresh the ring and re-route.
-// build must stamp the given epoch into the request. Sharing the loop
-// keeps the three read paths from diverging on retry or epoch policy.
+// routedRead is one attempt of routed behind Get, Scan and Count:
+// marshal the request for the ring's epoch and walk the partition's
+// replicas on transport errors (a dead primary degrades a read instead
+// of killing it — requires rf > 1 to have somewhere to go). A
+// wrong-epoch rejection, or no replica answering, is retryable: routed
+// refreshes the ring and re-routes. build must stamp the given epoch
+// into the request.
 func routedRead[R wire.Reply](c *Client, pk string, build func(epoch uint64) wire.Message) (R, readServed, error) {
-	var zero R
-	var lastErr error
-	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
-		t := c.topo()
+	var resp R
+	var served readServed
+	err := c.routed(func(t *hashring.Topology) error {
 		payload, err := codec.Marshal(build(t.Epoch()))
 		if err != nil {
-			return zero, readServed{}, err
+			return err
 		}
 		replicas := t.Replicas(pk, c.rf)
 		for i, node := range replicas {
-			raw, err := c.callRaw(node, payload)
-			if err != nil {
-				lastErr = retryable(err)
+			raw, callErr := c.callRaw(node, payload)
+			if callErr != nil {
+				err = callErr
 				continue // unreachable replica: try the next one
 			}
-			tr, err := decode[R](raw)
-			if isRetryable(err) {
-				lastErr = err
-				break // stale ring: refresh, then re-route
-			}
-			if err != nil {
-				return zero, readServed{}, err
+			if resp, err = decode[R](raw); err != nil {
+				return err
 			}
 			if i > 0 {
 				c.Failovers.Add(1)
 			}
-			return tr, readServed{node: node, idx: i, replicas: replicas}, nil
+			served = readServed{node: node, idx: i, replicas: replicas}
+			return nil
 		}
-		if err := c.refreshRing(); err != nil {
-			break
+		if err == nil {
+			err = fmt.Errorf("cluster: read %q: no replicas", pk)
 		}
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cluster: read %q: no replicas", pk)
-	}
-	return zero, readServed{}, lastErr
+		return retryable(err)
+	})
+	return resp, served, err
 }
 
 // Get reads one cell, starting at the partition's primary replica and
@@ -559,120 +562,69 @@ func (c *Client) repairAsync(served readServed, ent row.Entry) {
 	}()
 }
 
-// MultiGet reads many cells, one MultiGetRequest per involved node, all
-// in flight at once. Results are positional: out[i] answers keys[i].
-// Keys on an unreachable node are retried against their next replica;
-// a wrong-epoch rejection refreshes the ring and re-routes the
-// remaining keys. Values are views into one response frame per node,
-// and like Get's they are the caller's.
+// MultiGet reads many cells, one MultiGetRequest per primary, all in
+// flight at once. Results are positional: out[i] answers keys[i]. A
+// group whose node cannot answer — unreachable, its connection closed
+// under the request, or on another epoch — is read key by key with Get,
+// which fails over across replicas and re-routes. Values are views into
+// the response frames, and like Get's they are the caller's.
 func (c *Client) MultiGet(keys []wire.GetKey) ([]wire.MultiGetValue, error) {
 	out := make([]wire.MultiGetValue, len(keys))
 	if len(keys) == 0 {
 		return out, nil
 	}
-	resolved := make([]bool, len(keys))
-	replicaTry := make([]int, len(keys)) // per-key failover offset
-	remaining := len(keys)
-	var lastErr error
-
-	for attempt := 0; attempt < maxRouteAttempts && remaining > 0; attempt++ {
-		t := c.topo()
-		perNode := make(map[hashring.NodeID][]int)
-		for i, k := range keys {
-			if resolved[i] {
-				continue
-			}
-			replicas := t.Replicas(k.PK, c.rf)
-			if len(replicas) == 0 {
-				return nil, fmt.Errorf("cluster: multi-get %q: empty ring", k.PK)
-			}
-			node := replicas[replicaTry[i]%len(replicas)]
-			perNode[node] = append(perNode[node], i)
+	t := c.topo()
+	perNode := make(map[hashring.NodeID][]int)
+	for i, k := range keys {
+		node := t.Primary(k.PK)
+		perNode[node] = append(perNode[node], i)
+	}
+	type group struct {
+		idx []int
+		ch  <-chan []byte
+		err error
+	}
+	groups := make([]group, 0, len(perNode))
+	for node, idx := range perNode {
+		sub := make([]wire.GetKey, len(idx))
+		for j, i := range idx {
+			sub[j] = keys[i]
 		}
-
-		type pendingGet struct {
-			node hashring.NodeID
-			idx  []int
-			ch   <-chan []byte
-			err  error
+		payload, err := codec.Marshal(&wire.MultiGetRequest{Keys: sub, Epoch: t.Epoch()})
+		if err != nil {
+			return nil, err
 		}
-		pending := make([]pendingGet, 0, len(perNode))
-		for node, idx := range perNode {
-			p := pendingGet{node: node, idx: idx}
-			sub := make([]wire.GetKey, len(idx))
-			for j, i := range idx {
-				sub[j] = keys[i]
-			}
-			conn, err := c.conn(node)
-			if err != nil {
-				p.err = err
-			} else {
-				payload, merr := codec.Marshal(&wire.MultiGetRequest{Keys: sub, Epoch: t.Epoch()})
-				if merr != nil {
-					return nil, merr
-				}
-				p.ch, err = conn.Go(payload)
+		g := group{idx: idx}
+		g.ch, g.err = c.goCall(node, payload)
+		groups = append(groups, g)
+	}
+	for _, g := range groups {
+		var mr *wire.MultiGetResponse
+		err := g.err
+		if err == nil {
+			mr, err = reap[*wire.MultiGetResponse](g.ch)
+		}
+		if isRetryable(err) {
+			for _, i := range g.idx {
+				value, found, err := c.Get(keys[i].PK, keys[i].CK)
 				if err != nil {
-					c.dropConn(node, conn)
-					p.err = err
+					return nil, err
 				}
+				out[i] = wire.MultiGetValue{Value: value, Found: found}
 			}
-			pending = append(pending, p)
+			continue
 		}
-
-		needRefresh := false
-		for _, p := range pending {
-			failNode := func(err error) {
-				lastErr = retryable(err)
-				for _, i := range p.idx {
-					replicaTry[i]++ // fail over to the next replica
-				}
-			}
-			if p.err != nil {
-				failNode(p.err)
-				continue
-			}
-			raw, ok := <-p.ch
-			if !ok {
-				failNode(fmt.Errorf("cluster: multi-get failed: %w", transport.ErrClosed))
-				continue
-			}
-			mr, err := decode[*wire.MultiGetResponse](raw)
-			if isRetryable(err) {
-				lastErr = err
-				needRefresh = true
-				continue // keys stay unresolved; re-routed next attempt
-			}
-			if err != nil {
-				return nil, err
-			}
-			if len(mr.Values) != len(p.idx) {
-				return nil, fmt.Errorf("cluster: multi-get returned %d values for %d keys", len(mr.Values), len(p.idx))
-			}
-			for j, i := range p.idx {
-				out[i] = mr.Values[j]
-				if !resolved[i] {
-					resolved[i] = true
-					remaining--
-				}
-			}
+		if err != nil {
+			return nil, err
 		}
-		if remaining == 0 {
-			return out, nil
+		if len(mr.Values) != len(g.idx) {
+			return nil, fmt.Errorf("cluster: multi-get returned %d values for %d keys", len(mr.Values), len(g.idx))
 		}
-		if needRefresh || lastErr != nil {
-			if err := c.refreshRing(); err != nil && needRefresh {
-				return nil, lastErr
-			}
+		for j, i := range g.idx {
+			out[i] = mr.Values[j]
 		}
 	}
-	if remaining == 0 {
-		return out, nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("cluster: multi-get incomplete")
-	}
-	return nil, lastErr
+	return out, nil
 }
 
 // Scan reads a clustering range of a partition, failing over across

@@ -333,7 +333,6 @@ func (c *Cluster) AddNode() (*Node, *RebalanceReport, error) {
 	node, err := StartNode(l, NodeOptions{
 		ID:                id,
 		Dir:               filepath.Join(c.baseDir, fmt.Sprintf("node-%d", id)),
-		DBParallelism:     c.opts.DBParallelism,
 		Storage:           c.opts.Storage,
 		Topology:          old,
 		Addrs:             c.addrs,

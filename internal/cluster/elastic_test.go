@@ -402,7 +402,7 @@ func TestStaleClientRecoversViaWrongEpoch(t *testing.T) {
 	// Count is epoch-protected too: a second stale client whose first
 	// operation is a Count must see the real cell count, not a silent
 	// zero from a node that retired the partition.
-	stale2 := NewClient(hashring.New(2, c.opts.Vnodes), nil, ClientOptions{
+	stale2 := NewClient(hashring.New(2, localVnodes), nil, ClientOptions{
 		ReplicationFactor: c.opts.ReplicationFactor,
 		Dialer:            c.dial,
 		Addrs:             c.addrs,
@@ -418,6 +418,45 @@ func TestStaleClientRecoversViaWrongEpoch(t *testing.T) {
 	}
 	if v, found, err := c.Client().Get("post-join", []byte("ck")); err != nil || !found || string(v) != "v" {
 		t.Fatalf("stale client's post-join write lost: %v %v", err, found)
+	}
+}
+
+// TestMultiGetAcrossEpochFlip: a client that slept through a join sends
+// its MultiGet groups at the old epoch, every old member rejects them,
+// and each rejected group is read key by key through Get, which
+// refreshes the ring and re-routes.
+func TestMultiGetAcrossEpochFlip(t *testing.T) {
+	c := startTest(t, LocalOptions{Nodes: 2, Storage: storage.Options{DisableWAL: true}})
+	const n = 200
+	keys := make([]wire.GetKey, n)
+	for i := range keys {
+		keys[i] = wire.GetKey{PK: fmt.Sprintf("cell-%06d", i), CK: []byte("ck")}
+		if err := c.Client().Put(keys[i].PK, keys[i].CK, []byte(keys[i].PK)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := NewClient(c.Topology(), nil, ClientOptions{
+		ReplicationFactor: c.opts.ReplicationFactor,
+		Dialer:            c.dial,
+		Addrs:             c.addrs,
+	})
+	defer stale.Close()
+	staleEpoch := stale.topo().Epoch()
+
+	if _, _, err := c.AddNode(); err != nil {
+		t.Fatal(err)
+	}
+	values, err := stale.MultiGet(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range values {
+		if !v.Found || string(v.Value) != keys[i].PK {
+			t.Fatalf("key %s: found=%v value=%q", keys[i].PK, v.Found, v.Value)
+		}
+	}
+	if got := stale.topo().Epoch(); got == staleEpoch || got != c.Topology().Epoch() {
+		t.Fatalf("stale client at epoch %d after MultiGet, started at %d, cluster at %d", got, staleEpoch, c.Topology().Epoch())
 	}
 }
 

@@ -5,24 +5,24 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"scalekv/internal/hashring"
 	"scalekv/internal/storage"
 	"scalekv/internal/transport"
 )
 
-// LocalOptions configures an in-process cluster.
+// localVnodes is the virtual-node count per member of an in-process ring.
+const localVnodes = 64
+
+// LocalOptions configures an in-process cluster. Its nodes run with
+// NodeOptions' defaults otherwise: 16 concurrent database requests each,
+// and neither peer probing nor self-scheduled repair.
 type LocalOptions struct {
 	// Nodes is the cluster size.
 	Nodes int
-	// Vnodes per node on the ring; 0 means 64.
-	Vnodes int
 	// BaseDir holds per-node storage directories; empty means a temp
 	// directory that the caller removes via Cluster.Close.
 	BaseDir string
-	// DBParallelism per node (the paper's concurrent-request limit).
-	DBParallelism int
 	// ReplicationFactor for writes.
 	ReplicationFactor int
 	// Storage tunes every node's engine.
@@ -30,13 +30,6 @@ type LocalOptions struct {
 	// ReadRepair enables the client's failover read-repair (see
 	// ClientOptions.ReadRepair).
 	ReadRepair bool
-	// ProbeInterval enables per-node peer liveness probing (see
-	// NodeOptions.ProbeInterval). 0 keeps it off — in-process tests
-	// rarely want background ping traffic.
-	ProbeInterval time.Duration
-	// RepairInterval enables per-node self-scheduled anti-entropy (see
-	// NodeOptions.RepairInterval). 0 keeps it off.
-	RepairInterval time.Duration
 }
 
 // Cluster is a set of in-process nodes plus a connected client —
@@ -119,9 +112,6 @@ func StartTCP(opts LocalOptions) (*Cluster, error) {
 // start is the shared bring-up: topology, per-node listeners and
 // engines, and a ring-routed client with lazy dialing.
 func start(opts LocalOptions, listen func(hashring.NodeID) (transport.Listener, string, error), dial Dialer, network *transport.Network) (*Cluster, error) {
-	if opts.Vnodes <= 0 {
-		opts.Vnodes = 64
-	}
 	ownsDir := false
 	if opts.BaseDir == "" {
 		dir, err := os.MkdirTemp("", "scalekv-cluster-")
@@ -133,7 +123,7 @@ func start(opts LocalOptions, listen func(hashring.NodeID) (transport.Listener, 
 	}
 
 	c := &Cluster{
-		Ring:    hashring.New(opts.Nodes, opts.Vnodes),
+		Ring:    hashring.New(opts.Nodes, localVnodes),
 		network: network,
 		baseDir: opts.BaseDir,
 		ownsDir: ownsDir,
@@ -162,15 +152,12 @@ func start(opts LocalOptions, listen func(hashring.NodeID) (transport.Listener, 
 		node, err := StartNode(listeners[i], NodeOptions{
 			ID:                id,
 			Dir:               filepath.Join(opts.BaseDir, fmt.Sprintf("node-%d", i)),
-			DBParallelism:     opts.DBParallelism,
 			Storage:           opts.Storage,
 			Topology:          c.Ring,
 			Addrs:             addrs,
 			ReplicationFactor: opts.ReplicationFactor,
 			Dialer:            dial,
 			AdvertiseAddr:     addrs[id],
-			ProbeInterval:     opts.ProbeInterval,
-			RepairInterval:    opts.RepairInterval,
 		})
 		if err != nil {
 			listeners[i].Close()

@@ -73,20 +73,18 @@ func (b Box) Volume() float64 {
 type Tree struct {
 	store    Store
 	maxLevel int
-	// Fanout of reads during queries.
-	readParallelism int
-	mu              sync.Mutex
-	count           int64 // elements indexed
+	mu       sync.Mutex
+	count    int64 // elements indexed
 }
+
+// readParallelism bounds concurrent cube reads in a query.
+const readParallelism = 16
 
 // Options configures a tree.
 type Options struct {
 	// MaxLevel is the deepest cube level; elements are replicated into
 	// levels 0..MaxLevel (MaxLevel+1 copies). 0 means 4.
 	MaxLevel int
-	// ReadParallelism bounds concurrent cube reads in queries; 0 means
-	// 16.
-	ReadParallelism int
 }
 
 // New binds a tree to a store.
@@ -94,10 +92,7 @@ func New(store Store, opts Options) *Tree {
 	if opts.MaxLevel <= 0 {
 		opts.MaxLevel = 4
 	}
-	if opts.ReadParallelism <= 0 {
-		opts.ReadParallelism = 16
-	}
-	return &Tree{store: store, maxLevel: opts.MaxLevel, readParallelism: opts.ReadParallelism}
+	return &Tree{store: store, maxLevel: opts.MaxLevel}
 }
 
 // MaxLevel returns the deepest level.
@@ -263,7 +258,7 @@ type QueryResult struct {
 
 // Query reads every intersecting cube at the given level, filters by
 // the box, and returns the matching points. Cube reads fan out across
-// ReadParallelism goroutines.
+// readParallelism goroutines.
 func (t *Tree) Query(b Box, level int) (*QueryResult, error) {
 	if level < 0 || level > t.maxLevel {
 		return nil, fmt.Errorf("d8tree: level %d outside [0,%d]", level, t.maxLevel)
@@ -273,7 +268,7 @@ func (t *Tree) Query(b Box, level int) (*QueryResult, error) {
 
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, t.readParallelism)
+	sem := make(chan struct{}, readParallelism)
 	var firstErr error
 	for _, cube := range cubes {
 		cube := cube

@@ -417,7 +417,7 @@ func (e *Engine) advanceSeq(seq uint64) {
 // waited on.
 func (e *Engine) Put(pk string, ck, value []byte) error {
 	e.Metrics.Puts.Add(1)
-	return e.write(pk, ck, value, e.stamp(), false)
+	return e.shardFor(pk).putBatch([]row.Entry{{PK: pk, CK: ck, Value: value, Ver: e.stamp()}})
 }
 
 // Delete removes (pk, ck) by writing a tombstone: a versioned cell that
@@ -428,43 +428,7 @@ func (e *Engine) Put(pk string, ck, value []byte) error {
 // reopen, and replicates like a put.
 func (e *Engine) Delete(pk string, ck []byte) error {
 	e.Metrics.Deletes.Add(1)
-	return e.write(pk, ck, nil, e.stamp(), true)
-}
-
-// write is the shared single-cell write path behind Put and Delete.
-func (e *Engine) write(pk string, ck, value []byte, ver row.Version, tombstone bool) error {
-	s := e.shardFor(pk)
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return errClosed
-	}
-	if err := s.checkBacklogLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if err := s.ensureWALLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if s.wal != nil {
-		if err := s.wal.append(pk, ck, value, ver, tombstone); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		if e.opts.Sync == SyncAlways {
-			if err := s.wal.sync(); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-		}
-	}
-	if s.mem.Put(pk, ck, value, ver, tombstone) {
-		s.partGen.Add(1) // new cell address: the partition set may have grown
-	}
-	s.freezeIfFullLocked()
-	s.mu.Unlock()
-	return nil
+	return e.shardFor(pk).putBatch([]row.Entry{{PK: pk, CK: ck, Ver: e.stamp(), Tombstone: true}})
 }
 
 // maxFrozenBacklog bounds the frozen-memtable queue when the flusher is

@@ -613,3 +613,30 @@ func BenchmarkAggregatePartition(b *testing.B) {
 		}
 	}
 }
+
+// TestEnginePutAllocs pins the single-cell write at three allocations,
+// WAL included, for Put and Delete alike: both apply a one-entry batch
+// through the shard's one write path, and the entry must not cost a
+// heap slice. The keys are on the heap, as every real caller's are.
+func TestEnginePutAllocs(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	e := openTest(t, Options{Shards: 4})
+	pk, ckey, value := "alloc-pk", ck(1), []byte("value")
+	for name, write := range map[string]func() error{
+		"Put":    func() error { return e.Put(pk, ckey, value) },
+		"Delete": func() error { return e.Delete(pk, ckey) },
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(500, func() {
+			if werr := write(); werr != nil {
+				err = werr
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if allocs > 3 {
+			t.Errorf("%s allocates %.0f times per call, want <= 3", name, allocs)
+		}
+	}
+}

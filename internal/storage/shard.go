@@ -351,9 +351,9 @@ func (s *shard) ensureWALLocked() error {
 	return nil
 }
 
-// putBatch is the per-shard half of Engine.PutBatch: one lock
-// acquisition and one WAL write for the whole slice. Entries arrive
-// already stamped with their versions.
+// putBatch is a shard's one write path, behind Engine.Put, Delete and
+// PutBatch: one lock acquisition and one WAL write for the whole slice.
+// Entries arrive already stamped with their versions.
 func (s *shard) putBatch(entries []row.Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

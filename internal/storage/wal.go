@@ -40,18 +40,11 @@ func openWAL(path string) (*wal, error) {
 	return &wal{f: f, path: path}, nil
 }
 
-func (w *wal) append(pk string, ck, value []byte, ver row.Version, tombstone bool) error {
-	w.buf = w.buf[:0]
-	w.buf = appendRecordV2(w.buf, pk, ck, value, ver, tombstone)
-	_, err := w.f.Write(w.buf)
-	return err
-}
-
 // appendBatch writes one record per entry through a single buffered
-// write — the group-commit half of Engine.PutBatch. Each record keeps
-// its own header and CRC, so replay needs no batch framing and a torn
-// tail still truncates at a record boundary. Entries must already be
-// stamped with their versions.
+// write — the WAL half of shard.putBatch, every write's path. Each
+// record keeps its own header and CRC, so replay needs no batch framing
+// and a torn tail still truncates at a record boundary. Entries must
+// already be stamped with their versions.
 func (w *wal) appendBatch(entries []row.Entry) error {
 	w.buf = w.buf[:0]
 	for _, e := range entries {

@@ -87,7 +87,12 @@ type RepairReport = cluster.RepairReport
 // fan-out (CountAll).
 type Client = cluster.Client
 
-// ClusterOptions configures StartCluster beyond the node count.
+// ClusterOptions configures StartClusterWith: the node count, the
+// replication factor, each node's storage engine, the base directory and
+// the client's read repair. The rest is fixed for an in-process cluster:
+// 64 virtual nodes per member, 16 concurrent database requests per node,
+// and no peer probing or self-scheduled repair (a `kvstore serve`
+// process sets those by flag).
 type ClusterOptions = cluster.LocalOptions
 
 // MasterOptions tunes fan-out queries (verbose master, log sink).
