@@ -1,7 +1,7 @@
 # Targets mirror the CI jobs (.github/workflows/ci.yml); `make build
 # test` is the tier-1 verify.
 
-.PHONY: build test test-race test-allocs test-matrix bench fuzz-smoke deploy-smoke lint fmt-check vet
+.PHONY: build test test-race test-allocs test-matrix bench examples fuzz-smoke deploy-smoke lint fmt-check vet
 
 # bench/ (the BENCHMARK.json yardstick) is its own Go module importing
 # internal/..., so the root ./... never compiles it: build, vet and run
@@ -46,6 +46,22 @@ test-matrix:
 bench:
 	go test -run=NONE -bench=. -benchtime=1x ./...
 	bash bench/run.sh
+
+# The five example smokes, each non-zero on a violation: deploy
+# (wire-level membership in one process over the peer connection pool:
+# bootstrap, joins through a seed, probed peer health with failover
+# reads, a restart from the persisted topology file), elastic (a node
+# joins under live traffic with zero failed operations), quickstart
+# (the public surface end to end, Client.Delete staying deleted across
+# a forced flush), and the two model-only examples, capacity and
+# phonebook, which start no cluster: their smoke is that they build and
+# run to the end.
+examples:
+	go run ./examples/deploy
+	go run ./examples/elastic
+	go run ./examples/quickstart
+	go run ./examples/capacity
+	go run ./examples/phonebook
 
 # Multi-process deployment smoke: three kvstore processes form a ring
 # over TCP (bootstrap + two wire-level joins), kvload drives a mixed

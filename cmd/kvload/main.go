@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"scalekv/internal/cluster"
-	"scalekv/internal/transport"
 	"scalekv/internal/workload"
 )
 
@@ -81,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seeds[i] = strings.TrimSpace(seeds[i])
 	}
 	cli, err := cluster.Connect(seeds, cluster.ClientOptions{
-		Dialer: tcpDial,
+		Dialer: cluster.DialTCP,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "kvload:", err)
@@ -123,14 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-func tcpDial(addr string) (*transport.Client, error) {
-	conn, err := transport.DialTCP(addr, 0)
-	if err != nil {
-		return nil, err
-	}
-	return transport.NewClient(conn), nil
 }
 
 func parseClients(s string) ([]int, error) {

@@ -37,7 +37,7 @@ func bootRing(t *testing.T, n, rf int) string {
 			Topology:          ring,
 			Addrs:             addrs,
 			ReplicationFactor: rf,
-			Dialer:            tcpDial,
+			Dialer:            cluster.DialTCP,
 			AdvertiseAddr:     addrs[id],
 		})
 		if err != nil {

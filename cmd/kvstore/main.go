@@ -61,14 +61,6 @@ func main() {
 	client(os.Args[1:])
 }
 
-func tcpDial(addr string) (*transport.Client, error) {
-	conn, err := transport.DialTCP(addr, 0)
-	if err != nil {
-		return nil, err
-	}
-	return transport.NewClient(conn), nil
-}
-
 // advertiseAddr picks the address peers dial: the -advertise override,
 // or the listen address with a wildcard host rewritten to loopback
 // (":7070" is dialable by nobody; "127.0.0.1:7070" at least works for
@@ -116,7 +108,7 @@ func serve(args []string) {
 		Dir:               *dir,
 		DBParallelism:     *parallelism,
 		ReplicationFactor: *rf,
-		Dialer:            tcpDial,
+		Dialer:            cluster.DialTCP,
 		AdvertiseAddr:     adv,
 		ProbeInterval:     *probeInterval,
 		RepairInterval:    *repairInterval,
@@ -173,7 +165,7 @@ func serve(args []string) {
 // connection — status is a diagnostic, it should not disturb the
 // cluster's connection state.
 func callNode(addr string, req wire.Message) (wire.Message, error) {
-	conn, err := tcpDial(addr)
+	conn, err := cluster.DialTCP(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +266,7 @@ func client(args []string) {
 	// ordered, any one live address will do.
 	cli, err := cluster.Connect(seeds, cluster.ClientOptions{
 		ReplicationFactor: *rf,
-		Dialer:            tcpDial,
+		Dialer:            cluster.DialTCP,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kvstore:", err)

@@ -23,14 +23,6 @@ import (
 	"scalekv/internal/transport"
 )
 
-func dial(addr string) (*transport.Client, error) {
-	conn, err := transport.DialTCP(addr, 0)
-	if err != nil {
-		return nil, err
-	}
-	return transport.NewClient(conn), nil
-}
-
 func main() {
 	baseDir, err := os.MkdirTemp("", "scalekv-deploy-")
 	if err != nil {
@@ -42,7 +34,7 @@ func main() {
 		return cluster.NodeOptions{
 			ID:             -1, // joiners ask the ring for the next free id
 			Dir:            filepath.Join(baseDir, dir),
-			Dialer:         dial,
+			Dialer:         cluster.DialTCP,
 			ProbeInterval:  50 * time.Millisecond,
 			RepairInterval: time.Hour, // self-scheduled; kicked early on peer recovery
 		}
@@ -90,7 +82,7 @@ func main() {
 
 	// A client discovers the ring the same way: one seed, everything
 	// else (members, epoch, rf) learned over the wire.
-	cli, err := cluster.Connect([]string{addrs[1]}, cluster.ClientOptions{Dialer: dial})
+	cli, err := cluster.Connect([]string{addrs[1]}, cluster.ClientOptions{Dialer: cluster.DialTCP})
 	if err != nil {
 		log.Fatal(err)
 	}

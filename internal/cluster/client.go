@@ -55,20 +55,20 @@ type Dialer func(addr string) (*transport.Client, error)
 // The ring is mutable: every routed request carries the topology epoch
 // it was routed under, and a node that has moved to a different epoch
 // rejects it, making the client refresh its ring (RingStateRequest to
-// any reachable member) and re-route. New members are dialed lazily via
-// the Dialer; connections to departed members are closed on adoption.
+// any reachable member) and re-route. Members are dialed lazily, through
+// one connection pool keyed by address; connections to departed members
+// are dropped on adoption.
 // Point reads (Get, MultiGet, Scan, Count) fail over to the next
 // replica when a node is unreachable, so a dead primary degrades
 // instead of failing every read — provided data was written with a
 // replication factor above one.
 type Client struct {
 	rf         int
-	dialer     Dialer
 	readRepair bool
+	pool       *transport.Pool
 
 	mu      sync.Mutex
 	ring    *hashring.Topology
-	conns   map[hashring.NodeID]*transport.Client
 	addrs   map[hashring.NodeID]string
 	queryID uint64
 
@@ -99,11 +99,10 @@ type ClientOptions struct {
 	// ReplicationFactor is how many replicas each write lands on — and
 	// how many replicas a read may fail over across. 0 means 1.
 	ReplicationFactor int
-	// Dialer lets the client open connections to nodes it discovers
-	// through ring refreshes (and re-dial nodes whose connection died).
-	// Nil restricts the client to the initial conns map.
+	// Dialer opens the client's connections to members, on first use
+	// and again after a connection breaks. Required.
 	Dialer Dialer
-	// Addrs seeds the member address book used with Dialer.
+	// Addrs seeds the member address book; ring refreshes extend it.
 	Addrs map[hashring.NodeID]string
 	// ReadRepair makes a Get that failed over past one or more replicas
 	// (rf > 1) asynchronously re-put the cell it read — with its
@@ -124,28 +123,19 @@ type ClientOptions struct {
 // reads on the replicas.
 const defaultRepairConcurrency = 4
 
-// NewClient wraps per-node RPC clients with ring routing. The conns map
-// seeds the connection set; with a Dialer and address book the client
-// dials further members lazily.
-func NewClient(ring *hashring.Topology, conns map[hashring.NodeID]*transport.Client, opts ClientOptions) *Client {
+// NewClient routes by ring over connections it dials lazily from the
+// address book.
+func NewClient(ring *hashring.Topology, opts ClientOptions) *Client {
 	if opts.ReplicationFactor <= 0 {
 		opts.ReplicationFactor = 1
 	}
-	c := &Client{
+	return &Client{
 		rf:         opts.ReplicationFactor,
-		dialer:     opts.Dialer,
 		readRepair: opts.ReadRepair,
+		pool:       transport.NewPool(opts.Dialer),
 		ring:       ring,
-		conns:      make(map[hashring.NodeID]*transport.Client, len(conns)),
-		addrs:      make(map[hashring.NodeID]string, len(opts.Addrs)),
+		addrs:      copyAddrs(opts.Addrs),
 	}
-	for id, conn := range conns {
-		c.conns[id] = conn
-	}
-	for id, a := range opts.Addrs {
-		c.addrs[id] = a
-	}
-	return c
 }
 
 // Ring exposes the current routing topology (read-only use).
@@ -162,60 +152,35 @@ func (c *Client) topo() *hashring.Topology {
 	return c.ring
 }
 
-// conn returns the pipelined connection to a node, dialing lazily when
-// the client knows the node's address.
-func (c *Client) conn(node hashring.NodeID) (*transport.Client, error) {
+// conn returns the pooled connection to a node and the node's address,
+// dialing when the pool holds no live connection to it.
+func (c *Client) conn(node hashring.NodeID) (string, *transport.Client, error) {
 	c.mu.Lock()
-	if conn, ok := c.conns[node]; ok {
-		c.mu.Unlock()
-		return conn, nil
-	}
-	addr, haveAddr := c.addrs[node]
-	dialer := c.dialer
+	addr, ok := c.addrs[node]
 	c.mu.Unlock()
-	if !haveAddr || dialer == nil {
-		return nil, fmt.Errorf("cluster: no connection to node %d", node)
+	if !ok {
+		return "", nil, fmt.Errorf("cluster: no address for node %d", node)
 	}
-	conn, err := dialer(addr)
+	conn, err := c.pool.Conn(addr)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: dial node %d: %w", node, err)
+		return "", nil, fmt.Errorf("cluster: dial node %d: %w", node, err)
 	}
-	c.mu.Lock()
-	if existing, ok := c.conns[node]; ok {
-		// Lost the dial race; keep the established winner.
-		c.mu.Unlock()
-		conn.Close()
-		return existing, nil
-	}
-	c.conns[node] = conn
-	c.mu.Unlock()
-	return conn, nil
+	return addr, conn, nil
 }
 
-// dropConn forgets a connection observed failing, so the next use
-// re-dials (the node may have restarted, or is gone from the ring).
-func (c *Client) dropConn(node hashring.NodeID, conn *transport.Client) {
-	c.mu.Lock()
-	if c.conns[node] == conn {
-		delete(c.conns, node)
-	}
-	c.mu.Unlock()
-	conn.Close()
-}
-
-// callRaw sends one framed request to a node and waits for the reply.
-// Every returned error is transport-class.
+// callRaw sends one framed request to a node and waits for the reply; a
+// failed call drops the connection, so the next one re-dials. Every
+// returned error is transport-class.
 func (c *Client) callRaw(node hashring.NodeID, payload []byte) ([]byte, error) {
-	conn, err := c.conn(node)
+	addr, conn, err := c.conn(node)
 	if err != nil {
 		return nil, err
 	}
 	raw, err := conn.Call(payload)
 	if err != nil {
-		c.dropConn(node, conn)
-		return nil, err
+		c.pool.Drop(addr, conn)
 	}
-	return raw, nil
+	return raw, err
 }
 
 // caller is the Caller for one node, for call: the connection is picked
@@ -226,8 +191,8 @@ func (c *Client) caller(node hashring.NodeID) transport.Caller {
 
 // --- Ring refresh -----------------------------------------------------------
 
-// refreshRing asks every reachable member for its ring state and
-// adopts the highest epoch seen. Polling all members matters during an
+// refreshRing asks every member in the address book for its ring state
+// and adopts the highest epoch seen. Polling all members matters during an
 // epoch flip, which installs the new topology node by node: the member
 // that just rejected a request already has the new state, while another
 // may still answer with the old one. Taking the maximum moves the client
@@ -236,8 +201,8 @@ func (c *Client) caller(node hashring.NodeID) transport.Caller {
 // (Node.epochCheck).
 func (c *Client) refreshRing() error {
 	c.mu.Lock()
-	ids := make([]hashring.NodeID, 0, len(c.conns))
-	for id := range c.conns {
+	ids := make([]hashring.NodeID, 0, len(c.addrs))
+	for id := range c.addrs {
 		ids = append(ids, id)
 	}
 	c.mu.Unlock()
@@ -265,9 +230,10 @@ func (c *Client) refreshRing() error {
 }
 
 // adopt installs a topology (unless it is older than the current one),
-// merges the address book, and closes connections to departed members.
+// merges the address book, and drops departed members and their
+// connections.
 func (c *Client) adopt(topo *hashring.Topology, addrs map[hashring.NodeID]string) {
-	var closeConns []*transport.Client
+	var departed []string
 	c.mu.Lock()
 	if c.ring != nil && topo.Epoch() < c.ring.Epoch() {
 		c.mu.Unlock()
@@ -277,16 +243,15 @@ func (c *Client) adopt(topo *hashring.Topology, addrs map[hashring.NodeID]string
 	for id, a := range addrs {
 		c.addrs[id] = a
 	}
-	for id, conn := range c.conns {
+	for id, a := range c.addrs {
 		if !topo.Contains(id) {
-			closeConns = append(closeConns, conn)
-			delete(c.conns, id)
+			departed = append(departed, a)
 			delete(c.addrs, id)
 		}
 	}
 	c.mu.Unlock()
-	for _, conn := range closeConns {
-		conn.Close()
+	for _, a := range departed {
+		c.pool.Drop(a, nil)
 	}
 }
 
@@ -401,13 +366,13 @@ func (w *acks) wait(c *Client) error {
 // goCall launches one pre-marshalled request at a node. Errors are
 // transport-class and marked retryable.
 func (c *Client) goCall(node hashring.NodeID, payload []byte) (<-chan []byte, error) {
-	conn, err := c.conn(node)
+	addr, conn, err := c.conn(node)
 	if err != nil {
 		return nil, retryable(err)
 	}
 	ch, err := conn.Go(payload)
 	if err != nil {
-		c.dropConn(node, conn)
+		c.pool.Drop(addr, conn)
 		return nil, retryable(err)
 	}
 	return ch, nil
@@ -551,13 +516,7 @@ func (c *Client) repairAsync(served readServed, ent row.Entry) {
 	go func() {
 		defer c.repairsInFlight.Add(-1)
 		for _, node := range targets {
-			conn, err := c.conn(node)
-			if err != nil {
-				continue
-			}
-			if _, err := conn.Call(payload); err != nil {
-				c.dropConn(node, conn)
-			}
+			c.callRaw(node, payload)
 		}
 	}()
 }
@@ -724,7 +683,6 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 	type pendingResp struct {
 		seq     uint32
 		node    hashring.NodeID
-		conn    *transport.Client
 		sentAbs time.Time
 		ch      <-chan []byte
 	}
@@ -734,7 +692,7 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 	// Send phase: strictly sequential, like the paper's master loop.
 	// Requests are queued, not sent: the burst leaves in one write per
 	// connection, after the loop, instead of one per request.
-	touched := make(map[hashring.NodeID]*transport.Client)
+	touched := make(map[string]*transport.Client) // by address
 	issued := make(map[hashring.NodeID]int)
 	queue := func(i int, pk string) error {
 		node := topo.Primary(pk)
@@ -771,21 +729,21 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 				return errors.New("cluster: integrity check mismatch")
 			}
 		}
-		conn, err := c.conn(node)
+		addr, conn, err := c.conn(node)
 		if err != nil {
 			return err
 		}
 		ch, err := conn.Queue(payload)
 		if err != nil {
-			// The node may have bounced: forget the dead connection so
-			// the next query re-dials instead of failing the same way.
-			delete(touched, node)
-			c.dropConn(node, conn)
+			// The node may have bounced: drop the dead connection so the
+			// next query re-dials instead of failing the same way.
+			delete(touched, addr)
+			c.pool.Drop(addr, conn)
 			return err
 		}
-		touched[node] = conn
+		touched[addr] = conn
 		res.BytesSent += int64(len(payload))
-		pending = append(pending, pendingResp{seq: uint32(i), node: node, conn: conn, sentAbs: sendAbs, ch: ch})
+		pending = append(pending, pendingResp{seq: uint32(i), node: node, sentAbs: sendAbs, ch: ch})
 		return nil
 	}
 	var sendErr error
@@ -798,9 +756,9 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 	// no pending entry waiting for its response — is left stranded. A
 	// connection that fails to flush is dropped, which closes the
 	// response channels of everything queued on it.
-	for node, conn := range touched {
+	for addr, conn := range touched {
 		if conn.Flush() != nil {
-			c.dropConn(node, conn)
+			c.pool.Drop(addr, conn)
 		}
 	}
 	if sendErr != nil {
@@ -812,9 +770,8 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 	for _, p := range pending {
 		raw, ok := <-p.ch
 		if !ok {
-			// The connection broke under the request; dropConn is
-			// idempotent, so every request that shared it may say so.
-			c.dropConn(p.node, p.conn)
+			// The connection broke under the request. Its reader has
+			// ended, so the pool re-dials on the next use.
 			res.Errors++
 			continue
 		}
@@ -850,15 +807,4 @@ func (c *Client) CountAll(pks []string, opts MasterOptions) (*MasterResult, erro
 }
 
 // Close closes every node connection.
-func (c *Client) Close() {
-	c.mu.Lock()
-	conns := make([]*transport.Client, 0, len(c.conns))
-	for _, conn := range c.conns {
-		conns = append(conns, conn)
-	}
-	c.conns = make(map[hashring.NodeID]*transport.Client)
-	c.mu.Unlock()
-	for _, conn := range conns {
-		conn.Close()
-	}
-}
+func (c *Client) Close() { c.pool.Close() }

@@ -417,7 +417,7 @@ func TestCountAllNodeFailure(t *testing.T) {
 	}
 	expectedLost := 0
 	for _, pk := range pks {
-		if c.Ring.Primary(pk) == victim.ID() {
+		if c.Topology().Primary(pk) == victim.ID() {
 			expectedLost++
 		}
 	}
@@ -642,7 +642,7 @@ func TestClientPutBatch(t *testing.T) {
 	}
 	for p := 0; p < 20; p++ {
 		pk := fmt.Sprintf("cube-%04d", p)
-		for _, node := range c.Ring.Replicas(pk, 2) {
+		for _, node := range c.Topology().Replicas(pk, 2) {
 			cells, err := c.Nodes[node].Engine().ScanPartition(pk, nil, nil)
 			if err != nil || len(cells) != 5 {
 				t.Fatalf("replica %d of %s holds %d cells: %v", node, pk, len(cells), err)
@@ -857,7 +857,7 @@ func TestConcurrentReplicaPutAllReplicasLand(t *testing.T) {
 	}
 	for i := 0; i < 30; i++ {
 		pk := fmt.Sprintf("part-%d", i)
-		for _, node := range c.Ring.Replicas(pk, 3) {
+		for _, node := range c.Topology().Replicas(pk, 3) {
 			cells, err := c.Nodes[node].Engine().ScanPartition(pk, nil, nil)
 			if err != nil || len(cells) != 1 {
 				t.Fatalf("replica %d of %s: cells=%d err=%v", node, pk, len(cells), err)

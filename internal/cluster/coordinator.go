@@ -80,51 +80,6 @@ type RebalanceReport struct {
 	FlipDuration time.Duration
 }
 
-// coordinator drives one topology change over the wire; it owns a
-// scratch set of connections (stats, streaming, control, retirement)
-// that it closes when done, leaving any data-path connections alone.
-// It holds no reference to a Cluster or a Node — everything it needs
-// is an address.
-type coordinator struct {
-	dial  Dialer
-	conns map[string]*transport.Client // by address
-}
-
-func newCoordinator(dial Dialer) *coordinator {
-	return &coordinator{dial: dial, conns: make(map[string]*transport.Client)}
-}
-
-func (co *coordinator) close() {
-	for _, conn := range co.conns {
-		conn.Close()
-	}
-}
-
-// conn dials (and caches) a scratch connection to an address.
-func (co *coordinator) conn(addr string) (*transport.Client, error) {
-	if conn, ok := co.conns[addr]; ok {
-		return conn, nil
-	}
-	conn, err := co.dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	co.conns[addr] = conn
-	return conn, nil
-}
-
-// caller is the Caller for one address, for call: the scratch
-// connection is dialed on first use.
-func (co *coordinator) caller(addr string) transport.Caller {
-	return callerFunc(func(payload []byte) ([]byte, error) {
-		conn, err := co.conn(addr)
-		if err != nil {
-			return nil, err
-		}
-		return conn.Call(payload)
-	})
-}
-
 // rebalanceParams is one topology change, fully resolved: the diff is
 // computed, the next address book is known, and every participant is
 // reachable by address.
@@ -145,14 +100,19 @@ type rebalanceParams struct {
 
 // runRebalance executes the join/leave state machine after the
 // membership diff is known: source selection, dual-write, streaming,
-// flip, retirement — all over the wire.
-func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) {
+// flip, retirement — all over the wire, through a scratch pool of its
+// own (stats, streaming, control, retirement) that the caller closes
+// when done. The scratch pool keeps 4096-cell stream pages off the
+// data-path connections and out of their per-connection worker queues,
+// and it re-dials a connection that breaks mid-change, so the window
+// is closed on every participant even after an aborted stream.
+func runRebalance(pool *transport.Pool, p rebalanceParams) (*RebalanceReport, error) {
 	report := &RebalanceReport{Node: p.subject, Epoch: p.next.Epoch()}
 
 	// 1. Source selection: at rf > 1 a range has several old owners;
 	// stream from the one with the smallest write backlog so a node
 	// busy flushing is not also the one serving the handoff.
-	moves := co.pickSources(p.old, p.moves, p.rf, p.addrs)
+	moves := pickSources(pool, p.old, p.moves, p.rf, p.addrs)
 	report.Moves = moves
 
 	// 2. Migration window. Each source node forwards in-range writes to
@@ -192,14 +152,14 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 		// Close the window on every node that opened it — on the error
 		// path AND when a test hook panics to simulate a dying
 		// coordinator. Best effort: an unreachable participant keeps
-		// forwarding until its conns break, which is harmless
+		// forwarding until its forwards fail, which is harmless
 		// (forwards are LWW-idempotent).
 		for _, addr := range migrating {
-			call[*wire.EndMigrationResponse](co.caller(addr), &wire.EndMigrationRequest{})
+			call[*wire.EndMigrationResponse](pool.Caller(addr), &wire.EndMigrationRequest{})
 		}
 	}()
 	for id := range participants {
-		if _, err := call[*wire.BeginMigrationResponse](co.caller(addrOf(id)), beginReq); err != nil {
+		if _, err := call[*wire.BeginMigrationResponse](pool.Caller(addrOf(id)), beginReq); err != nil {
 			return nil, fmt.Errorf("cluster: begin migration at node %d: %w", id, err)
 		}
 		migrating = append(migrating, addrOf(id))
@@ -213,7 +173,7 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 				return nil, fmt.Errorf("cluster: stream %v: %w", m, err)
 			}
 		}
-		streamed, pages, err := co.streamRange(m, p.addrs[m.From], p.addrsNext[m.To])
+		streamed, pages, err := streamRange(pool, m, p.addrs[m.From], p.addrsNext[m.To])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: stream %v: %w", m, err)
 		}
@@ -245,7 +205,7 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 		}
 	}
 	for id, addr := range flipTargets {
-		if _, err := call[*wire.SetRingStateResponse](co.caller(addr), flipReq); err != nil {
+		if _, err := call[*wire.SetRingStateResponse](pool.Caller(addr), flipReq); err != nil {
 			return nil, fmt.Errorf("cluster: flip node %d: %w", id, err)
 		}
 	}
@@ -257,7 +217,7 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 	// unreclaimed disk space (reported, not fatal) — failing here would
 	// tear down a node the whole cluster now routes to.
 	for _, addr := range migrating {
-		if _, err := call[*wire.EndMigrationResponse](co.caller(addr), &wire.EndMigrationRequest{}); err != nil {
+		if _, err := call[*wire.EndMigrationResponse](pool.Caller(addr), &wire.EndMigrationRequest{}); err != nil {
 			recordRetireErr(report, err)
 		}
 	}
@@ -266,7 +226,7 @@ func runRebalance(co *coordinator, p rebalanceParams) (*RebalanceReport, error) 
 		if !p.next.Contains(r.Node) {
 			continue
 		}
-		dr, err := call[*wire.DeleteRangeResponse](co.caller(p.addrsNext[r.Node]), &wire.DeleteRangeRequest{Lo: r.Lo, Hi: r.Hi})
+		dr, err := call[*wire.DeleteRangeResponse](pool.Caller(p.addrsNext[r.Node]), &wire.DeleteRangeRequest{Lo: r.Lo, Hi: r.Hi})
 		if err != nil {
 			recordRetireErr(report, fmt.Errorf("retire [%d,%d] at node %d: %w", r.Lo, r.Hi, r.Node, err))
 			continue
@@ -426,9 +386,9 @@ func (c *Cluster) RemoveNode(id hashring.NodeID) (*RebalanceReport, error) {
 // result into the in-process bookkeeping. addrsNext must already
 // reflect the new membership.
 func (c *Cluster) rebalance(old, next *hashring.Topology, moves []hashring.RangeMove, addrsNext map[hashring.NodeID]string, subject hashring.NodeID) (*RebalanceReport, error) {
-	co := newCoordinator(c.dial)
-	defer co.close()
-	report, err := runRebalance(co, rebalanceParams{
+	pool := transport.NewPool(c.dial)
+	defer pool.Close()
+	report, err := runRebalance(pool, rebalanceParams{
 		rf:         c.opts.ReplicationFactor,
 		old:        old,
 		next:       next,
@@ -442,14 +402,13 @@ func (c *Cluster) rebalance(old, next *hashring.Topology, moves []hashring.Range
 		return nil, err
 	}
 	c.client.adopt(next, addrsNext)
-	c.Ring = next
 	return report, nil
 }
 
 // pickSources re-points each move's source at the least write-loaded
 // old owner of its range (NodeStatsRequest over the wire), when
 // replication offers a choice.
-func (co *coordinator) pickSources(old *hashring.Topology, moves []hashring.RangeMove, rf int, addrs map[hashring.NodeID]string) []hashring.RangeMove {
+func pickSources(pool *transport.Pool, old *hashring.Topology, moves []hashring.RangeMove, rf int, addrs map[hashring.NodeID]string) []hashring.RangeMove {
 	if rf <= 1 {
 		return moves
 	}
@@ -459,7 +418,7 @@ func (co *coordinator) pickSources(old *hashring.Topology, moves []hashring.Rang
 			return v
 		}
 		var total int64 = math.MaxInt64
-		if ns, err := call[*wire.NodeStatsResponse](co.caller(addrs[id]), &wire.NodeStatsRequest{}); err == nil {
+		if ns, err := call[*wire.NodeStatsResponse](pool.Caller(addrs[id]), &wire.NodeStatsRequest{}); err == nil {
 			total = 0
 			for _, sh := range ns.Shards {
 				total += int64(sh.MemtableBytes)
@@ -487,12 +446,13 @@ func (co *coordinator) pickSources(old *hashring.Topology, moves []hashring.Rang
 
 // streamRange pages one token range from source to target at epoch 0:
 // each page is written to the target before the next is fetched.
-func (co *coordinator) streamRange(m hashring.RangeMove, srcAddr, dstAddr string) (cells int64, pages int, err error) {
-	pages, err = pageRange(co.caller(srcAddr), m.Lo, m.Hi, streamPageCells, func(entries []row.Entry) error {
+func streamRange(pool *transport.Pool, m hashring.RangeMove, srcAddr, dstAddr string) (cells int64, pages int, err error) {
+	dst := pool.Caller(dstAddr)
+	pages, err = pageRange(pool.Caller(srcAddr), m.Lo, m.Hi, streamPageCells, func(entries []row.Entry) error {
 		if len(entries) == 0 {
 			return nil
 		}
-		if _, err := call[*wire.BatchPutResponse](co.caller(dstAddr), &wire.BatchPutRequest{Entries: entries}); err != nil { // epoch 0
+		if _, err := call[*wire.BatchPutResponse](dst, &wire.BatchPutRequest{Entries: entries}); err != nil { // epoch 0
 			return err
 		}
 		cells += int64(len(entries))

@@ -256,15 +256,16 @@ func TestOverwriteAndDeleteDuringRebalanceConverge(t *testing.T) {
 // read — at its original version — to the replica it skipped, healing
 // the divergence without waiting for anti-entropy.
 func TestReadRepairPropagatesNewerCell(t *testing.T) {
-	c := startTest(t, LocalOptions{Nodes: 2, ReplicationFactor: 2, ReadRepair: true})
-	cli := c.Client()
+	c := startTest(t, LocalOptions{Nodes: 2, ReplicationFactor: 2})
+	topo := c.Topology()
+	replicas := topo.Replicas("k", 2)
+	primary, secondary := replicas[0], replicas[1]
+	var broken atomic.Bool
+	cli := breakingClient(t, c, primary, &broken)
 
 	if err := cli.Put("k", []byte("ck"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	topo := c.Topology()
-	replicas := topo.Replicas("k", 2)
-	primary, secondary := replicas[0], replicas[1]
 	var primaryNode, secondaryNode *Node
 	for _, n := range c.Nodes {
 		switch n.ID() {
@@ -284,17 +285,11 @@ func TestReadRepairPropagatesNewerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Break the client's established connection to the primary while the
-	// node itself stays up — the realistic repairable failure. The read
-	// finds the broken conn, fails over to the secondary, and the repair
-	// goroutine re-dials the primary successfully.
-	cli.mu.Lock()
-	conn := cli.conns[primary]
-	cli.mu.Unlock()
-	if conn == nil {
-		t.Fatal("no connection to primary")
-	}
-	conn.Close()
+	// Break the client's connection to the primary under the read while
+	// the node itself stays up — the realistic repairable failure. The
+	// read fails over to the secondary, and the repair goroutine re-dials
+	// the primary successfully.
+	broken.Store(true)
 
 	v, found, err := cli.Get("k", []byte("ck"))
 	if err != nil || !found || string(v) != "v2" {

@@ -377,7 +377,7 @@ func TestStaleClientRecoversViaWrongEpoch(t *testing.T) {
 	}
 
 	// A second, independent client pinned at the pre-join topology.
-	stale := NewClient(c.Topology(), nil, ClientOptions{
+	stale := NewClient(c.Topology(), ClientOptions{
 		ReplicationFactor: c.opts.ReplicationFactor,
 		Dialer:            c.dial,
 		Addrs:             c.addrs,
@@ -402,7 +402,7 @@ func TestStaleClientRecoversViaWrongEpoch(t *testing.T) {
 	// Count is epoch-protected too: a second stale client whose first
 	// operation is a Count must see the real cell count, not a silent
 	// zero from a node that retired the partition.
-	stale2 := NewClient(hashring.New(2, localVnodes), nil, ClientOptions{
+	stale2 := NewClient(hashring.New(2, localVnodes), ClientOptions{
 		ReplicationFactor: c.opts.ReplicationFactor,
 		Dialer:            c.dial,
 		Addrs:             c.addrs,
@@ -435,7 +435,7 @@ func TestMultiGetAcrossEpochFlip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stale := NewClient(c.Topology(), nil, ClientOptions{
+	stale := NewClient(c.Topology(), ClientOptions{
 		ReplicationFactor: c.opts.ReplicationFactor,
 		Dialer:            c.dial,
 		Addrs:             c.addrs,

@@ -36,12 +36,7 @@ type LocalOptions struct {
 // everything the examples and integration tests need in one value. It
 // is also the topology authority: AddNode and RemoveNode grow and
 // shrink the ring while the cluster serves traffic.
-//
-// Ring is the topology the cluster was started with; it is updated at
-// each epoch flip. Concurrent readers should use Topology() instead of
-// the field.
 type Cluster struct {
-	Ring    *hashring.Topology
 	Nodes   []*Node
 	network *transport.Network
 	client  *Client
@@ -100,13 +95,17 @@ func StartTCP(opts LocalOptions) (*Cluster, error) {
 			return nil, "", err
 		}
 		return l, l.Addr(), nil
-	}, func(addr string) (*transport.Client, error) {
-		conn, err := transport.DialTCP(addr, 0)
-		if err != nil {
-			return nil, err
-		}
-		return transport.NewClient(conn), nil
-	}, nil)
+	}, DialTCP, nil)
+}
+
+// DialTCP is the Dialer of TCP members: one pipelined connection to
+// addr.
+func DialTCP(addr string) (*transport.Client, error) {
+	conn, err := transport.DialTCP(addr, 0)
+	if err != nil {
+		return nil, err
+	}
+	return transport.NewClient(conn), nil
 }
 
 // start is the shared bring-up: topology, per-node listeners and
@@ -122,8 +121,8 @@ func start(opts LocalOptions, listen func(hashring.NodeID) (transport.Listener, 
 		ownsDir = true
 	}
 
+	ring := hashring.New(opts.Nodes, localVnodes)
 	c := &Cluster{
-		Ring:    hashring.New(opts.Nodes, localVnodes),
 		network: network,
 		baseDir: opts.BaseDir,
 		ownsDir: ownsDir,
@@ -146,14 +145,13 @@ func start(opts LocalOptions, listen func(hashring.NodeID) (transport.Listener, 
 		addrs[hashring.NodeID(i)] = addr
 	}
 
-	conns := make(map[hashring.NodeID]*transport.Client, opts.Nodes)
 	for i := 0; i < opts.Nodes; i++ {
 		id := hashring.NodeID(i)
 		node, err := StartNode(listeners[i], NodeOptions{
 			ID:                id,
 			Dir:               filepath.Join(opts.BaseDir, fmt.Sprintf("node-%d", i)),
 			Storage:           opts.Storage,
-			Topology:          c.Ring,
+			Topology:          ring,
 			Addrs:             addrs,
 			ReplicationFactor: opts.ReplicationFactor,
 			Dialer:            dial,
@@ -165,16 +163,9 @@ func start(opts LocalOptions, listen func(hashring.NodeID) (transport.Listener, 
 			return nil, err
 		}
 		c.Nodes = append(c.Nodes, node)
-
-		conn, err := dial(addrs[id])
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		conns[id] = conn
 	}
 	c.addrs = addrs
-	c.client = NewClient(c.Ring, conns, ClientOptions{
+	c.client = NewClient(ring, ClientOptions{
 		ReplicationFactor: opts.ReplicationFactor,
 		Dialer:            dial,
 		Addrs:             addrs,

@@ -4,9 +4,11 @@ package cluster
 // of kvstore processes into a self-organizing cluster with no external
 // coordinator:
 //
-//   - peerPool: one self-healing (redialing) connection per peer,
-//     shared by dual-write forwarding, liveness probes, departure
-//     announcements and join coordination.
+//   - the peer pool (a transport.Pool): one connection per peer
+//     address, dialed on first use and re-dialed after it breaks,
+//     shared by dual-write forwarding, liveness probes and departure
+//     announcements. Join coordination streams over a scratch pool of
+//     its own.
 //   - the prober: periodic jittered pings with suspicion counts. A
 //     peer missing enough consecutive probes is marked down; a down
 //     peer answering again is marked up, which kicks an immediate
@@ -27,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"scalekv/internal/hashring"
@@ -38,65 +39,6 @@ import (
 // defaultSuspicionThreshold is how many consecutive failed probes mark
 // a peer down: one lost probe is noise, three in a row is an outage.
 const defaultSuspicionThreshold = 3
-
-// --- Peer connection pool ---------------------------------------------------
-
-// peerPool holds one Redialer per peer address. Redialers heal broken
-// connections with capped exponential backoff, so a bounced peer
-// process is re-dialed instead of permanently failed; their dial and
-// redial counts aggregate into NodeStatsResponse.
-type peerPool struct {
-	dial Dialer
-
-	mu     sync.Mutex
-	peers  map[string]*transport.Redialer
-	closed bool
-}
-
-func newPeerPool(dial Dialer) *peerPool {
-	return &peerPool{dial: dial, peers: make(map[string]*transport.Redialer)}
-}
-
-// get returns the pool's Redialer for addr, creating it on first use.
-func (p *peerPool) get(addr string) (*transport.Redialer, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil, transport.ErrClosed
-	}
-	if p.dial == nil {
-		return nil, errors.New("cluster: node has no dialer")
-	}
-	if rd, ok := p.peers[addr]; ok {
-		return rd, nil
-	}
-	rd := transport.NewRedialer(func() (*transport.Client, error) { return p.dial(addr) })
-	p.peers[addr] = rd
-	return rd, nil
-}
-
-// stats sums dial and redial counts across all peers.
-func (p *peerPool) stats() (dials, redials uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, rd := range p.peers {
-		d, r := rd.Stats()
-		dials += d
-		redials += r
-	}
-	return dials, redials
-}
-
-func (p *peerPool) close() {
-	p.mu.Lock()
-	peers := p.peers
-	p.peers = nil
-	p.closed = true
-	p.mu.Unlock()
-	for _, rd := range peers {
-		rd.Close()
-	}
-}
 
 // --- Peer health ------------------------------------------------------------
 
@@ -211,10 +153,10 @@ func (n *Node) probeLoop() {
 	}
 }
 
-// probeOnce pings every ring peer through its pooled redialer. The
-// per-probe timeout is bounded so a hung peer costs one window, not a
-// wedged loop; the redialer discards the hung connection, so the next
-// probe re-dials instead of queueing behind a dead stream.
+// probeOnce pings every ring peer through the peer pool. The per-probe
+// timeout is bounded so a hung peer costs one window, not a wedged
+// loop; the pool drops the hung connection, so the next probe re-dials
+// instead of queueing behind a dead stream.
 func (n *Node) probeOnce() {
 	rs := n.ring.Load()
 	if rs == nil {
@@ -236,12 +178,8 @@ func (n *Node) probeOnce() {
 		if addr == "" {
 			continue
 		}
-		rd, err := n.peers.get(addr)
-		if err != nil {
-			return // pool closed: the node is shutting down
-		}
-		probe := callerFunc(func(payload []byte) ([]byte, error) { return rd.CallTimeout(payload, timeout) })
-		_, err = call[*wire.PingResponse](probe, ping)
+		probe := callerFunc(func(payload []byte) ([]byte, error) { return n.peers.CallTimeout(addr, payload, timeout) })
+		_, err := call[*wire.PingResponse](probe, ping)
 		n.notePeer(id, err == nil)
 	}
 	n.pruneHealth(rs.topo)
@@ -282,9 +220,7 @@ func (n *Node) announceLeave() {
 		if addr == "" {
 			continue
 		}
-		if rd, err := n.peers.get(addr); err == nil {
-			rd.CallTimeout(payload, time.Second)
-		}
+		n.peers.CallTimeout(addr, payload, time.Second)
 	}
 }
 
@@ -330,7 +266,7 @@ func (n *Node) RepairNow() (*RepairReport, error) {
 	if rs == nil || rs.rf < 2 || rs.topo.Size() < 2 || n.dialer == nil {
 		return nil, nil
 	}
-	cli := NewClient(rs.topo, nil, ClientOptions{
+	cli := NewClient(rs.topo, ClientOptions{
 		ReplicationFactor: rs.rf,
 		Dialer:            n.dialer,
 		Addrs:             rs.addrs,
@@ -374,31 +310,24 @@ func ringFromWire(epoch uint64, nodes []wire.NodeAddr, vnodes uint32) (*hashring
 
 // handleBeginMigration opens the migration window from the wire: the
 // request carries the full move list and the next epoch's address
-// book; this node filters its own roles and dials its forward targets
+// book; this node filters its own roles and forwards to its targets
 // through the peer pool (the pool outlives the window, so the
 // coordinator doesn't manage this node's connections).
 func (n *Node) handleBeginMigration(req *wire.BeginMigrationRequest) *wire.BeginMigrationResponse {
 	moves := movesFromWire(req.Moves)
 	_, addrs := nodesFromWire(req.Nodes)
-	conns := make(map[hashring.NodeID]transport.Caller)
 	for _, m := range moves {
 		if m.From != n.id {
 			continue
 		}
-		if _, ok := conns[m.To]; ok {
-			continue
-		}
-		addr := addrs[m.To]
-		if addr == "" {
+		if addrs[m.To] == "" {
 			return &wire.BeginMigrationResponse{ErrMsg: fmt.Sprintf("no address for forward target %d", m.To)}
 		}
-		rd, err := n.peers.get(addr)
-		if err != nil {
-			return &wire.BeginMigrationResponse{ErrMsg: fmt.Sprintf("dial forward target %d: %v", m.To, err)}
+		if n.dialer == nil {
+			return &wire.BeginMigrationResponse{ErrMsg: fmt.Sprintf("node %d cannot forward to %d: no dialer", n.id, m.To)}
 		}
-		conns[m.To] = rd
 	}
-	n.BeginMigration(moves, conns)
+	n.BeginMigration(moves, addrs)
 	return &wire.BeginMigrationResponse{}
 }
 
@@ -461,9 +390,9 @@ func (n *Node) handleJoin(req *wire.JoinRequest) *wire.JoinResponse {
 	addrsNext := copyAddrs(rs.addrs)
 	addrsNext[id] = req.Addr
 
-	co := newCoordinator(n.dialer)
-	defer co.close()
-	report, err := runRebalance(co, rebalanceParams{
+	pool := transport.NewPool(n.dialer)
+	defer pool.Close()
+	report, err := runRebalance(pool, rebalanceParams{
 		rf:        rs.rf,
 		old:       rs.topo,
 		next:      next,
@@ -605,5 +534,5 @@ func Connect(seeds []string, opts ClientOptions) (*Client, error) {
 		merged[id] = a
 	}
 	opts.Addrs = merged
-	return NewClient(topo, nil, opts), nil
+	return NewClient(topo, opts), nil
 }

@@ -22,20 +22,12 @@ import (
 	"scalekv/internal/wire"
 )
 
-func tcpDial(addr string) (*transport.Client, error) {
-	conn, err := transport.DialTCP(addr, 0)
-	if err != nil {
-		return nil, err
-	}
-	return transport.NewClient(conn), nil
-}
-
 // bootTCPRing hand-assembles an n-node epoch-1 ring on loopback TCP —
 // the moral equivalent of n `kvstore serve` processes whose operator
 // wrote the same member list into each config.
 func bootTCPRing(t *testing.T, baseDir string, n, rf, vnodes int) ([]*Node, map[hashring.NodeID]string) {
 	t.Helper()
-	return bootTCPRingDialing(t, baseDir, n, rf, vnodes, tcpDial)
+	return bootTCPRingDialing(t, baseDir, n, rf, vnodes, DialTCP)
 }
 
 // bootTCPRingDialing is bootTCPRing with the dialer every member uses
@@ -85,7 +77,7 @@ func restartTCPNode(t *testing.T, dir, addr string, id hashring.NodeID, opts Nod
 	}
 	opts.ID = id
 	opts.Dir = dir
-	opts.Dialer = tcpDial
+	opts.Dialer = DialTCP
 	opts.AdvertiseAddr = addr
 	node, err := StartNode(l, opts)
 	if err != nil {
@@ -107,7 +99,7 @@ func TestWireJoinUnderLiveTraffic(t *testing.T) {
 		}
 	}()
 
-	cli, err := Connect([]string{addrs[0]}, ClientOptions{Dialer: tcpDial})
+	cli, err := Connect([]string{addrs[0]}, ClientOptions{Dialer: DialTCP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +144,7 @@ func TestWireJoinUnderLiveTraffic(t *testing.T) {
 	joined, jr, err := JoinRing(l, NodeOptions{
 		ID:            -1, // auto: next free ID from the seed's membership
 		Dir:           filepath.Join(baseDir, "node-3"),
-		Dialer:        tcpDial,
+		Dialer:        DialTCP,
 		AdvertiseAddr: l.Addr(),
 	}, addrs[0])
 	if err != nil {
@@ -266,7 +258,7 @@ func TestClientAtNextEpochWorksThroughUnflippedNode(t *testing.T) {
 		h.old[a] = true
 	}
 
-	cli, err := Connect([]string{addrs[0]}, ClientOptions{Dialer: tcpDial})
+	cli, err := Connect([]string{addrs[0]}, ClientOptions{Dialer: DialTCP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +284,7 @@ func TestClientAtNextEpochWorksThroughUnflippedNode(t *testing.T) {
 		node, _, err := JoinRing(l, NodeOptions{
 			ID:            -1,
 			Dir:           filepath.Join(baseDir, "node-3"),
-			Dialer:        tcpDial,
+			Dialer:        DialTCP,
 			AdvertiseAddr: l.Addr(),
 		}, addrs[0])
 		joinDone <- joinResult{node, err}
@@ -384,7 +376,7 @@ func TestCountAllDropsBrokenConnection(t *testing.T) {
 			n.Close()
 		}
 	}()
-	cli, err := Connect([]string{addrs[0]}, ClientOptions{Dialer: tcpDial})
+	cli, err := Connect([]string{addrs[0]}, ClientOptions{Dialer: DialTCP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +441,7 @@ func TestRestartFromPersistedTopology(t *testing.T) {
 		}
 	}()
 
-	cli, err := Connect([]string{addrs[1]}, ClientOptions{Dialer: tcpDial})
+	cli, err := Connect([]string{addrs[1]}, ClientOptions{Dialer: DialTCP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +466,7 @@ func TestRestartFromPersistedTopology(t *testing.T) {
 	joined, jr, err := JoinRing(l, NodeOptions{
 		ID:            -1,
 		Dir:           filepath.Join(baseDir, "node-3"),
-		Dialer:        tcpDial,
+		Dialer:        DialTCP,
 		AdvertiseAddr: l.Addr(),
 	}, addrs[0])
 	if err != nil {
@@ -534,7 +526,7 @@ func TestRestartFromPersistedTopology(t *testing.T) {
 		}
 	}
 
-	cli2, err := Connect([]string{addrs[2]}, ClientOptions{Dialer: tcpDial})
+	cli2, err := Connect([]string{addrs[2]}, ClientOptions{Dialer: DialTCP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +586,7 @@ func TestPeerHealthFlipAndFailoverReads(t *testing.T) {
 			Topology:          ring,
 			Addrs:             addrs,
 			ReplicationFactor: 2,
-			Dialer:            tcpDial,
+			Dialer:            DialTCP,
 			AdvertiseAddr:     addrs[id],
 			ProbeInterval:     40 * time.Millisecond,
 			RepairInterval:    time.Hour, // only kicked passes fire in-test
@@ -612,7 +604,7 @@ func TestPeerHealthFlipAndFailoverReads(t *testing.T) {
 		}
 	}()
 
-	cli, err := Connect([]string{addrs[0]}, ClientOptions{Dialer: tcpDial})
+	cli, err := Connect([]string{addrs[0]}, ClientOptions{Dialer: DialTCP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,6 +668,104 @@ func TestPeerHealthFlipAndFailoverReads(t *testing.T) {
 			t.Fatal("peer recovery never kicked a repair pass")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPeerBounceCountsRedial: a peer that restarts on its address is
+// re-dialed by the next probe, with no backoff to wait out. The node's
+// NodeStatsResponse counts the redial (the bounced-peer signal `kvstore
+// status` prints) and shows the peer back up.
+func TestPeerBounceCountsRedial(t *testing.T) {
+	baseDir := t.TempDir()
+	const probe = 20 * time.Millisecond
+	listeners := make([]transport.Listener, 2)
+	addrs := make(map[hashring.NodeID]string, 2)
+	for i := range listeners {
+		l, err := transport.ListenTCP("127.0.0.1:0", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i] = l
+		addrs[hashring.NodeID(i)] = l.Addr()
+	}
+	ring := hashring.New(2, 16)
+	nodes := make([]*Node, 2)
+	for i := range nodes {
+		id := hashring.NodeID(i)
+		opts := NodeOptions{
+			ID:            id,
+			Dir:           filepath.Join(baseDir, fmt.Sprintf("node-%d", i)),
+			Topology:      ring,
+			Addrs:         addrs,
+			Dialer:        DialTCP,
+			AdvertiseAddr: addrs[id],
+		}
+		if i == 0 {
+			opts.ProbeInterval = probe // only node 0 probes
+		}
+		node, err := StartNode(listeners[i], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = node
+	}
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}()
+
+	stats := func() *wire.NodeStatsResponse {
+		t.Helper()
+		conn, err := DialTCP(addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		ns, err := call[*wire.NodeStatsResponse](conn, &wire.NodeStatsRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ns
+	}
+	// waitStats polls node 0 until its view of node 1 satisfies ok.
+	waitStats := func(what string, ok func(ns *wire.NodeStatsResponse, peer wire.PeerStat) bool) *wire.NodeStatsResponse {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			ns := stats()
+			for _, ps := range ns.Peers {
+				if ps.ID == 1 && ok(ns, ps) {
+					return ns
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: node 0 never got there: %+v", what, ns)
+			}
+			time.Sleep(probe)
+		}
+	}
+	// A probe that outlives its timeout (a slow scheduler) also drops its
+	// connection, so the count before the bounce may already hold
+	// redials; what must move is the count after it.
+	ns := waitStats("first probe", func(ns *wire.NodeStatsResponse, ps wire.PeerStat) bool { return ps.Up })
+	if ns.DialCount != ns.RedialCount+1 {
+		t.Fatalf("before the bounce: dials=%d redials=%d, want every dial past the first counted as a redial",
+			ns.DialCount, ns.RedialCount)
+	}
+	before := ns.RedialCount
+
+	if err := nodes[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	nodes[1] = restartTCPNode(t, filepath.Join(baseDir, "node-1"), addrs[1], 1, NodeOptions{})
+
+	ns = waitStats("after the bounce", func(ns *wire.NodeStatsResponse, ps wire.PeerStat) bool {
+		return ps.Up && ns.RedialCount > before
+	})
+	if ns.DialCount != ns.RedialCount+1 {
+		t.Fatalf("after the bounce: dials=%d redials=%d, want every dial past the first counted as a redial",
+			ns.DialCount, ns.RedialCount)
 	}
 }
 

@@ -98,7 +98,7 @@ type ringState struct {
 // gc_grace hazard).
 type migration struct {
 	moves  []hashring.RangeMove
-	conns  map[hashring.NodeID]transport.Caller
+	addrs  map[hashring.NodeID]string
 	fences []func()
 }
 
@@ -123,9 +123,9 @@ type Node struct {
 	migMu sync.RWMutex
 	mig   *migration
 
-	// peers holds one self-healing connection per peer address, shared
-	// by the prober, dual-write forwarding and join coordination.
-	peers *peerPool
+	// peers holds one connection per peer address, shared by the
+	// prober, dual-write forwarding and departure announcements.
+	peers *transport.Pool
 
 	// joinMu serializes membership changes this node coordinates: one
 	// JoinRequest executes at a time, a second joiner is told to retry.
@@ -187,7 +187,7 @@ func StartNode(l transport.Listener, opts NodeOptions) (*Node, error) {
 		repairKick:     make(chan struct{}, 1),
 		stop:           make(chan struct{}),
 	}
-	n.peers = newPeerPool(opts.Dialer)
+	n.peers = transport.NewPool(opts.Dialer)
 
 	// Resolve the boot topology: persisted file vs. supplied options,
 	// higher epoch wins. A node that was already through epoch flips
@@ -259,28 +259,15 @@ func (n *Node) Topology() *hashring.Topology {
 	return nil
 }
 
-// SetRingState installs a new topology and address book — the epoch
-// flip of a join/leave. Requests decoded after the swap are validated
-// against the new epoch. The replication factor carries over; the
-// flip is persisted to the topology file.
-func (n *Node) SetRingState(t *hashring.Topology, addrs map[hashring.NodeID]string) {
-	rf := 1
-	if rs := n.ring.Load(); rs != nil {
-		rf = rs.rf
-	}
-	n.installRing(t, addrs, rf, true)
-}
-
 // BeginMigration opens the migration window for the moves this node
 // takes part in. As a source (move.From == id): until EndMigration,
 // every accepted write whose partition token falls in the move is also
-// forwarded (synchronously, before the ack) to the move's target over
-// the supplied connections — the caller owns the connections and must
-// keep them alive until EndMigration returns. As a target (move.To ==
+// forwarded (synchronously, before the ack) to the move's target at its
+// address in addrs, through the node's peer pool. As a target (move.To ==
 // id): the engine's tombstone GC is fenced over the inbound ranges, so
 // a delete accepted here keeps masking sub-watermark stale copies the
 // stream may still deliver.
-func (n *Node) BeginMigration(moves []hashring.RangeMove, conns map[hashring.NodeID]transport.Caller) {
+func (n *Node) BeginMigration(moves []hashring.RangeMove, addrs map[hashring.NodeID]string) {
 	relevant := make([]hashring.RangeMove, 0, len(moves))
 	var fences []func()
 	for _, m := range moves {
@@ -293,7 +280,7 @@ func (n *Node) BeginMigration(moves []hashring.RangeMove, conns map[hashring.Nod
 	}
 	n.migMu.Lock()
 	prev := n.mig
-	n.mig = &migration{moves: relevant, conns: conns, fences: fences}
+	n.mig = &migration{moves: relevant, addrs: addrs, fences: fences}
 	n.migMu.Unlock()
 	if prev != nil {
 		prev.releaseFences()
@@ -325,7 +312,7 @@ func (n *Node) Close() error {
 	n.stopOnce.Do(func() { close(n.stop) })
 	n.loopWg.Wait()
 	n.server.Close()
-	n.peers.close()
+	n.peers.Close()
 	return n.engine.Close()
 }
 
@@ -394,11 +381,11 @@ func (n *Node) forwardEntries(entries []row.Entry) error {
 		}
 	}
 	for target, batch := range perTarget {
-		conn, ok := mig.conns[target]
+		addr, ok := mig.addrs[target]
 		if !ok {
-			return fmt.Errorf("cluster: node %d: no forward conn to %d", n.id, target)
+			return fmt.Errorf("cluster: node %d: no forward address for %d", n.id, target)
 		}
-		if _, err := call[*wire.BatchPutResponse](conn, &wire.BatchPutRequest{Entries: batch}); err != nil { // epoch 0: wildcard
+		if _, err := call[*wire.BatchPutResponse](n.peers.Caller(addr), &wire.BatchPutRequest{Entries: batch}); err != nil { // epoch 0: wildcard
 			return fmt.Errorf("cluster: node %d: forward to %d: %w", n.id, target, err)
 		}
 		n.ForwardedWrites.Add(int64(len(batch)))
@@ -667,7 +654,7 @@ func (n *Node) handleNodeStats(*wire.NodeStatsRequest) *wire.NodeStatsResponse {
 			SinceMillis: uint64(time.Since(ps.Since).Milliseconds()),
 		})
 	}
-	resp.DialCount, resp.RedialCount = n.peers.stats()
+	resp.DialCount, resp.RedialCount = n.peers.Stats()
 	for _, sh := range st.Shards {
 		resp.Shards = append(resp.Shards, wire.ShardStat{
 			MemtableBytes:   uint64(sh.MemtableBytes + sh.FrozenBytes),

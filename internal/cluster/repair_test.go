@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"scalekv/internal/hashring"
 	"scalekv/internal/row"
 	"scalekv/internal/storage"
+	"scalekv/internal/transport"
 )
 
 // repairBaseSeq stamps manufactured divergence far above anything the
@@ -36,6 +39,46 @@ func divergeAt(t *testing.T, c *Cluster, id hashring.NodeID, e row.Entry) {
 	if err := engineOf(t, c, id).PutBatch([]row.Entry{e}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sendBreaker is a connection that breaks under its next request once
+// armed: the request fails, and the node behind it stays up.
+type sendBreaker struct {
+	transport.Conn
+	armed *atomic.Bool
+}
+
+func (b sendBreaker) Send(f transport.Frame) error {
+	if b.armed.CompareAndSwap(true, false) {
+		b.Conn.Close()
+		return transport.ErrClosed
+	}
+	return b.Conn.Send(f)
+}
+
+// breakingClient is a read-repairing client of c whose connection to
+// node breaks under the next request once armed is set — the node
+// itself stays up, the realistic repairable failure. The client's pool
+// re-dials on the request after.
+func breakingClient(t *testing.T, c *Cluster, node hashring.NodeID, armed *atomic.Bool) *Client {
+	t.Helper()
+	cli := NewClient(c.Topology(), ClientOptions{
+		ReplicationFactor: c.opts.ReplicationFactor,
+		ReadRepair:        true,
+		Addrs:             c.addrs,
+		Dialer: func(addr string) (*transport.Client, error) {
+			conn, err := c.network.Dial(addr)
+			if err != nil {
+				return nil, err
+			}
+			if addr == c.addrs[node] {
+				conn = sendBreaker{conn, armed}
+			}
+			return transport.NewClient(conn), nil
+		},
+	})
+	t.Cleanup(cli.Close)
+	return cli
 }
 
 // assertRangeDigestsConverged compares owner digests over every
@@ -295,30 +338,25 @@ func TestBeginMigrationFencesTargetEngine(t *testing.T) {
 // "read-repair never deletes" hole. Before the fix the lagging primary
 // kept serving the old value forever.
 func TestReadRepairForwardsTombstone(t *testing.T) {
-	c := startTest(t, LocalOptions{Nodes: 2, ReplicationFactor: 2, ReadRepair: true})
-	cli := c.Client()
+	c := startTest(t, LocalOptions{Nodes: 2, ReplicationFactor: 2})
+	replicas := c.Topology().Replicas("k", 2)
+	primary, secondary := replicas[0], replicas[1]
+	var broken atomic.Bool
+	cli := breakingClient(t, c, primary, &broken)
 
 	if err := cli.Put("k", []byte("ck"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	replicas := c.Topology().Replicas("k", 2)
-	primary, secondary := replicas[0], replicas[1]
 
 	// The secondary holds a newer tombstone the primary missed (as if
 	// the primary had been down for the delete).
 	newer := row.Version{Seq: repairBaseSeq, Node: uint16(secondary)}
 	divergeAt(t, c, secondary, row.Entry{PK: "k", CK: []byte("ck"), Tombstone: true, Ver: newer})
 
-	// Break the established connection to the primary (node stays up),
-	// so the read fails over to the secondary and the repair goroutine
-	// can re-dial the primary.
-	cli.mu.Lock()
-	conn := cli.conns[primary]
-	cli.mu.Unlock()
-	if conn == nil {
-		t.Fatal("no connection to primary")
-	}
-	conn.Close()
+	// Break the connection to the primary under the read (node stays
+	// up), so the read fails over to the secondary and the repair
+	// goroutine re-dials the primary.
+	broken.Store(true)
 
 	if _, found, err := cli.Get("k", []byte("ck")); err != nil || found {
 		t.Fatalf("failover read of deleted cell: found=%v err=%v", found, err)
@@ -412,5 +450,77 @@ func TestAddNodeAbortTearsDownVictim(t *testing.T) {
 		if v, found, err := cli.Get(key(i), []byte("ck")); err != nil || !found || string(v) != "v0" {
 			t.Fatalf("%s after retried join: found=%v err=%v v=%q", key(i), found, err, v)
 		}
+	}
+}
+
+// TestAbortedJoinClosesEveryMigrationWindow: a join that aborts after
+// its coordinator's connections broke must still close the migration
+// window on every node. A window left open keeps an old owner
+// forwarding its writes to the joiner the abort tore down, and every
+// such write fails.
+func TestAbortedJoinClosesEveryMigrationWindow(t *testing.T) {
+	c := startTest(t, LocalOptions{Nodes: 3, ReplicationFactor: 1})
+	cli := c.Client()
+	const keys = 400
+	key := func(i int) string { return fmt.Sprintf("cell-%04d", i) }
+	for i := 0; i < keys; i++ {
+		if err := cli.Put(key(i), []byte("ck"), []byte("v0")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Every connection dialed from here on is the join's. After the
+	// first range they all break, and the stream aborts.
+	var mu sync.Mutex
+	var dialed []*transport.Client
+	dial := c.dial
+	c.dial = func(addr string) (*transport.Client, error) {
+		conn, err := dial(addr)
+		if err == nil {
+			mu.Lock()
+			dialed = append(dialed, conn)
+			mu.Unlock()
+		}
+		return conn, err
+	}
+	broken := errors.New("coordinator connections broke")
+	ranges := 0
+	c.testStreamErr = func(hashring.RangeMove) error {
+		if ranges++; ranges == 1 {
+			return nil
+		}
+		mu.Lock()
+		for _, conn := range dialed {
+			conn.Close()
+		}
+		mu.Unlock()
+		return broken
+	}
+	if _, _, err := c.AddNode(); !errors.Is(err, broken) {
+		t.Fatalf("AddNode error = %v, want the injected failure", err)
+	}
+	if ranges < 2 {
+		t.Fatalf("the join streamed %d ranges, the test needs at least 2", ranges)
+	}
+	for _, n := range c.Nodes {
+		n.migMu.RLock()
+		open := n.mig != nil
+		n.migMu.RUnlock()
+		if open {
+			t.Errorf("node %d: migration window still open after the aborted join", n.ID())
+		}
+	}
+
+	failed := 0
+	var first error
+	for i := 0; i < keys; i++ {
+		if err := cli.Put(key(i), []byte("ck"), []byte("v1")); err != nil {
+			if failed++; first == nil {
+				first = err
+			}
+		}
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d puts failed after the aborted join; first: %v", failed, keys, first)
 	}
 }

@@ -292,6 +292,17 @@ func (c *Client) Call(payload []byte) ([]byte, error) {
 	return resp, nil
 }
 
+// Alive reports whether the connection's reader is still running. Once
+// it has ended, every request on this client fails.
+func (c *Client) Alive() bool {
+	select {
+	case <-c.done:
+		return false
+	default:
+		return true
+	}
+}
+
 // Close tears the connection down; in-flight calls fail.
 func (c *Client) Close() error {
 	c.mu.Lock()

@@ -642,9 +642,11 @@ type NodeStatsResponse struct {
 	BlockBytesLogical uint64
 	BlockBytesStored  uint64
 	// Peers is the node's liveness view of the other ring members (empty
-	// when probing is disabled). DialCount/RedialCount are cumulative
-	// outbound peer connections: first dials plus re-dials after a broken
-	// connection — a rising redial count is the bounced-peer signal.
+	// when probing is disabled). DialCount counts the connections the
+	// node's peer pool has dialed (probes, dual-write forwards, departure
+	// announcements); RedialCount is the part of them that replaced an
+	// earlier connection to the same address — a rising redial count is
+	// the bounced-peer signal.
 	Peers       []PeerStat
 	DialCount   uint64
 	RedialCount uint64
