@@ -47,19 +47,22 @@ bench:
 	go test -run=NONE -bench=. -benchtime=1x ./...
 	bash bench/run.sh
 
-# The five example smokes, each non-zero on a violation: deploy
+# The six example smokes, each non-zero on a violation: deploy
 # (wire-level membership in one process over the peer connection pool:
 # bootstrap, joins through a seed, probed peer health with failover
 # reads, a restart from the persisted topology file), elastic (a node
 # joins under live traffic with zero failed operations), quickstart
 # (the public surface end to end, Client.Delete staying deleted across
-# a forced flush), and the two model-only examples, capacity and
+# a forced flush), particles (the paper's case study: every D8-tree
+# level returns the brute-force hit count and the census matches a
+# brute-force count of the records), and the two model-only examples, capacity and
 # phonebook, which start no cluster: their smoke is that they build and
 # run to the end.
 examples:
 	go run ./examples/deploy
 	go run ./examples/elastic
 	go run ./examples/quickstart
+	go run ./examples/particles
 	go run ./examples/capacity
 	go run ./examples/phonebook
 

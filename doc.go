@@ -89,8 +89,10 @@
 // paper's "almost linear scalability" rests on. The token ring is an
 // epoch-versioned, immutable Topology: every membership change produces
 // a new topology (epoch+1) plus an ownership diff, the exact token
-// ranges whose owner changed. Cluster.AddNode and Cluster.RemoveNode
-// execute the change as a state machine:
+// ranges whose owner changed. One member node coordinates each change —
+// Cluster.AddNode joins through it (JoinRing, as a process joining over
+// the network does), Cluster.RemoveNode has a surviving member
+// coordinate the leave — and executes it as a state machine:
 //
 //  1. snapshot the diff and pick a streaming source per range (the
 //     least-loaded old owner, by engine stats);

@@ -93,7 +93,7 @@ func main() {
 
 	total := preload + int(written.Load())
 	fmt.Printf("join complete: epoch %d, %d members\n", report.Epoch, cl.Topology().Size())
-	fmt.Printf("  moves:           %d ranges, %d pages\n", len(report.Moves), report.Pages)
+	fmt.Printf("  moves:           %d ranges, %d pages\n", report.Moves, report.Pages)
 	fmt.Printf("  cells streamed:  %d (%.1f%% of %d; ideal 1/N = %.1f%%)\n",
 		report.CellsStreamed, 100*float64(report.CellsStreamed)/float64(total),
 		total, 100.0/float64(cl.Topology().Size()))

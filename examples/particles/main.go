@@ -2,6 +2,8 @@
 // Alya-style inhalation (particles advected into a bronchial tree),
 // index the records with the denormalized D8-tree over a cluster, and
 // answer region queries at the granularity the performance model picks.
+// It exits non-zero unless every level answers the query with the same
+// hits and the census matches a brute-force count over the records.
 package main
 
 import (
@@ -78,11 +80,26 @@ func main() {
 	fmt.Printf("model-chosen level for this region: %d (%d cubes, predicted %.1f ms on the paper's hardware)\n",
 		plan.Level, plan.Keys, plan.Prediction.TotalMs)
 
+	// Brute force over the generated records: the answer every level
+	// must give.
+	want := map[uint8]uint64{}
+	for _, p := range points {
+		if region.Contains(p) {
+			want[p.Type]++
+		}
+	}
+	var hits int
+	for _, n := range want {
+		hits += int(n)
+	}
 	for level := 0; level <= 3; level++ {
 		start := time.Now()
 		res, err := tree.Query(region, level)
 		if err != nil {
 			log.Fatal(err)
+		}
+		if len(res.Points) != hits {
+			log.Fatalf("level %d returned %d hits, brute force over the records = %d", level, len(res.Points), hits)
 		}
 		marker := " "
 		if level == plan.Level {
@@ -100,5 +117,13 @@ func main() {
 	fmt.Println("deposition census in the region (count by type):")
 	for ty := uint8(0); ty < 4; ty++ {
 		fmt.Printf("  type %d: %d\n", ty, counts[ty])
+	}
+	for ty := uint8(0); ty < 4; ty++ {
+		if counts[ty] != want[ty] {
+			log.Fatalf("census type %d = %d, brute force over the records = %d", ty, counts[ty], want[ty])
+		}
+	}
+	if len(counts) != len(want) {
+		log.Fatalf("census has %d types, brute force %d", len(counts), len(want))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"scalekv/internal/hashring"
 	"scalekv/internal/row"
 	"scalekv/internal/stages"
 	"scalekv/internal/storage"
@@ -25,6 +26,13 @@ func startTest(t *testing.T, opts LocalOptions) *Cluster {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// addrBook copies the member address book of c's client.
+func addrBook(c *Cluster) map[hashring.NodeID]string {
+	c.client.mu.Lock()
+	defer c.client.mu.Unlock()
+	return copyAddrs(c.client.addrs)
 }
 
 // TestOnlyNonBlockingOpsRunInline pins which requests Node.handle
@@ -89,7 +97,7 @@ func TestOnlyNonBlockingOpsRunInline(t *testing.T) {
 // error instead of an unexpected reply type.
 func TestUnservedFramesGetAnErrorResponse(t *testing.T) {
 	c := startTest(t, LocalOptions{Nodes: 1})
-	conn, err := c.dial(c.addrs[0])
+	conn, err := c.dial(addrBook(c)[0])
 	if err != nil {
 		t.Fatal(err)
 	}

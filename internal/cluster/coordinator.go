@@ -1,9 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 	"time"
 
 	"scalekv/internal/hashring"
@@ -12,34 +12,35 @@ import (
 	"scalekv/internal/wire"
 )
 
-// This file is the elastic-topology control plane: a coordinator that
-// executes node joins and leaves as a state machine while the cluster
+// This file is the elastic-topology control plane: one member node
+// coordinates each join or leave as a state machine while the cluster
 // serves traffic. The paper's scalability argument rests on exactly
 // this capability — "just add nodes" — and the state machine is what
 // makes adding nodes safe under load:
 //
-//  1. snapshot — diff the old topology against the new one into token
-//     RangeMoves (hashring.AddNode/RemoveNode), and pick a streaming
-//     source for each move (the least-loaded old owner, by NodeStats).
+//  1. snapshot — diff the member's current topology against the next
+//     one into token RangeMoves (hashring.AddNode/RemoveNode), and pick
+//     a streaming source for each move (the least-loaded old owner, by
+//     NodeStats).
 //  2. dual-write window — every source node starts forwarding accepted
 //     writes that fall in a moving range to the range's new owner, so
 //     writes landing behind the streamer's cursor are not lost.
 //  3. stream — page each range out of its source (StreamRangeRequest)
 //     and into its target (BatchPutRequest at epoch 0) until drained.
-//  4. flip — install the new topology on every node and the cluster
-//     client. From here, requests routed with the old epoch are
-//     rejected and clients re-route after a ring refresh.
+//  4. flip — install the new topology on every node. From here,
+//     requests routed with the old epoch are rejected and clients
+//     re-route after a ring refresh.
 //  5. retire — close the dual-write window and DeleteRange the moved
-//     ranges on their old owners (or, for a leave, stop the node).
+//     ranges on their old owners.
 //
-// Every step is a wire RPC addressed by the member address book —
-// BeginMigrationRequest, StreamRangeRequest, SetRingStateRequest,
-// EndMigrationRequest, DeleteRangeRequest — so the same state machine
-// runs whether the coordinator shares a process with the nodes (the
-// in-process Cluster of tests and examples) or is a seed member
-// serving a JoinRequest from a process that just booted across the
-// network (Node.handleJoin). The in-process Cluster is a thin client
-// of the protocol, not a privileged caller.
+// Node.coordinate is the one entry point, serialized per member by
+// joinMu: a JoinRequest (handleJoin, sent by JoinRing) reaches it over
+// the wire, and the in-process Cluster's RemoveNode calls it on a
+// surviving member, since a leave has no wire message. Cluster.AddNode
+// joins through JoinRing like any other process. Every step is a wire
+// RPC addressed by the member address book — BeginMigrationRequest,
+// StreamRangeRequest, SetRingStateRequest, EndMigrationRequest,
+// DeleteRangeRequest — the coordinator's own flip included.
 //
 // Correctness under the stream/forward race: every cell carries the
 // version its accepting engine stamped, stream pages and dual-write
@@ -58,8 +59,8 @@ type RebalanceReport struct {
 	Node hashring.NodeID
 	// Epoch is the topology version after the flip.
 	Epoch uint64
-	// Moves is the ownership diff that was streamed.
-	Moves []hashring.RangeMove
+	// Moves counts the ranges of the ownership diff that was streamed.
+	Moves int
 	// CellsStreamed counts cells copied to new owners.
 	CellsStreamed int64
 	// CellsRetired counts cells purged from old owners after the flip.
@@ -80,40 +81,105 @@ type RebalanceReport struct {
 	FlipDuration time.Duration
 }
 
-// rebalanceParams is one topology change, fully resolved: the diff is
-// computed, the next address book is known, and every participant is
-// reachable by address.
-type rebalanceParams struct {
-	rf        int
-	old, next *hashring.Topology
-	moves     []hashring.RangeMove
-	// addrs is the member address book at the old epoch (stream
-	// sources live here); addrsNext already reflects the new
-	// membership (stream targets and flip recipients).
-	addrs, addrsNext map[hashring.NodeID]string
-	subject          hashring.NodeID
-	// streamHook, when set (tests only), is consulted before each range
-	// is streamed — an injected failure or panic simulates a
-	// coordinator dying mid-join.
-	streamHook func(hashring.RangeMove) error
+// joinResponse is the report's wire form.
+func (r *RebalanceReport) joinResponse() *wire.JoinResponse {
+	return &wire.JoinResponse{
+		Epoch:         r.Epoch,
+		Moves:         uint32(r.Moves),
+		CellsStreamed: uint64(r.CellsStreamed),
+		CellsRetired:  uint64(r.CellsRetired),
+		Pages:         uint32(r.Pages),
+		StreamNanos:   uint64(r.StreamDuration.Nanoseconds()),
+		FlipNanos:     uint64(r.FlipDuration.Nanoseconds()),
+		RetireErr:     r.RetireErr,
+	}
+}
+
+// reportFromJoin reads back the report of node id's join from its wire
+// form.
+func reportFromJoin(id hashring.NodeID, jr *wire.JoinResponse) *RebalanceReport {
+	return &RebalanceReport{
+		Node:           id,
+		Epoch:          jr.Epoch,
+		Moves:          int(jr.Moves),
+		CellsStreamed:  int64(jr.CellsStreamed),
+		CellsRetired:   int64(jr.CellsRetired),
+		RetireErr:      jr.RetireErr,
+		Pages:          int(jr.Pages),
+		StreamDuration: time.Duration(jr.StreamNanos),
+		FlipDuration:   time.Duration(jr.FlipNanos),
+	}
+}
+
+// coordinate runs one membership change with this node as its
+// coordinator: a join of id at addr, or, when leave is set, a leave of
+// id (addr unused). A join must name an address: a JoinRequest is
+// outside input, and an empty one must never read as a leave. The
+// change is computed from the node's own ring and executed by
+// runRebalance over a scratch pool of the node's dialer. One change
+// runs at a time per member; a second is refused rather than queued
+// behind a stream that may take a while.
+func (n *Node) coordinate(id hashring.NodeID, addr string, leave bool) (*RebalanceReport, error) {
+	if n.dialer == nil {
+		return nil, fmt.Errorf("cluster: node %d cannot coordinate membership changes: no dialer", n.id)
+	}
+	if !n.joinMu.TryLock() {
+		return nil, errors.New("cluster: a membership change is already in flight; retry")
+	}
+	defer n.joinMu.Unlock()
+
+	rs := n.ring.Load()
+	if rs == nil {
+		return nil, errors.New("cluster: node has no topology")
+	}
+	addrsNext := copyAddrs(rs.addrs)
+	var next *hashring.Topology
+	var moves []hashring.RangeMove
+	var err error
+	switch {
+	case leave:
+		next, moves, err = rs.topo.RemoveNode(id, rs.rf)
+		delete(addrsNext, id)
+	case addr == "":
+		return nil, fmt.Errorf("cluster: join of node id %d carries no address", id)
+	case rs.topo.Contains(id) && rs.addrs[id] == addr:
+		// Idempotent: a joiner retrying after a lost response, or a
+		// member rejoining after a restart. It is already routed to.
+		return &RebalanceReport{Node: id, Epoch: rs.topo.Epoch()}, nil
+	case rs.topo.Contains(id):
+		return nil, fmt.Errorf("cluster: node id %d is already a member at %s", id, rs.addrs[id])
+	default:
+		next, moves, err = rs.topo.AddNode(id, rs.rf)
+		addrsNext[id] = addr
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	pool := transport.NewPool(n.dialer)
+	defer pool.Close()
+	return n.runRebalance(pool, rs, &ringState{topo: next, addrs: addrsNext, rf: rs.rf}, moves, id)
 }
 
 // runRebalance executes the join/leave state machine after the
 // membership diff is known: source selection, dual-write, streaming,
 // flip, retirement — all over the wire, through a scratch pool of its
 // own (stats, streaming, control, retirement) that the caller closes
-// when done. The scratch pool keeps 4096-cell stream pages off the
+// when done. old is the coordinator's ring (stream sources live in its
+// address book); next is the ring after the change, whose address book
+// already reflects the new membership (stream targets and flip
+// recipients). The scratch pool keeps 4096-cell stream pages off the
 // data-path connections and out of their per-connection worker queues,
 // and it re-dials a connection that breaks mid-change, so the window
 // is closed on every participant even after an aborted stream.
-func runRebalance(pool *transport.Pool, p rebalanceParams) (*RebalanceReport, error) {
-	report := &RebalanceReport{Node: p.subject, Epoch: p.next.Epoch()}
+func (n *Node) runRebalance(pool *transport.Pool, old, next *ringState, moves []hashring.RangeMove, subject hashring.NodeID) (*RebalanceReport, error) {
+	report := &RebalanceReport{Node: subject, Epoch: next.topo.Epoch()}
 
 	// 1. Source selection: at rf > 1 a range has several old owners;
 	// stream from the one with the smallest write backlog so a node
 	// busy flushing is not also the one serving the handoff.
-	moves := pickSources(pool, p.old, p.moves, p.rf, p.addrs)
-	report.Moves = moves
+	moves = pickSources(pool, old.topo, moves, old.rf, old.addrs)
+	report.Moves = len(moves)
 
 	// 2. Migration window. Each source node forwards in-range writes to
 	// their new owners from here on; combined with streaming from a
@@ -133,25 +199,24 @@ func runRebalance(pool *transport.Pool, p rebalanceParams) (*RebalanceReport, er
 	// empty move list when it neither sources nor receives a range), so
 	// that from the first SetRingState on, a node not flipped yet still
 	// accepts requests routed at the next epoch (see Node.epochCheck).
-	for id := range p.addrsNext {
+	for id := range next.addrs {
 		participants[id] = true
 	}
-	participants[p.subject] = true
+	participants[subject] = true
 	beginReq := &wire.BeginMigrationRequest{Moves: wireMoves(moves)}
-	for id, addr := range p.addrsNext {
+	for id, addr := range next.addrs {
 		beginReq.Nodes = append(beginReq.Nodes, wire.NodeAddr{ID: uint32(id), Addr: addr})
 	}
 	addrOf := func(id hashring.NodeID) string {
-		if a, ok := p.addrsNext[id]; ok {
+		if a, ok := next.addrs[id]; ok {
 			return a
 		}
-		return p.addrs[id]
+		return old.addrs[id]
 	}
 	var migrating []string
 	defer func() {
-		// Close the window on every node that opened it — on the error
-		// path AND when a test hook panics to simulate a dying
-		// coordinator. Best effort: an unreachable participant keeps
+		// Close the window on every node that opened it on the error
+		// path. Best effort: an unreachable participant keeps
 		// forwarding until its forwards fail, which is harmless
 		// (forwards are LWW-idempotent).
 		for _, addr := range migrating {
@@ -168,12 +233,12 @@ func runRebalance(pool *transport.Pool, p rebalanceParams) (*RebalanceReport, er
 	// 3. Stream every move, paged, source -> target, at epoch 0.
 	streamStart := time.Now()
 	for _, m := range moves {
-		if hook := p.streamHook; hook != nil {
+		if hook := n.testStreamErr; hook != nil {
 			if err := hook(m); err != nil {
 				return nil, fmt.Errorf("cluster: stream %v: %w", m, err)
 			}
 		}
-		streamed, pages, err := streamRange(pool, m, p.addrs[m.From], p.addrsNext[m.To])
+		streamed, pages, err := streamRange(pool, m, old.addrs[m.From], next.addrs[m.To])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: stream %v: %w", m, err)
 		}
@@ -189,19 +254,19 @@ func runRebalance(pool *transport.Pool, p rebalanceParams) (*RebalanceReport, er
 	// a restart of any member. Remote clients learn via wrong-epoch
 	// rejections and RingStateRequest.
 	flipReq := &wire.SetRingStateRequest{
-		Epoch:  p.next.Epoch(),
-		Vnodes: uint32(p.next.Vnodes()),
-		RF:     uint32(p.rf),
+		Epoch:  next.topo.Epoch(),
+		Vnodes: uint32(next.topo.Vnodes()),
+		RF:     uint32(old.rf),
 		Nodes:  beginReq.Nodes,
 	}
 	flipStart := time.Now()
-	flipTargets := make(map[hashring.NodeID]string, len(p.addrsNext)+1)
-	for id, addr := range p.addrsNext {
+	flipTargets := make(map[hashring.NodeID]string, len(next.addrs)+1)
+	for id, addr := range next.addrs {
 		flipTargets[id] = addr
 	}
-	if _, ok := flipTargets[p.subject]; !ok {
-		if a, ok := p.addrs[p.subject]; ok {
-			flipTargets[p.subject] = a
+	if _, ok := flipTargets[subject]; !ok {
+		if a, ok := old.addrs[subject]; ok {
+			flipTargets[subject] = a
 		}
 	}
 	for id, addr := range flipTargets {
@@ -222,11 +287,11 @@ func runRebalance(pool *transport.Pool, p rebalanceParams) (*RebalanceReport, er
 		}
 	}
 	migrating = nil
-	for _, r := range hashring.Retirements(p.old, p.next, p.rf) {
-		if !p.next.Contains(r.Node) {
+	for _, r := range hashring.Retirements(old.topo, next.topo, old.rf) {
+		if !next.topo.Contains(r.Node) {
 			continue
 		}
-		dr, err := call[*wire.DeleteRangeResponse](pool.Caller(p.addrsNext[r.Node]), &wire.DeleteRangeRequest{Lo: r.Lo, Hi: r.Hi})
+		dr, err := call[*wire.DeleteRangeResponse](pool.Caller(next.addrs[r.Node]), &wire.DeleteRangeRequest{Lo: r.Lo, Hi: r.Hi})
 		if err != nil {
 			recordRetireErr(report, fmt.Errorf("retire [%d,%d] at node %d: %w", r.Lo, r.Hi, r.Node, err))
 			continue
@@ -258,151 +323,6 @@ func movesFromWire(moves []wire.Move) []hashring.RangeMove {
 		out[i] = hashring.RangeMove{Lo: m.Lo, Hi: m.Hi, From: hashring.NodeID(m.From), To: hashring.NodeID(m.To)}
 	}
 	return out
-}
-
-// AddNode grows the cluster by one member under live traffic: it boots
-// a fresh node, streams the token ranges the new member owns from their
-// current owners, flips every node and the client to the new epoch, and
-// retires the moved ranges at their old owners. In-flight client
-// operations never fail: writes during the stream are dual-written,
-// and requests routed with the old epoch after the flip are rejected
-// with a wrong-epoch error that makes the client refresh and re-route.
-func (c *Cluster) AddNode() (*Node, *RebalanceReport, error) {
-	c.topoMu.Lock()
-	defer c.topoMu.Unlock()
-
-	old := c.client.topo()
-	var id hashring.NodeID
-	for _, n := range old.Nodes() {
-		if n >= id {
-			id = n + 1
-		}
-	}
-
-	next, moves, err := old.AddNode(id, c.opts.ReplicationFactor)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Boot the new member at the old epoch; clients do not route to it
-	// until the flip, and the streamer writes at epoch 0.
-	l, addr, err := c.listen(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	node, err := StartNode(l, NodeOptions{
-		ID:                id,
-		Dir:               filepath.Join(c.baseDir, fmt.Sprintf("node-%d", id)),
-		Storage:           c.opts.Storage,
-		Topology:          old,
-		Addrs:             c.addrs,
-		ReplicationFactor: c.opts.ReplicationFactor,
-		Dialer:            c.dial,
-		AdvertiseAddr:     addr,
-	})
-	if err != nil {
-		l.Close()
-		return nil, nil, err
-	}
-
-	addrsNext := copyAddrs(c.addrs)
-	addrsNext[id] = addr
-
-	// The joining node takes part in the flip (it must validate the new
-	// epoch once clients route to it), so it joins the node list before
-	// the state machine runs. The teardown is a defer, not an error
-	// branch: an abort must never strand a booted-but-unrouted node —
-	// not on a returned error, and not when the coordinator dies mid-
-	// join (a panic unwinding through here). Either way the victim's
-	// listener and engine close, its directory stays on disk, and a
-	// retried AddNode re-picks the same ID and reopens it idempotently.
-	c.Nodes = append(c.Nodes, node)
-	committed := false
-	defer func() {
-		if !committed {
-			c.Nodes = c.Nodes[:len(c.Nodes)-1]
-			node.Close()
-		}
-	}()
-	report, err := c.rebalance(old, next, moves, addrsNext, id)
-	if err != nil {
-		return nil, nil, err
-	}
-	committed = true
-	c.addrs = addrsNext
-	return node, report, nil
-}
-
-// RemoveNode drains a member and shrinks the cluster: the leaving
-// node's ranges are streamed to their new owners (with the dual-write
-// window covering concurrent writes), the topology flips, and the node
-// is shut down. Its storage directory is left on disk.
-func (c *Cluster) RemoveNode(id hashring.NodeID) (*RebalanceReport, error) {
-	c.topoMu.Lock()
-	defer c.topoMu.Unlock()
-
-	old := c.client.topo()
-	next, moves, err := old.RemoveNode(id, c.opts.ReplicationFactor)
-	if err != nil {
-		return nil, err
-	}
-	var victim *Node
-	for _, n := range c.Nodes {
-		if n.ID() == id {
-			victim = n
-		}
-	}
-	if victim == nil {
-		return nil, fmt.Errorf("cluster: node %d not running here", id)
-	}
-
-	addrsNext := copyAddrs(c.addrs)
-	delete(addrsNext, id)
-
-	report, err := c.rebalance(old, next, moves, addrsNext, id)
-	if err != nil {
-		return nil, err
-	}
-
-	// The member is drained and unrouted; stop it. The flip already
-	// committed the leave, so the bookkeeping happens regardless of how
-	// the shutdown goes — keeping a closed node listed would poison
-	// FlushAll, Close and the next topology change. A Close error (e.g.
-	// a latched background-flush failure surfacing in the final drain)
-	// is reported after the fact.
-	survivors := make([]*Node, 0, len(c.Nodes)-1)
-	for _, n := range c.Nodes {
-		if n.ID() != id {
-			survivors = append(survivors, n)
-		}
-	}
-	closeErr := victim.Close()
-	c.Nodes = survivors
-	c.addrs = addrsNext
-	return report, closeErr
-}
-
-// rebalance runs the shared state machine over the wire and adopts the
-// result into the in-process bookkeeping. addrsNext must already
-// reflect the new membership.
-func (c *Cluster) rebalance(old, next *hashring.Topology, moves []hashring.RangeMove, addrsNext map[hashring.NodeID]string, subject hashring.NodeID) (*RebalanceReport, error) {
-	pool := transport.NewPool(c.dial)
-	defer pool.Close()
-	report, err := runRebalance(pool, rebalanceParams{
-		rf:         c.opts.ReplicationFactor,
-		old:        old,
-		next:       next,
-		moves:      moves,
-		addrs:      c.addrs,
-		addrsNext:  addrsNext,
-		subject:    subject,
-		streamHook: c.testStreamErr,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.client.adopt(next, addrsNext)
-	return report, nil
 }
 
 // pickSources re-points each move's source at the least write-loaded

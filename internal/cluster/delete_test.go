@@ -174,6 +174,7 @@ func TestOverwriteAndDeleteDuringRebalanceConverge(t *testing.T) {
 		}
 	}()
 
+	old := c.Topology()
 	node, report, err := c.AddNode()
 	stop.Store(true)
 	wg.Wait()
@@ -186,7 +187,11 @@ func TestOverwriteAndDeleteDuringRebalanceConverge(t *testing.T) {
 	if report.CellsStreamed == 0 {
 		t.Fatal("join streamed nothing")
 	}
-	_ = node
+	// The ranges the join moved: the diff the coordinator streamed.
+	_, moves, err := old.AddNode(node.ID(), rf)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Every replica engine of every hot key holds the final acked round
 	// (or later — the overwriter may have had one more write in flight).
@@ -199,7 +204,7 @@ func TestOverwriteAndDeleteDuringRebalanceConverge(t *testing.T) {
 	for k := 0; k < hotKeys; k++ {
 		pk := key(k)
 		tok := hashring.Token(pk)
-		for _, m := range report.Moves {
+		for _, m := range moves {
 			if m.Contains(tok) {
 				moved++
 				break

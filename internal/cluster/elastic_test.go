@@ -3,6 +3,10 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,7 +232,14 @@ func TestAddNodeUnderLiveTraffic(t *testing.T) {
 		// Dual-written cells may push retired above streamed, never below.
 		t.Fatalf("retired %d < streamed %d: sources kept moved data", report.CellsRetired, report.CellsStreamed)
 	}
-	for _, m := range report.Moves {
+	_, moves, err := oldTopo.AddNode(node.ID(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Moves != len(moves) {
+		t.Fatalf("report counts %d moves, the ownership diff has %d", report.Moves, len(moves))
+	}
+	for _, m := range moves {
 		var src *Node
 		for _, n := range c.Nodes {
 			if n.ID() == m.From {
@@ -380,7 +391,7 @@ func TestStaleClientRecoversViaWrongEpoch(t *testing.T) {
 	stale := NewClient(c.Topology(), ClientOptions{
 		ReplicationFactor: c.opts.ReplicationFactor,
 		Dialer:            c.dial,
-		Addrs:             c.addrs,
+		Addrs:             addrBook(c),
 	})
 	defer stale.Close()
 
@@ -405,7 +416,7 @@ func TestStaleClientRecoversViaWrongEpoch(t *testing.T) {
 	stale2 := NewClient(hashring.New(2, localVnodes), ClientOptions{
 		ReplicationFactor: c.opts.ReplicationFactor,
 		Dialer:            c.dial,
-		Addrs:             c.addrs,
+		Addrs:             addrBook(c),
 	})
 	defer stale2.Close()
 	for i := 0; i < 400; i += 29 {
@@ -438,7 +449,7 @@ func TestMultiGetAcrossEpochFlip(t *testing.T) {
 	stale := NewClient(c.Topology(), ClientOptions{
 		ReplicationFactor: c.opts.ReplicationFactor,
 		Dialer:            c.dial,
-		Addrs:             c.addrs,
+		Addrs:             addrBook(c),
 	})
 	defer stale.Close()
 	staleEpoch := stale.topo().Epoch()
@@ -543,7 +554,7 @@ func TestNodeStatsOverWire(t *testing.T) {
 func TestWrongEpochRejectedAtWireLevel(t *testing.T) {
 	c := startTest(t, LocalOptions{Nodes: 1, Storage: storage.Options{DisableWAL: true}})
 	codec := wire.FastCodec{}
-	conn, err := c.dial(c.addrs[0])
+	conn, err := c.dial(addrBook(c)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,5 +650,143 @@ func TestAddNodeOverTCP(t *testing.T) {
 	}
 	if len(enginePartitions(t, node)) == 0 {
 		t.Fatal("TCP joining node holds no data")
+	}
+}
+
+// TestJoinRingClosesListenerOnFailure: a JoinRing that fails closes
+// the listener it was handed, whether the seed cannot be read or the
+// joiner's own node cannot start. A leaked in-process listener would
+// keep the address taken, and a retried join on it would fail with
+// "address in use".
+func TestJoinRingClosesListenerOnFailure(t *testing.T) {
+	c := startTest(t, LocalOptions{Nodes: 2})
+	notADir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, seed, dir string
+	}{
+		{"unreachable-seed", "no-such-seed", t.TempDir()},
+		{"node-fails-to-start", addrBook(c)[0], notADir},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := c.network.Listen(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := JoinRing(l, NodeOptions{
+				ID:            -1,
+				Dir:           tc.dir,
+				Dialer:        c.dial,
+				AdvertiseAddr: tc.name,
+			}, tc.seed); err == nil {
+				t.Fatal("JoinRing succeeded")
+			}
+			if conn, err := c.network.Dial(tc.name); err == nil {
+				conn.Close()
+				t.Fatal("the failed joiner's listener still accepts connections")
+			}
+		})
+	}
+}
+
+// TestMembershipChangesThroughOneMemberSerialize: a member coordinates
+// one membership change at a time. While an in-process AddNode streams
+// through its seed, a wire join through the same member is refused, and
+// when the AddNode completes every node is on the client's ring.
+func TestMembershipChangesThroughOneMemberSerialize(t *testing.T) {
+	c := startTest(t, LocalOptions{Nodes: 2})
+	cli := c.Client()
+	key := func(i int) string { return fmt.Sprintf("cell-%04d", i) }
+	for i := 0; i < 200; i++ {
+		if err := cli.Put(key(i), []byte("ck"), []byte("v0")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The AddNode blocks inside its first range until released.
+	seed := c.Nodes[0]
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	var enterOnce sync.Once
+	seed.testStreamErr = func(hashring.RangeMove) error {
+		enterOnce.Do(func() {
+			close(entered)
+			<-release
+		})
+		return nil
+	}
+	added := make(chan error, 1)
+	go func() {
+		_, _, err := c.AddNode()
+		added <- err
+	}()
+	<-entered
+
+	l, err := c.network.Listen("node-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	joiner, _, err := JoinRing(l, NodeOptions{
+		ID:            7,
+		Dir:           t.TempDir(),
+		Dialer:        c.dial,
+		AdvertiseAddr: "node-7",
+	}, seed.selfAddr)
+	if err == nil {
+		t.Cleanup(func() { joiner.Close() })
+		t.Error("a wire join through the seed ran while its AddNode was in flight")
+	} else if !strings.Contains(err.Error(), "already in flight") {
+		t.Errorf("wire join error = %v, want the in-flight refusal", err)
+	}
+
+	releaseOnce()
+	if err := <-added; err != nil {
+		t.Fatal(err)
+	}
+	want := c.Topology()
+	for _, n := range c.Nodes {
+		if got := n.Topology(); got.Epoch() != want.Epoch() || !reflect.DeepEqual(got.Nodes(), want.Nodes()) {
+			t.Errorf("node %d is on epoch %d members %v; the client is on epoch %d members %v",
+				n.ID(), got.Epoch(), got.Nodes(), want.Epoch(), want.Nodes())
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if v, found, err := cli.Get(key(i), []byte("ck")); err != nil || !found || string(v) != "v0" {
+			t.Fatalf("%s after the join: found=%v err=%v v=%q", key(i), found, err, v)
+		}
+	}
+}
+
+// TestJoinWithoutAddressIsRefused: a JoinRequest is outside input, and
+// a zero-valued one (node id 0, no address) is a valid frame. A member
+// must refuse it as a join, never read it as node 0 leaving: every node
+// stays on its epoch and members, and node 0 keeps serving.
+func TestJoinWithoutAddressIsRefused(t *testing.T) {
+	c := startTest(t, LocalOptions{Nodes: 3})
+	cli := c.Client()
+	if err := cli.Put("p", []byte("c"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Topology()
+	conn, err := c.dial(addrBook(c)[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if resp, err := call[*wire.JoinResponse](conn, &wire.JoinRequest{ID: 0}); err == nil {
+		t.Fatalf("a join without an address was accepted: epoch %d, %d moves", resp.Epoch, resp.Moves)
+	}
+	for _, n := range c.Nodes {
+		if got := n.Topology(); got.Epoch() != before.Epoch() || !reflect.DeepEqual(got.Nodes(), before.Nodes()) {
+			t.Errorf("node %d is on epoch %d members %v, want epoch %d members %v",
+				n.ID(), got.Epoch(), got.Nodes(), before.Epoch(), before.Nodes())
+		}
+	}
+	if v, found, err := cli.Get("p", []byte("c")); err != nil || !found || string(v) != "v" {
+		t.Fatalf("get after the refused join: found=%v err=%v v=%q", found, err, v)
 	}
 }

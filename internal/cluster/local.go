@@ -33,9 +33,10 @@ type LocalOptions struct {
 }
 
 // Cluster is a set of in-process nodes plus a connected client —
-// everything the examples and integration tests need in one value. It
-// is also the topology authority: AddNode and RemoveNode grow and
-// shrink the ring while the cluster serves traffic.
+// everything the examples and integration tests need in one value.
+// AddNode and RemoveNode grow and shrink the ring while the cluster
+// serves traffic; a member node coordinates each change, as it does
+// for a process joining over the network.
 type Cluster struct {
 	Nodes   []*Node
 	network *transport.Network
@@ -49,17 +50,11 @@ type Cluster struct {
 	// set per transport flavour (in-process fabric or TCP loopback).
 	listen func(id hashring.NodeID) (transport.Listener, string, error)
 	dial   Dialer
-	// addrs is the member address book at the current epoch.
-	addrs map[hashring.NodeID]string
 
-	// topoMu serializes topology changes (one join/leave at a time) and
-	// repair passes (which must not race a migration's epoch-0 traffic).
+	// topoMu serializes the cluster's topology changes and repair
+	// passes (which must not race a migration's epoch-0 traffic), and
+	// guards Nodes while they run.
 	topoMu sync.Mutex
-
-	// testStreamErr, when set (tests only), is consulted before each
-	// range is streamed during a rebalance — an injected failure or
-	// panic simulates a coordinator dying mid-join.
-	testStreamErr func(hashring.RangeMove) error
 }
 
 // StartLocal boots an n-node cluster inside the current process,
@@ -164,7 +159,6 @@ func start(opts LocalOptions, listen func(hashring.NodeID) (transport.Listener, 
 		}
 		c.Nodes = append(c.Nodes, node)
 	}
-	c.addrs = addrs
 	c.client = NewClient(ring, ClientOptions{
 		ReplicationFactor: opts.ReplicationFactor,
 		Dialer:            dial,
@@ -179,6 +173,91 @@ func (c *Cluster) Client() *Client { return c.client }
 
 // Topology returns the current epoch-stamped ring.
 func (c *Cluster) Topology() *hashring.Topology { return c.client.topo() }
+
+// AddNode grows the cluster by one member under live traffic: it
+// listens at the next free ID and joins through JoinRing, with the
+// first node as the seed that coordinates the change — streaming the
+// new member's ranges from their current owners, flipping every node to
+// the new epoch and retiring the moved ranges at their old owners.
+// In-flight client operations never fail: writes during the stream are
+// dual-written, and requests routed with the old epoch after the flip
+// are rejected with a wrong-epoch error that makes the client refresh
+// and re-route. A failed join leaves the joiner closed and its
+// directory on disk; a retried AddNode picks the same ID and reopens
+// it.
+func (c *Cluster) AddNode() (*Node, *RebalanceReport, error) {
+	c.topoMu.Lock()
+	defer c.topoMu.Unlock()
+
+	ids := c.client.topo().Nodes() // sorted ascending
+	id := ids[len(ids)-1] + 1
+	l, addr, err := c.listen(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	node, jr, err := JoinRing(l, NodeOptions{
+		ID:                id,
+		Dir:               filepath.Join(c.baseDir, fmt.Sprintf("node-%d", id)),
+		Storage:           c.opts.Storage,
+		ReplicationFactor: c.opts.ReplicationFactor,
+		Dialer:            c.dial,
+		AdvertiseAddr:     addr,
+	}, c.Nodes[0].selfAddr)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.adopt(node)
+	c.Nodes = append(c.Nodes, node)
+	return node, reportFromJoin(id, jr), nil
+}
+
+// RemoveNode drains a member and shrinks the cluster: a surviving
+// member coordinates the leave — the leaving node's ranges are streamed
+// to their new owners (with the dual-write window covering concurrent
+// writes) and the topology flips — and the node is shut down. Its
+// storage directory is left on disk.
+func (c *Cluster) RemoveNode(id hashring.NodeID) (*RebalanceReport, error) {
+	c.topoMu.Lock()
+	defer c.topoMu.Unlock()
+
+	var victim *Node
+	survivors := make([]*Node, 0, len(c.Nodes))
+	for _, n := range c.Nodes {
+		if n.ID() == id {
+			victim = n
+		} else {
+			survivors = append(survivors, n)
+		}
+	}
+	if victim == nil {
+		return nil, fmt.Errorf("cluster: node %d not running here", id)
+	}
+	if len(survivors) == 0 {
+		return nil, fmt.Errorf("cluster: node %d is the last member", id)
+	}
+	report, err := survivors[0].coordinate(id, "", true)
+	if err != nil {
+		return nil, err
+	}
+	c.adopt(survivors[0])
+
+	// The member is drained and unrouted; stop it. The flip already
+	// committed the leave, so the bookkeeping happens regardless of how
+	// the shutdown goes — keeping a closed node listed would poison
+	// FlushAll, Close and the next topology change. A Close error (e.g.
+	// a latched background-flush failure surfacing in the final drain)
+	// is reported after the fact.
+	closeErr := victim.Close()
+	c.Nodes = survivors
+	return report, closeErr
+}
+
+// adopt moves the client to a member's ring after a change it took
+// part in.
+func (c *Cluster) adopt(n *Node) {
+	rs := n.ring.Load()
+	c.client.adopt(rs.topo, rs.addrs)
+}
 
 // FlushAll flushes every node's memtable to disk, so subsequent reads
 // exercise the SSTable path.

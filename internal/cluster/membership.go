@@ -18,11 +18,13 @@ package cluster
 //     only digest round trips — the skip-if-converged check is built
 //     into the protocol, not bolted on.
 //   - handleJoin: any current member can coordinate a JoinRequest by
-//     running the rebalance state machine (coordinator.go) over the
-//     wire against the whole membership, itself included.
-//   - JoinRing / Connect: process bootstrap. JoinRing boots a node at
-//     a seed's current topology and sends one JoinRequest; Connect
-//     builds a routing client from seed addresses alone.
+//     running the rebalance state machine (Node.coordinate in
+//     coordinator.go) over the wire against the whole membership,
+//     itself included.
+//   - JoinRing / Connect: process bootstrap, one seed read each
+//     (dialRing). JoinRing boots a node at a seed's current topology
+//     and sends one JoinRequest on the same connection; Connect builds
+//     a routing client from seed addresses alone.
 
 import (
 	"errors"
@@ -355,65 +357,16 @@ func (n *Node) handleSetRingState(req *wire.SetRingStateRequest) *wire.SetRingSt
 	return &wire.SetRingStateResponse{}
 }
 
-// handleJoin admits a new member: this node becomes the coordinator
-// for one run of the rebalance state machine, executed entirely over
-// the wire against the current membership (itself included — its own
-// flip arrives as a SetRingStateRequest over a self-dialed
-// connection). Serialized: concurrent joiners are told to retry rather
-// than queue behind a stream that may take a while.
+// handleJoin admits a new member: this node coordinates the join
+// (Node.coordinate), executed entirely over the wire against the
+// current membership, itself included — its own flip arrives as a
+// SetRingStateRequest over a self-dialed connection.
 func (n *Node) handleJoin(req *wire.JoinRequest) *wire.JoinResponse {
-	if n.dialer == nil {
-		return &wire.JoinResponse{ErrMsg: fmt.Sprintf("node %d cannot coordinate joins: no dialer", n.id)}
-	}
-	if !n.joinMu.TryLock() {
-		return &wire.JoinResponse{ErrMsg: "a membership change is already in flight; retry"}
-	}
-	defer n.joinMu.Unlock()
-
-	rs := n.ring.Load()
-	if rs == nil {
-		return &wire.JoinResponse{ErrMsg: "node has no topology"}
-	}
-	id := hashring.NodeID(req.ID)
-	if rs.topo.Contains(id) {
-		if rs.addrs[id] == req.Addr {
-			// Idempotent: a joiner retrying after a lost response, or a
-			// member rejoining after a restart. It is already routed to.
-			return &wire.JoinResponse{Epoch: rs.topo.Epoch()}
-		}
-		return &wire.JoinResponse{ErrMsg: fmt.Sprintf("node id %d is already a member at %s", id, rs.addrs[id])}
-	}
-	next, moves, err := rs.topo.AddNode(id, rs.rf)
+	report, err := n.coordinate(hashring.NodeID(req.ID), req.Addr, false)
 	if err != nil {
 		return &wire.JoinResponse{ErrMsg: err.Error()}
 	}
-	addrsNext := copyAddrs(rs.addrs)
-	addrsNext[id] = req.Addr
-
-	pool := transport.NewPool(n.dialer)
-	defer pool.Close()
-	report, err := runRebalance(pool, rebalanceParams{
-		rf:        rs.rf,
-		old:       rs.topo,
-		next:      next,
-		moves:     moves,
-		addrs:     rs.addrs,
-		addrsNext: addrsNext,
-		subject:   id,
-	})
-	if err != nil {
-		return &wire.JoinResponse{ErrMsg: err.Error()}
-	}
-	return &wire.JoinResponse{
-		Epoch:         report.Epoch,
-		Moves:         uint32(len(report.Moves)),
-		CellsStreamed: uint64(report.CellsStreamed),
-		CellsRetired:  uint64(report.CellsRetired),
-		Pages:         uint32(report.Pages),
-		StreamNanos:   uint64(report.StreamDuration.Nanoseconds()),
-		FlipNanos:     uint64(report.FlipDuration.Nanoseconds()),
-		RetireErr:     report.RetireErr,
-	}
+	return report.joinResponse()
 }
 
 // --- Process bootstrap ------------------------------------------------------
@@ -423,49 +376,72 @@ func ringStateRPC(conn transport.Caller) (*wire.RingStateResponse, error) {
 	return call[*wire.RingStateResponse](conn, &wire.RingStateRequest{})
 }
 
+// dialRing dials a member and reads its ring: the one bootstrap read of
+// JoinRing and Connect. On success the caller owns, and closes, the
+// returned connection.
+func dialRing(dial Dialer, addr string) (*transport.Client, *ringState, error) {
+	conn, err := dial(addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: dial seed %s: %w", addr, err)
+	}
+	rs, err := ringStateRPC(conn)
+	if err == nil {
+		var topo *hashring.Topology
+		var addrs map[hashring.NodeID]string
+		if topo, addrs, err = ringFromWire(rs.Epoch, rs.Nodes, rs.Vnodes); err == nil {
+			return conn, &ringState{topo: topo, addrs: addrs, rf: int(rs.RF)}, nil
+		}
+	}
+	conn.Close()
+	return nil, nil, fmt.Errorf("cluster: seed %s: %w", addr, err)
+}
+
 // JoinRing boots a node and brings it into a live ring through a seed
 // member: learn the seed's current topology, start serving at it (the
 // joiner must accept the coordinator's epoch-0 streams and take part
-// in the flip), then send one JoinRequest and block until the seed has
-// streamed this node's ranges over and flipped the cluster. On return
-// the node is a routed member at the response's epoch.
+// in the flip), then send one JoinRequest on the same connection and
+// block until the seed has streamed this node's ranges over and
+// flipped the cluster. On return the node is a routed member at the
+// response's epoch. On any failure the node (or, before it started,
+// the listener) is closed, so the address can be listened on again.
 //
 // opts.ID < 0 picks the next free ID from the seed's membership.
 // opts.Dialer and opts.AdvertiseAddr are required. A node restarting
 // from a persisted topology that already includes it skips the
 // JoinRequest (its ranges are on disk; anti-entropy covers the gap).
-func JoinRing(l transport.Listener, opts NodeOptions, seedAddr string) (*Node, *wire.JoinResponse, error) {
+func JoinRing(l transport.Listener, opts NodeOptions, seedAddr string) (_ *Node, _ *wire.JoinResponse, err error) {
+	var node *Node
+	defer func() {
+		switch {
+		case err == nil:
+		case node != nil:
+			node.Close()
+		default:
+			l.Close()
+		}
+	}()
 	if opts.Dialer == nil {
 		return nil, nil, errors.New("cluster: JoinRing needs a Dialer")
 	}
 	if opts.AdvertiseAddr == "" {
 		return nil, nil, errors.New("cluster: JoinRing needs an AdvertiseAddr")
 	}
-	seedConn, err := opts.Dialer(seedAddr)
+	seed, rs, err := dialRing(opts.Dialer, seedAddr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: dial seed %s: %w", seedAddr, err)
+		return nil, nil, err
 	}
-	rs, err := ringStateRPC(seedConn)
-	seedConn.Close()
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: seed %s: %w", seedAddr, err)
-	}
-	topo, addrs, err := ringFromWire(rs.Epoch, rs.Nodes, rs.Vnodes)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: seed %s: %w", seedAddr, err)
-	}
+	defer seed.Close()
 	if opts.ID < 0 {
-		ids := topo.Nodes() // sorted ascending
+		ids := rs.topo.Nodes() // sorted ascending
 		opts.ID = ids[len(ids)-1] + 1
 	}
 	if opts.ReplicationFactor <= 0 {
-		opts.ReplicationFactor = int(rs.RF)
+		opts.ReplicationFactor = rs.rf
 	}
-	opts.Topology = topo
-	opts.Addrs = addrs
+	opts.Topology = rs.topo
+	opts.Addrs = rs.addrs
 
-	node, err := StartNode(l, opts)
-	if err != nil {
+	if node, err = StartNode(l, opts); err != nil {
 		return nil, nil, err
 	}
 	// A persisted topology (StartNode prefers the higher epoch) may
@@ -475,16 +451,8 @@ func JoinRing(l transport.Listener, opts NodeOptions, seedAddr string) (*Node, *
 	if cur := node.ring.Load(); cur != nil && cur.topo.Contains(node.id) {
 		return node, &wire.JoinResponse{Epoch: cur.topo.Epoch()}, nil
 	}
-
-	joinConn, err := opts.Dialer(seedAddr)
+	jr, err := call[*wire.JoinResponse](seed, &wire.JoinRequest{ID: uint32(node.id), Addr: opts.AdvertiseAddr})
 	if err != nil {
-		node.Close()
-		return nil, nil, fmt.Errorf("cluster: dial seed %s: %w", seedAddr, err)
-	}
-	defer joinConn.Close()
-	jr, err := call[*wire.JoinResponse](joinConn, &wire.JoinRequest{ID: uint32(node.id), Addr: opts.AdvertiseAddr})
-	if err != nil {
-		node.Close()
 		return nil, nil, fmt.Errorf("cluster: join via %s: %w", seedAddr, err)
 	}
 	return node, jr, nil
@@ -498,41 +466,29 @@ func Connect(seeds []string, opts ClientOptions) (*Client, error) {
 	if opts.Dialer == nil {
 		return nil, errors.New("cluster: Connect needs a Dialer")
 	}
-	var best *wire.RingStateResponse
+	var best *ringState
 	lastErr := errors.New("cluster: no seed addresses")
 	for _, addr := range seeds {
-		conn, err := opts.Dialer(addr)
+		conn, rs, err := dialRing(opts.Dialer, addr)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		rs, err := ringStateRPC(conn)
 		conn.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if best == nil || rs.Epoch > best.Epoch {
+		if best == nil || rs.topo.Epoch() > best.topo.Epoch() {
 			best = rs
 		}
 	}
 	if best == nil {
 		return nil, fmt.Errorf("cluster: connect: %w", lastErr)
 	}
-	topo, addrs, err := ringFromWire(best.Epoch, best.Nodes, best.Vnodes)
-	if err != nil {
-		return nil, err
-	}
 	if opts.ReplicationFactor <= 0 {
-		opts.ReplicationFactor = int(best.RF)
+		opts.ReplicationFactor = best.rf
 	}
-	merged := make(map[hashring.NodeID]string, len(addrs)+len(opts.Addrs))
-	for id, a := range opts.Addrs {
-		merged[id] = a
-	}
-	for id, a := range addrs {
+	merged := copyAddrs(opts.Addrs)
+	for id, a := range best.addrs {
 		merged[id] = a
 	}
 	opts.Addrs = merged
-	return NewClient(topo, opts), nil
+	return NewClient(best.topo, opts), nil
 }

@@ -7,12 +7,14 @@
 //
 // Membership is self-organizing: a new node joins through any existing
 // member (JoinRing), which coordinates the rebalance — dual-write
-// window, live range streaming, epoch flip, retirement — over the same
-// messages the in-process Cluster coordinator uses. Every node
-// persists the ring it installs (a crash-atomic `topology` file in its
-// data directory), so a restart reassembles membership from disk with
-// no seed; nodes probe peer liveness and self-schedule anti-entropy
-// repair. See docs/membership.md for the design.
+// window, live range streaming, epoch flip, retirement — over the wire.
+// That member is the one coordinator: the in-process Cluster joins its
+// nodes through JoinRing too, and has a surviving member coordinate a
+// leave. Every node persists the ring it installs (a crash-atomic
+// `topology` file in its data directory), so a restart reassembles
+// membership from disk with no seed; nodes probe peer liveness and
+// self-schedule anti-entropy repair. See docs/membership.md for the
+// design.
 //
 // Everything runs on the transport package, so a cluster can live inside
 // one process (tests, examples) or span TCP endpoints (cmd/kvstore).
@@ -128,8 +130,12 @@ type Node struct {
 	peers *transport.Pool
 
 	// joinMu serializes membership changes this node coordinates: one
-	// JoinRequest executes at a time, a second joiner is told to retry.
+	// join or leave executes at a time, a second is told to retry.
 	joinMu sync.Mutex
+	// testStreamErr, when set (tests only), is consulted before each
+	// range a change this node coordinates streams — an injected
+	// failure simulates a join breaking mid-stream.
+	testStreamErr func(hashring.RangeMove) error
 
 	// healthMu guards health, the per-peer liveness view the prober
 	// maintains (see PeerHealth).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,16 +63,17 @@ func (b sendBreaker) Send(f transport.Frame) error {
 // re-dials on the request after.
 func breakingClient(t *testing.T, c *Cluster, node hashring.NodeID, armed *atomic.Bool) *Client {
 	t.Helper()
+	addrs := addrBook(c)
 	cli := NewClient(c.Topology(), ClientOptions{
 		ReplicationFactor: c.opts.ReplicationFactor,
 		ReadRepair:        true,
-		Addrs:             c.addrs,
+		Addrs:             addrs,
 		Dialer: func(addr string) (*transport.Client, error) {
 			conn, err := c.network.Dial(addr)
 			if err != nil {
 				return nil, err
 			}
-			if addr == c.addrs[node] {
+			if addr == addrs[node] {
 				conn = sendBreaker{conn, armed}
 			}
 			return transport.NewClient(conn), nil
@@ -382,11 +384,11 @@ func TestReadRepairForwardsTombstone(t *testing.T) {
 	}
 }
 
-// TestAddNodeAbortTearsDownVictim: a join that dies mid-stream —
-// whether the coordinator returns an error or panics outright — must
-// not strand a booted-but-unrouted node: the victim's listener and
-// engine close, the old epoch stays authoritative, and a retried
-// AddNode re-picks the same ID and reopens its directory idempotently.
+// TestAddNodeAbortTearsDownVictim: a join that dies mid-stream at its
+// coordinator (the seed member) must not strand a booted-but-unrouted
+// node: JoinRing closes the victim's listener and engine, the old epoch
+// stays authoritative, and a retried AddNode re-picks the same ID and
+// reopens its directory idempotently.
 func TestAddNodeAbortTearsDownVictim(t *testing.T) {
 	c := startTest(t, LocalOptions{Nodes: 3, ReplicationFactor: 2})
 	cli := c.Client()
@@ -405,6 +407,11 @@ func TestAddNodeAbortTearsDownVictim(t *testing.T) {
 		if got := c.Topology().Epoch(); got != epoch0 {
 			t.Fatalf("%s: epoch moved to %d on an aborted join", stage, got)
 		}
+		for _, n := range c.Nodes {
+			if got := n.Topology().Epoch(); got != epoch0 {
+				t.Fatalf("%s: node %d flipped to epoch %d on an aborted join", stage, n.ID(), got)
+			}
+		}
 		if _, err := c.network.Dial("node-3"); err == nil {
 			t.Fatalf("%s: orphan listener still accepting on node-3", stage)
 		}
@@ -413,29 +420,18 @@ func TestAddNodeAbortTearsDownVictim(t *testing.T) {
 		}
 	}
 
-	// Abort via error: the stream step fails.
+	// Abort via error: the stream step fails at the coordinating member.
+	// The error reaches AddNode as the JoinResponse's text.
+	seed := c.Nodes[0]
 	boom := errors.New("injected stream failure")
-	c.testStreamErr = func(hashring.RangeMove) error { return boom }
-	if _, _, err := c.AddNode(); !errors.Is(err, boom) {
+	seed.testStreamErr = func(hashring.RangeMove) error { return boom }
+	if _, _, err := c.AddNode(); err == nil || !strings.Contains(err.Error(), boom.Error()) {
 		t.Fatalf("AddNode error = %v, want the injected failure", err)
 	}
 	assertAborted("error")
 
-	// Abort via crash: the coordinator panics mid-join. The teardown is
-	// a defer, so the victim still comes down before the panic escapes.
-	c.testStreamErr = func(hashring.RangeMove) error { panic("simulated coordinator crash") }
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected the simulated crash to propagate")
-			}
-		}()
-		c.AddNode()
-	}()
-	assertAborted("crash")
-
 	// Retry: same ID, same directory, clean join.
-	c.testStreamErr = nil
+	seed.testStreamErr = nil
 	node, report, err := c.AddNode()
 	if err != nil {
 		t.Fatal(err)
@@ -469,12 +465,14 @@ func TestAbortedJoinClosesEveryMigrationWindow(t *testing.T) {
 		}
 	}
 
-	// Every connection dialed from here on is the join's. After the
-	// first range they all break, and the stream aborts.
+	// Every connection the coordinating member dials from here on is
+	// the join's. After the first range they all break, and the stream
+	// aborts.
+	seed := c.Nodes[0]
 	var mu sync.Mutex
 	var dialed []*transport.Client
-	dial := c.dial
-	c.dial = func(addr string) (*transport.Client, error) {
+	dial := seed.dialer
+	seed.dialer = func(addr string) (*transport.Client, error) {
 		conn, err := dial(addr)
 		if err == nil {
 			mu.Lock()
@@ -485,7 +483,7 @@ func TestAbortedJoinClosesEveryMigrationWindow(t *testing.T) {
 	}
 	broken := errors.New("coordinator connections broke")
 	ranges := 0
-	c.testStreamErr = func(hashring.RangeMove) error {
+	seed.testStreamErr = func(hashring.RangeMove) error {
 		if ranges++; ranges == 1 {
 			return nil
 		}
@@ -496,7 +494,7 @@ func TestAbortedJoinClosesEveryMigrationWindow(t *testing.T) {
 		mu.Unlock()
 		return broken
 	}
-	if _, _, err := c.AddNode(); !errors.Is(err, broken) {
+	if _, _, err := c.AddNode(); err == nil || !strings.Contains(err.Error(), broken.Error()) {
 		t.Fatalf("AddNode error = %v, want the injected failure", err)
 	}
 	if ranges < 2 {

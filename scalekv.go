@@ -73,8 +73,9 @@ type NodeID = hashring.NodeID
 // token range [Lo, Hi] from node From to node To.
 type RangeMove = hashring.RangeMove
 
-// RebalanceReport summarizes one AddNode/RemoveNode: moves, cells
-// streamed and retired, stream and flip durations.
+// RebalanceReport summarizes one AddNode/RemoveNode, as the
+// coordinating member reports it (for a join, through the JoinResponse):
+// ranges moved, cells streamed and retired, stream and flip durations.
 type RebalanceReport = cluster.RebalanceReport
 
 // RepairReport summarizes one anti-entropy pass (Cluster.Repair /
